@@ -200,28 +200,34 @@ class Stepper:
         self.drift_zero = self.drift.is_zero()
 
     def nonlinearity(self, coeffs):
-        """Coefficient array of the drift-plus-flux term for this variant."""
+        """Coefficient array of the drift-plus-flux term for this variant.
+
+        Arrays that go through the same transform are stacked into one call:
+        the state and its D_eps derivative on the way to the grid, the drift
+        and the conservative flux on the way back.
+        """
         cfg = self.cfg
+        n, K, M = cfg.n, cfg.K, self.M_pad
         if self.drift_zero and self.G_zero:
             return 0.0
-        grid = None
-        if not self.drift_zero or not self.G_zero:
-            grid = coeffs_to_values(coeffs, self.M_pad)
-        total = np.zeros((cfg.n, self.M_pad))
-        if not self.drift_zero:
-            total += evaluate(self.drift, grid)
-        if not self.G_zero:
-            if cfg.variant == "approximate":
-                dgrid = coeffs_to_values(coeffs * self.d_mult[None, :], self.M_pad)
-                for i in range(cfg.n):
-                    for j in range(cfg.n):
-                        entry = self.jac_G[i][j]
-                        if entry.terms:
-                            total[i] += entry(grid) * dgrid[j]
-            else:
-                flux = values_to_coeffs(evaluate(cfg.G, grid), cfg.K)
-                return values_to_coeffs(total, cfg.K) + self.ik[None, :] * flux
-        return values_to_coeffs(total, cfg.K)
+        if self.G_zero:
+            return values_to_coeffs(evaluate(self.drift, coeffs_to_values(coeffs, M)), K)
+        if cfg.variant == "approximate":
+            both = coeffs_to_values(np.concatenate([coeffs, coeffs * self.d_mult[None, :]]), M)
+            grid, dgrid = both[:n], both[n:]
+            total = np.zeros((n, M)) if self.drift_zero else evaluate(self.drift, grid)
+            for i in range(n):
+                for j in range(n):
+                    entry = self.jac_G[i][j]
+                    if entry.terms:
+                        total[i] += entry(grid) * dgrid[j]
+            return values_to_coeffs(total, K)
+        grid = coeffs_to_values(coeffs, M)
+        flux = evaluate(cfg.G, grid)
+        if self.drift_zero:
+            return self.ik[None, :] * values_to_coeffs(flux, K)
+        both = values_to_coeffs(np.concatenate([evaluate(self.drift, grid), flux]), K)
+        return both[:n] + self.ik[None, :] * both[n:]
 
     def step_coeffs(self, coeffs, dW_coeffs):
         # non-finite states are legitimate here: they signal blow-up, which

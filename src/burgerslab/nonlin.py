@@ -171,10 +171,6 @@ def padded_grid_size(K, pad):
     return smooth_odd_at_least(pad * (2 * K + 1))
 
 
-def grid_values(u, M_pad):
-    return evaluate_on_grid(u, M_pad)
-
-
 def apply_pointwise(P, u, pad=2.0):
     """Evaluate P(u(x)) pseudospectrally and truncate back to u's band."""
     M = padded_grid_size(u.K, pad)

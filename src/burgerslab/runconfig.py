@@ -48,13 +48,23 @@ def parse_v0(spec, K, n):
         path = spec[len("modes:") :]
         c = np.zeros((n, 2 * K + 1), dtype=np.complex128)
         with open(path) as fh:
-            for raw in fh:
+            for lineno, raw in enumerate(fh, start=1):
                 line = raw.strip()
                 if not line or line.startswith("#") or line.startswith("k,"):
                     continue
-                k_s, comp_s, re_s, im_s = line.split(",")
-                k, comp = int(k_s), int(comp_s) - 1
-                val = float(re_s) + 1j * float(im_s)
+                where = f"{path}:{lineno}"
+                fields = line.split(",")
+                if len(fields) != 4:
+                    raise ValueError(f"{where}: expected 'k,comp,re,im', got {line!r}")
+                try:
+                    k, comp = int(fields[0]), int(fields[1]) - 1
+                    val = float(fields[2]) + 1j * float(fields[3])
+                except ValueError:
+                    raise ValueError(f"{where}: cannot parse {line!r}") from None
+                if not 0 <= comp < n:
+                    raise ValueError(f"{where}: component {comp + 1} outside 1..{n}")
+                if abs(k) > K:
+                    raise ValueError(f"{where}: mode {k} outside band [-{K}, {K}]")
                 c[comp, K + k] = val
                 c[comp, K - k] = np.conj(val)
         return SpectralField(K, n, c)

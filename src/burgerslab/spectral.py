@@ -179,14 +179,34 @@ class GridField:
 
 def coeffs_to_values(coeffs, M):
     """Raw fast path: point values at x_j = 2*pi*j/M of a (n, 2K+1) coefficient
-    array, for any M >= 1.  Modes are folded modulo M, which is exact point
-    evaluation of the trigonometric polynomial (not an interpolation
-    statement)."""
+    array, for any M >= 1.  This is exact point evaluation of the
+    trigonometric polynomial (not an interpolation statement).
+
+    Two paths, both rejecting coefficients that break the reality condition
+    by more than 1e-10 * max|c| with ValueError (non-finite input passes
+    through unchecked, so a blown-up state reaches its caller as such):
+
+    - padded, M >= 2K+1: no mode folds, so modes 0..K form the half spectrum
+      of one real inverse transform (``irfft``); the reality check is the
+      O(nK) Hermitian test max|c_k - conj c_{-k}|, |Im c_0| on the input.
+    - fold, M < 2K+1: modes are folded modulo M into a full complex
+      spectrum; the check is the imaginary residue of the inverse ``ifft``.
+    """
     M = int(M)
     if M < 1:
         raise ValueError("M must be positive")
     n, width = coeffs.shape
     K = (width - 1) // 2
+    if M >= width:
+        scale = max(float(np.max(np.abs(coeffs))), 1e-300)
+        asym = np.abs(coeffs[:, K:] - np.conj(coeffs[:, K::-1]))
+        asym[:, 0] *= 0.5  # c_0 - conj(c_0) = 2i Im c_0
+        resid = float(np.max(asym))
+        if resid > 1e-10 * scale:
+            raise ValueError(f"Hermitian residue {resid:.3e} exceeds 1e-10 * coefficient magnitude")
+        half = np.zeros((n, M // 2 + 1), dtype=np.complex128)
+        np.multiply(coeffs[:, K:], M / SQRT_2PI, out=half[:, : K + 1])
+        return np.fft.irfft(half, n=M, axis=1)
     B = np.zeros((n, M), dtype=np.complex128)
     cols = np.mod(np.arange(-K, K + 1), M)
     np.add.at(B, (np.arange(n)[:, None], cols[None, :]), coeffs)
@@ -273,10 +293,6 @@ def l2_inner(u, v):
     return float(np.sum(np.conj(u.coeffs) * v.coeffs).real)
 
 
-def _eval_component(coeffs_row, modes, x):
-    return (coeffs_row @ np.exp(1j * modes * x)).real / SQRT_2PI
-
-
 def sup_norm(u):
     """Approximate sup over x and components of |u|.
 
@@ -299,16 +315,20 @@ def sup_norm(u):
         d1 = c * (1j * modes)
         d2 = c * -(modes**2)
         val = sign * vals[i, j]
+        # one phase vector per iterate serves the derivatives at x and, after
+        # the step, the value at the new x (which the next iterate reuses)
+        phase = np.exp(1j * modes * x)
         for _ in range(6):
-            g = sign * _eval_component(d1, modes, x)
-            hess = sign * _eval_component(d2, modes, x)
+            g = sign * ((d1 @ phase).real / SQRT_2PI)
+            hess = sign * ((d2 @ phase).real / SQRT_2PI)
             if hess >= -1e-300:
                 break
             step = -g / hess
             if abs(step) > h:  # keep the polish local to the grid maximum
                 break
             x += step
-            val = max(val, sign * _eval_component(c, modes, x))
+            phase = np.exp(1j * modes * x)
+            val = max(val, sign * ((c @ phase).real / SQRT_2PI))
         best = max(best, val)
     return float(best)
 

@@ -18,11 +18,18 @@ from burgerslab.nonlin import (
     PolynomialMap,
     apply_bilinear,
     apply_pointwise,
+    evaluate,
     jacobian,
     parse_polynomial_map,
 )
 from burgerslab.schemes import finite_difference_scheme, galerkin_scheme, identity_scheme
-from burgerslab.spectral import SQRT_2PI, SpectralField, sup_norm
+from burgerslab.spectral import (
+    SQRT_2PI,
+    SpectralField,
+    coeffs_to_values,
+    sup_norm,
+    values_to_coeffs,
+)
 from conftest import random_field
 
 
@@ -153,6 +160,63 @@ class TestStep:
         huge = SpectralField.constant(1e160, cfg.K)
         with pytest.raises(BlowUpError):
             simulate(cfg, 0.0, huge, derive_stream(0, 0, "w"))
+
+    @pytest.mark.parametrize("variant", ["approximate", "limit_corrected"])
+    def test_blowup_through_flux_transforms(self, rng, variant):
+        # the state overflows inside the stacked transforms; it must surface
+        # as BlowUpError, not as a reality-check ValueError
+        cfg = make_cfg(F=parse_polynomial_map("u1^3", 1), variant=variant, dt=0.5, T=50.0,
+                       sample_every=100)
+        huge = random_field(rng, cfg.K) * 1e160
+        with pytest.raises(BlowUpError):
+            simulate(cfg, 0.25, huge, derive_stream(0, 0, "w"))
+
+
+def separate_transforms_nonlinearity(stepper, coeffs):
+    """Drift-plus-flux term with one transform per array, as a reference for
+    the stacked transforms of Stepper.nonlinearity."""
+    cfg, M = stepper.cfg, stepper.M_pad
+    grid = coeffs_to_values(coeffs, M)
+    drift = values_to_coeffs(evaluate(stepper.drift, grid), cfg.K)
+    if cfg.variant != "approximate":
+        flux = values_to_coeffs(evaluate(cfg.G, grid), cfg.K)
+        return drift + stepper.ik[None, :] * flux
+    dgrid = coeffs_to_values(coeffs * stepper.d_mult[None, :], M)
+    total = np.zeros((cfg.n, M))
+    for i in range(cfg.n):
+        for j in range(cfg.n):
+            total[i] += stepper.jac_G[i][j](grid) * dgrid[j]
+    return drift + values_to_coeffs(total, cfg.K)
+
+
+class TestStackedNonlinearity:
+    MAPS = {
+        (1, False): ("0", "0.5*u1^2"),
+        (1, True): ("-u1 + 0.3*u1^3", "0.5*u1^2"),
+        (2, False): ("0; 0", "0.5*u1^2 + 0.5*u2^2; u1*u2"),
+        (2, True): ("-u1; 0.2 - u2^2", "0.5*u1^2 + u2; 0.25*u2^2 + u1"),
+    }
+
+    @pytest.mark.parametrize("variant", ["approximate", "limit_corrected", "limit_uncorrected"])
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("with_drift", [False, True])
+    def test_matches_separate_transforms(self, rng, variant, n, with_drift):
+        F, G = self.MAPS[(n, with_drift)]
+        cfg = make_cfg(
+            n=n,
+            K=20,
+            scheme=finite_difference_scheme(1, 0),
+            F=parse_polynomial_map(F, n),
+            G=parse_polynomial_map(G, n),
+            lambda_mode="quadrature",
+            variant=variant,
+        )
+        stepper = Stepper(cfg, 0.3)
+        coeffs = random_field(rng, cfg.K, n=n, decay=1.5).coeffs
+        got = stepper.nonlinearity(coeffs)
+        ref = separate_transforms_nonlinearity(stepper, coeffs)
+        assert np.max(np.abs(ref)) > 0.1
+        assert np.max(np.abs(got - ref)) < 1e-12
 
 
 class TestConservativeConsistency:

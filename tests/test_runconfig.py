@@ -29,6 +29,23 @@ class TestParseV0:
         assert u.mode(2)[0] == -0.5j
         assert u.mode(-2)[0] == 0.5j
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("2,0,1.0,0.0", "component 0 outside 1..2"),
+            ("2,3,1.0,0.0", "component 3 outside 1..2"),
+            ("9,1,1.0,0.0", "mode 9 outside band"),
+            ("-9,2,1.0,0.0", "mode -9 outside band"),
+            ("2,1,1.0", "expected 'k,comp,re,im'"),
+            ("2,one,1.0,0.0", "cannot parse"),
+        ],
+    )
+    def test_modes_file_bad_row_names_file_and_line(self, tmp_path, row, message):
+        path = tmp_path / "v0.csv"
+        path.write_text(f"k,comp,re,im\n# comment\n1,1,0.5,0.0\n{row}\n")
+        with pytest.raises(ValueError, match=f"v0.csv:4: {message}"):
+            parse_v0(f"modes:{path}", 8, 2)
+
     def test_unknown_spec(self):
         with pytest.raises(ValueError):
             parse_v0("bump:1", 8, 1)

@@ -7,6 +7,7 @@ from burgerslab.spectral import (
     ResolutionError,
     SpectralField,
     band_project,
+    coeffs_to_values,
     embed,
     evaluate_on_grid,
     from_grid,
@@ -188,6 +189,64 @@ class TestInvariants:
         xs = 2.0 * np.pi * np.arange(M) / M
         direct = (u.coeffs @ (np.exp(1j * np.outer(u.modes, xs)) / SQRT_2PI)).real
         assert np.max(np.abs(evaluate_on_grid(u, M) - direct)) < 1e-12
+
+
+class TestTransformPaths:
+    """Padded grids (M >= 2K+1) take one real inverse transform; coarser
+    grids fold modes into a complex one.  Both must be exact point
+    evaluation and both must refuse coefficients that are not Hermitian."""
+
+    @staticmethod
+    def direct(u, M):
+        xs = 2.0 * np.pi * np.arange(M) / M
+        return (u.coeffs @ (np.exp(1j * np.outer(u.modes, xs)) / SQRT_2PI)).real
+
+    @pytest.mark.parametrize(
+        "K, M, n",
+        [(0, 1, 1), (0, 4, 2), (6, 13, 1), (6, 13, 2), (6, 14, 2), (17, 41, 2), (17, 64, 2), (9, 45, 2)],
+    )
+    def test_padded_path_matches_direct_evaluation(self, rng, K, M, n):
+        # to_grid_direct takes odd grids only; even ones use the same sum
+        u = random_field(rng, K=K, n=n)
+        ref = to_grid_direct(u, M).values if M % 2 else self.direct(u, M)
+        assert np.max(np.abs(coeffs_to_values(u.coeffs, M) - ref)) < 1e-12
+
+    @staticmethod
+    def broken(rng, K, n, where):
+        c = random_field(rng, K=K, n=n).coeffs.copy()
+        if where == "mean":
+            c[-1, K] += 1e-3j
+        else:
+            c[-1, K + where] += 1e-3 * (1.0 + 1.0j)
+        return c
+
+    @pytest.mark.parametrize("M", [17, 18, 40, 7, 4])  # padded (odd, even), fold
+    @pytest.mark.parametrize("where", [1, 8, "mean"])
+    def test_rejects_non_hermitian_coefficients(self, rng, M, where):
+        c = self.broken(rng, 8, 2, where)
+        with pytest.raises(ValueError):
+            coeffs_to_values(c, M)
+
+    def test_rejects_imaginary_constant_with_zero_band(self):
+        with pytest.raises(ValueError):
+            coeffs_to_values(np.array([[1.0 + 1e-3j]]), 3)
+
+    @pytest.mark.parametrize("M", [41, 7])
+    def test_accepts_rounding_level_asymmetry(self, rng, M):
+        u = random_field(rng, K=17, n=2)
+        c = u.coeffs.copy()
+        c[0, 17 + 3] *= 1.0 + 1e-14
+        assert np.max(np.abs(coeffs_to_values(c, M) - self.direct(u, M))) < 1e-12
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_state_passes_through(self, rng, bad):
+        # a blown-up state must reach the integrator's finiteness test, not
+        # be mistaken for broken reality
+        c = random_field(rng, K=8, n=2).coeffs.copy()
+        c[1, 8 + 2] = c[1, 8 - 2] = bad
+        with np.errstate(invalid="ignore", over="ignore"):
+            vals = coeffs_to_values(c, 17)
+        assert np.all(np.isfinite(vals[0])) and not np.all(np.isfinite(vals[1]))
 
 
 def test_smallest_odd_at_least():
