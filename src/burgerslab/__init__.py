@@ -58,7 +58,6 @@ from .integrator import (
     initial_conditions,
     run_coupled,
     simulate,
-    step,
 )
 from .estimators import (
     chain_rule_defect,

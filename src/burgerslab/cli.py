@@ -163,21 +163,30 @@ def _gnuplot_script(prefix, eps_list):
 
 
 def cmd_converge(args):
-    spec = load_run_config(args.config)
-    report = spec.scheme.validate()
-    if not report.ok:
-        print(report.summary(), file=sys.stderr)
+    # read every input and resolve Lambda (run_coupled repeats it, which is
+    # cheap) before anything is written
+    try:
+        spec = load_run_config(args.config)
+        report = spec.scheme.validate()
+        if not report.ok:
+            print(report.summary(), file=sys.stderr)
+            return EXIT_VALIDATION
+        eps_list = tuple(float(e) for e in args.eps.split(",")) if args.eps else spec.eps_list
+        cfg = spec.sim_config(seed=args.seed, lambda_tol=args.tol)
+        lam, _ = resolve_lambda(cfg)
+    except QuadratureError as err:
+        print(f"quadrature did not converge: {err}", file=sys.stderr)
+        return EXIT_QUADRATURE
+    except (OSError, ValueError) as err:
+        print(f"invalid run config {args.config}: {err}", file=sys.stderr)
         return EXIT_VALIDATION
-    eps_list = tuple(float(e) for e in args.eps.split(",")) if args.eps else spec.eps_list
     replicates = args.replicates if args.replicates else spec.replicates
-    cfg = spec.sim_config(seed=args.seed)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     prefix = out / spec.output_prefix
 
     if args.dry_run:
-        lam, _ = resolve_lambda(cfg)
         plan = {
             "dry_run": True,
             "scheme": spec.scheme.name,
@@ -191,11 +200,7 @@ def cmd_converge(args):
         return EXIT_OK
 
     manifest = Manifest("converge", args.seed, spec.echo)
-    try:
-        result = run_coupled(cfg, eps_list, replicates, workers=args.workers)
-    except QuadratureError as err:
-        print(f"quadrature did not converge: {err}", file=sys.stderr)
-        return EXIT_QUADRATURE
+    result = run_coupled(cfg, eps_list, replicates, workers=args.workers)
     manifest.stage("simulation")
 
     outputs = []
@@ -421,13 +426,13 @@ def build_parser():
         sp.add_argument("--seed", type=int, default=0, help="base seed (u64)")
         sp.add_argument("--workers", type=int, default=1, help="parallel worker count")
         sp.add_argument("--out", default=".", help="output directory")
-        sp.add_argument("--tol", type=float, default=1e-8, help="quadrature tolerance")
         sp.add_argument("--dry-run", action="store_true", help="validate configs without computing")
 
     sp = sub.add_parser("lambda", help="correction constant of a scheme")
     sp.add_argument("--scheme", required=True, help="scheme description file")
     sp.add_argument("--nu", type=float, default=1.0)
     sp.add_argument("--closed-form", action="store_true", help="also print the closed-form oracle")
+    sp.add_argument("--tol", type=float, default=1e-8, help="quadrature tolerance for Lambda")
     common(sp)
     sp.set_defaults(func=cmd_lambda)
 
@@ -435,6 +440,7 @@ def build_parser():
     sp.add_argument("--config", required=True, help="run config file")
     sp.add_argument("--eps", default=None, help="comma list overriding the config")
     sp.add_argument("--replicates", type=int, default=None)
+    sp.add_argument("--tol", type=float, default=1e-8, help="quadrature tolerance for Lambda")
     common(sp)
     sp.set_defaults(func=cmd_converge)
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import sici
 
 from .nonlin import PolynomialMap, laplacian
 
@@ -60,45 +61,10 @@ class LambdaResult:
 
 # -- sine integral -------------------------------------------------------------
 
-_SI_SWITCH = 4.0
-
-
-def _si_series(t):
-    # Maclaurin series sum (-1)^m t^(2m+1) / ((2m+1)(2m+1)!)
-    term = t
-    total = t
-    t2 = t * t
-    m = 0
-    while abs(term) > 1e-18 * max(1.0, abs(total)):
-        m += 1
-        term *= -t2 / (2 * m * (2 * m + 1))
-        total += term / (2 * m + 1)
-        if m > 60:
-            break
-    return total
-
-
-def _si_auxiliary(t):
-    # Si(t) = pi/2 - f(t) cos t - g(t) sin t with the auxiliary integrals
-    # f(t) = int_0^inf e^{-tu}/(1+u^2) du,  g(t) = int_0^inf u e^{-tu}/(1+u^2) du,
-    # which decay fast enough for plain adaptive quadrature at t > 4.
-    fa, _ = quad(lambda u: np.exp(-t * u) / (1 + u * u), 0.0, np.inf, epsabs=1e-14, epsrel=1e-13)
-    ga, _ = quad(lambda u: u * np.exp(-t * u) / (1 + u * u), 0.0, np.inf, epsabs=1e-14, epsrel=1e-13)
-    return np.pi / 2 - fa * np.cos(t) - ga * np.sin(t)
-
 
 def sine_integral(t):
-    """Si(t) = int_0^t sin(x)/x dx, accurate to about 1e-13.
-
-    Two regimes: a Maclaurin series for |t| <= 4, the auxiliary-function
-    representation (evaluated by quadrature) beyond.  Odd in t.
-    """
-    t = float(t)
-    if t < 0:
-        return -sine_integral(-t)
-    if t <= _SI_SWITCH:
-        return _si_series(t)
-    return _si_auxiliary(t)
+    """Si(t) = int_0^t sin(x)/x dx (scipy.special.sici).  Odd in t."""
+    return float(sici(t)[0])
 
 
 # -- quadrature for Lambda -------------------------------------------------------

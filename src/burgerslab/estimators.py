@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nonlin import hessian, padded_grid_size
+from .nonlin import alias_free_grid_size, hessian
 from .spectral import (
     GridField,
     SQRT_2PI,
@@ -67,60 +67,54 @@ class XiMatrixField:
         return out
 
 
-def xi_eps(u, scheme, eps, pad=2.0):
+def _xi_entries(u, atoms, eps):
+    """Entries of sum over (y, w) atoms of (w/(2 eps)) d (x) d, d = u(. + eps y) - u,
+    formed pointwise on the alias-free grid for a product of two fields and
+    truncated back to u's band; the y = 0 atom contributes zero."""
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    M = alias_free_grid_size(u.K, 2)
+    acc = np.zeros((u.n, u.n, M))
+    for y, w in atoms:
+        if w == 0.0 or y == 0.0:
+            continue
+        d = evaluate_on_grid(shift_minus(u, eps * y), M)
+        acc += (w / (2.0 * eps)) * d[:, None, :] * d[None, :, :]
+    return tuple(
+        tuple(from_grid(GridField(M, acc[i, j][None, :]), u.K) for j in range(u.n))
+        for i in range(u.n)
+    )
+
+
+def xi_eps(u, scheme, eps):
     """Weighted tensor sum_i w_i (1/(2 eps)) d_i(x) (x) d_i(x) with
-    d_i = u(. + eps y_i) - u, formed pointwise on a padded grid and
-    truncated back to u's band.
+    d_i = u(. + eps y_i) - u.
 
     The undivided differences absorb the eps y^2 / 2 weights exactly; the
     y = 0 atom contributes zero.  Entries are scalar fields (n = 1 per
     entry) indexed by the two tensor slots.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
     scheme.require_valid()
-    M = padded_grid_size(u.K, pad)
-    acc = np.zeros((u.n, u.n, M))
-    for y, w in scheme.mu:
-        if w == 0.0 or y == 0.0:
-            continue
-        d = evaluate_on_grid(shift_minus(u, eps * y), M)
-        acc += (w / (2.0 * eps)) * d[:, None, :] * d[None, :, :]
-    entries = tuple(
-        tuple(from_grid(GridField(M, acc[i, j][None, :]), u.K) for j in range(u.n))
-        for i in range(u.n)
-    )
-    return XiMatrixField(u.n, entries, scheme.name, eps)
+    return XiMatrixField(u.n, _xi_entries(u, scheme.mu, eps), scheme.name, eps)
 
 
-def xi_eps_y(u, y, eps, pad=2.0):
+def xi_eps_y(u, y, eps):
     """Single-atom tensor (eps y^2/2) (difference quotient)^(x)2, unweighted."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    M = padded_grid_size(u.K, pad)
-    if y == 0.0:
-        zero = SpectralField.zeros(u.K, 1)
-        return XiMatrixField(u.n, tuple(tuple(zero for _ in range(u.n)) for _ in range(u.n)), "", eps)
-    d = evaluate_on_grid(shift_minus(u, eps * y), M)
-    acc = (1.0 / (2.0 * eps)) * d[:, None, :] * d[None, :, :]
-    entries = tuple(
-        tuple(from_grid(GridField(M, acc[i, j][None, :]), u.K) for j in range(u.n))
-        for i in range(u.n)
-    )
-    return XiMatrixField(u.n, entries, "", eps)
+    return XiMatrixField(u.n, _xi_entries(u, ((y, 1.0),), eps), "", eps)
 
 
-def chain_rule_defect(G, u, scheme, eps, pad=2.0):
+def chain_rule_defect(G, u, scheme, eps):
     """Second-order term of the discrete chain rule:
     sum_i w_i (eps y_i^2 / 2) D^2 G(u)[q_i, q_i] with q_i the difference
-    quotients, evaluated in undivided form on a padded grid.
+    quotients, evaluated in undivided form on the alias-free grid for G's
+    degree.
 
     For G of degree <= 2 the third-order remainder vanishes identically and
     this equals D_eps G(u) - grad G(u) . D_eps u exactly.
     """
     scheme.require_valid()
     H = hessian(G)
-    M = padded_grid_size(u.K, pad)
+    M = alias_free_grid_size(u.K, G.degree)
     ug = evaluate_on_grid(u, M)
     out = np.zeros((u.n, M))
     for y, w in scheme.mu:

@@ -47,7 +47,7 @@ from .noise import (
     stationary_sigmas,
     wiener_increment_coeffs,
 )
-from .nonlin import PolynomialMap, evaluate, jacobian, padded_grid_size
+from .nonlin import PolynomialMap, alias_free_grid_size, evaluate, jacobian
 from .schemes import d_eps_multiplier
 from .spectral import (
     SpectralField,
@@ -82,7 +82,6 @@ class SimConfig:
     scheme: object
     F: PolynomialMap
     G: PolynomialMap
-    pad: float = 2.0
     lambda_mode: str = "closed_form"  # quadrature | closed_form | explicit | zero
     lambda_value: float | None = None
     lambda_tol: float = 1e-8
@@ -101,8 +100,6 @@ class SimConfig:
         steps = self.T / self.dt
         if abs(steps - round(steps)) > 1e-9:
             raise ValueError("T/dt must be integral")
-        if self.pad < 1:
-            raise ValueError("pad ratio must be >= 1")
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}")
         if self.F.n != self.n or self.G.n != self.n:
@@ -173,7 +170,8 @@ class Stepper:
         self.cfg = cfg
         K = cfg.K
         k = np.arange(-K, K + 1, dtype=float)
-        self.M_pad = padded_grid_size(K, cfg.pad)
+        # the corrected drift F - lam Laplacian(G) never exceeds this degree
+        self.M = alias_free_grid_size(K, max(cfg.F.degree, cfg.G.degree))
 
         if cfg.variant == "approximate":
             fv = cfg.scheme.f_at(cfg.eps * np.abs(k))
@@ -207,7 +205,7 @@ class Stepper:
         and the conservative flux on the way back.
         """
         cfg = self.cfg
-        n, K, M = cfg.n, cfg.K, self.M_pad
+        n, K, M = cfg.n, cfg.K, self.M
         if self.drift_zero and self.G_zero:
             return 0.0
         if self.G_zero:
@@ -242,22 +240,6 @@ class Stepper:
         if not np.all(np.isfinite(new)):
             return None
         return new
-
-
-def step(state, variant, cfg, dW, lam=None):
-    """Single exponential-Euler step of `state` under the given variant.
-
-    Functional convenience wrapper; simulation loops use Stepper directly.
-    lam defaults to the configured correction constant.
-    """
-    run_cfg = replace(cfg, variant=variant)
-    if lam is None:
-        lam, _ = resolve_lambda(run_cfg)
-    stepper = Stepper(run_cfg, lam)
-    new = stepper.step_coeffs(state.coeffs, dW.coeffs)
-    if new is None:
-        raise BlowUpError(0.0)
-    return SpectralField(cfg.K, cfg.n, new)
 
 
 def sample_steps(cfg):
@@ -337,9 +319,7 @@ def _run_replicate(cfg, eps_list, replicate, lam):
     """All runs of one replicate: two limit runs plus one discretized run
     per eps, sharing the mode draw and the Wiener stream."""
     record_steps = sample_steps(cfg)
-    draw = ModeGaussianDraw.sample(
-        cfg.K, cfg.n, derive_stream(cfg.seed, replicate, "ic"), lineage=f"ic/{replicate}"
-    )
+    draw = ModeGaussianDraw.sample(cfg.K, cfg.n, derive_stream(cfg.seed, replicate, "ic"))
     v0 = cfg.v0_field()
     psi = draw.field(stationary_sigmas(cfg.K, cfg.nu))
     u_bar0 = v0 + psi
@@ -393,7 +373,7 @@ def _run_replicate(cfg, eps_list, replicate, lam):
         diagnostics = {
             "theta_eps_final": theta_eps(final_approx, cfg.scheme, eps),
             "xi_mean_diag_final": float(
-                np.mean(np.diag(xi_eps(final_approx, cfg.scheme, eps, cfg.pad).spatial_mean()))
+                np.mean(np.diag(xi_eps(final_approx, cfg.scheme, eps).spatial_mean()))
             ),
             "qv_limit_final": float(
                 np.mean(quadratic_variation(final_limit, max(8, cfg.K // 4)))

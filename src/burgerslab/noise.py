@@ -42,13 +42,12 @@ class ModeGaussianDraw:
     z0: np.ndarray  # (n,)
     zre: np.ndarray  # (n, K)
     zim: np.ndarray  # (n, K)
-    lineage: str = ""
 
     @staticmethod
-    def sample(K, n, rng, lineage=""):
+    def sample(K, n, rng):
         z0 = rng.standard_normal(n)
         zz = rng.standard_normal((n, K, 2))
-        return ModeGaussianDraw(K, n, z0, zz[:, :, 0], zz[:, :, 1], lineage)
+        return ModeGaussianDraw(K, n, z0, zz[:, :, 0], zz[:, :, 1])
 
     def field_coeffs(self, sigma):
         """Raw coefficient array with mode-k entry sigma[k] * zeta_k."""
@@ -101,12 +100,12 @@ def discrete_sigmas(scheme, eps, nu, K):
     return out
 
 
-def sample_stationary_pair(scheme, eps, nu, K, rng, n=1, lineage=""):
+def sample_stationary_pair(scheme, eps, nu, K, rng, n=1):
     """Draw the coupled pair (psi, psi_tilde) from one set of mode normals."""
     if K < 1 or nu <= 0 or eps <= 0:
         raise ValueError("need K >= 1, nu > 0, eps > 0")
     scheme.require_valid()
-    draw = ModeGaussianDraw.sample(K, n, rng, lineage)
+    draw = ModeGaussianDraw.sample(K, n, rng)
     psi = draw.field(stationary_sigmas(K, nu))
     psi_tilde = draw.field(discrete_sigmas(scheme, eps, nu, K))
     return CoupledStationaryPair(psi, psi_tilde, draw)

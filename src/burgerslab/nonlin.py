@@ -3,8 +3,9 @@
 Drift and flux nonlinearities are restricted to polynomials: the Jacobian,
 Laplacian and Hessian are then exact symbolic objects, so differentiation
 error never contaminates the experiments downstream.  Evaluation on fields
-is pseudospectral: transform to an oversampled grid, apply the map
-pointwise, transform back and truncate.
+is pseudospectral: transform to a grid sized for the polynomial degree
+(alias_free_grid_size), apply the map pointwise, transform back and
+truncate, so the result is the exact product on the band.
 """
 
 import re
@@ -164,21 +165,26 @@ def hessian(P):
 # -- pseudospectral application ----------------------------------------------
 
 
-def padded_grid_size(K, pad):
-    # odd and FFT-friendly; only the lower bound matters for alias control
-    if pad < 1:
-        raise ValueError("pad ratio must be >= 1")
-    return smooth_odd_at_least(pad * (2 * K + 1))
+def alias_free_grid_size(K, degree):
+    """Smallest odd, 11-smooth grid size on which a product of `degree`
+    fields of band K is exact on the band after truncation.
+
+    Orszag's rule M >= (d+1)K + 1 (J. Atmos. Sci. 28:1074, 1971): the
+    product has modes |m| <= dK, which the grid aliases to m -+ M, and those
+    miss the band |m| <= K exactly when M - dK > K.  Degrees below 1 still
+    get M >= 2K+1, which the transform back to the band needs.
+    """
+    return smooth_odd_at_least((max(degree, 1) + 1) * K + 1)
 
 
-def apply_pointwise(P, u, pad=2.0):
+def apply_pointwise(P, u):
     """Evaluate P(u(x)) pseudospectrally and truncate back to u's band."""
-    M = padded_grid_size(u.K, pad)
+    M = alias_free_grid_size(u.K, P.degree)
     vals = evaluate(P, evaluate_on_grid(u, M))
     return from_grid(GridField(M, vals), u.K)
 
 
-def apply_bilinear(jac, u, w, pad=2.0):
+def apply_bilinear(jac, u, w):
     """Evaluate the matrix field jac(u(x)) acting on w(x), pointwise.
 
     jac is a jacobian() result; u supplies the point where the entries are
@@ -187,7 +193,7 @@ def apply_bilinear(jac, u, w, pad=2.0):
     n = len(jac)
     if u.n != n or w.n != n or u.K != w.K:
         raise ValueError("field shape mismatch")
-    M = padded_grid_size(u.K, pad)
+    M = alias_free_grid_size(u.K, max(e.degree for row in jac for e in row) + 1)
     ug = evaluate_on_grid(u, M)
     wg = evaluate_on_grid(w, M)
     out = np.zeros_like(wg)
@@ -199,12 +205,12 @@ def apply_bilinear(jac, u, w, pad=2.0):
     return from_grid(GridField(M, out), u.K)
 
 
-def apply_hessian_form(hess, u, v, w, pad=2.0):
+def apply_hessian_form(hess, u, v, w):
     """Pointwise quadratic form sum_{j,l} (d^2 P_i/du_j du_l)(u(x)) v_j(x) w_l(x)."""
     n = len(hess)
     if not (u.n == v.n == w.n == n) or not (u.K == v.K == w.K):
         raise ValueError("field shape mismatch")
-    M = padded_grid_size(u.K, pad)
+    M = alias_free_grid_size(u.K, max(e.degree for mat in hess for row in mat for e in row) + 2)
     ug = evaluate_on_grid(u, M)
     vg = evaluate_on_grid(v, M)
     wg = evaluate_on_grid(w, M)

@@ -4,15 +4,17 @@ A run config has four sections of key = value lines:
 
     [scheme]   either  file = <scheme description path>  or the scheme keys
                inline (name, f, h, mu, q; see schemes.load_scheme_file)
-    [model]    nu, n, K, pad, F, G (polynomial text per component),
+    [model]    nu, n, K, F, G (polynomial text per component),
                lambda_mode (quadrature|closed_form|explicit:<v>|zero),
                v0 (zero | sin:<amp>[:<comp>] | cos:<amp>[:<comp>] |
                modes:<path>), alpha, eps (comma list), replicates
     [time]     dt, T, sample_every, noise_substeps
     [output]   prefix
 
-Everything is inspectable text; the parsed object echoes its source exactly,
-and a content hash of that echo rides along in every output sidecar.
+K, dt and T are required.  A key outside these lists is rejected by name
+rather than ignored.  Everything is inspectable text; the parsed object
+echoes its source exactly, and a content hash of that echo rides along in
+every output sidecar.
 """
 
 import configparser
@@ -86,7 +88,7 @@ class RunSpec:
     def content_hash(self):
         return hashlib.sha256(self.echo.encode("utf-8")).hexdigest()
 
-    def sim_config(self, seed=0):
+    def sim_config(self, seed=0, lambda_tol=1e-8):
         m, t = self.model, self.time
         n = int(m.get("n", 1))
         K = int(m["K"])
@@ -105,10 +107,9 @@ class RunSpec:
             scheme=self.scheme,
             F=parse_polynomial_map(m.get("F", ";".join(["0"] * n)), n),
             G=parse_polynomial_map(m.get("G", ";".join(["0"] * n)), n),
-            pad=float(m.get("pad", 2.0)),
             lambda_mode=lam_mode,
             lambda_value=lam_value,
-            lambda_tol=float(m.get("lambda_tol", 1e-8)),
+            lambda_tol=lambda_tol,
             v0=parse_v0(m.get("v0", "zero"), K, n),
             seed=int(seed),
             alpha=float(m.get("alpha", 0.75)),
@@ -117,15 +118,34 @@ class RunSpec:
         )
 
 
+_KEYS = {
+    "model": {"nu", "n", "K", "F", "G", "lambda_mode", "v0", "alpha", "eps", "replicates"},
+    "time": {"dt", "T", "sample_every", "noise_substeps"},
+    "output": {"prefix"},
+}
+_REQUIRED = {"model": {"K"}, "time": {"dt", "T"}, "output": set()}
+
+
 def load_run_config(path):
+    """Parse a run config.  Unparsable text, a missing section or required key
+    and an unknown key raise ValueError; RunSpec.sim_config parses the values."""
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str
     with open(path) as fh:
         text = fh.read()
-    parser.read_string(text)
+    try:
+        parser.read_string(text, source=str(path))
+    except configparser.Error as err:
+        raise ValueError(f"cannot read run config: {err}") from None
     for section in ("scheme", "model", "time"):
         if section not in parser:
             raise ValueError(f"run config missing [{section}] section")
+    for section, allowed in _KEYS.items():
+        keys = set(parser[section]) if section in parser else set()
+        if keys - allowed:
+            raise ValueError(f"{path}: unknown key(s) {sorted(keys - allowed)} in [{section}]")
+        if _REQUIRED[section] - keys:
+            raise ValueError(f"{path}: [{section}] lacks {sorted(_REQUIRED[section] - keys)}")
 
     scheme_section = dict(parser["scheme"])
     if "file" in scheme_section:

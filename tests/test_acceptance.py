@@ -284,10 +284,10 @@ def test_criterion_7_discrete_chain_rule():
     ]
     for scheme, G, n, eps in cases:
         u = random_field(rng, K=24, n=n)
-        lhs = apply_D_eps(scheme, apply_pointwise(G, u, 2.0), eps) - apply_bilinear(
-            jacobian(G), u, apply_D_eps(scheme, u, eps), 2.0
+        lhs = apply_D_eps(scheme, apply_pointwise(G, u), eps) - apply_bilinear(
+            jacobian(G), u, apply_D_eps(scheme, u, eps)
         )
-        rhs = chain_rule_defect(G, u, scheme, eps, 2.0)
+        rhs = chain_rule_defect(G, u, scheme, eps)
         worst = max(worst, float(np.max(np.abs(lhs.coeffs - rhs.coeffs))))
     assert worst < 1e-10, worst
     announce(7, "discrete chain-rule identity", f"max abs defect mismatch {worst:.2e} < 1e-10")

@@ -156,6 +156,55 @@ class TestConvergeCommand:
         bad.write_text(run_config.read_text().replace("mu = (1,1);(0,-1)", "mu = (1,1)"))
         assert main(["converge", "--config", str(bad), "--out", str(tmp_path / "x")]) == EXIT_VALIDATION
 
+    def test_dry_run_unreachable_tolerance_exits_4(self, tmp_path, run_config, capsys):
+        cfg = tmp_path / "quad.cfg"
+        cfg.write_text(run_config.read_text().replace("closed_form", "quadrature"))
+        args = ["converge", "--config", str(cfg), "--out", str(tmp_path / "q"), "--dry-run"]
+        assert main(args) == EXIT_OK
+        assert abs(json.loads(capsys.readouterr().out)["lambda"] - 0.25) < 1e-8
+        assert main(args + ["--tol", "1e-18"]) == EXIT_QUADRATURE
+        assert "quadrature did not converge" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("K = 16\n", "K = 16\ntypo_key = 3\n", "typo_key"),
+            ("K = 16\n", "K = 16\npad = 2\n", "pad"),
+            ("K = 16\n", "K = 16\nlambda_tol = 1e-8\n", "lambda_tol"),
+            ("sample_every = 5\n", "sample_every = 5\nsubsteps = 2\n", "substeps"),
+            ("prefix = demo\n", "prefix = demo\nsuffix = x\n", "suffix"),
+            ("K = 16\n", "", "'K'"),
+            ("K = 16\n", "K = 16\nK = 17\n", "'K'"),
+            ("v0 = sin:1", "v0 = modes:{modes}", "modes.csv:2: component 0 outside 1..1"),
+            ("v0 = sin:1", "v0 = modes:{missing}", "missing.csv"),
+            (
+                "f = identity\nh = one\nmu = (1,1);(0,-1)\nq = 1",
+                "f = finite_difference\nh = indicator_pi\nmu = (0.5,1);(-0.5,-1)\nq = 0.4",
+                "closed form holds only for integer offsets",
+            ),
+            ("K = 16", "K = sixteen", "sixteen"),
+        ],
+    )
+    def test_config_errors_exit_2(self, tmp_path, run_config, capsys, old, new, message):
+        modes = tmp_path / "modes.csv"
+        modes.write_text("k,comp,re,im\n2,0,1.0,0.0\n")
+        text = run_config.read_text()
+        assert old in text
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(text.replace(old, new.format(modes=modes, missing=tmp_path / "missing.csv")))
+        for extra in ([], ["--dry-run"]):
+            code = main(["converge", "--config", str(bad), "--out", str(tmp_path / "x")] + extra)
+            assert code == EXIT_VALIDATION
+            assert message in capsys.readouterr().err
+        assert not (tmp_path / "x" / "demo_summary.json").exists()
+
+    @pytest.mark.parametrize("command", [["chaos", "--scheme", "s"], ["qv"]])
+    def test_tol_only_where_quadrature_runs(self, command, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(command + ["--tol", "1e-8"])
+        assert err.value.code == 2
+        assert "--tol" in capsys.readouterr().err
+
     def test_blowup_quota_exits_3(self, tmp_path, capsys):
         # cubic self-amplification from a large profile: every replicate
         # leaves the finite range within a few steps

@@ -144,10 +144,10 @@ class TestChainRuleDefect:
         G = parse_polynomial_map("0.5*u1^2", 1)
         u = random_field(rng, K=24)
         eps = 0.11
-        lhs = apply_D_eps(scheme, apply_pointwise(G, u, 2.0), eps) - apply_bilinear(
-            jacobian(G), u, apply_D_eps(scheme, u, eps), 2.0
+        lhs = apply_D_eps(scheme, apply_pointwise(G, u), eps) - apply_bilinear(
+            jacobian(G), u, apply_D_eps(scheme, u, eps)
         )
-        rhs = chain_rule_defect(G, u, scheme, eps, 2.0)
+        rhs = chain_rule_defect(G, u, scheme, eps)
         assert np.max(np.abs(lhs.coeffs - rhs.coeffs)) < 1e-10
 
     def test_quadratic_identity_two_components(self, rng):
@@ -155,10 +155,10 @@ class TestChainRuleDefect:
         u = random_field(rng, K=16, n=2)
         s = identity_scheme(1, 0)
         eps = 0.09
-        lhs = apply_D_eps(s, apply_pointwise(G, u, 2.0), eps) - apply_bilinear(
-            jacobian(G), u, apply_D_eps(s, u, eps), 2.0
+        lhs = apply_D_eps(s, apply_pointwise(G, u), eps) - apply_bilinear(
+            jacobian(G), u, apply_D_eps(s, u, eps)
         )
-        rhs = chain_rule_defect(G, u, s, eps, 2.0)
+        rhs = chain_rule_defect(G, u, s, eps)
         assert np.max(np.abs(lhs.coeffs - rhs.coeffs)) < 1e-10
 
     def test_linear_flux_has_no_defect(self, rng):

@@ -11,7 +11,6 @@ from burgerslab.integrator import (
     run_coupled,
     sample_steps,
     simulate,
-    step,
 )
 from burgerslab.noise import derive_stream, sample_stationary_pair
 from burgerslab.nonlin import (
@@ -136,14 +135,6 @@ class TestStep:
         exact = (0.4 - 0.1j) * np.exp(-(cfg.nu * k**2 + 1.0) * 0.1)
         assert abs(c[0, cfg.K + k] - exact) / abs(exact) < 1e-3
 
-    def test_functional_step_wrapper(self, rng):
-        cfg = make_cfg()
-        u = random_field(rng, cfg.K, decay=2.0)
-        dW = SpectralField.zeros(cfg.K)
-        out = step(u, "limit_corrected", cfg, dW)
-        assert out.K == cfg.K
-        assert np.all(np.isfinite(out.coeffs))
-
     def test_killed_modes_forced_to_zero(self, rng):
         # finite-difference symbols kill modes with eps*|k| >= pi outright
         cfg = make_cfg(scheme=finite_difference_scheme(1, 0), eps=0.5, variant="approximate",
@@ -172,10 +163,10 @@ class TestStep:
             simulate(cfg, 0.25, huge, derive_stream(0, 0, "w"))
 
 
-def separate_transforms_nonlinearity(stepper, coeffs):
+def separate_transforms_nonlinearity(stepper, coeffs, M=None):
     """Drift-plus-flux term with one transform per array, as a reference for
-    the stacked transforms of Stepper.nonlinearity."""
-    cfg, M = stepper.cfg, stepper.M_pad
+    the stacked transforms of Stepper.nonlinearity; M overrides the grid."""
+    cfg, M = stepper.cfg, M or stepper.M
     grid = coeffs_to_values(coeffs, M)
     drift = values_to_coeffs(evaluate(stepper.drift, grid), cfg.K)
     if cfg.variant != "approximate":
@@ -219,14 +210,42 @@ class TestStackedNonlinearity:
         assert np.max(np.abs(got - ref)) < 1e-12
 
 
+class TestAliasFreeNonlinearity:
+    @pytest.mark.parametrize(
+        "variant, F, G",
+        [
+            ("limit_uncorrected", "u1^4 - u1", "0"),
+            ("limit_uncorrected", "0.5*u1^5", "0"),
+            ("approximate", "0", "0.25*u1^4"),
+            ("limit_corrected", "0", "0.25*u1^4"),
+        ],
+    )
+    def test_matches_oversampled_reference(self, rng, variant, F, G):
+        # the grid follows the degree of F and G; a fixed ratio of 2 (M = 99
+        # at K = 20) aliases degree 4 and 5 at the 1e-3 level
+        cfg = make_cfg(
+            K=20,
+            scheme=finite_difference_scheme(1, 0),
+            F=parse_polynomial_map(F, 1),
+            G=parse_polynomial_map(G, 1),
+            lambda_mode="quadrature",
+            variant=variant,
+        )
+        stepper = Stepper(cfg, 0.3)
+        coeffs = random_field(rng, cfg.K, decay=1.0).coeffs
+        got = stepper.nonlinearity(coeffs)
+        ref = separate_transforms_nonlinearity(stepper, coeffs, M=8 * (2 * cfg.K + 1) + 1)
+        assert np.max(np.abs(got - ref)) < 1e-12 * np.max(np.abs(ref))
+
+
 class TestConservativeConsistency:
     def test_exact_derivative_chain_rule(self, rng):
         # for the true derivative, d/dx G(u) == grad G(u) . u_x on the band
         G = parse_polynomial_map("0.5*u1^2", 1)
         u = random_field(rng, K=24, decay=1.5)
         ik = 1j * u.modes.astype(complex)
-        conservative = apply_pointwise(G, u, 2.0).apply_multiplier(ik)
-        nonconservative = apply_bilinear(jacobian(G), u, u.apply_multiplier(ik), 2.0)
+        conservative = apply_pointwise(G, u).apply_multiplier(ik)
+        nonconservative = apply_bilinear(jacobian(G), u, u.apply_multiplier(ik))
         assert np.max(np.abs(conservative.coeffs - nonconservative.coeffs)) < 1e-10
 
 

@@ -4,6 +4,7 @@ import pytest
 from burgerslab.nonlin import (
     Polynomial,
     PolynomialMap,
+    alias_free_grid_size,
     apply_bilinear,
     apply_hessian_form,
     apply_pointwise,
@@ -100,16 +101,40 @@ class TestLaplacian:
             assert np.max(np.abs(num - exact)) < 1e-6 * max(1.0, np.max(np.abs(exact)))
 
 
+class TestAliasFreeGridSize:
+    @pytest.mark.parametrize(
+        "K, degree, M",
+        [(1024, 2, 3087), (128, 2, 385), (1000, 2, 3025), (20, 4, 105), (20, 5, 121)],
+    )
+    def test_known_sizes(self, K, degree, M):
+        assert alias_free_grid_size(K, degree) == M
+
+    @pytest.mark.parametrize("K", [0, 1, 7, 20, 128, 1000])
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3, 5])
+    def test_smallest_odd_smooth_size_above_the_orszag_bound(self, K, degree):
+        bound = (max(degree, 1) + 1) * K + 1
+        M = alias_free_grid_size(K, degree)
+
+        def smooth_odd(m):
+            for p in (3, 5, 7, 11):
+                while m % p == 0:
+                    m //= p
+            return m == 1
+
+        assert M >= bound and smooth_odd(M)
+        assert not any(smooth_odd(m) for m in range(bound | 1, M, 2))
+
+
 class TestApplyPointwise:
     def test_identity_map(self, rng):
         u = random_field(rng, K=10)
-        v = apply_pointwise(PolynomialMap.identity(1), u, pad=2.0)
+        v = apply_pointwise(PolynomialMap.identity(1), u)
         assert np.max(np.abs(v.coeffs - u.coeffs)) < 1e-12
 
     def test_cosine_square_mode_content(self):
         # G(u) = u^2/2 of a pure cosine produces only modes {0, +-2}
         u = SpectralField.from_modes(K=4, entries={1: 1.0})
-        v = apply_pointwise(burgers_flux(), u, pad=2.0)
+        v = apply_pointwise(burgers_flux(), u)
         alive = np.where(np.abs(v.coeffs[0]) > 1e-14)[0] - 4
         assert set(alive.tolist()) == {-2, 0, 2}
         # cos^2 identity: u = 2 c cos(x) with c = (2pi)^(-1/2) => u^2/2 = c^2(1 + cos 2x)
@@ -119,14 +144,14 @@ class TestApplyPointwise:
     def test_quadratic_against_coefficient_convolution(self, rng):
         # brute-force oracle: (u^2)_m = (2pi)^(-1/2) sum_k c_k c_{m-k}
         u = random_field(rng, K=16)
-        v = apply_pointwise(parse_polynomial_map("u1^2", 1), u, pad=2.0)
+        v = apply_pointwise(parse_polynomial_map("u1^2", 1), u)
         conv = np.convolve(u.coeffs[0], u.coeffs[0])[16 : 16 + 33] / SQRT_2PI
         assert np.max(np.abs(v.coeffs[0] - conv)) < 1e-12
 
-    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
     def test_alias_free_padding_matches_exact_convolution(self, rng, d):
         u = random_field(rng, K=8)
-        v = apply_pointwise(parse_polynomial_map(f"u1^{d}", 1), u, pad=float(d))
+        v = apply_pointwise(parse_polynomial_map(f"u1^{d}", 1), u)
         c = u.coeffs[0]
         conv = c.copy()
         for _ in range(d - 1):
@@ -142,7 +167,7 @@ class TestBilinearAndHessian:
         u = random_field(rng, K=12)
         s = identity_scheme(1, 0)
         w = apply_D_eps(s, u, 0.05)
-        out = apply_bilinear(jacobian(burgers_flux()), u, w, pad=2.0)
+        out = apply_bilinear(jacobian(burgers_flux()), u, w)
         M = 51  # alias-free for a quadratic form at K = 12
         prod = evaluate_on_grid(u, M) * evaluate_on_grid(w, M)
         expected = from_grid(GridField(M, prod), 12)
@@ -160,7 +185,7 @@ class TestBilinearAndHessian:
         H = hessian(G)
         u = random_field(rng, K=6, n=2)
         v = random_field(rng, K=6, n=2)
-        out = apply_hessian_form(H, u, v, v, pad=3.0)
+        out = apply_hessian_form(H, u, v, v)
         M = 61  # alias-free for the cubic form at K = 6
         ug, vg = evaluate_on_grid(u, M), evaluate_on_grid(v, M)
         direct = np.zeros_like(vg)
