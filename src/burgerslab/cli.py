@@ -20,6 +20,7 @@ Exit codes: 0 ok, 2 validation failure, 3 blow-up quota exceeded,
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -106,16 +107,33 @@ class Manifest:
         Path(path).write_text(json.dumps(self.data, indent=2, sort_keys=True) + "\n")
 
 
+class InputError(ValueError):
+    """A command-line input or input file that cannot be used (exit 2)."""
+
+
+def _require(ok, message):
+    if not ok:
+        raise InputError(message)
+
+
+def _positive(x):
+    return x > 0 and math.isfinite(x)
+
+
 def _load_and_validate_scheme(path):
-    scheme = load_scheme_file(path)
-    report = scheme.validate()
-    return scheme, report
+    try:
+        scheme = load_scheme_file(path)
+    except (OSError, ValueError) as err:
+        raise InputError(f"invalid scheme file {path}: {err}") from err
+    return scheme, scheme.validate()
 
 
 # -- lambda ---------------------------------------------------------------------
 
 
 def cmd_lambda(args):
+    _require(_positive(args.nu), f"--nu must be positive, got {args.nu}")
+    _require(_positive(args.tol), f"--tol must be positive, got {args.tol}")
     scheme, report = _load_and_validate_scheme(args.scheme)
     if not report.ok:
         print(report.summary(), file=sys.stderr)
@@ -305,11 +323,17 @@ def cmd_converge(args):
 
 
 def cmd_chaos(args):
+    try:
+        eps_list = tuple(float(e) for e in args.eps.split(","))
+    except ValueError:
+        raise InputError(f"--eps must be a comma list of numbers, got {args.eps!r}") from None
+    _require(all(_positive(e) for e in eps_list), f"--eps values must be positive, got {args.eps}")
+    _require(_positive(args.nu), f"--nu must be positive, got {args.nu}")
+    _require(args.samples >= 2, f"--samples must be at least 2, got {args.samples}")
     scheme, report = _load_and_validate_scheme(args.scheme)
     if not report.ok:
         print(report.summary(), file=sys.stderr)
         return EXIT_VALIDATION
-    eps_list = tuple(float(e) for e in args.eps.split(","))
     if args.dry_run:
         print(json.dumps({"scheme": scheme.name, "eps": list(eps_list), "dry_run": True}))
         return EXIT_OK
@@ -384,6 +408,10 @@ def cmd_chaos(args):
 
 
 def cmd_qv(args):
+    _require(args.K >= 1, f"--K must be at least 1, got {args.K}")
+    _require(args.M >= 1, f"--M must be at least 1, got {args.M}")
+    _require(args.samples >= 2, f"--samples must be at least 2, got {args.samples}")
+    _require(_positive(args.nu), f"--nu must be positive, got {args.nu}")
     if args.dry_run:
         print(json.dumps({"K": args.K, "M": args.M, "samples": args.samples, "dry_run": True}))
         return EXIT_OK
@@ -467,7 +495,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SchemeValidationError as err:
+    except (InputError, SchemeValidationError) as err:
         print(str(err), file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -23,6 +23,14 @@ suppress the stationary variance of stiff modes by 2z/(e^(2z) - 1), and the
 drift correction, which feeds on exactly those modes, would shrink with it;
 see the drift-correction experiment in the acceptance tests.
 
+The state is stepped as a half spectrum, the (n, K+1) coefficients of
+modes 0..K (the layout of rfft and irfft): the fields are real, so mode -k
+is the conjugate of mode k, every per-mode factor respects that symmetry,
+and the update never needs the negative modes.  Reality therefore holds by
+construction; no Hermitian check, mirror or two-sided noise array is built
+inside the time loop, and simulate mirrors to two-sided arrays only at the
+recorded steps.
+
 The limit equation carries the flux in conservative form d/dx G(u); the
 discretized equation applies the literal nonconservative product
 grad G(u) . D_eps u, which is exactly the object whose limit acquires the
@@ -51,12 +59,18 @@ from .nonlin import PolynomialMap, alias_free_grid_size, evaluate, jacobian
 from .schemes import d_eps_multiplier
 from .spectral import (
     SpectralField,
-    coeffs_to_values,
     embed,
+    half_to_values,
+    mirror,
     sobolev_norm,
     sup_norm,
-    values_to_coeffs,
+    values_to_half,
 )
+
+# Not used here since the stepper works on half spectra, but kept as module
+# attributes: perfbench/spans.py wraps each transform under every module name
+# its callers have looked it up by, and checks that the names still exist.
+from .spectral import coeffs_to_values, values_to_coeffs  # noqa: F401
 
 VARIANTS = ("approximate", "limit_corrected", "limit_uncorrected")
 
@@ -163,13 +177,20 @@ def _ou_noise_factor(z):
 
 
 class Stepper:
-    """Precomputed exponential-Euler update for one (variant, eps) run."""
+    """Precomputed exponential-Euler update for one (variant, eps) run.
+
+    States, increments and every per-mode factor live on k = 0..K (half
+    spectra, see the module docstring).  The factors are even in k, or
+    Hermitian for ``d_mult`` and ``ik``, so this is the two-sided update
+    restricted to modes 0..K; mode 0 stays real because every term feeding
+    it is.
+    """
 
     def __init__(self, cfg, lam):
         cfg.scheme.require_valid()
         self.cfg = cfg
         K = cfg.K
-        k = np.arange(-K, K + 1, dtype=float)
+        k = np.arange(K + 1, dtype=float)
         # the corrected drift F - lam Laplacian(G) never exceeds this degree
         self.M = alias_free_grid_size(K, max(cfg.F.degree, cfg.G.degree))
 
@@ -191,14 +212,14 @@ class Stepper:
             np.where(killed, np.inf, lam_k * cfg.dt)
         )
 
-        self.d_mult = d_eps_multiplier(cfg.scheme, cfg.eps, np.arange(-K, K + 1))
+        self.d_mult = d_eps_multiplier(cfg.scheme, cfg.eps, np.arange(K + 1))
         self.ik = 1j * k
         self.jac_G = jacobian(cfg.G)
         self.G_zero = cfg.G.is_zero()
         self.drift_zero = self.drift.is_zero()
 
-    def nonlinearity(self, coeffs):
-        """Coefficient array of the drift-plus-flux term for this variant.
+    def nonlinearity(self, half):
+        """Half spectrum of the drift-plus-flux term for this variant.
 
         Arrays that go through the same transform are stacked into one call:
         the state and its D_eps derivative on the way to the grid, the drift
@@ -209,9 +230,9 @@ class Stepper:
         if self.drift_zero and self.G_zero:
             return 0.0
         if self.G_zero:
-            return values_to_coeffs(evaluate(self.drift, coeffs_to_values(coeffs, M)), K)
+            return values_to_half(evaluate(self.drift, half_to_values(half, M)), K)
         if cfg.variant == "approximate":
-            both = coeffs_to_values(np.concatenate([coeffs, coeffs * self.d_mult[None, :]]), M)
+            both = half_to_values(np.concatenate([half, half * self.d_mult[None, :]]), M)
             grid, dgrid = both[:n], both[n:]
             total = np.zeros((n, M)) if self.drift_zero else evaluate(self.drift, grid)
             for i in range(n):
@@ -219,25 +240,24 @@ class Stepper:
                     entry = self.jac_G[i][j]
                     if entry.terms:
                         total[i] += entry(grid) * dgrid[j]
-            return values_to_coeffs(total, K)
-        grid = coeffs_to_values(coeffs, M)
+            return values_to_half(total, K)
+        grid = half_to_values(half, M)
         flux = evaluate(cfg.G, grid)
         if self.drift_zero:
-            return self.ik[None, :] * values_to_coeffs(flux, K)
-        both = values_to_coeffs(np.concatenate([evaluate(self.drift, grid), flux]), K)
+            return self.ik[None, :] * values_to_half(flux, K)
+        both = values_to_half(np.concatenate([evaluate(self.drift, grid), flux]), K)
         return both[:n] + self.ik[None, :] * both[n:]
 
-    def step_coeffs(self, coeffs, dW_coeffs):
+    def step_coeffs(self, half, dW_half):
+        """One step of the half-spectrum state; None once it is non-finite."""
         # non-finite states are legitimate here: they signal blow-up, which
         # the caller turns into BlowUpError, so silence the transient warnings
         with np.errstate(over="ignore", invalid="ignore"):
-            N = self.nonlinearity(coeffs)
-            new = (
-                self.decay[None, :] * coeffs
-                + self.phi1_dt[None, :] * N
-                + self.noise_fac[None, :] * dW_coeffs
-            )
-        if not np.all(np.isfinite(new)):
+            N = self.nonlinearity(half)
+            new = self.decay[None, :] * half
+            new += self.phi1_dt[None, :] * N
+            new += self.noise_fac[None, :] * dW_half
+        if not np.isfinite(new).all():
             return None
         return new
 
@@ -253,7 +273,8 @@ def sample_steps(cfg):
 def simulate(cfg, lam, u0, wiener_rng, record_steps=None):
     """Run one trajectory; returns (times, snapshots) at the recorded steps.
 
-    Snapshots are coefficient arrays.  The Wiener stream is consumed in a
+    Snapshots are two-sided (n, 2K+1) coefficient arrays; between them the
+    state is stepped as a half spectrum.  The Wiener stream is consumed in a
     fixed order (noise_substeps draws per step, summed), so any two runs
     holding generators derived from the same key see the same increments.
     Raises BlowUpError at the first non-finite state.
@@ -262,19 +283,19 @@ def simulate(cfg, lam, u0, wiener_rng, record_steps=None):
         record_steps = sample_steps(cfg)
     record = set(record_steps)
     stepper = Stepper(cfg, lam)
-    coeffs = u0.coeffs.copy()
-    snapshots = {0: coeffs.copy()} if 0 in record else {}
+    half = u0.coeffs[:, cfg.K :].copy()
+    snapshots = {0: u0.coeffs.copy()} if 0 in record else {}
     sub = cfg.noise_substeps
     dt_sub = cfg.dt / sub
     for m in range(1, cfg.n_steps + 1):
         dW = wiener_increment_coeffs(cfg.K, cfg.n, dt_sub, wiener_rng)
         for _ in range(sub - 1):
-            dW = dW + wiener_increment_coeffs(cfg.K, cfg.n, dt_sub, wiener_rng)
-        coeffs = stepper.step_coeffs(coeffs, dW)
-        if coeffs is None:
+            dW += wiener_increment_coeffs(cfg.K, cfg.n, dt_sub, wiener_rng)
+        half = stepper.step_coeffs(half, dW)
+        if half is None:
             raise BlowUpError((m - 1) * cfg.dt)
         if m in record:
-            snapshots[m] = coeffs.copy()
+            snapshots[m] = mirror(half)
     steps = sorted(snapshots)
     times = np.array([m * cfg.dt for m in steps])
     return times, [snapshots[m] for m in steps]

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import SpectralField
+from .spectral import SpectralField, mirror
 
 
 def derive_stream(seed, replicate, purpose):
@@ -49,17 +49,19 @@ class ModeGaussianDraw:
         zz = rng.standard_normal((n, K, 2))
         return ModeGaussianDraw(K, n, z0, zz[:, :, 0], zz[:, :, 1])
 
-    def field_coeffs(self, sigma):
-        """Raw coefficient array with mode-k entry sigma[k] * zeta_k."""
+    def half_coeffs(self, sigma):
+        """Half spectrum (n, K+1) with mode-k entry sigma[k] * zeta_k, k = 0..K."""
         sigma = np.asarray(sigma, dtype=float)
         if sigma.shape != (self.K + 1,):
             raise ValueError("sigma must have one entry per mode k = 0..K")
-        c = np.zeros((self.n, 2 * self.K + 1), dtype=np.complex128)
-        c[:, self.K] = sigma[0] * self.z0
-        pos = sigma[1:] * (self.zre + 1j * self.zim) / np.sqrt(2.0)
-        c[:, self.K + 1 :] = pos
-        c[:, : self.K] = np.conj(pos)[:, ::-1]
+        c = np.empty((self.n, self.K + 1), dtype=np.complex128)
+        c[:, 0] = sigma[0] * self.z0
+        c[:, 1:] = sigma[1:] * (self.zre + 1j * self.zim) / np.sqrt(2.0)
         return c
+
+    def field_coeffs(self, sigma):
+        """Raw two-sided coefficient array with mode-k entry sigma[k] * zeta_k."""
+        return mirror(self.half_coeffs(sigma))
 
     def field(self, sigma):
         """Field with mode-k coefficient sigma[k] * zeta_k (reality built in).
@@ -123,12 +125,13 @@ def coupling_l2_distance_sq(scheme, eps, nu, K, n=1):
 
 
 def wiener_increment_coeffs(K, n, dt, rng):
-    """Raw coefficient array of one Wiener increment (single source of the
-    draw order, so coupled runs that re-derive the stream stay in lockstep)."""
+    """Half spectrum (n, K+1), modes 0..K, of one Wiener increment (single
+    source of the draw order, so coupled runs that re-derive the stream stay
+    in lockstep)."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     draw = ModeGaussianDraw.sample(K, n, rng)
-    return draw.field_coeffs(np.full(K + 1, np.sqrt(dt)))
+    return draw.half_coeffs(np.full(K + 1, np.sqrt(dt)))
 
 
 def wiener_increment(K, n, dt, rng):
@@ -138,4 +141,4 @@ def wiener_increment(K, n, dt, rng):
     conjugate.  The same object is meant to be consumed by every coupled run
     within a step (the discretized run filters it afterwards).
     """
-    return SpectralField(K, n, wiener_increment_coeffs(K, n, dt, rng))
+    return SpectralField(K, n, mirror(wiener_increment_coeffs(K, n, dt, rng)))

@@ -49,14 +49,21 @@ class Polynomial:
     def __call__(self, v):
         """Evaluate at v of shape (nvars,) or (nvars, M); returns scalar or (M,)."""
         v = np.asarray(v, dtype=float)
-        out = np.zeros(v.shape[1:] if v.ndim > 1 else ())
+        shape = v.shape[1:] if v.ndim > 1 else ()
+        out = None
         for expo, coeff in self.terms:
-            term = np.full_like(out, coeff) if out.ndim else coeff
+            term = coeff
             for j, e in enumerate(expo):
                 if e:
-                    term = term * v[j] ** e
-            out = out + term
-        return out
+                    term = term * (v[j] if e == 1 else v[j] ** e)
+            if out is not None:
+                out += term
+            elif not any(expo):
+                out = np.full(shape, coeff) if shape else np.float64(coeff)
+            else:
+                term += 0.0  # the sum starts from +0.0: a lone -0.0 term gives 0.0
+                out = term
+        return np.zeros(shape) if out is None else out
 
     def diff(self, j):
         terms = []

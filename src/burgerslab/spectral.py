@@ -11,8 +11,10 @@ preserves it.  Grid sizes paired with a band limit are odd, which keeps the
 mode <-> gridpoint correspondence symmetric.
 """
 
-import numpy as np
+import functools
 from dataclasses import dataclass
+
+import numpy as np
 
 SQRT_2PI = float(np.sqrt(2.0 * np.pi))
 
@@ -29,6 +31,7 @@ def smallest_odd_at_least(m):
     return m if m % 2 == 1 else m + 1
 
 
+@functools.lru_cache(maxsize=None)
 def smooth_odd_at_least(m):
     """Smallest odd integer >= m with no prime factor above 11.
 
@@ -187,8 +190,9 @@ def coeffs_to_values(coeffs, M):
     through unchecked, so a blown-up state reaches its caller as such):
 
     - padded, M >= 2K+1: no mode folds, so modes 0..K form the half spectrum
-      of one real inverse transform (``irfft``); the reality check is the
-      O(nK) Hermitian test max|c_k - conj c_{-k}|, |Im c_0| on the input.
+      of one real inverse transform (``half_to_values``); the reality check
+      is the O(nK) Hermitian test max|c_k - conj c_{-k}|, |Im c_0| on the
+      input.
     - fold, M < 2K+1: modes are folded modulo M into a full complex
       spectrum; the check is the imaginary residue of the inverse ``ifft``.
     """
@@ -204,9 +208,7 @@ def coeffs_to_values(coeffs, M):
         resid = float(np.max(asym))
         if resid > 1e-10 * scale:
             raise ValueError(f"Hermitian residue {resid:.3e} exceeds 1e-10 * coefficient magnitude")
-        half = np.zeros((n, M // 2 + 1), dtype=np.complex128)
-        np.multiply(coeffs[:, K:], M / SQRT_2PI, out=half[:, : K + 1])
-        return np.fft.irfft(half, n=M, axis=1)
+        return half_to_values(coeffs[:, K:], M)
     B = np.zeros((n, M), dtype=np.complex128)
     cols = np.mod(np.arange(-K, K + 1), M)
     np.add.at(B, (np.arange(n)[:, None], cols[None, :]), coeffs)
@@ -224,9 +226,31 @@ def values_to_coeffs(values, K):
     M = values.shape[1]
     if M < 2 * K + 1:
         raise ResolutionError(f"need M >= 2K+1 = {2 * K + 1}, got M = {M}")
-    spec = np.fft.rfft(values, axis=1)[:, : K + 1] * (SQRT_2PI / M)
-    neg = np.conj(spec[:, 1:])[:, ::-1]
-    return np.concatenate([neg, spec], axis=1)
+    return mirror(values_to_half(values, K))
+
+
+def mirror(half):
+    """Two-sided (n, 2K+1) coefficients, modes -K..K, of a half spectrum
+    (n, K+1): mode -k is the conjugate of mode k."""
+    return np.concatenate([np.conj(half[:, :0:-1]), half], axis=1)
+
+
+def half_to_values(half, M):
+    """Point values on M >= 2K+1 points of a real field given by its half
+    spectrum: the (n, K+1) coefficients of modes 0..K, the negative modes
+    being their conjugates.  Reality holds by construction; Im of mode 0 is
+    ignored, so the caller vouches for it."""
+    n, width = half.shape
+    buf = np.zeros((n, M // 2 + 1), dtype=np.complex128)
+    np.multiply(half, M / SQRT_2PI, out=buf[:, :width])
+    return np.fft.irfft(buf, n=M, axis=1)
+
+
+def values_to_half(values, K):
+    """Half spectrum (modes 0..K, shape (n, K+1)) of real (n, M) grid data,
+    M >= 2K+1 (unchecked)."""
+    M = values.shape[1]
+    return np.fft.rfft(values, axis=1)[:, : K + 1] * (SQRT_2PI / M)
 
 
 def evaluate_on_grid(u, M):

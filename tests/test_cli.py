@@ -93,6 +93,13 @@ class TestLambdaCommand:
         code = main(["lambda", "--scheme", str(scheme_file), "--tol", "1e-18"])
         assert code == EXIT_QUADRATURE
 
+    def test_unreadable_scheme_line_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "garbled.scheme"
+        path.write_text("name = forward\ngarbage\nf = identity\nh = one\nmu = (1,1);(0,-1)\nq = 1\n")
+        assert main(["lambda", "--scheme", str(path)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "garbled.scheme" in err and "garbage" in err
+
     def test_dry_run(self, scheme_file, capsys):
         assert main(["lambda", "--scheme", str(scheme_file), "--dry-run"]) == EXIT_OK
         assert json.loads(capsys.readouterr().out)["dry_run"] is True
@@ -223,6 +230,11 @@ class TestConvergeCommand:
 
 
 class TestChaosCommand:
+    def test_missing_scheme_exits_2(self, tmp_path, capsys):
+        missing = tmp_path / "missing.scheme"
+        assert main(["chaos", "--scheme", str(missing), "--dry-run"]) == EXIT_VALIDATION
+        assert "missing.scheme" in capsys.readouterr().err
+
     def test_smoke(self, tmp_path, scheme_file, capsys):
         out = tmp_path / "chaos"
         code = main(
@@ -246,6 +258,34 @@ class TestChaosCommand:
         assert len(atoms) == 4  # one live atom per eps
         summary = json.loads(capsys.readouterr().out)
         assert "distance_slope" in summary
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["qv", "--K", "0"], "--K"),
+        (["qv", "--M", "0"], "--M"),
+        (["qv", "--nu", "-1"], "--nu"),
+        (["qv", "--samples", "0"], "--samples"),
+        (["qv", "--samples", "1", "--dry-run"], "--samples"),
+        (["chaos", "--eps", "0"], "--eps"),
+        (["chaos", "--eps", "0.04,-0.1"], "--eps"),
+        (["chaos", "--eps", "0.04,x"], "--eps"),
+        (["chaos", "--nu", "0"], "--nu"),
+        (["chaos", "--samples", "0"], "--samples"),
+        (["chaos", "--samples", "1"], "--samples"),
+        (["lambda", "--nu", "0"], "--nu"),
+        (["lambda", "--tol", "0"], "--tol"),
+    ],
+)
+def test_numeric_arguments_validated_up_front(tmp_path, scheme_file, capsys, args, message):
+    # rejected before any sampling or output, with the reason on stderr
+    out = tmp_path / "out"
+    extra = ["--scheme", str(scheme_file)] if args[0] in ("chaos", "lambda") else []
+    assert main(args + extra + ["--out", str(out)]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+    assert not out.exists()
 
 
 class TestQvCommand:

@@ -12,7 +12,7 @@ from burgerslab.integrator import (
     sample_steps,
     simulate,
 )
-from burgerslab.noise import derive_stream, sample_stationary_pair
+from burgerslab.noise import derive_stream, sample_stationary_pair, wiener_increment_coeffs
 from burgerslab.nonlin import (
     PolynomialMap,
     apply_bilinear,
@@ -26,6 +26,7 @@ from burgerslab.spectral import (
     SQRT_2PI,
     SpectralField,
     coeffs_to_values,
+    mirror,
     sup_norm,
     values_to_coeffs,
 )
@@ -91,16 +92,18 @@ class TestInitialConditions:
 
 
 class TestStep:
+    # the stepper's state is the half spectrum: modes 0..K of the field
+
     def test_pure_heat_decay(self, rng):
         # F = G = 0 and no noise: the semigroup factor is exact per mode
         cfg = make_cfg(G=PolynomialMap.zero(1), variant="limit_uncorrected", T=0.05)
         u = random_field(rng, cfg.K)
         stepper = Stepper(cfg, 0.0)
-        c = u.coeffs.copy()
+        c = u.coeffs[:, cfg.K :].copy()
         for _ in range(cfg.n_steps):
             c = stepper.step_coeffs(c, 0.0)
-        k = u.modes.astype(float)
-        exact = u.coeffs * np.exp(-cfg.nu * k**2 * cfg.T)[None, :]
+        k = np.arange(cfg.K + 1, dtype=float)
+        exact = u.coeffs[:, cfg.K :] * np.exp(-cfg.nu * k**2 * cfg.T)[None, :]
         assert np.max(np.abs(c - exact)) < 1e-12
 
     def test_constant_drift_grows_mean_mode(self):
@@ -111,11 +114,11 @@ class TestStep:
             variant="limit_uncorrected",
         )
         stepper = Stepper(cfg, 0.0)
-        c = SpectralField.zeros(cfg.K).coeffs
+        c = np.zeros((1, cfg.K + 1), dtype=np.complex128)
         c1 = stepper.step_coeffs(c, 0.0)
-        assert abs(c1[0, cfg.K] - c_drift * SQRT_2PI * cfg.dt) < 1e-15
+        assert abs(c1[0, 0] - c_drift * SQRT_2PI * cfg.dt) < 1e-15
         c2 = stepper.step_coeffs(c1, 0.0)
-        assert abs(c2[0, cfg.K] - 2 * c_drift * SQRT_2PI * cfg.dt) < 1e-15
+        assert abs(c2[0, 0] - 2 * c_drift * SQRT_2PI * cfg.dt) < 1e-15
 
     def test_linear_drift_matches_exact_exponential(self):
         # F(u) = -u, single mode: the iterate tracks exp(-(nu k^2 + 1) t)
@@ -129,11 +132,11 @@ class TestStep:
         k = 2
         u = SpectralField.from_modes(K=cfg.K, entries={k: 0.4 - 0.1j})
         stepper = Stepper(cfg, 0.0)
-        c = u.coeffs.copy()
+        c = u.coeffs[:, cfg.K :].copy()
         for _ in range(100):
             c = stepper.step_coeffs(c, 0.0)
         exact = (0.4 - 0.1j) * np.exp(-(cfg.nu * k**2 + 1.0) * 0.1)
-        assert abs(c[0, cfg.K + k] - exact) / abs(exact) < 1e-3
+        assert abs(c[0, k] - exact) / abs(exact) < 1e-3
 
     def test_killed_modes_forced_to_zero(self, rng):
         # finite-difference symbols kill modes with eps*|k| >= pi outright
@@ -141,9 +144,9 @@ class TestStep:
                        lambda_mode="zero")
         u = random_field(rng, cfg.K)
         stepper = Stepper(cfg, 0.0)
-        c = stepper.step_coeffs(u.coeffs, 0.0)
-        killed = np.abs(u.modes) >= np.pi / cfg.eps
-        assert np.all(c[:, killed] == 0.0)
+        c = stepper.step_coeffs(u.coeffs[:, cfg.K :], 0.0)
+        killed = np.arange(cfg.K + 1) >= np.pi / cfg.eps
+        assert killed.any() and np.all(c[:, killed] == 0.0)
 
     def test_blowup_detection(self):
         cfg = make_cfg(F=parse_polynomial_map("u1^3", 1), G=PolynomialMap.zero(1),
@@ -163,21 +166,23 @@ class TestStep:
             simulate(cfg, 0.25, huge, derive_stream(0, 0, "w"))
 
 
-def separate_transforms_nonlinearity(stepper, coeffs, M=None):
-    """Drift-plus-flux term with one transform per array, as a reference for
-    the stacked transforms of Stepper.nonlinearity; M overrides the grid."""
+def separate_transforms_nonlinearity(stepper, half, M=None):
+    """Drift-plus-flux term with one two-sided transform per array, as a
+    reference for the stacked half-spectrum transforms of
+    Stepper.nonlinearity; takes and returns modes 0..K, M overrides the grid."""
     cfg, M = stepper.cfg, M or stepper.M
+    coeffs = mirror(half)
     grid = coeffs_to_values(coeffs, M)
     drift = values_to_coeffs(evaluate(stepper.drift, grid), cfg.K)
     if cfg.variant != "approximate":
         flux = values_to_coeffs(evaluate(cfg.G, grid), cfg.K)
-        return drift + stepper.ik[None, :] * flux
-    dgrid = coeffs_to_values(coeffs * stepper.d_mult[None, :], M)
+        return (drift + mirror(stepper.ik[None, :]) * flux)[:, cfg.K :]
+    dgrid = coeffs_to_values(coeffs * mirror(stepper.d_mult[None, :]), M)
     total = np.zeros((cfg.n, M))
     for i in range(cfg.n):
         for j in range(cfg.n):
             total[i] += stepper.jac_G[i][j](grid) * dgrid[j]
-    return drift + values_to_coeffs(total, cfg.K)
+    return (drift + values_to_coeffs(total, cfg.K))[:, cfg.K :]
 
 
 class TestStackedNonlinearity:
@@ -203,9 +208,9 @@ class TestStackedNonlinearity:
             variant=variant,
         )
         stepper = Stepper(cfg, 0.3)
-        coeffs = random_field(rng, cfg.K, n=n, decay=1.5).coeffs
-        got = stepper.nonlinearity(coeffs)
-        ref = separate_transforms_nonlinearity(stepper, coeffs)
+        half = random_field(rng, cfg.K, n=n, decay=1.5).coeffs[:, cfg.K :]
+        got = stepper.nonlinearity(half)
+        ref = separate_transforms_nonlinearity(stepper, half)
         assert np.max(np.abs(ref)) > 0.1
         assert np.max(np.abs(got - ref)) < 1e-12
 
@@ -232,10 +237,92 @@ class TestAliasFreeNonlinearity:
             variant=variant,
         )
         stepper = Stepper(cfg, 0.3)
-        coeffs = random_field(rng, cfg.K, decay=1.0).coeffs
-        got = stepper.nonlinearity(coeffs)
-        ref = separate_transforms_nonlinearity(stepper, coeffs, M=8 * (2 * cfg.K + 1) + 1)
+        half = random_field(rng, cfg.K, decay=1.0).coeffs[:, cfg.K :]
+        got = stepper.nonlinearity(half)
+        ref = separate_transforms_nonlinearity(stepper, half, M=8 * (2 * cfg.K + 1) + 1)
         assert np.max(np.abs(got - ref)) < 1e-12 * np.max(np.abs(ref))
+
+
+def two_sided_simulate(cfg, lam, u0, rng):
+    """Reference for simulate: the exponential-Euler loop on two-sided
+    (n, 2K+1) arrays, with Hermitian-checked transforms (coeffs_to_values,
+    values_to_coeffs), mirrored Wiener increments and the per-mode factors
+    of the Stepper mirrored onto modes -K..K."""
+    st = Stepper(cfg, lam)
+    n, K, M = cfg.n, cfg.K, st.M
+    even = lambda a: np.concatenate([a[:0:-1], a])
+    decay, phi1_dt, noise_fac = even(st.decay), even(st.phi1_dt), even(st.noise_fac)
+    d_mult, ik = mirror(st.d_mult[None, :])[0], mirror(st.ik[None, :])[0]
+
+    def nonlinearity(c):
+        if st.drift_zero and st.G_zero:
+            return 0.0
+        if st.G_zero:
+            return values_to_coeffs(evaluate(st.drift, coeffs_to_values(c, M)), K)
+        if cfg.variant == "approximate":
+            both = coeffs_to_values(np.concatenate([c, c * d_mult[None, :]]), M)
+            grid, dgrid = both[:n], both[n:]
+            total = np.zeros((n, M)) if st.drift_zero else evaluate(st.drift, grid)
+            for i in range(n):
+                for j in range(n):
+                    if st.jac_G[i][j].terms:
+                        total[i] += st.jac_G[i][j](grid) * dgrid[j]
+            return values_to_coeffs(total, K)
+        grid = coeffs_to_values(c, M)
+        flux = evaluate(cfg.G, grid)
+        if st.drift_zero:
+            return ik[None, :] * values_to_coeffs(flux, K)
+        both = values_to_coeffs(np.concatenate([evaluate(st.drift, grid), flux]), K)
+        return both[:n] + ik[None, :] * both[n:]
+
+    sub = cfg.noise_substeps
+    c = u0.coeffs.copy()
+    snaps = {0: c.copy()}
+    for m in range(1, cfg.n_steps + 1):
+        dW = mirror(wiener_increment_coeffs(K, n, cfg.dt / sub, rng))
+        for _ in range(sub - 1):
+            dW = dW + mirror(wiener_increment_coeffs(K, n, cfg.dt / sub, rng))
+        c = decay[None, :] * c + phi1_dt[None, :] * nonlinearity(c) + noise_fac[None, :] * dW
+        snaps[m] = c.copy()
+    return [snaps[m] for m in sample_steps(cfg)]
+
+
+class TestHalfSpectrumStepping:
+    def cfg(self, variant, n, substeps, killed, with_drift=True):
+        F, G = TestStackedNonlinearity.MAPS[(n, with_drift)]
+        # eps = 0.25 kills the finite-difference modes 13..16 of K = 16
+        scheme = finite_difference_scheme(1, 0) if killed else identity_scheme(1, 0)
+        return make_cfg(n=n, scheme=scheme, eps=0.25, F=parse_polynomial_map(F, n),
+                        G=parse_polynomial_map(G, n), lambda_mode="quadrature", variant=variant,
+                        noise_substeps=substeps, T=0.03, sample_every=7)
+
+    @pytest.mark.parametrize("variant", ["approximate", "limit_corrected", "limit_uncorrected"])
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("substeps", [1, 2])
+    @pytest.mark.parametrize("killed", [False, True], ids=["identity", "killed-modes"])
+    @pytest.mark.parametrize("with_drift", [False, True])
+    def test_snapshots_bitwise_equal_to_two_sided_loop(self, rng, variant, n, substeps, killed, with_drift):
+        cfg = self.cfg(variant, n, substeps, killed, with_drift)
+        u0 = random_field(rng, cfg.K, n=n, decay=1.5)
+        times, snaps = simulate(cfg, 0.3, u0, derive_stream(3, 1, "wiener"))
+        ref = two_sided_simulate(cfg, 0.3, u0, derive_stream(3, 1, "wiener"))
+        assert len(snaps) == len(ref) == len(sample_steps(cfg))
+        for got, want in zip(snaps, ref):
+            assert got.shape == (n, 2 * cfg.K + 1)
+            assert np.array_equal(got, want)
+        if variant == "approximate" and killed:
+            assert np.all(snaps[-1][:, np.abs(np.arange(-cfg.K, cfg.K + 1)) >= 13] == 0.0)
+
+    @pytest.mark.parametrize("variant", ["approximate", "limit_corrected"])
+    def test_mean_mode_stays_exactly_real(self, rng, variant):
+        cfg = self.cfg(variant, 2, 1, killed=True)
+        stepper = Stepper(cfg, 0.3)
+        half = random_field(rng, cfg.K, n=2, decay=1.5).coeffs[:, cfg.K :].copy()
+        w = derive_stream(3, 2, "wiener")
+        for _ in range(cfg.n_steps):
+            half = stepper.step_coeffs(half, wiener_increment_coeffs(cfg.K, 2, cfg.dt, w))
+            assert np.all(half[:, 0].imag == 0.0)
+        assert np.all(half[:, 0].real != 0.0)
 
 
 class TestConservativeConsistency:

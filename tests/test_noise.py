@@ -9,6 +9,7 @@ from burgerslab.noise import (
     sample_stationary_pair,
     stationary_sigmas,
     wiener_increment,
+    wiener_increment_coeffs,
 )
 from burgerslab.schemes import (
     apply_Q_eps,
@@ -138,6 +139,12 @@ class TestWienerIncrement:
     def test_conjugate_symmetry_exact(self):
         w = wiener_increment(10, 2, 0.05, derive_stream(9, 1, "w"))
         assert np.array_equal(w.coeffs, np.conj(w.coeffs[:, ::-1]))
+
+    def test_coeffs_are_the_half_spectrum_of_the_field(self):
+        half = wiener_increment_coeffs(10, 2, 0.05, derive_stream(9, 3, "w"))
+        w = wiener_increment(10, 2, 0.05, derive_stream(9, 3, "w"))
+        assert half.shape == (2, 11)
+        assert np.array_equal(w.coeffs[:, 10:], half)
 
     def test_galerkin_filter_zeroes_high_modes(self):
         w = wiener_increment(16, 1, 0.05, derive_stream(9, 2, "w"))

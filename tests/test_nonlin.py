@@ -43,6 +43,25 @@ class TestEvaluate:
         out = evaluate(G, v)
         assert np.array_equal(out, [[1.0, 3.0, 10.0], [0.0, 2.0, -2.0]])
 
+    @pytest.mark.parametrize(
+        "text", ["0; -0.25", "0.5*u1^2; -u1 + 0.3*u1^3", "u1*u2^2 - 2; -u2", "3*u1^4*u2 + u1 - 1; u2"]
+    )
+    def test_bitwise_equal_to_term_sum(self, rng, text):
+        # the sum from a zero start, each term coeff * v_j^e_j in order
+        P = parse_polynomial_map(text, 2)
+        for v in (rng.standard_normal((2, 33)), np.zeros((2, 5)), -np.zeros((2, 5)), rng.standard_normal(2)):
+            for p in P.components:
+                want = np.zeros(v.shape[1:])
+                for expo, coeff in p.terms:
+                    term = np.full_like(want, coeff)
+                    for j, e in enumerate(expo):
+                        if e:
+                            term = term * v[j] ** e
+                    want = want + term
+                got = p(v)
+                assert np.shape(got) == want.shape
+                assert np.array_equal(np.signbit(got), np.signbit(want)) and np.array_equal(got, want)
+
 
 class TestJacobian:
     def test_burgers_gradient(self):

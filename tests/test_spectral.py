@@ -11,13 +11,17 @@ from burgerslab.spectral import (
     embed,
     evaluate_on_grid,
     from_grid,
+    half_to_values,
     l2_inner,
+    mirror,
     project,
     smallest_odd_at_least,
     sobolev_norm,
     sup_norm,
     to_grid,
     to_grid_direct,
+    values_to_coeffs,
+    values_to_half,
     write_grid_csv,
 )
 from conftest import random_field
@@ -247,6 +251,26 @@ class TestTransformPaths:
         with np.errstate(invalid="ignore", over="ignore"):
             vals = coeffs_to_values(c, 17)
         assert np.all(np.isfinite(vals[0])) and not np.all(np.isfinite(vals[1]))
+
+
+class TestHalfSpectrum:
+    """The half-spectrum helpers are the two-sided transforms restricted to
+    modes 0..K, bit for bit."""
+
+    @pytest.mark.parametrize("M", [35, 36, 41])
+    def test_half_to_values_matches_padded_path(self, rng, M):
+        u = random_field(rng, K=17, n=2)
+        assert np.array_equal(half_to_values(u.coeffs[:, 17:], M), coeffs_to_values(u.coeffs, M))
+
+    def test_values_to_half_is_the_nonnegative_half(self, rng):
+        vals = rng.standard_normal((2, 41))
+        half = values_to_half(vals, 17)
+        assert half.shape == (2, 18)
+        assert np.array_equal(mirror(half), values_to_coeffs(vals, 17))
+
+    def test_mirror_restores_a_hermitian_array(self, rng):
+        u = random_field(rng, K=9, n=2)
+        assert np.array_equal(mirror(u.coeffs[:, 9:]), u.coeffs)
 
 
 def test_smallest_odd_at_least():
