@@ -120,6 +120,15 @@ def _positive(x):
     return x > 0 and math.isfinite(x)
 
 
+def _eps_list(text):
+    try:
+        eps_list = tuple(float(e) for e in text.split(","))
+    except ValueError:
+        raise InputError(f"--eps must be a comma list of numbers, got {text!r}") from None
+    _require(all(_positive(e) for e in eps_list), f"--eps values must be positive, got {text}")
+    return eps_list
+
+
 def _load_and_validate_scheme(path):
     try:
         scheme = load_scheme_file(path)
@@ -183,13 +192,18 @@ def _gnuplot_script(prefix, eps_list):
 def cmd_converge(args):
     # read every input and resolve Lambda (run_coupled repeats it, which is
     # cheap) before anything is written
+    _require(
+        args.replicates is None or args.replicates >= 2,
+        f"--replicates must be at least 2 (for a standard error), got {args.replicates}",
+    )
+    eps_override = _eps_list(args.eps) if args.eps is not None else None
     try:
         spec = load_run_config(args.config)
         report = spec.scheme.validate()
         if not report.ok:
             print(report.summary(), file=sys.stderr)
             return EXIT_VALIDATION
-        eps_list = tuple(float(e) for e in args.eps.split(",")) if args.eps else spec.eps_list
+        eps_list = eps_override or spec.eps_list
         cfg = spec.sim_config(seed=args.seed, lambda_tol=args.tol)
         lam, _ = resolve_lambda(cfg)
     except QuadratureError as err:
@@ -198,7 +212,7 @@ def cmd_converge(args):
     except (OSError, ValueError) as err:
         print(f"invalid run config {args.config}: {err}", file=sys.stderr)
         return EXIT_VALIDATION
-    replicates = args.replicates if args.replicates else spec.replicates
+    replicates = spec.replicates if args.replicates is None else args.replicates
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -323,11 +337,7 @@ def cmd_converge(args):
 
 
 def cmd_chaos(args):
-    try:
-        eps_list = tuple(float(e) for e in args.eps.split(","))
-    except ValueError:
-        raise InputError(f"--eps must be a comma list of numbers, got {args.eps!r}") from None
-    _require(all(_positive(e) for e in eps_list), f"--eps values must be positive, got {args.eps}")
+    eps_list = _eps_list(args.eps)
     _require(_positive(args.nu), f"--nu must be positive, got {args.nu}")
     _require(args.samples >= 2, f"--samples must be at least 2, got {args.samples}")
     scheme, report = _load_and_validate_scheme(args.scheme)

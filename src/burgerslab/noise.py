@@ -32,31 +32,44 @@ def derive_stream(seed, replicate, purpose):
 class ModeGaussianDraw:
     """One standard normal pair per mode k = 0..K and component.
 
-    z0 is the (real) mode-0 draw; zre/zim hold the real and imaginary draws
-    for k = 1..K.  The complex unit-variance amplitude of mode k >= 1 is
-    (zre + i*zim)/sqrt(2); negative modes are conjugates, never drawn.
+    z0 is the (real) mode-0 draw; zz[:, k-1] holds the real and imaginary
+    draws of mode k = 1..K, in the order they were drawn.  The complex
+    unit-variance amplitude of mode k >= 1 is (zz[:, k-1, 0] + i*zz[:, k-1, 1])
+    / sqrt(2); negative modes are conjugates, never drawn.
     """
 
     K: int
     n: int
     z0: np.ndarray  # (n,)
-    zre: np.ndarray  # (n, K)
-    zim: np.ndarray  # (n, K)
+    zz: np.ndarray  # (n, K, 2), C-contiguous
 
     @staticmethod
     def sample(K, n, rng):
         z0 = rng.standard_normal(n)
-        zz = rng.standard_normal((n, K, 2))
-        return ModeGaussianDraw(K, n, z0, zz[:, :, 0], zz[:, :, 1])
+        return ModeGaussianDraw(K, n, z0, rng.standard_normal((n, K, 2)))
 
     def half_coeffs(self, sigma):
-        """Half spectrum (n, K+1) with mode-k entry sigma[k] * zeta_k, k = 0..K."""
+        """Half spectrum (n, K+1) with mode-k entry sigma[k] * zeta_k, k = 0..K.
+
+        Byte for byte sigma * (re + 1j*im) / sqrt(2), without its
+        temporaries: the pairs of zz are read in place as complex numbers,
+        and numpy's complex-by-real division scales by the reciprocal, so a
+        product with 1/sqrt(2) gives the quotient's bytes wherever the
+        product is nonzero.  Modes with sigma[k] == 0, where the signs of the
+        zeros would differ, are divided.
+        """
         sigma = np.asarray(sigma, dtype=float)
         if sigma.shape != (self.K + 1,):
             raise ValueError("sigma must have one entry per mode k = 0..K")
         c = np.empty((self.n, self.K + 1), dtype=np.complex128)
         c[:, 0] = sigma[0] * self.z0
-        c[:, 1:] = sigma[1:] * (self.zre + 1j * self.zim) / np.sqrt(2.0)
+        zeta = self.zz.view(np.complex128)[..., 0]
+        pos = c[:, 1:]
+        np.multiply(zeta, sigma[1:], out=pos)
+        pos *= 1.0 / np.sqrt(2.0)
+        if np.count_nonzero(sigma[1:]) < self.K:
+            zero = np.flatnonzero(sigma[1:] == 0.0)
+            pos[:, zero] = sigma[1 + zero] * zeta[:, zero] / np.sqrt(2.0)
         return c
 
     def field_coeffs(self, sigma):

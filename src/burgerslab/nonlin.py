@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import GridField, evaluate_on_grid, from_grid, smooth_odd_at_least
+from .spectral import GridField, evaluate_on_grid, from_grid, odd_fft_size
 
 
 @dataclass(frozen=True)
@@ -173,15 +173,18 @@ def hessian(P):
 
 
 def alias_free_grid_size(K, degree):
-    """Smallest odd, 11-smooth grid size on which a product of `degree`
-    fields of band K is exact on the band after truncation.
+    """Odd, 11-smooth grid size on which a product of `degree` fields of
+    band K is exact on the band after truncation.
 
     Orszag's rule M >= (d+1)K + 1 (J. Atmos. Sci. 28:1074, 1971): the
     product has modes |m| <= dK, which the grid aliases to m -+ M, and those
     miss the band |m| <= K exactly when M - dK > K.  Degrees below 1 still
-    get M >= 2K+1, which the transform back to the band needs.
+    get M >= 2K+1, which the transform back to the band needs.  Among the
+    sizes up to 10% above the bound, ``spectral.odd_fft_size`` picks the one
+    with the cheapest modelled FFT (3125 rather than 3087 at K = 1024 and
+    degree 2, 405 rather than 385 at K = 128).
     """
-    return smooth_odd_at_least((max(degree, 1) + 1) * K + 1)
+    return odd_fft_size((max(degree, 1) + 1) * K + 1)
 
 
 def apply_pointwise(P, u):

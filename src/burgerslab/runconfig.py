@@ -19,6 +19,7 @@ every output sidecar.
 
 import configparser
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -159,6 +160,10 @@ def load_run_config(path):
 
     eps_list = tuple(float(x) for x in model.get("eps", "0.125").split(",") if x.strip())
     replicates = int(model.get("replicates", 8))
+    if not eps_list or not all(0 < e < math.inf for e in eps_list):
+        raise ValueError(f"{path}: eps must be a list of positive numbers, got {model.get('eps')!r}")
+    if replicates < 2:
+        raise ValueError(f"{path}: replicates must be at least 2, got {replicates}")
     return RunSpec(
         scheme=scheme,
         model=model,

@@ -26,28 +26,40 @@ class ResolutionError(ValueError):
     """Grid is too coarse, or of the wrong parity, for the requested band."""
 
 
-def smallest_odd_at_least(m):
-    m = int(np.ceil(m))
-    return m if m % 2 == 1 else m + 1
+# Cost of one real FFT of odd, 11-smooth length M = prod_p p**e_p, modelled
+# as M * sum_p e_p * w_p: one pass over the points per prime factor, weighted
+# by the cost of a radix-p pass.  w_p in ns per point and row, fitted once
+# from numpy (pocketfft) irfft timings of pure prime powers (3^5..3^9,
+# 5^4..5^6, 7^3..7^5, 11^3..11^4; 2 rows, call overhead subtracted, median
+# over the powers, rounded) on a 2-core Intel Xeon with Python 3.11.7 and
+# numpy 2.4.6.  These are constants, never timed at run time: the grid, and
+# with it every output byte, must not depend on the machine.
+_RADIX_COST = {3: 1.0, 5: 1.24, 7: 3.3, 11: 4.0}
 
 
 @functools.lru_cache(maxsize=None)
-def smooth_odd_at_least(m):
-    """Smallest odd integer >= m with no prime factor above 11.
+def odd_fft_size(m):
+    """Odd, 11-smooth grid size >= m with the least modelled FFT cost.
 
-    Working grids only need a lower bound to be alias-free; rounding up to a
-    transform-friendly length avoids Bluestein-sized FFT bills on prime
-    lengths like 4099.
+    Candidates are the odd 11-smooth sizes from m up to ceil(1.1 m), or up
+    to the smallest one when that lies further out; the pick minimizes
+    M * sum_p e_p * w_p (see ``_RADIX_COST``), ties going to the smaller M.
+    The smallest candidate is often a slow one (3087 = 3^2 7^3 loses to
+    3125 = 5^5), and lengths with a large prime factor, like 4099, would take
+    Bluestein's algorithm.
     """
-    n = smallest_odd_at_least(m)
-    while True:
-        r = n
-        for p in (3, 5, 7, 11):
-            while r % p == 0:
-                r //= p
-        if r == 1:
-            return n
-        n += 2
+    m = max(int(np.ceil(m)), 1)
+    # sum_p e_p * w_p of every odd 11-smooth size up to 3m (a power of 3
+    # lies in [m, 3m))
+    costs = {1: 0.0}
+    for p, w in _RADIX_COST.items():
+        for size, cost in list(costs.items()):
+            while size * p <= 3 * m:
+                size, cost = size * p, cost + w
+                costs[size] = cost
+    candidates = sorted(size for size in costs if size >= m)
+    limit = max(candidates[0], (11 * m + 9) // 10)  # (11m + 9) // 10 = ceil(1.1 m)
+    return min((M * costs[M], M) for M in candidates if M <= limit)[1]
 
 
 @dataclass(frozen=True)
@@ -321,12 +333,13 @@ def sup_norm(u):
     """Approximate sup over x and components of |u|.
 
     Localizes the maximum of each component on a 4x-oversampled grid
-    (an odd, FFT-friendly M >= 4(2K+1)) and polishes it with a few Newton
+    (M = odd_fft_size(4(2K+1)), the same grid rule as the alias-free
+    working grids; 8505 at K = 1024) and polishes it with a few Newton
     steps on the trigonometric polynomial, so smooth maxima that fall
     between grid points are not truncated.  Still an approximation of the
     true sup, but a much better one than the bare grid maximum.
     """
-    M = smooth_odd_at_least(4 * (2 * u.K + 1))
+    M = odd_fft_size(4 * (2 * u.K + 1))
     vals = evaluate_on_grid(u, M)
     modes = u.modes.astype(float)
     best = 0.0

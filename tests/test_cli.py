@@ -190,6 +190,9 @@ class TestConvergeCommand:
                 "closed form holds only for integer offsets",
             ),
             ("K = 16", "K = sixteen", "sixteen"),
+            ("eps = 0.25,0.125", "eps = 0.25,0", "eps"),
+            ("eps = 0.25,0.125", "eps = ,", "eps"),
+            ("replicates = 2", "replicates = 1", "replicates"),
         ],
     )
     def test_config_errors_exit_2(self, tmp_path, run_config, capsys, old, new, message):
@@ -204,6 +207,27 @@ class TestConvergeCommand:
             assert code == EXIT_VALIDATION
             assert message in capsys.readouterr().err
         assert not (tmp_path / "x" / "demo_summary.json").exists()
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--replicates", "0"], "--replicates"),
+            (["--replicates", "-1"], "--replicates"),
+            (["--replicates", "1"], "--replicates"),
+            (["--eps", "0"], "--eps"),
+            (["--eps", "0.25,-0.1"], "--eps"),
+            (["--eps", "0.25,x"], "--eps"),
+            (["--eps", ""], "--eps"),
+        ],
+    )
+    @pytest.mark.parametrize("dry_run", [False, True])
+    def test_bad_arguments_exit_2_before_writing(self, tmp_path, run_config, capsys, args, message, dry_run):
+        out = tmp_path / "out"
+        argv = ["converge", "--config", str(run_config), "--out", str(out)] + args
+        assert main(argv + (["--dry-run"] if dry_run else [])) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", [["chaos", "--scheme", "s"], ["qv"]])
     def test_tol_only_where_quadrature_runs(self, command, capsys):

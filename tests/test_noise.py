@@ -158,3 +158,21 @@ def test_draw_field_shape_checks():
     draw = ModeGaussianDraw.sample(4, 1, derive_stream(0, 0, "x"))
     with pytest.raises(ValueError):
         draw.field(np.ones(3))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("K", [1, 7, 1024])
+def test_half_coeffs_bytes_match_the_complex_expression(n, K):
+    # the in-place assembly must give the bytes of the plain expression,
+    # signs of zeros included (sigma has zeros, of either sign)
+    rng = np.random.default_rng(1000 * n + K)
+    draw = ModeGaussianDraw.sample(K, n, derive_stream(n, K, "bytes"))
+    for scale in (1e-3, 1.0, 1e3):
+        sigma = scale * rng.uniform(0.0, 2.0, K + 1)
+        sigma[rng.random(K + 1) < 0.3] = 0.0
+        sigma[rng.random(K + 1) < 0.1] *= -1.0
+        zre, zim = draw.zz[:, :, 0], draw.zz[:, :, 1]
+        expected = np.empty((n, K + 1), dtype=np.complex128)
+        expected[:, 0] = sigma[0] * draw.z0
+        expected[:, 1:] = sigma[1:] * (zre + 1j * zim) / np.sqrt(2.0)
+        assert draw.half_coeffs(sigma).tobytes() == expected.tobytes()

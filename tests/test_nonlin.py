@@ -16,7 +16,15 @@ from burgerslab.nonlin import (
     parse_polynomial_map,
 )
 from burgerslab.schemes import apply_D_eps, identity_scheme
-from burgerslab.spectral import SQRT_2PI, GridField, SpectralField, evaluate_on_grid, from_grid
+from burgerslab.spectral import (
+    _RADIX_COST,
+    SQRT_2PI,
+    GridField,
+    SpectralField,
+    evaluate_on_grid,
+    from_grid,
+    odd_fft_size,
+)
 from conftest import random_field
 
 
@@ -120,28 +128,56 @@ class TestLaplacian:
             assert np.max(np.abs(num - exact)) < 1e-6 * max(1.0, np.max(np.abs(exact)))
 
 
+def _odd_smooth_costs(top):
+    """Cost sum_p e_p w_p of every odd m < top (np.inf unless 11-smooth),
+    by trial division over the whole range."""
+    m = np.arange(top)
+    rest = m.copy()
+    cost = np.zeros(top)
+    for p, w in _RADIX_COST.items():
+        while True:
+            hit = (rest % p == 0) & (rest > 0)
+            if not hit.any():
+                break
+            rest[hit] //= p
+            cost[hit] += w
+    cost[(rest != 1) | (m % 2 == 0)] = np.inf
+    return cost
+
+
 class TestAliasFreeGridSize:
     @pytest.mark.parametrize(
         "K, degree, M",
-        [(1024, 2, 3087), (128, 2, 385), (1000, 2, 3025), (20, 4, 105), (20, 5, 121)],
+        [(1024, 2, 3125), (128, 2, 405), (20, 4, 105)],
     )
     def test_known_sizes(self, K, degree, M):
         assert alias_free_grid_size(K, degree) == M
 
-    @pytest.mark.parametrize("K", [0, 1, 7, 20, 128, 1000])
-    @pytest.mark.parametrize("degree", [0, 1, 2, 3, 5])
-    def test_smallest_odd_smooth_size_above_the_orszag_bound(self, K, degree):
-        bound = (max(degree, 1) + 1) * K + 1
-        M = alias_free_grid_size(K, degree)
+    def test_sup_norm_grid_at_K_1024(self):
+        assert odd_fft_size(4 * (2 * 1024 + 1)) == 8505
 
-        def smooth_odd(m):
-            for p in (3, 5, 7, 11):
-                while m % p == 0:
-                    m //= p
-            return m == 1
+    def test_pick_is_the_cheapest_odd_smooth_size_in_the_window(self):
+        # every band up to 4096 and every degree 1..5: the pick is odd and
+        # 11-smooth, at least Orszag's bound (d+1)K+1, at most ceil(1.1 bound)
+        # unless no smooth size lies below that, and of least cost M * sum_p
+        # e_p w_p among the candidates, ties to the smaller size
+        cost = _odd_smooth_costs(2 * 6 * 4096)
+        smooth = np.flatnonzero(np.isfinite(cost))
+        for degree in range(1, 6):
+            for K in range(1, 4097):
+                bound = (degree + 1) * K + 1
+                M = alias_free_grid_size(K, degree)
+                first = smooth[np.searchsorted(smooth, bound)]
+                hi = max(first, -(-11 * bound // 10))
+                cands = smooth[(smooth >= bound) & (smooth <= hi)]
+                assert M % 2 == 1 and np.isfinite(cost[M])
+                assert bound <= M <= hi
+                weighted = cands * cost[cands]
+                assert M == cands[np.argmin(weighted)], (K, degree)
 
-        assert M >= bound and smooth_odd(M)
-        assert not any(smooth_odd(m) for m in range(bound | 1, M, 2))
+    def test_degree_below_one_keeps_the_transform_bound(self):
+        for K in (0, 1, 7, 128):
+            assert alias_free_grid_size(K, 0) == alias_free_grid_size(K, 1) >= 2 * K + 1
 
 
 class TestApplyPointwise:

@@ -1,5 +1,8 @@
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from burgerslab.spectral import (
     SQRT_2PI,
@@ -14,8 +17,8 @@ from burgerslab.spectral import (
     half_to_values,
     l2_inner,
     mirror,
+    odd_fft_size,
     project,
-    smallest_odd_at_least,
     sobolev_norm,
     sup_norm,
     to_grid,
@@ -273,10 +276,32 @@ class TestHalfSpectrum:
         assert np.array_equal(mirror(u.coeffs[:, 9:]), u.coeffs)
 
 
-def test_smallest_odd_at_least():
-    assert smallest_odd_at_least(10) == 11
-    assert smallest_odd_at_least(11) == 11
-    assert smallest_odd_at_least(10.2) == 11
+@st.composite
+def _hermitian_half_and_grid(draw):
+    """A half spectrum (n, K+1) with real mode 0, and an odd grid M >= 2K+1:
+    any such M, or the alias-free pick for a degree 1..5."""
+    K = draw(st.integers(0, 64))
+    n = draw(st.integers(1, 3))
+    parts = hnp.arrays(np.float64, (2, n, K + 1), elements=st.floats(-1e6, 1e6))
+    re, im = draw(parts)
+    half = re + 1j * im
+    half[:, 0] = re[:, 0]
+    if draw(st.booleans()):
+        M = 2 * K + 1 + 2 * draw(st.integers(0, 100))
+    else:
+        M = odd_fft_size((draw(st.integers(1, 5)) + 1) * K + 1)
+    return half, M
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_hermitian_half_and_grid())
+def test_half_spectrum_round_trip(case):
+    half, M = case
+    K = half.shape[1] - 1
+    back = mirror(values_to_half(half_to_values(half, M), K))
+    scale = float(np.max(np.abs(half), initial=0.0))
+    assert back.shape == (half.shape[0], 2 * K + 1)
+    assert np.max(np.abs(back - mirror(half))) <= 1e-13 * scale
 
 
 def test_grid_csv_dump(tmp_path, rng):
