@@ -148,7 +148,7 @@ def _odd_smooth_costs(top):
 class TestAliasFreeGridSize:
     @pytest.mark.parametrize(
         "K, degree, M",
-        [(1024, 2, 3125), (128, 2, 405), (20, 4, 105)],
+        [(1024, 2, 3125), (128, 2, 405), (1000, 2, 3125), (20, 4, 105), (20, 5, 125)],
     )
     def test_known_sizes(self, K, degree, M):
         assert alias_free_grid_size(K, degree) == M
@@ -156,28 +156,28 @@ class TestAliasFreeGridSize:
     def test_sup_norm_grid_at_K_1024(self):
         assert odd_fft_size(4 * (2 * 1024 + 1)) == 8505
 
-    def test_pick_is_the_cheapest_odd_smooth_size_in_the_window(self):
-        # every band up to 4096 and every degree 1..5: the pick is odd and
-        # 11-smooth, at least Orszag's bound (d+1)K+1, at most ceil(1.1 bound)
-        # unless no smooth size lies below that, and of least cost M * sum_p
-        # e_p w_p among the candidates, ties to the smaller size
-        cost = _odd_smooth_costs(2 * 6 * 4096)
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
+    def test_pick_is_the_cheapest_odd_smooth_size_in_the_window(self, degree):
+        # every band up to 4096: the pick is odd and 11-smooth, at least
+        # Orszag's bound (d+1)K+1, at most ceil(1.1 bound) unless no smooth
+        # size lies below that, and of least cost M * sum_p e_p w_p among the
+        # candidates, ties to the smaller size
+        cost = _odd_smooth_costs(2 * (degree + 1) * 4096)
         smooth = np.flatnonzero(np.isfinite(cost))
-        for degree in range(1, 6):
-            for K in range(1, 4097):
-                bound = (degree + 1) * K + 1
-                M = alias_free_grid_size(K, degree)
-                first = smooth[np.searchsorted(smooth, bound)]
-                hi = max(first, -(-11 * bound // 10))
-                cands = smooth[(smooth >= bound) & (smooth <= hi)]
-                assert M % 2 == 1 and np.isfinite(cost[M])
-                assert bound <= M <= hi
-                weighted = cands * cost[cands]
-                assert M == cands[np.argmin(weighted)], (K, degree)
+        for K in range(1, 4097):
+            bound = (degree + 1) * K + 1
+            M = alias_free_grid_size(K, degree)
+            first = smooth[np.searchsorted(smooth, bound)]
+            hi = max(first, -(-11 * bound // 10))
+            cands = smooth[(smooth >= bound) & (smooth <= hi)]
+            assert M % 2 == 1 and np.isfinite(cost[M])
+            assert bound <= M <= hi
+            weighted = cands * cost[cands]
+            assert M == cands[np.argmin(weighted)], K
 
-    def test_degree_below_one_keeps_the_transform_bound(self):
-        for K in (0, 1, 7, 128):
-            assert alias_free_grid_size(K, 0) == alias_free_grid_size(K, 1) >= 2 * K + 1
+    @pytest.mark.parametrize("K", [0, 1, 7, 20, 128, 1000])
+    def test_degree_below_one_keeps_the_transform_bound(self, K):
+        assert alias_free_grid_size(K, 0) == alias_free_grid_size(K, 1) >= 2 * K + 1
 
 
 class TestApplyPointwise:
