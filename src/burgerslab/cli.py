@@ -189,6 +189,18 @@ def _gnuplot_script(prefix, eps_list):
     return "\n".join(lines) + "\n"
 
 
+def _summary_line(row):
+    """One eps row of ``EnsembleResult.summary`` as converge prints it."""
+    if not row["n_ok"]:
+        return f"eps={row['eps']:g}: no surviving replicates ({row['n_blowup']} blowups)"
+    se = {key: "n/a" if row[key] is None else f"{row[key]:.2g}" for key in ("se_sup_corrected", "se_sup_uncorrected")}
+    return (
+        f"eps={row['eps']:g}: sup corrected {row['mean_sup_corrected']:.4g} "
+        f"(se {se['se_sup_corrected']}), uncorrected {row['mean_sup_uncorrected']:.4g} "
+        f"(se {se['se_sup_uncorrected']}), blowups {row['n_blowup']}"
+    )
+
+
 def cmd_converge(args):
     # read every input and resolve Lambda (run_coupled repeats it, which is
     # cheap) before anything is written
@@ -316,14 +328,7 @@ def cmd_converge(args):
     manifest.write(f"{prefix}_manifest.json")
 
     for row in summary_rows:
-        if row["n_ok"]:
-            print(
-                f"eps={row['eps']:g}: sup corrected {row['mean_sup_corrected']:.4g} "
-                f"(se {row['se_sup_corrected']:.2g}), uncorrected {row['mean_sup_uncorrected']:.4g} "
-                f"(se {row['se_sup_uncorrected']:.2g}), blowups {row['n_blowup']}"
-            )
-        else:
-            print(f"eps={row['eps']:g}: no surviving replicates ({row['n_blowup']} blowups)")
+        print(_summary_line(row))
     if result.blowup_fraction > 0.2:
         print(
             f"blow-up fraction {result.blowup_fraction:.1%} exceeds the 20% quota",

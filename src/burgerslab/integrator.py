@@ -62,15 +62,16 @@ from .spectral import (
     embed,
     half_to_values,
     mirror,
-    sobolev_norm,
-    sup_norm,
+    sobolev_norms,
+    sup_norms,
     values_to_half,
 )
 
-# Not used here since the stepper works on half spectra, but kept as module
-# attributes: perfbench/spans.py wraps each transform under every module name
-# its callers have looked it up by, and checks that the names still exist.
-from .spectral import coeffs_to_values, values_to_coeffs  # noqa: F401
+# Not used here since the stepper works on half spectra and the errors are
+# taken as stacks, but kept as module attributes: perfbench/spans.py wraps
+# each function under every module name its callers have looked it up by,
+# and checks that the names still exist.
+from .spectral import coeffs_to_values, sobolev_norm, sup_norm, values_to_coeffs  # noqa: F401
 
 VARIANTS = ("approximate", "limit_corrected", "limit_uncorrected")
 
@@ -359,16 +360,21 @@ def _run_replicate(cfg, eps_list, replicate, lam):
             blowup_time=blowup_time,
         )
 
-    limit_snaps = {}
+    def halves(snaps):
+        # modes 0..K of the two-sided snapshots, as one (steps, n, K+1) stack
+        return np.array([snap[:, cfg.K :] for snap in snaps])
+
+    limits = []  # corrected, then uncorrected
     try:
         for variant in ("limit_corrected", "limit_uncorrected"):
             run_cfg = replace(cfg, variant=variant)
             rng = derive_stream(cfg.seed, replicate, "wiener")
             times, snaps = simulate(run_cfg, lam, u_bar0, rng, record_steps)
-            limit_snaps[variant] = snaps
+            limits.append(halves(snaps))
     except BlowUpError as err:
         # a limit run left the finite range: the whole replicate is flagged
         return [flagged_record(eps, err.time) for eps in eps_list]
+    final_limit = _field(cfg, mirror(limits[0][-1]))
 
     records = []
     for eps in eps_list:
@@ -381,16 +387,17 @@ def _run_replicate(cfg, eps_list, replicate, lam):
         except BlowUpError as err:
             records.append(flagged_record(eps, err.time))
             continue
-        sup_c, sup_u, ha_c, ha_u = [], [], [], []
-        for approx, corr, unc in zip(snaps, limit_snaps["limit_corrected"], limit_snaps["limit_uncorrected"]):
-            dc = _field(cfg, approx - corr)
-            du = _field(cfg, approx - unc)
-            sup_c.append(sup_norm(dc))
-            sup_u.append(sup_norm(du))
-            ha_c.append(sobolev_norm(dc, cfg.alpha))
-            ha_u.append(sobolev_norm(du, cfg.alpha))
         final_approx = _field(cfg, snaps[-1])
-        final_limit = _field(cfg, limit_snaps["limit_corrected"][-1])
+        approx = halves(snaps)
+        # Release the two-sided snapshots, and stack the differences to one
+        # limit run at a time: one stack of both, or both kept, raised the
+        # peak memory of a K = 1024 replicate by about 1 MiB.
+        del snaps
+        sup, halpha = [], []
+        for limit in limits:
+            diff = approx - limit  # at every recorded step
+            sup.append(sup_norms(diff))
+            halpha.append(sobolev_norms(diff, cfg.alpha))
         diagnostics = {
             "theta_eps_final": theta_eps(final_approx, cfg.scheme, eps),
             "xi_mean_diag_final": float(
@@ -405,10 +412,8 @@ def _run_replicate(cfg, eps_list, replicate, lam):
                 eps,
                 replicate,
                 times,
-                np.array(sup_c),
-                np.array(sup_u),
-                np.array(ha_c),
-                np.array(ha_u),
+                *sup,
+                *halpha,
                 diagnostics=diagnostics,
             )
         )
@@ -459,7 +464,11 @@ class EnsembleResult:
         }
 
     def summary(self):
-        """Per-eps mean and standard error of the trajectory-max sup errors."""
+        """Per-eps mean and standard error of the trajectory-max sup errors.
+
+        The standard error needs two surviving replicates; with one it is
+        None, like every statistic of an eps with none.
+        """
         rows = []
         for eps in self.eps_list:
             recs = self.records_for(eps)
@@ -470,9 +479,9 @@ class EnsembleResult:
                 mu = np.array([r.max_sup_uncorrected for r in recs])
                 row.update(
                     mean_sup_corrected=float(np.mean(mc)),
-                    se_sup_corrected=float(np.std(mc, ddof=1) / np.sqrt(nn)) if nn > 1 else 0.0,
+                    se_sup_corrected=float(np.std(mc, ddof=1) / np.sqrt(nn)) if nn > 1 else None,
                     mean_sup_uncorrected=float(np.mean(mu)),
-                    se_sup_uncorrected=float(np.std(mu, ddof=1) / np.sqrt(nn)) if nn > 1 else 0.0,
+                    se_sup_uncorrected=float(np.std(mu, ddof=1) / np.sqrt(nn)) if nn > 1 else None,
                 )
             else:
                 row.update(

@@ -49,7 +49,8 @@ class ModeGaussianDraw:
         return ModeGaussianDraw(K, n, z0, rng.standard_normal((n, K, 2)))
 
     def half_coeffs(self, sigma):
-        """Half spectrum (n, K+1) with mode-k entry sigma[k] * zeta_k, k = 0..K.
+        """Half spectrum (n, K+1) with mode-k entry sigma[k] * zeta_k, k = 0..K;
+        a scalar sigma stands for the same value at every mode.
 
         Byte for byte sigma * (re + 1j*im) / sqrt(2), without its
         temporaries: the pairs of zz are read in place as complex numbers,
@@ -59,17 +60,19 @@ class ModeGaussianDraw:
         zeros would differ, are divided.
         """
         sigma = np.asarray(sigma, dtype=float)
-        if sigma.shape != (self.K + 1,):
-            raise ValueError("sigma must have one entry per mode k = 0..K")
+        if sigma.ndim and sigma.shape != (self.K + 1,):
+            raise ValueError("sigma must be a scalar or have one entry per mode k = 0..K")
+        head, tail = (sigma, sigma) if sigma.ndim == 0 else (sigma[0], sigma[1:])
         c = np.empty((self.n, self.K + 1), dtype=np.complex128)
-        c[:, 0] = sigma[0] * self.z0
+        c[:, 0] = head * self.z0
         zeta = self.zz.view(np.complex128)[..., 0]
         pos = c[:, 1:]
-        np.multiply(zeta, sigma[1:], out=pos)
+        np.multiply(zeta, tail, out=pos)
         pos *= 1.0 / np.sqrt(2.0)
-        if np.count_nonzero(sigma[1:]) < self.K:
-            zero = np.flatnonzero(sigma[1:] == 0.0)
-            pos[:, zero] = sigma[1 + zero] * zeta[:, zero] / np.sqrt(2.0)
+        if np.count_nonzero(tail) < tail.size:
+            tail = np.broadcast_to(tail, (self.K,))
+            zero = np.flatnonzero(tail == 0.0)
+            pos[:, zero] = tail[zero] * zeta[:, zero] / np.sqrt(2.0)
         return c
 
     def field_coeffs(self, sigma):
@@ -144,7 +147,7 @@ def wiener_increment_coeffs(K, n, dt, rng):
     if dt <= 0:
         raise ValueError("dt must be positive")
     draw = ModeGaussianDraw.sample(K, n, rng)
-    return draw.half_coeffs(np.full(K + 1, np.sqrt(dt)))
+    return draw.half_coeffs(np.sqrt(dt))
 
 
 def wiener_increment(K, n, dt, rng):

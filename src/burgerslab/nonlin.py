@@ -87,16 +87,21 @@ class Polynomial:
     def __str__(self):
         if not self.terms:
             return "0"
-        parts = []
+        # a negative term is written as ' - ' and its magnitude, and every
+        # coefficient at repr precision where the short form would round it,
+        # so that parse_polynomial reads back the same floats
+        text = ""
         for expo, coeff in self.terms:
-            factors = [f"{coeff:g}"]
+            short = f"{abs(coeff):g}"
+            factors = [short if float(short) == abs(coeff) else repr(abs(coeff))]
             for j, e in enumerate(expo):
                 if e == 1:
                     factors.append(f"u{j + 1}")
                 elif e > 1:
                     factors.append(f"u{j + 1}^{e}")
-            parts.append("*".join(factors))
-        return " + ".join(parts)
+            sep = (" - " if text else "-") if coeff < 0 else (" + " if text else "")
+            text += sep + "*".join(factors)
+        return text
 
 
 @dataclass(frozen=True)

@@ -318,8 +318,19 @@ def band_project(u, n_lo, n_hi):
 
 def sobolev_norm(u, s):
     """Fractional Sobolev norm (sum_k |coeffs[k]|^2 (1+k^2)^s)^(1/2)."""
-    w = (1.0 + u.modes.astype(float) ** 2) ** s
-    return float(np.sqrt(np.sum(np.abs(u.coeffs) ** 2 * w[None, :])))
+    return float(sobolev_norms(u.coeffs[None, :, u.K :], s)[0])
+
+
+def sobolev_norms(half, s):
+    """Sobolev norm of order s of each row of a (rows, n, K+1) stack of
+    half spectra, as a (rows,) array: mode 0 counts once, modes 1..K twice
+    (for themselves and their conjugates at -k)."""
+    rows, n, width = half.shape
+    k = np.arange(width, dtype=float)
+    w = (1.0 + k**2) ** s
+    w[1:] *= 2.0
+    power = half.real**2 + half.imag**2
+    return np.sqrt(np.sum((power * w).reshape(rows, n * width), axis=1))
 
 
 def l2_inner(u, v):
@@ -330,44 +341,78 @@ def l2_inner(u, v):
 
 
 def sup_norm(u):
-    """Approximate sup over x and components of |u|.
+    """Approximate sup over x and components of |u| (see ``sup_norms``)."""
+    return float(sup_norms(u.coeffs[None, :, u.K :])[0])
+
+
+# Grid points of one sup_norms transform: each transform takes as many
+# component rows as fit (at least one), which bounds its buffers at about
+# _SUP_POINTS doubles each, whatever the stack's size.
+_SUP_POINTS = 1 << 15
+
+
+def sup_norms(half):
+    """Approximate sup over x and components of |u| for each row u of a
+    (rows, n, K+1) stack of half spectra, as a (rows,) array.
 
     Localizes the maximum of each component on a 4x-oversampled grid
     (M = odd_fft_size(4(2K+1)), the same grid rule as the alias-free
     working grids; 8505 at K = 1024) and polishes it with a few Newton
     steps on the trigonometric polynomial, so smooth maxima that fall
     between grid points are not truncated.  Still an approximation of the
-    true sup, but a much better one than the bare grid maximum.
+    true sup, but a much better one than the bare grid maximum.  Every row
+    is computed on its own, so a row's norm does not depend on the rows
+    stacked with it; a zero row gives exactly 0.0.
     """
-    M = odd_fft_size(4 * (2 * u.K + 1))
-    vals = evaluate_on_grid(u, M)
-    modes = u.modes.astype(float)
-    best = 0.0
+    rows, n, width = half.shape
+    M = odd_fft_size(4 * (2 * width - 1))
+    lines = half.reshape(rows * n, width)
+    chunk = max(1, _SUP_POINTS // M)
+    line_max = np.concatenate([_line_maxima(lines[lo : lo + chunk], M) for lo in range(0, rows * n, chunk)])
+    return line_max.reshape(rows, n).max(axis=1)
+
+
+def _line_maxima(lines, M):
+    """max_x |f(x)| of each (K+1,) half spectrum in ``lines``: the grid
+    maximum on M points, polished by at most six Newton steps.  A row leaves
+    the polish when a step would leave the grid cell (|step| > h), when f is
+    not concave there, or once its step gains no more than rounding."""
+    vals = half_to_values(lines, M)
+    idx = np.arange(len(lines))
+    j = np.argmax(np.abs(vals), axis=1)
+    at = vals[idx, j]
+    best = np.abs(at)
     h = 2.0 * np.pi / M
-    for i in range(u.n):
-        j = int(np.argmax(np.abs(vals[i])))
-        sign = 1.0 if vals[i, j] >= 0 else -1.0
-        x = h * j
-        c = u.coeffs[i]
-        d1 = c * (1j * modes)
-        d2 = c * -(modes**2)
-        val = sign * vals[i, j]
-        # one phase vector per iterate serves the derivatives at x and, after
-        # the step, the value at the new x (which the next iterate reuses)
-        phase = np.exp(1j * modes * x)
+    k = np.arange(lines.shape[1], dtype=float)
+    # f = (c_0 + 2 Re sum_{k>0} c_k e^{ikx}) / sqrt(2 pi), taken with the sign
+    # of the grid maximum so that every row climbs to a maximum.  With a + ib
+    # those coefficients, f, f' and f'' are sum_k U cos(kx) + V sin(kx) over
+    # the three rows of U and V, up to the factor.
+    c = lines * np.where(at >= 0, 1.0, -1.0)[:, None]
+    c[:, 1:] *= 2.0
+    a, b = c.real, c.imag
+    U = np.stack([a, -k * b, -(k**2) * a], axis=1)
+    V = np.stack([-b, -k * a, k**2 * b], axis=1)
+
+    def derivatives(live, x):
+        theta = np.outer(x, k)
+        f = np.sum(U[live] * np.cos(theta)[:, None, :] + V[live] * np.sin(theta)[:, None, :], axis=2)
+        return f / SQRT_2PI
+
+    live, x = idx, h * j
+    f = derivatives(live, x)
+    with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(6):
-            g = sign * ((d1 @ phase).real / SQRT_2PI)
-            hess = sign * ((d2 @ phase).real / SQRT_2PI)
-            if hess >= -1e-300:
+            hess = f[:, 2]
+            step = -f[:, 1] / hess
+            gain = -0.5 * hess * step**2  # f(x + step) - f(x) to second order
+            go = (hess < -1e-300) & (np.abs(step) <= h) & (gain > np.finfo(float).eps * best[live])
+            if not go.any():
                 break
-            step = -g / hess
-            if abs(step) > h:  # keep the polish local to the grid maximum
-                break
-            x += step
-            phase = np.exp(1j * modes * x)
-            val = max(val, sign * ((c @ phase).real / SQRT_2PI))
-        best = max(best, val)
-    return float(best)
+            live, x = live[go], x[go] + step[go]
+            f = derivatives(live, x)
+            best[live] = np.maximum(best[live], f[:, 0])
+    return best
 
 
 def embed(u, K):

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from burgerslab.cli import EXIT_BLOWUP, EXIT_OK, EXIT_QUADRATURE, EXIT_VALIDATION, main
+from burgerslab.cli import EXIT_BLOWUP, EXIT_OK, EXIT_QUADRATURE, EXIT_VALIDATION, _summary_line, main
 
 
 @pytest.fixture
@@ -321,3 +321,13 @@ class TestQvCommand:
         assert payload["n_samples"] == 50
         # Monte Carlo consistency with the exact band-limited expectation
         assert abs(payload["mc_mean"] - payload["exact_sum"]) < 5 * payload["mc_stderr"]
+
+
+def test_summary_line_without_a_standard_error():
+    row = {"eps": 0.125, "n_ok": 1, "n_blowup": 1, "mean_sup_corrected": 0.01, "se_sup_corrected": None,
+           "mean_sup_uncorrected": 0.02, "se_sup_uncorrected": None}
+    assert _summary_line(row) == (
+        "eps=0.125: sup corrected 0.01 (se n/a), uncorrected 0.02 (se n/a), blowups 1"
+    )
+    row.update(n_ok=2, se_sup_corrected=0.00123, se_sup_uncorrected=0.5)
+    assert "(se 0.0012)" in _summary_line(row) and "(se 0.5)" in _summary_line(row)

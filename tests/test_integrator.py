@@ -1,9 +1,13 @@
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from burgerslab.estimators import quadratic_variation
 from burgerslab.integrator import (
     BlowUpError,
+    EnsembleResult,
     SimConfig,
     Stepper,
     initial_conditions,
@@ -11,6 +15,7 @@ from burgerslab.integrator import (
     run_coupled,
     sample_steps,
     simulate,
+    TrajectoryRecord,
 )
 from burgerslab.noise import derive_stream, sample_stationary_pair, wiener_increment_coeffs
 from burgerslab.nonlin import (
@@ -27,6 +32,7 @@ from burgerslab.spectral import (
     SpectralField,
     coeffs_to_values,
     mirror,
+    sobolev_norm,
     sup_norm,
     values_to_coeffs,
 )
@@ -397,6 +403,58 @@ class TestRunCoupled:
         rows = res.summary()
         assert [r["eps"] for r in rows] == [0.25, 0.125]
         assert all(r["n_ok"] == 3 and r["n_blowup"] == 0 for r in rows)
+
+
+    def test_recorded_errors_are_the_norms_of_the_differences(self):
+        # the stacked evaluation gives, bit for bit, the one-field norms of
+        # the difference to each limit run at every recorded step
+        cfg = make_cfg(n=2, K=12, T=0.02, sample_every=5, scheme=finite_difference_scheme(1, 0),
+                       F=parse_polynomial_map("-u1; -u2", 2),
+                       G=parse_polynomial_map("0.5*u1^2 + 0.5*u2^2; u1*u2", 2),
+                       lambda_mode="quadrature", v0=SpectralField.from_modes(12, {1: [0.5, 0.25j]}, n=2))
+        lam, _ = resolve_lambda(cfg)
+        eps = 0.25
+        rec = run_coupled(cfg, [eps], replicates=1).records[0]
+        draw_psi = sample_stationary_pair(cfg.scheme, eps, cfg.nu, cfg.K, derive_stream(cfg.seed, 0, "ic"), n=2)
+        runs = {}
+        for variant, eps_run, init in (
+            ("approximate", eps, draw_psi.psi_tilde),
+            ("limit_corrected", cfg.eps, draw_psi.psi),
+            ("limit_uncorrected", cfg.eps, draw_psi.psi),
+        ):
+            run_cfg = replace(cfg, variant=variant, eps=eps_run)
+            runs[variant] = simulate(run_cfg, lam, cfg.v0_field() + init, derive_stream(cfg.seed, 0, "wiener"))[1]
+        for name, limit in (("corrected", "limit_corrected"), ("uncorrected", "limit_uncorrected")):
+            diffs = [SpectralField(cfg.K, cfg.n, a - b) for a, b in zip(runs["approximate"], runs[limit])]
+            sup = np.array([sup_norm(d) for d in diffs])
+            ha = np.array([sobolev_norm(d, cfg.alpha) for d in diffs])
+            assert getattr(rec, f"sup_err_{name}").tobytes() == sup.tobytes()
+            assert getattr(rec, f"halpha_err_{name}").tobytes() == ha.tobytes()
+        assert rec.sup_err_corrected[0] > 0.0  # the initial coupling is not exact here
+
+
+class TestSummary:
+    def _result(self, maxima):
+        """One eps; maxima[r] is replicate r's sup error, None for a blow-up."""
+        t = np.array([0.0, 1.0])
+        records = []
+        for r, m in enumerate(maxima):
+            curve = np.array([0.0, np.nan if m is None else m])
+            records.append(TrajectoryRecord(0.5, r, t, curve, 2.0 * curve, curve, curve,
+                                            blown_up=m is None, blowup_time=0.5 if m is None else None))
+        return EnsembleResult((0.5,), t, records, 0.25)
+
+    def test_single_survivor_has_no_standard_error(self):
+        (row,) = self._result([0.3, None]).summary()
+        assert row["n_ok"] == 1 and row["n_blowup"] == 1
+        assert row["mean_sup_corrected"] == 0.3 and row["mean_sup_uncorrected"] == 0.6
+        assert row["se_sup_corrected"] is None and row["se_sup_uncorrected"] is None
+        assert '"se_sup_corrected": null' in json.dumps(row)
+
+    def test_two_survivors_have_a_standard_error(self):
+        (row,) = self._result([0.3, 0.5, None]).summary()
+        assert row["n_ok"] == 2
+        assert row["se_sup_corrected"] == float(np.std([0.3, 0.5], ddof=1) / np.sqrt(2))
 
 
 class TestSolutionRoughness:

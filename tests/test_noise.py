@@ -176,3 +176,19 @@ def test_half_coeffs_bytes_match_the_complex_expression(n, K):
         expected[:, 0] = sigma[0] * draw.z0
         expected[:, 1:] = sigma[1:] * (zre + 1j * zim) / np.sqrt(2.0)
         assert draw.half_coeffs(sigma).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("K", [1, 7, 1024])
+def test_wiener_increment_bytes_match_the_per_mode_sigma(n, K):
+    # the scalar sqrt(dt) must give the bytes of the per-mode sigma array
+    for seed, dt in enumerate((1e-6, 2.5e-4, 0.3)):
+        got = wiener_increment_coeffs(K, n, dt, derive_stream(seed, K, "w"))
+        draw = ModeGaussianDraw.sample(K, n, derive_stream(seed, K, "w"))
+        assert got.tobytes() == draw.half_coeffs(np.full(K + 1, np.sqrt(dt))).tobytes()
+
+
+def test_scalar_sigma_is_the_constant_array():
+    draw = ModeGaussianDraw.sample(9, 2, derive_stream(0, 0, "s"))
+    for sigma in (0.0, -0.0, 0.7, -2.5):
+        assert draw.half_coeffs(sigma).tobytes() == draw.half_coeffs(np.full(10, sigma)).tobytes()

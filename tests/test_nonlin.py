@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from burgerslab.nonlin import (
     Polynomial,
@@ -284,9 +286,28 @@ class TestParsing:
         with pytest.raises(ValueError):
             parse_polynomial_map("u1; u2", 1)
 
-    def test_round_trip_through_str(self):
-        G = parse_polynomial_map("u1*u2 - 0.25; u2^2", 2)
-        again = parse_polynomial_map(str(G), 2)
-        assert all(
-            a.terms == b.terms for a, b in zip(G.components, again.components)
-        )
+    @pytest.mark.parametrize(
+        "text, n",
+        [("u1*u2 - 0.25; u2^2", 2), ("-u1 - 2", 1), ("0.1234567*u1 + 1e-300", 1)],
+    )
+    def test_round_trip_through_str(self, text, n):
+        G = parse_polynomial_map(text, n)
+        assert parse_polynomial_map(str(G), n) == G
+
+    def test_str_of_negative_terms(self):
+        assert str(parse_polynomial_map("-u1 - 2", 1)) == "-2 - 1*u1"
+
+
+@st.composite
+def _polynomial_maps(draw):
+    n = draw(st.integers(1, 3))
+    coeff = st.floats(allow_nan=False, allow_infinity=False)
+    term = st.tuples(st.tuples(*[st.integers(0, 3)] * n), coeff)
+    comps = [Polynomial.from_terms(n, draw(st.lists(term, max_size=5))) for _ in range(n)]
+    return PolynomialMap(n, tuple(comps))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_polynomial_maps())
+def test_str_parses_back_to_the_same_map(P):
+    assert parse_polynomial_map(str(P), P.n) == P

@@ -20,13 +20,16 @@ from burgerslab.spectral import (
     odd_fft_size,
     project,
     sobolev_norm,
+    sobolev_norms,
     sup_norm,
+    sup_norms,
     to_grid,
     to_grid_direct,
     values_to_coeffs,
     values_to_half,
     write_grid_csv,
 )
+from burgerslab import spectral
 from conftest import random_field
 
 
@@ -160,6 +163,89 @@ class TestNorms:
         xs = np.linspace(0.0, 2.0 * np.pi, 100_000, endpoint=False)
         vals = (u.coeffs @ (np.exp(1j * np.outer(u.modes, xs)) / SQRT_2PI)).real
         assert abs(sup_norm(u) - np.max(np.abs(vals))) < 1e-4
+
+
+
+def _random_stack(rng, rows, n, K, decay=1.0):
+    """(rows, n, K+1) half spectra with real mode 0 and |c_k| ~ (1+k)^-decay."""
+    k = np.arange(K + 1)
+    half = (rng.standard_normal((rows, n, K + 1)) + 1j * rng.standard_normal((rows, n, K + 1))) * (1.0 + k) ** -decay
+    half[..., 0] = half[..., 0].real
+    return half
+
+
+def _dense_sup(line):
+    """max_x |f| of one half spectrum: the maximum of an irfft at 32x
+    oversampling, zoomed in three times by direct evaluation on 201 points
+    across the cells next to it (each zoom shrinks the spacing 100-fold)."""
+    K = line.size - 1
+    M = 32 * (2 * K + 1)
+    vals = half_to_values(line[None, :], M)[0]
+    j = int(np.argmax(np.abs(vals)))
+    x, width = 2.0 * np.pi * j / M, 2.0 * np.pi / M
+    c = line * np.where(np.arange(K + 1) > 0, 2.0, 1.0)
+    best = abs(vals[j])
+    for _ in range(3):
+        xs = x + np.linspace(-width, width, 201)
+        f = np.abs((np.exp(1j * np.outer(xs, np.arange(K + 1))) @ c).real / SQRT_2PI)
+        i = int(np.argmax(f))
+        best, x, width = max(best, f[i]), xs[i], width / 100.0
+    return best
+
+
+def _peaked_stack(rng, rows, n, K):
+    """Half spectra with one dominant extremum per component: a Fejer kernel
+    of random sign and height centred at a random x0 (off every grid), plus
+    noise at a tenth of the kernel's coefficients."""
+    k = np.arange(K + 1)
+    x0 = rng.uniform(0.0, 2.0 * np.pi, (rows, n, 1))
+    amp = rng.uniform(0.5, 2.0, (rows, n, 1)) * rng.choice([-1.0, 1.0], (rows, n, 1))
+    return amp * (1.0 - k / (K + 1)) * np.exp(-1j * k * x0) + 0.1 * _random_stack(rng, rows, n, K)
+
+
+class TestStackedNorms:
+    @pytest.mark.parametrize("K", [1, 7, 128, 1024])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_sup_norms_match_dense_oracle(self, rng, K, n):
+        half = _peaked_stack(rng, 6, n, K)
+        oracle = np.array([max(_dense_sup(comp) for comp in row) for row in half])
+        assert np.max(np.abs(sup_norms(half) - oracle) / oracle) < 1e-10
+
+    def test_rows_are_bitwise_their_one_row_calls(self, rng):
+        # more rows than one transform takes, so the stack spans chunks, one
+        # of them ending inside a row
+        K = 64
+        per_transform = spectral._SUP_POINTS // odd_fft_size(4 * (2 * K + 1))
+        assert per_transform % 3
+        half = _random_stack(rng, per_transform // 3 + 3, 3, K)
+        stacked = sup_norms(half)
+        alone = np.concatenate([sup_norms(half[i : i + 1]) for i in range(len(half))])
+        assert stacked.tobytes() == alone.tobytes()
+        sob = sobolev_norms(half, 0.75)
+        assert sob.tobytes() == np.concatenate([sobolev_norms(half[i : i + 1], 0.75) for i in range(len(half))]).tobytes()
+
+    def test_zero_rows_give_exactly_zero(self, rng):
+        half = _random_stack(rng, 5, 1, 16)
+        half[[0, 3]] = 0.0
+        out = sup_norms(half)
+        assert out[0] == 0.0 and out[3] == 0.0
+        assert not np.signbit(out[[0, 3]]).any()
+        assert np.all(out[[1, 2, 4]] > 0.0)
+
+    def test_two_components_take_the_larger(self, rng):
+        half = _random_stack(rng, 4, 2, 32)
+        half[1, 0] *= 10.0  # component 0 dominates row 1
+        out = sup_norms(half)
+        per_comp = [sup_norms(half[:, i : i + 1]) for i in range(2)]
+        assert out.tobytes() == np.maximum(*per_comp).tobytes()
+
+    @pytest.mark.parametrize("s", [-0.75, 0.0, 0.75, 1.5])
+    def test_sobolev_norms_match_the_two_sided_sum(self, rng, s):
+        K = 50
+        half = _random_stack(rng, 5, 2, K)
+        w = (1.0 + np.arange(-K, K + 1) ** 2.0) ** s
+        two_sided = np.array([np.sqrt(np.sum(np.abs(mirror(row)) ** 2 * w)) for row in half])
+        assert np.max(np.abs(sobolev_norms(half, s) - two_sided) / two_sided) < 1e-14
 
 
 class TestInvariants:
