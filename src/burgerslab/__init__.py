@@ -49,13 +49,11 @@ from .noise import (
     CoupledStationaryPair,
     derive_stream,
     sample_stationary_pair,
-    wiener_increment,
 )
 from .integrator import (
     BlowUpError,
     SimConfig,
     TrajectoryRecord,
-    initial_conditions,
     run_coupled,
     simulate,
 )
@@ -106,11 +104,9 @@ __all__ = [
     "CoupledStationaryPair",
     "derive_stream",
     "sample_stationary_pair",
-    "wiener_increment",
     "BlowUpError",
     "SimConfig",
     "TrajectoryRecord",
-    "initial_conditions",
     "run_coupled",
     "simulate",
     "chain_rule_defect",

@@ -26,6 +26,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .correction import (
@@ -81,6 +82,8 @@ class Manifest:
         self.data = {
             "command": command,
             "tool_version": __version__,
+            "numpy_version": np.__version__,
+            "scipy_version": scipy.__version__,
             "seed": seed,
             "config_echo": config_echo,
             "config_sha256": hashlib.sha256(config_echo.encode()).hexdigest(),
@@ -217,7 +220,7 @@ def cmd_converge(args):
             return EXIT_VALIDATION
         eps_list = eps_override or spec.eps_list
         cfg = spec.sim_config(seed=args.seed, lambda_tol=args.tol)
-        lam, _ = resolve_lambda(cfg)
+        lam, lam_result = resolve_lambda(cfg)
     except QuadratureError as err:
         print(f"quadrature did not converge: {err}", file=sys.stderr)
         return EXIT_QUADRATURE
@@ -243,7 +246,14 @@ def cmd_converge(args):
         print(json.dumps(plan, sort_keys=True))
         return EXIT_OK
 
-    manifest = Manifest("converge", args.seed, spec.echo)
+    # how Lambda was obtained, and the scheme's validation report; manifests
+    # are not digested, so this moves no output byte
+    lambda_record = {"lambda_mode": cfg.lambda_mode, "value": lam}
+    if lam_result is not None:
+        lambda_record.update(method=lam_result.method, abs_error_estimate=lam_result.abs_error_estimate)
+    manifest = Manifest(
+        "converge", args.seed, spec.echo, extra={"lambda": lambda_record, "scheme_validation": report.summary()}
+    )
     result = run_coupled(cfg, eps_list, replicates, workers=args.workers)
     manifest.stage("simulation")
 

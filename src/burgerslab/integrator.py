@@ -108,13 +108,17 @@ class SimConfig:
     noise_substeps: int = 1
 
     def __post_init__(self):
-        if self.nu <= 0 or self.dt <= 0 or self.eps <= 0:
-            raise ValueError("nu, dt, eps must be positive")
-        if self.T < self.dt:
-            raise ValueError("horizon shorter than one step")
+        for name in ("nu", "dt", "eps"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        for name in ("n", "K", "sample_every"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if not self.T >= self.dt:
+            raise ValueError(f"horizon T = {self.T} shorter than one step dt = {self.dt}")
         steps = self.T / self.dt
         if abs(steps - round(steps)) > 1e-9:
-            raise ValueError("T/dt must be integral")
+            raise ValueError(f"T/dt must be integral, got T = {self.T}, dt = {self.dt}")
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}")
         if self.F.n != self.n or self.G.n != self.n:
@@ -152,12 +156,6 @@ def resolve_lambda(cfg):
         res = lambda_quadrature(cfg.scheme, cfg.nu, cfg.lambda_tol)
         return res.value, res
     raise ValueError(f"unknown lambda_mode {cfg.lambda_mode!r}")
-
-
-def initial_conditions(cfg, pair):
-    """Matched initial states (discretized, limit) from one coupled pair."""
-    v0 = cfg.v0_field()
-    return v0 + pair.psi_tilde, v0 + pair.psi
 
 
 def _phi1(z):
@@ -218,6 +216,23 @@ class Stepper:
         self.jac_G = jacobian(cfg.G)
         self.G_zero = cfg.G.is_zero()
         self.drift_zero = self.drift.is_zero()
+        n = cfg.n
+        # the nonzero entries (i, j, dG_i/du_j) of the Jacobian, row by row
+        self.jac_terms = [(i, j, self.jac_G[i][j]) for i in range(n) for j in range(n) if self.jac_G[i][j].terms]
+
+        # Scratch, owned by this stepper and overwritten by every step; no
+        # step returns a view of it.  The padded spectrum of the transforms
+        # to the grid (zero above mode K, so only its first K+1 columns are
+        # ever written), the approximate variant's stack of the state and its
+        # D_eps derivative, and the grid arrays that go back to the band.
+        half_width = self.M // 2 + 1
+        if cfg.variant == "approximate":
+            self.padded = np.zeros((2 * n, half_width), dtype=np.complex128)
+            self.stack = np.empty((2 * n, K + 1), dtype=np.complex128)
+            self.grid_out = np.empty((n, self.M))
+        else:
+            self.padded = np.zeros((n, half_width), dtype=np.complex128)
+            self.grid_out = np.empty((2 * n, self.M))  # drift rows, then flux rows
 
     def nonlinearity(self, half):
         """Half spectrum of the drift-plus-flux term for this variant.
@@ -231,23 +246,30 @@ class Stepper:
         if self.drift_zero and self.G_zero:
             return 0.0
         if self.G_zero:
-            return values_to_half(evaluate(self.drift, half_to_values(half, M)), K)
+            grid = half_to_values(half, M, self.padded[:n])
+            return values_to_half(evaluate(self.drift, grid, self.grid_out[:n]), K)
         if cfg.variant == "approximate":
-            both = half_to_values(np.concatenate([half, half * self.d_mult[None, :]]), M)
+            stack = self.stack
+            stack[:n] = half
+            np.multiply(half, self.d_mult, out=stack[n:])
+            both = half_to_values(stack, M, self.padded)
             grid, dgrid = both[:n], both[n:]
-            total = np.zeros((n, M)) if self.drift_zero else evaluate(self.drift, grid)
-            for i in range(n):
-                for j in range(n):
-                    entry = self.jac_G[i][j]
-                    if entry.terms:
-                        total[i] += entry(grid) * dgrid[j]
+            total = self.grid_out
+            if self.drift_zero:
+                total.fill(0.0)
+            else:
+                evaluate(self.drift, grid, total)
+            for i, j, entry in self.jac_terms:
+                total[i] += entry(grid) * dgrid[j]
             return values_to_half(total, K)
-        grid = half_to_values(half, M)
-        flux = evaluate(cfg.G, grid)
+        grid = half_to_values(half, M, self.padded)
         if self.drift_zero:
-            return self.ik[None, :] * values_to_half(flux, K)
-        both = values_to_half(np.concatenate([evaluate(self.drift, grid), flux]), K)
-        return both[:n] + self.ik[None, :] * both[n:]
+            return self.ik * values_to_half(evaluate(cfg.G, grid, self.grid_out[:n]), K)
+        both_grid = self.grid_out
+        evaluate(self.drift, grid, both_grid[:n])
+        evaluate(cfg.G, grid, both_grid[n:])
+        both = values_to_half(both_grid, K)
+        return both[:n] + self.ik * both[n:]
 
     def step_coeffs(self, half, dW_half):
         """One step of the half-spectrum state; None once it is non-finite."""
@@ -255,9 +277,9 @@ class Stepper:
         # the caller turns into BlowUpError, so silence the transient warnings
         with np.errstate(over="ignore", invalid="ignore"):
             N = self.nonlinearity(half)
-            new = self.decay[None, :] * half
-            new += self.phi1_dt[None, :] * N
-            new += self.noise_fac[None, :] * dW_half
+            new = self.decay * half
+            new += self.phi1_dt * N
+            new += self.noise_fac * dW_half
         if not np.isfinite(new).all():
             return None
         return new

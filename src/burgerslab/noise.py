@@ -13,11 +13,15 @@ sequence, so ensembles parallelize without any shared mutable state and
 results cannot depend on thread scheduling.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .spectral import SpectralField, mirror
+
+
+_INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
 def derive_stream(seed, replicate, purpose):
@@ -45,8 +49,10 @@ class ModeGaussianDraw:
 
     @staticmethod
     def sample(K, n, rng):
-        z0 = rng.standard_normal(n)
-        return ModeGaussianDraw(K, n, z0, rng.standard_normal((n, K, 2)))
+        # one call draws the stream of two: the n mode-0 normals, then the
+        # (n, K, 2) pairs, both viewed in the one array
+        z = rng.standard_normal(n + 2 * n * K)
+        return ModeGaussianDraw(K, n, z[:n], z[n:].reshape(n, K, 2))
 
     def half_coeffs(self, sigma):
         """Half spectrum (n, K+1) with mode-k entry sigma[k] * zeta_k, k = 0..K;
@@ -57,18 +63,25 @@ class ModeGaussianDraw:
         and numpy's complex-by-real division scales by the reciprocal, so a
         product with 1/sqrt(2) gives the quotient's bytes wherever the
         product is nonzero.  Modes with sigma[k] == 0, where the signs of the
-        zeros would differ, are divided.
+        zeros would differ, are divided.  A nonzero float sigma takes a short
+        path with the same arithmetic and no zero scan.
         """
+        c = np.empty((self.n, self.K + 1), dtype=np.complex128)
+        zeta = self.zz.view(np.complex128)[..., 0]
+        if isinstance(sigma, float) and sigma != 0.0:
+            c[:, 0] = sigma * self.z0
+            pos = c[:, 1:]
+            np.multiply(zeta, sigma, out=pos)
+            pos *= _INV_SQRT2
+            return c
         sigma = np.asarray(sigma, dtype=float)
         if sigma.ndim and sigma.shape != (self.K + 1,):
             raise ValueError("sigma must be a scalar or have one entry per mode k = 0..K")
         head, tail = (sigma, sigma) if sigma.ndim == 0 else (sigma[0], sigma[1:])
-        c = np.empty((self.n, self.K + 1), dtype=np.complex128)
         c[:, 0] = head * self.z0
-        zeta = self.zz.view(np.complex128)[..., 0]
         pos = c[:, 1:]
         np.multiply(zeta, tail, out=pos)
-        pos *= 1.0 / np.sqrt(2.0)
+        pos *= _INV_SQRT2
         if np.count_nonzero(tail) < tail.size:
             tail = np.broadcast_to(tail, (self.K,))
             zero = np.flatnonzero(tail == 0.0)
@@ -129,32 +142,10 @@ def sample_stationary_pair(scheme, eps, nu, K, rng, n=1):
     return CoupledStationaryPair(psi, psi_tilde, draw)
 
 
-def coupling_l2_distance_sq(scheme, eps, nu, K, n=1):
-    """Exact E||psi_tilde - psi||_{L^2}^2 under the shared-draw coupling.
-
-    Equals sum over two-sided modes and components of (sigma_tilde - sigma)^2.
-    """
-    s = stationary_sigmas(K, nu)
-    st = discrete_sigmas(scheme, eps, nu, K)
-    d2 = (st - s) ** 2
-    return float(n * (d2[0] + 2.0 * np.sum(d2[1:])))
-
-
 def wiener_increment_coeffs(K, n, dt, rng):
     """Half spectrum (n, K+1), modes 0..K, of one Wiener increment (single
     source of the draw order, so coupled runs that re-derive the stream stay
     in lockstep)."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    draw = ModeGaussianDraw.sample(K, n, rng)
-    return draw.half_coeffs(np.sqrt(dt))
-
-
-def wiener_increment(K, n, dt, rng):
-    """One cylindrical-Wiener increment over a step dt, as a spectral field.
-
-    Per component, E|increment_k|^2 = dt for every mode; modes k and -k are
-    conjugate.  The same object is meant to be consumed by every coupled run
-    within a step (the discretized run filters it afterwards).
-    """
-    return SpectralField(K, n, mirror(wiener_increment_coeffs(K, n, dt, rng)))
+    return ModeGaussianDraw.sample(K, n, rng).half_coeffs(math.sqrt(dt))

@@ -9,7 +9,7 @@ truncate, so the result is the exact product on the band.
 """
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,6 +22,13 @@ class Polynomial:
 
     nvars: int
     terms: tuple  # ((exponents, coeff), ...), canonically sorted, no zero coeffs
+    # per term, in term order: (coeff, ((variable, power), ...)) over the
+    # nonzero powers; built once here, walked by every __call__
+    plan: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        plan = tuple((coeff, tuple((j, e) for j, e in enumerate(expo) if e)) for expo, coeff in self.terms)
+        object.__setattr__(self, "plan", plan)
 
     @staticmethod
     def from_terms(nvars, terms):
@@ -48,17 +55,17 @@ class Polynomial:
 
     def __call__(self, v):
         """Evaluate at v of shape (nvars,) or (nvars, M); returns scalar or (M,)."""
-        v = np.asarray(v, dtype=float)
-        shape = v.shape[1:] if v.ndim > 1 else ()
+        if type(v) is not np.ndarray or v.dtype != np.float64:
+            v = np.asarray(v, dtype=float)
+        shape = v.shape[1:]
         out = None
-        for expo, coeff in self.terms:
+        for coeff, factors in self.plan:
             term = coeff
-            for j, e in enumerate(expo):
-                if e:
-                    term = term * (v[j] if e == 1 else v[j] ** e)
+            for j, e in factors:
+                term = term * (v[j] if e == 1 else v[j] ** e)
             if out is not None:
                 out += term
-            elif not any(expo):
+            elif not factors:
                 out = np.full(shape, coeff) if shape else np.float64(coeff)
             else:
                 term += 0.0  # the sum starts from +0.0: a lone -0.0 term gives 0.0
@@ -142,12 +149,19 @@ class PolynomialMap:
         return "; ".join(str(p) for p in self.components)
 
 
-def evaluate(P, v):
-    """Componentwise evaluation; v of shape (n,) or (n, M)."""
-    v = np.asarray(v, dtype=float)
+def evaluate(P, v, out=None):
+    """Componentwise evaluation; v of shape (n,) or (n, M).  Component i is
+    written to row i of ``out`` (a new (n,) + v.shape[1:] array when None),
+    which is returned."""
+    if type(v) is not np.ndarray or v.dtype != np.float64:
+        v = np.asarray(v, dtype=float)
     if v.shape[0] != P.n:
         raise ValueError(f"expected {P.n} components, got {v.shape[0]}")
-    return np.stack([p(v) for p in P.components])
+    if out is None:
+        out = np.empty((P.n,) + v.shape[1:])
+    for i, p in enumerate(P.components):
+        out[i] = p(v)
+    return out
 
 
 def jacobian(P):

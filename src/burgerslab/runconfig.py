@@ -11,10 +11,10 @@ A run config has four sections of key = value lines:
     [time]     dt, T, sample_every, noise_substeps
     [output]   prefix
 
-K, dt and T are required.  A key outside these lists is rejected by name
-rather than ignored.  Everything is inspectable text; the parsed object
-echoes its source exactly, and a content hash of that echo rides along in
-every output sidecar.
+K, dt and T are required.  A key outside these lists, in any section, is
+rejected by name rather than ignored.  Everything is inspectable text; the
+parsed object echoes its source exactly, and a content hash of that echo
+rides along in every output sidecar.
 """
 
 import configparser
@@ -93,6 +93,9 @@ class RunSpec:
         m, t = self.model, self.time
         n = int(m.get("n", 1))
         K = int(m["K"])
+        for name, value in (("n", n), ("K", K)):
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
         lam_mode = m.get("lambda_mode", "closed_form")
         lam_value = None
         if lam_mode.startswith("explicit:"):
@@ -150,6 +153,8 @@ def load_run_config(path):
 
     scheme_section = dict(parser["scheme"])
     if "file" in scheme_section:
+        if len(scheme_section) > 1:
+            raise ValueError(f"{path}: [scheme] takes a file or the scheme keys, not both: {sorted(scheme_section)}")
         scheme = load_scheme_file(scheme_section["file"])
     else:
         scheme = scheme_from_mapping(scheme_section)

@@ -441,6 +441,9 @@ def scheme_from_mapping(entries):
     missing = required - set(entries)
     if missing:
         raise ValueError(f"scheme description missing keys: {sorted(missing)}")
+    unknown = set(entries) - required
+    if unknown:
+        raise ValueError(f"scheme description has unknown key(s) {sorted(unknown)}")
     fspec = entries["f"].strip()
     hspec = entries["h"].strip()
 

@@ -247,13 +247,17 @@ def mirror(half):
     return np.concatenate([np.conj(half[:, :0:-1]), half], axis=1)
 
 
-def half_to_values(half, M):
+def half_to_values(half, M, buf=None):
     """Point values on M >= 2K+1 points of a real field given by its half
     spectrum: the (n, K+1) coefficients of modes 0..K, the negative modes
     being their conjugates.  Reality holds by construction; Im of mode 0 is
-    ignored, so the caller vouches for it."""
+    ignored, so the caller vouches for it.
+
+    ``buf`` is an optional caller-owned (n, M//2+1) complex array, zero above
+    mode K, that holds the scaled spectrum; a new one is made when None."""
     n, width = half.shape
-    buf = np.zeros((n, M // 2 + 1), dtype=np.complex128)
+    if buf is None:
+        buf = np.zeros((n, M // 2 + 1), dtype=np.complex128)
     np.multiply(half, M / SQRT_2PI, out=buf[:, :width])
     return np.fft.irfft(buf, n=M, axis=1)
 
@@ -276,17 +280,6 @@ def to_grid(u, M):
     if M % 2 == 0 or M < 2 * u.K + 1:
         raise ResolutionError(f"need odd M >= 2K+1 = {2 * u.K + 1}, got M = {M}")
     return GridField(M, evaluate_on_grid(u, M))
-
-
-def to_grid_direct(u, M):
-    """Direct O(K*M) evaluation; reference path and oracle for ``to_grid``."""
-    M = int(M)
-    if M % 2 == 0 or M < 2 * u.K + 1:
-        raise ResolutionError(f"need odd M >= 2K+1 = {2 * u.K + 1}, got M = {M}")
-    x = 2.0 * np.pi * np.arange(M) / M
-    phases = np.exp(1j * np.outer(u.modes, x)) / SQRT_2PI
-    vals = u.coeffs @ phases
-    return GridField(M, vals.real)
 
 
 def from_grid(g, K):
@@ -331,13 +324,6 @@ def sobolev_norms(half, s):
     w[1:] *= 2.0
     power = half.real**2 + half.imag**2
     return np.sqrt(np.sum((power * w).reshape(rows, n * width), axis=1))
-
-
-def l2_inner(u, v):
-    """L^2 pairing of two real fields, sum_k conj(u_k) . v_k (real)."""
-    if u.K != v.K or u.n != v.n:
-        raise ValueError("field shape mismatch")
-    return float(np.sum(np.conj(u.coeffs) * v.coeffs).real)
 
 
 def sup_norm(u):
@@ -423,17 +409,3 @@ def embed(u, K):
     c = np.zeros((u.n, 2 * K + 1), dtype=np.complex128)
     c[:, K - u.K : K + u.K + 1] = u.coeffs
     return SpectralField(K, u.n, c)
-
-
-# -- field dump --------------------------------------------------------------
-
-
-def write_grid_csv(g, path):
-    """Dump a grid field as CSV: header x,comp0[,comp1,...], 17 significant digits."""
-    header = "x," + ",".join(f"comp{i}" for i in range(g.n))
-    x = g.x
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for j in range(g.M):
-            row = [f"{x[j]:.17g}"] + [f"{g.values[i, j]:.17g}" for i in range(g.n)]
-            fh.write(",".join(row) + "\n")

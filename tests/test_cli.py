@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -141,6 +142,26 @@ class TestConvergeCommand:
         }
         assert all(len(d) == 64 for d in manifest["outputs"].values())
         assert "simulation" in manifest["wall_clock_seconds"]
+
+    @pytest.mark.parametrize("mode", ["closed_form", "quadrature", "zero"])
+    def test_manifest_records_lambda_and_validation(self, tmp_path, run_config, mode):
+        cfg = tmp_path / "mode.cfg"
+        cfg.write_text(run_config.read_text().replace("closed_form", mode))
+        out = tmp_path / "m"
+        assert main(["converge", "--config", str(cfg), "--out", str(out), "--seed", "1"]) == EXIT_OK
+        manifest = json.loads((out / "demo_manifest.json").read_text())
+        summary = json.loads((out / "demo_summary.json").read_text())
+        record = manifest["lambda"]
+        assert record["lambda_mode"] == mode and record["value"] == summary["lambda"]
+        if mode == "zero":
+            assert set(record) == {"lambda_mode", "value"}
+        else:
+            assert record["method"] == mode and record["abs_error_estimate"] >= 0.0
+        assert manifest["scheme_validation"].startswith("validation of scheme 'forward':")
+        assert "FAIL" not in manifest["scheme_validation"]
+        assert manifest["numpy_version"] == np.__version__ and manifest["scipy_version"]
+        for name, digest in manifest["outputs"].items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
     def test_dry_run_validates_without_outputs(self, tmp_path, run_config, capsys):
         out = tmp_path / "dry"

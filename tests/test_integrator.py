@@ -10,7 +10,6 @@ from burgerslab.integrator import (
     EnsembleResult,
     SimConfig,
     Stepper,
-    initial_conditions,
     resolve_lambda,
     run_coupled,
     sample_steps,
@@ -75,26 +74,6 @@ class TestConfig:
         assert abs(resolve_lambda(make_cfg(lambda_mode="closed_form"))[0] - 0.25) < 1e-12
         quad = resolve_lambda(make_cfg(lambda_mode="quadrature"))[0]
         assert abs(quad - 0.25) < 1e-8
-
-
-class TestInitialConditions:
-    def test_identity_scheme_matches_exactly(self):
-        cfg = make_cfg()
-        pair = sample_stationary_pair(
-            cfg.scheme, cfg.eps, cfg.nu, cfg.K, derive_stream(1, 0, "ic")
-        )
-        u_eps0, u_bar0 = initial_conditions(cfg, pair)
-        assert np.array_equal(u_eps0.coeffs, u_bar0.coeffs)
-
-    def test_zero_profile_gives_pair_difference(self):
-        cfg = make_cfg(scheme=finite_difference_scheme(1, 0), lambda_mode="quadrature")
-        pair = sample_stationary_pair(
-            cfg.scheme, cfg.eps, cfg.nu, cfg.K, derive_stream(1, 1, "ic")
-        )
-        u_eps0, u_bar0 = initial_conditions(cfg, pair)
-        diff = u_eps0 - u_bar0
-        want = pair.psi_tilde - pair.psi
-        assert np.max(np.abs(diff.coeffs - want.coeffs)) < 1e-15
 
 
 class TestStep:
@@ -219,6 +198,40 @@ class TestStackedNonlinearity:
         ref = separate_transforms_nonlinearity(stepper, half)
         assert np.max(np.abs(ref)) > 0.1
         assert np.max(np.abs(got - ref)) < 1e-12
+
+
+class TestStepperBuffers:
+    """The stepper owns its scratch arrays; one stepper shared by two runs
+    must step each of them as a stepper of its own would, and what a step
+    returns must survive the later steps."""
+
+    MAPS = [(n, F, G) for (n, _), (F, G) in TestStackedNonlinearity.MAPS.items()] + [
+        (1, "-u1 + 0.3*u1^3", "0"),
+        (2, "-u1; 0.2 - u2^2", "0; 0"),
+    ]
+
+    @pytest.mark.parametrize("variant", ["approximate", "limit_corrected", "limit_uncorrected"])
+    @pytest.mark.parametrize("n, F, G", MAPS)
+    def test_shared_stepper_matches_fresh_ones(self, rng, variant, n, F, G):
+        cfg = make_cfg(n=n, K=20, eps=0.25, scheme=finite_difference_scheme(1, 0),
+                       F=parse_polynomial_map(F, n), G=parse_polynomial_map(G, n),
+                       lambda_mode="quadrature", variant=variant)
+        shared = Stepper(cfg, 0.3)
+        fresh = [Stepper(cfg, 0.3), Stepper(cfg, 0.3)]
+        states = [random_field(rng, cfg.K, n=n, decay=1.5).coeffs[:, cfg.K :].copy() for _ in range(2)]
+        refs = [c.copy() for c in states]
+        w = derive_stream(5, 0, "wiener")
+        kept = []  # every array returned, with its bytes when it was returned
+        for _ in range(4):
+            for r in range(2):
+                dW = wiener_increment_coeffs(cfg.K, n, cfg.dt, w)
+                N = shared.nonlinearity(states[r])
+                kept.append((N, N.tobytes()))
+                states[r] = shared.step_coeffs(states[r], dW)
+                refs[r] = fresh[r].step_coeffs(refs[r], dW)
+                kept.append((states[r], states[r].tobytes()))
+                assert states[r].tobytes() == refs[r].tobytes()
+        assert all(arr.tobytes() == before for arr, before in kept)
 
 
 class TestAliasFreeNonlinearity:
@@ -482,7 +495,7 @@ class TestSolutionRoughness:
             pair = sample_stationary_pair(
                 cfg.scheme, cfg.eps, cfg.nu, cfg.K, derive_stream(cfg.seed, rep, "ic")
             )
-            _, u_bar0 = initial_conditions(cfg, pair)
+            u_bar0 = cfg.v0_field() + pair.psi
             rng = derive_stream(cfg.seed, rep, "wiener")
             times, snaps = simulate(cfg, 0.25, u_bar0, rng)
             vals = [

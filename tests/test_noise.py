@@ -3,12 +3,10 @@ import pytest
 
 from burgerslab.noise import (
     ModeGaussianDraw,
-    coupling_l2_distance_sq,
     derive_stream,
     discrete_sigmas,
     sample_stationary_pair,
     stationary_sigmas,
-    wiener_increment,
     wiener_increment_coeffs,
 )
 from burgerslab.schemes import (
@@ -17,7 +15,19 @@ from burgerslab.schemes import (
     galerkin_scheme,
     identity_scheme,
 )
-from burgerslab.spectral import sobolev_norm, sup_norm
+from burgerslab.spectral import SpectralField, mirror, sobolev_norm, sup_norm
+
+
+def coupling_l2_distance_sq(scheme, eps, nu, K, n=1):
+    """Exact E||psi_tilde - psi||_{L^2}^2 under the shared-draw coupling:
+    the sum over two-sided modes and components of (sigma_tilde - sigma)^2."""
+    d2 = (discrete_sigmas(scheme, eps, nu, K) - stationary_sigmas(K, nu)) ** 2
+    return float(n * (d2[0] + 2.0 * np.sum(d2[1:])))
+
+
+def wiener_increment(K, n, dt, rng):
+    """One Wiener increment as a two-sided field."""
+    return SpectralField(K, n, mirror(wiener_increment_coeffs(K, n, dt, rng)))
 
 
 class TestDeriveStream:
@@ -136,16 +146,6 @@ class TestWienerIncrement:
         se = np.std(vals, ddof=1) / np.sqrt(nsamp)
         assert abs(np.mean(vals) - dt) < 5.0 * se
 
-    def test_conjugate_symmetry_exact(self):
-        w = wiener_increment(10, 2, 0.05, derive_stream(9, 1, "w"))
-        assert np.array_equal(w.coeffs, np.conj(w.coeffs[:, ::-1]))
-
-    def test_coeffs_are_the_half_spectrum_of_the_field(self):
-        half = wiener_increment_coeffs(10, 2, 0.05, derive_stream(9, 3, "w"))
-        w = wiener_increment(10, 2, 0.05, derive_stream(9, 3, "w"))
-        assert half.shape == (2, 11)
-        assert np.array_equal(w.coeffs[:, 10:], half)
-
     def test_galerkin_filter_zeroes_high_modes(self):
         w = wiener_increment(16, 1, 0.05, derive_stream(9, 2, "w"))
         filtered = apply_Q_eps(galerkin_scheme(1, 0), w, eps=0.5)  # cut at |k| >= 2pi
@@ -176,6 +176,21 @@ def test_half_coeffs_bytes_match_the_complex_expression(n, K):
         expected[:, 0] = sigma[0] * draw.z0
         expected[:, 1:] = sigma[1:] * (zre + 1j * zim) / np.sqrt(2.0)
         assert draw.half_coeffs(sigma).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("K", [1, 7, 1024])
+def test_one_call_sample_bytes_match_the_two_call_draw(n, K):
+    # the mode-0 normals, then the (n, K, 2) pairs, drawn by two calls
+    got = ModeGaussianDraw.sample(K, n, derive_stream(n, K, "one-call"))
+    rng = derive_stream(n, K, "one-call")
+    z0 = rng.standard_normal(n)
+    zz = rng.standard_normal((n, K, 2))
+    assert got.z0.shape == (n,) and got.zz.shape == (n, K, 2) and got.zz.flags.c_contiguous
+    assert got.z0.tobytes() == z0.tobytes() and got.zz.tobytes() == zz.tobytes()
+    sigma = stationary_sigmas(K, 1.0)
+    want = ModeGaussianDraw(K, n, z0, zz).half_coeffs(sigma)
+    assert got.half_coeffs(sigma).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

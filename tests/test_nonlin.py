@@ -73,6 +73,19 @@ class TestEvaluate:
                 assert np.array_equal(np.signbit(got), np.signbit(want)) and np.array_equal(got, want)
 
 
+    @pytest.mark.parametrize(
+        "text", ["0; -0.25", "0.5*u1^2; -u1 + 0.3*u1^3", "u1*u2^2 - 2; -u2", "3*u1^4*u2 + u1 - 1; u2"]
+    )
+    def test_out_rows_bitwise_equal_to_a_new_array(self, rng, text):
+        P = parse_polynomial_map(text, 2)
+        for v in (rng.standard_normal((2, 33)), np.zeros((2, 5)), -np.zeros((2, 5)), rng.standard_normal(2)):
+            want = evaluate(P, v)
+            buf = np.full((2,) + v.shape[1:], np.nan)
+            got = evaluate(P, v, out=buf)
+            assert got is buf
+            assert np.array_equal(np.signbit(got), np.signbit(want)) and np.array_equal(got, want)
+
+
 class TestJacobian:
     def test_burgers_gradient(self):
         jac = jacobian(burgers_flux())

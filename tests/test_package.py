@@ -2,6 +2,7 @@ import sys
 from pathlib import Path
 
 import burgerslab
+from burgerslab.cli import main
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -12,14 +13,19 @@ def test_every_exported_name_resolves():
         assert getattr(burgerslab, name) is not None, name
 
 
-def test_benchmark_patch_targets_exist_and_are_restored():
-    # perfbench/spans.py wraps functions under every module name their
-    # callers look them up by; a name that a refactor drops fails here
+def import_spans():
     sys.path.insert(0, str(PERFBENCH))
     try:
         import spans
     finally:
         sys.path.remove(str(PERFBENCH))
+    return spans
+
+
+def test_benchmark_patch_targets_exist_and_are_restored():
+    # perfbench/spans.py wraps functions under every module name their
+    # callers look them up by; a name that a refactor drops fails here
+    spans = import_spans()
     tracer = spans.Tracer()
     try:
         spans.instrument(tracer)
@@ -31,3 +37,36 @@ def test_benchmark_patch_targets_exist_and_are_restored():
         tracer.uninstall()
     for owner, attr, original in patched:
         assert owner.__dict__[attr] is original, f"{owner.__name__}.{attr}"
+
+
+def test_traced_converge_call_counts_follow_the_closed_forms(tmp_path):
+    # the benchmark's traced run checks these counts on its own configs; a
+    # change that adds or drops a call per run, step or draw fails here first
+    R, E, steps, s = 2, 2, 10, 2
+    config = tmp_path / "run.cfg"
+    config.write_text(
+        "[scheme]\nname = fd\nf = finite_difference\nh = indicator_pi\nmu = (1,1);(0,-1)\nq = 0.4\n\n"
+        "[model]\nnu = 1\nn = 2\nK = 16\nF = -u1; -u2\nG = 0.5*u1^2 + 0.5*u2^2; u1*u2\n"
+        f"lambda_mode = closed_form\nv0 = sin:1\neps = 0.25,0.125\nreplicates = {R}\n\n"
+        f"[time]\ndt = 1e-3\nT = {steps * 1e-3!r}\nsample_every = 5\nnoise_substeps = {s}\n"
+    )
+    spans = import_spans()
+    tracer = spans.Tracer()
+    spans.instrument(tracer)
+    try:
+        with tracer.round():
+            code = main(["converge", "--config", str(config), "--out", str(tmp_path / "out"), "--seed", "4"])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    calls = {name: count for name, (count, _) in tracer.per_round()[0]["spans"].items()}
+    want = {
+        "integrator.step_coeffs": R * (2 + E) * steps,
+        "integrator.nonlinearity.approximate": R * E * steps,
+        "integrator.nonlinearity.limit": 2 * R * steps,
+        "integrator.Stepper": R * (2 + E),
+        "integrator.simulate": R * (2 + E),
+        "noise.wiener_increment_coeffs": R * (2 + E) * steps * s,
+        "noise.ModeGaussianDraw.sample": R * (2 + E) * steps * s + R * (1 + E),
+    }
+    assert {name: calls.get(name, 0) for name in want} == want

@@ -1,6 +1,15 @@
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from burgerslab.cli import EXIT_OK, EXIT_VALIDATION, main
 from burgerslab.runconfig import load_run_config, parse_v0
 from burgerslab.spectral import evaluate_on_grid
 
@@ -81,3 +90,149 @@ def test_missing_section_rejected(tmp_path):
     path.write_text("[scheme]\nname = s\nf = identity\nh = one\nmu = (1,1);(0,-1)\nq = 1\n")
     with pytest.raises(ValueError, match="model"):
         load_run_config(path)
+
+
+# -- generated run configs through ``converge --dry-run`` ------------------------
+
+# few derandomized examples, so the suite's time and outcome stay fixed
+_PROPERTY = settings(max_examples=30, deadline=None, derandomize=True, database=None)
+_SCHEME = {"name": "forward", "f": "identity", "h": "one", "mu": "(1,1);(0,-1)", "q": "1"}
+_ALLOWED = {
+    "scheme": set(_SCHEME) | {"file"},
+    "model": {"nu", "n", "K", "F", "G", "lambda_mode", "v0", "alpha", "eps", "replicates"},
+    "time": {"dt", "T", "sample_every", "noise_substeps"},
+    "output": {"prefix"},
+}
+_FLUX = {1: ("0", "0.5*u1^2"), 2: ("0; 0", "0.5*u1^2 + 0.5*u2^2; u1*u2")}
+
+
+@st.composite
+def run_configs(draw):
+    """A valid run config as {section: {key: text}}, with the eps ladder and
+    step count it must echo."""
+    n = draw(st.sampled_from([1, 2]))
+    K = draw(st.integers(1, 64))
+    dt = draw(st.sampled_from([1e-4, 2.5e-4, 5e-4, 1e-3, 0.01, 0.1]))
+    steps = draw(st.integers(1, 500))
+    eps = draw(st.lists(st.floats(1e-3, 0.9), min_size=1, max_size=4))
+    amp = draw(st.floats(-4.0, 4.0))
+    comp = draw(st.integers(1, n))
+    v0 = draw(st.sampled_from(["zero", f"sin:{amp!r}", f"sin:{amp!r}:{comp}"]))
+    F, G = _FLUX[n]
+    sections = {
+        "scheme": dict(_SCHEME),
+        "model": {"nu": repr(draw(st.floats(0.05, 20.0))), "n": str(n), "K": str(K), "F": F, "G": G,
+                  "lambda_mode": draw(st.sampled_from(["closed_form", "zero"])), "v0": v0,
+                  "eps": ",".join(repr(e) for e in eps), "replicates": str(draw(st.integers(2, 64)))},
+        "time": {"dt": repr(dt), "T": repr(steps * dt), "sample_every": str(draw(st.integers(1, 50))),
+                 "noise_substeps": str(draw(st.integers(1, 4)))},
+        "output": {"prefix": "run"},
+    }
+    return sections, eps, steps
+
+
+def _render(sections):
+    return "\n".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()) for name, keys in sections.items())
+
+
+def _dry_run(workdir, sections):
+    """Write the config and run ``converge --dry-run`` on it: (exit code,
+    stdout, stderr, output directory)."""
+    workdir = Path(workdir)
+    config = workdir / "run.cfg"
+    config.write_text(_render(sections))
+    out = workdir / "out"
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(["converge", "--config", str(config), "--out", str(out), "--dry-run"])
+    return code, stdout.getvalue(), stderr.getvalue(), out
+
+
+@_PROPERTY
+@given(run_configs())
+def test_generated_valid_configs_pass_the_dry_run(case):
+    sections, eps, steps = case
+    with tempfile.TemporaryDirectory() as work:
+        code, stdout, stderr, out = _dry_run(work, sections)
+        assert code == EXIT_OK, stderr
+        plan = json.loads(stdout)
+        assert plan["eps"] == eps and plan["steps"] == steps
+        assert plan["replicates"] == int(sections["model"]["replicates"])
+        assert not any(out.iterdir())
+
+
+def _assert_rejected(code, stderr, out, reason):
+    assert code == EXIT_VALIDATION
+    assert reason in stderr
+    assert not out.exists()
+
+
+_KEY = st.from_regex(r"[a-z][a-z0-9_]{0,10}", fullmatch=True)
+
+
+@_PROPERTY
+@given(run_configs(), st.data())
+def test_generated_unknown_keys_exit_2(case, data):
+    sections = case[0]
+    section = data.draw(st.sampled_from(sorted(_ALLOWED)), label="section")
+    key = data.draw(_KEY.filter(lambda k: k not in _ALLOWED[section]), label="key")
+    sections[section][key] = "1"
+    with tempfile.TemporaryDirectory() as work:
+        code, _, stderr, out = _dry_run(work, sections)
+        _assert_rejected(code, stderr, out, key)
+
+
+_POSITIVE = [("model", "nu"), ("model", "n"), ("model", "K"), ("model", "replicates"), ("model", "eps"),
+             ("time", "dt"), ("time", "T"), ("time", "sample_every"), ("time", "noise_substeps")]
+_INTEGRAL = {"n", "K", "replicates", "sample_every", "noise_substeps"}
+
+
+@_PROPERTY
+@given(run_configs(), st.sampled_from(_POSITIVE), st.data())
+def test_generated_non_positive_numbers_exit_2(case, where, data):
+    sections = case[0]
+    section, key = where
+    if key in _INTEGRAL:
+        bad = str(data.draw(st.integers(-5, 0), label=key))
+    else:
+        bad = repr(data.draw(st.one_of(st.just(-0.0), st.floats(-1e3, 0.0)), label=key))
+    if key == "eps":
+        ladder = sections[section][key].split(",")
+        ladder.insert(data.draw(st.integers(0, len(ladder)), label="position"), bad)
+        bad = ",".join(ladder)
+    sections[section][key] = bad
+    with tempfile.TemporaryDirectory() as work:
+        code, _, stderr, out = _dry_run(work, sections)
+        _assert_rejected(code, stderr, out, key)
+
+
+@st.composite
+def bad_mode_rows(draw, K, n):
+    """A row of a modes: file that parse_v0 must refuse."""
+    k, comp = draw(st.integers(1, K)), draw(st.integers(1, n))
+    return draw(st.sampled_from([
+        f"{k},{comp},0.5",  # three fields
+        f"{k},{comp},0.5,0.0,1.0",  # five fields
+        f"{k},{comp},half,0.0",  # not a number
+        f"{k}.5,{comp},0.5,0.0",  # fractional mode
+        f"{k},{draw(st.sampled_from([0, n + 1]))},0.5,0.0",  # no such component
+        f"{draw(st.sampled_from([-1, 1])) * (K + draw(st.integers(1, 9)))},{comp},0.5,0.0",  # outside the band
+    ]))
+
+
+@_PROPERTY
+@given(run_configs(), st.data())
+def test_generated_bad_modes_rows_exit_2_with_file_and_line(case, data):
+    sections = case[0]
+    K, n = int(sections["model"]["K"]), int(sections["model"]["n"])
+    good = st.builds(lambda k, c, re, im: f"{k},{c},{re!r},{im!r}", st.integers(1, K), st.integers(1, n),
+                     st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+    lines = ["k,comp,re,im"] + data.draw(st.lists(st.one_of(good, st.just(""), st.just("# note")), max_size=6))
+    where = data.draw(st.integers(1, len(lines)), label="bad row index")
+    lines.insert(where, data.draw(bad_mode_rows(K, n), label="bad row"))
+    with tempfile.TemporaryDirectory() as work:
+        modes = Path(work) / "modes.csv"
+        modes.write_text("\n".join(lines) + "\n")
+        sections["model"]["v0"] = f"modes:{modes}"
+        code, _, stderr, out = _dry_run(work, sections)
+        _assert_rejected(code, stderr, out, f"{modes}:{where + 1}:")

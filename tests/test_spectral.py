@@ -15,7 +15,6 @@ from burgerslab.spectral import (
     evaluate_on_grid,
     from_grid,
     half_to_values,
-    l2_inner,
     mirror,
     odd_fft_size,
     project,
@@ -24,13 +23,26 @@ from burgerslab.spectral import (
     sup_norm,
     sup_norms,
     to_grid,
-    to_grid_direct,
     values_to_coeffs,
     values_to_half,
-    write_grid_csv,
 )
 from burgerslab import spectral
 from conftest import random_field
+
+
+def to_grid_direct(u, M):
+    """Direct O(K*M) evaluation on an odd grid M >= 2K+1; oracle for ``to_grid``."""
+    M = int(M)
+    if M % 2 == 0 or M < 2 * u.K + 1:
+        raise ResolutionError(f"need odd M >= 2K+1 = {2 * u.K + 1}, got M = {M}")
+    x = 2.0 * np.pi * np.arange(M) / M
+    phases = np.exp(1j * np.outer(u.modes, x)) / SQRT_2PI
+    return GridField(M, (u.coeffs @ phases).real)
+
+
+def l2_inner(u, v):
+    """L^2 pairing of two real fields, sum_k conj(u_k) . v_k (real)."""
+    return float(np.sum(np.conj(u.coeffs) * v.coeffs).real)
 
 
 class TestToGrid:
@@ -351,6 +363,16 @@ class TestHalfSpectrum:
         u = random_field(rng, K=17, n=2)
         assert np.array_equal(half_to_values(u.coeffs[:, 17:], M), coeffs_to_values(u.coeffs, M))
 
+    @pytest.mark.parametrize("K, M, n", [(17, 35, 2), (17, 36, 1), (17, 105, 3), (0, 1, 1)])
+    def test_half_to_values_with_a_buffer_is_bitwise_equal(self, rng, K, M, n):
+        half = random_field(rng, K=K, n=n).coeffs[:, K:]
+        buf = np.zeros((n, M // 2 + 1), dtype=np.complex128)
+        for _ in range(2):  # a reused buffer as well as a fresh one
+            got = half_to_values(half, M, buf)
+            assert got.tobytes() == half_to_values(half, M).tobytes()
+            assert not np.shares_memory(got, buf)
+            half = half * 0.5
+
     def test_values_to_half_is_the_nonnegative_half(self, rng):
         vals = rng.standard_normal((2, 41))
         half = values_to_half(vals, 17)
@@ -388,15 +410,3 @@ def test_half_spectrum_round_trip(case):
     scale = float(np.max(np.abs(half), initial=0.0))
     assert back.shape == (half.shape[0], 2 * K + 1)
     assert np.max(np.abs(back - mirror(half))) <= 1e-13 * scale
-
-
-def test_grid_csv_dump(tmp_path, rng):
-    u = random_field(rng, K=4, n=2)
-    g = to_grid(u, 9)
-    path = tmp_path / "field.csv"
-    write_grid_csv(g, path)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "x,comp0,comp1"
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    assert data.shape == (9, 3)
-    assert np.max(np.abs(data[:, 1:].T - g.values)) == 0.0
