@@ -20,12 +20,11 @@ from burgerslab import (
     sup_norm,
     to_grid,
 )
-from burgerslab.spectral import GridField
 
 print("== a field from grid samples ==")
 M = 33
 x = 2.0 * np.pi * np.arange(M) / M
-u = from_grid(GridField(M, (np.sin(x) + 0.3 * np.cos(3 * x))[None, :]), K=8)
+u = from_grid((np.sin(x) + 0.3 * np.cos(3 * x))[None, :], K=8)
 print(f"mode +1 coefficient: {u.mode(1)[0]:.6f}  (sin contributes -i sqrt(pi/2))")
 print(f"L2 norm {sobolev_norm(u, 0.0):.6f}, H^0.75 norm {sobolev_norm(u, 0.75):.6f}, "
       f"sup {sup_norm(u):.6f}")

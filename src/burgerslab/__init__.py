@@ -5,7 +5,6 @@ asymmetric derivative discretizations."""
 __version__ = "0.1.0"
 
 from .spectral import (
-    GridField,
     SpectralField,
     band_project,
     from_grid,
@@ -68,7 +67,6 @@ from .estimators import (
 )
 
 __all__ = [
-    "GridField",
     "SpectralField",
     "band_project",
     "from_grid",

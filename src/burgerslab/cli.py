@@ -23,6 +23,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -205,8 +206,8 @@ def _summary_line(row):
 
 
 def cmd_converge(args):
-    # read every input and resolve Lambda (run_coupled repeats it, which is
-    # cheap) before anything is written
+    # read every input and resolve Lambda before anything is written; the
+    # run takes the resolved value, so Lambda is computed once
     _require(
         args.replicates is None or args.replicates >= 2,
         f"--replicates must be at least 2 (for a standard error), got {args.replicates}",
@@ -229,10 +230,6 @@ def cmd_converge(args):
         return EXIT_VALIDATION
     replicates = spec.replicates if args.replicates is None else args.replicates
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    prefix = out / spec.output_prefix
-
     if args.dry_run:
         plan = {
             "dry_run": True,
@@ -246,6 +243,10 @@ def cmd_converge(args):
         print(json.dumps(plan, sort_keys=True))
         return EXIT_OK
 
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    prefix = out / spec.output_prefix
+
     # how Lambda was obtained, and the scheme's validation report; manifests
     # are not digested, so this moves no output byte
     lambda_record = {"lambda_mode": cfg.lambda_mode, "value": lam}
@@ -254,7 +255,8 @@ def cmd_converge(args):
     manifest = Manifest(
         "converge", args.seed, spec.echo, extra={"lambda": lambda_record, "scheme_validation": report.summary()}
     )
-    result = run_coupled(cfg, eps_list, replicates, workers=args.workers)
+    resolved = replace(cfg, lambda_mode="explicit", lambda_value=lam)
+    result = run_coupled(resolved, eps_list, replicates, workers=args.workers)
     manifest.stage("simulation")
 
     outputs = []

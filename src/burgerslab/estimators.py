@@ -14,15 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import spectral
 from .nonlin import alias_free_grid_size, hessian
-from .spectral import (
-    GridField,
-    SQRT_2PI,
-    SpectralField,
-    evaluate_on_grid,
-    from_grid,
-    sobolev_norm,
-)
+from .spectral import SQRT_2PI, SpectralField, from_grid, sobolev_norm, to_grid
 from .schemes import shift_minus
 
 
@@ -78,10 +72,10 @@ def _xi_entries(u, atoms, eps):
     for y, w in atoms:
         if w == 0.0 or y == 0.0:
             continue
-        d = evaluate_on_grid(shift_minus(u, eps * y), M)
+        d = to_grid(shift_minus(u, eps * y), M)
         acc += (w / (2.0 * eps)) * d[:, None, :] * d[None, :, :]
     return tuple(
-        tuple(from_grid(GridField(M, acc[i, j][None, :]), u.K) for j in range(u.n))
+        tuple(from_grid(acc[i, j][None, :], u.K) for j in range(u.n))
         for i in range(u.n)
     )
 
@@ -115,12 +109,12 @@ def chain_rule_defect(G, u, scheme, eps):
     scheme.require_valid()
     H = hessian(G)
     M = alias_free_grid_size(u.K, G.degree)
-    ug = evaluate_on_grid(u, M)
+    ug = to_grid(u, M)
     out = np.zeros((u.n, M))
     for y, w in scheme.mu:
         if w == 0.0 or y == 0.0:
             continue
-        d = evaluate_on_grid(shift_minus(u, eps * y), M)
+        d = to_grid(shift_minus(u, eps * y), M)
         scale = w / (2.0 * eps)
         for i in range(u.n):
             for j in range(u.n):
@@ -128,7 +122,7 @@ def chain_rule_defect(G, u, scheme, eps):
                     entry = H[i][j][l]
                     if entry.terms:
                         out[i] += scale * entry(ug) * d[j] * d[l]
-    return from_grid(GridField(M, out), u.K)
+    return from_grid(out, u.K)
 
 
 # -- quadratic variation -------------------------------------------------------
@@ -144,7 +138,9 @@ def quadratic_variation(u, M):
     M = int(M)
     if M < 2:
         raise ValueError("need at least two gridpoints")
-    vals = evaluate_on_grid(u, M)
+    # the fold path, looked up on the module at call time so that a wrapper
+    # installed on spectral.coeffs_to_values (perfbench/spans.py) sees it
+    vals = spectral.coeffs_to_values(u.coeffs, M)
     inc = np.roll(vals, -1, axis=1) - vals
     return np.sum(inc**2, axis=1)
 

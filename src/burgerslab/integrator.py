@@ -28,8 +28,10 @@ modes 0..K (the layout of rfft and irfft): the fields are real, so mode -k
 is the conjugate of mode k, every per-mode factor respects that symmetry,
 and the update never needs the negative modes.  Reality therefore holds by
 construction; no Hermitian check, mirror or two-sided noise array is built
-inside the time loop, and simulate mirrors to two-sided arrays only at the
-recorded steps.
+inside the time loop.  simulate records the half spectrum itself at the
+recorded steps, the errors are normed from those records, and only the
+final states that the diagnostics take as fields are mirrored to two-sided
+arrays.
 
 The limit equation carries the flux in conservative form d/dx G(u); the
 discretized equation applies the literal nonconservative product
@@ -294,20 +296,23 @@ def sample_steps(cfg):
 
 
 def simulate(cfg, lam, u0, wiener_rng, record_steps=None):
-    """Run one trajectory; returns (times, snapshots) at the recorded steps.
+    """Run one trajectory; returns (times, half) at the recorded steps.
 
-    Snapshots are two-sided (n, 2K+1) coefficient arrays; between them the
-    state is stepped as a half spectrum.  The Wiener stream is consumed in a
-    fixed order (noise_substeps draws per step, summed), so any two runs
-    holding generators derived from the same key see the same increments.
-    Raises BlowUpError at the first non-finite state.
+    ``half`` is one (steps, n, K+1) array of the half-spectrum states at the
+    recorded steps, in step order.  The Wiener stream is consumed in a fixed
+    order (noise_substeps draws per step, summed), so any two runs holding
+    generators derived from the same key see the same increments.  Raises
+    BlowUpError at the first non-finite state.
     """
     if record_steps is None:
         record_steps = sample_steps(cfg)
-    record = set(record_steps)
+    steps = sorted({m for m in record_steps if 0 <= m <= cfg.n_steps})
+    slot = {m: i for i, m in enumerate(steps)}
     stepper = Stepper(cfg, lam)
     half = u0.coeffs[:, cfg.K :].copy()
-    snapshots = {0: u0.coeffs.copy()} if 0 in record else {}
+    records = np.empty((len(steps), cfg.n, cfg.K + 1), dtype=np.complex128)
+    if 0 in slot:
+        records[0] = half
     sub = cfg.noise_substeps
     dt_sub = cfg.dt / sub
     for m in range(1, cfg.n_steps + 1):
@@ -317,11 +322,10 @@ def simulate(cfg, lam, u0, wiener_rng, record_steps=None):
         half = stepper.step_coeffs(half, dW)
         if half is None:
             raise BlowUpError((m - 1) * cfg.dt)
-        if m in record:
-            snapshots[m] = mirror(half)
-    steps = sorted(snapshots)
+        if m in slot:
+            records[slot[m]] = half
     times = np.array([m * cfg.dt for m in steps])
-    return times, [snapshots[m] for m in steps]
+    return times, records
 
 
 # -- coupled ensembles ---------------------------------------------------------
@@ -382,17 +386,12 @@ def _run_replicate(cfg, eps_list, replicate, lam):
             blowup_time=blowup_time,
         )
 
-    def halves(snaps):
-        # modes 0..K of the two-sided snapshots, as one (steps, n, K+1) stack
-        return np.array([snap[:, cfg.K :] for snap in snaps])
-
     limits = []  # corrected, then uncorrected
     try:
         for variant in ("limit_corrected", "limit_uncorrected"):
             run_cfg = replace(cfg, variant=variant)
             rng = derive_stream(cfg.seed, replicate, "wiener")
-            times, snaps = simulate(run_cfg, lam, u_bar0, rng, record_steps)
-            limits.append(halves(snaps))
+            limits.append(simulate(run_cfg, lam, u_bar0, rng, record_steps)[1])
     except BlowUpError as err:
         # a limit run left the finite range: the whole replicate is flagged
         return [flagged_record(eps, err.time) for eps in eps_list]
@@ -405,16 +404,14 @@ def _run_replicate(cfg, eps_list, replicate, lam):
         u0 = v0 + psit
         rng = derive_stream(cfg.seed, replicate, "wiener")
         try:
-            times, snaps = simulate(run_cfg, lam, u0, rng, record_steps)
+            times, approx = simulate(run_cfg, lam, u0, rng, record_steps)
         except BlowUpError as err:
             records.append(flagged_record(eps, err.time))
             continue
-        final_approx = _field(cfg, snaps[-1])
-        approx = halves(snaps)
-        # Release the two-sided snapshots, and stack the differences to one
-        # limit run at a time: one stack of both, or both kept, raised the
-        # peak memory of a K = 1024 replicate by about 1 MiB.
-        del snaps
+        final_approx = _field(cfg, mirror(approx[-1]))
+        # Stack the differences to one limit run at a time: one stack of
+        # both, or both kept, raised the peak memory of a K = 1024 replicate
+        # by about 1 MiB.
         sup, halpha = [], []
         for limit in limits:
             diff = approx - limit  # at every recorded step
@@ -467,9 +464,6 @@ class EnsembleResult:
         return sum(
             1 for r in self.records if r.blown_up and (eps is None or r.eps == eps)
         )
-
-    def replicate_count(self):
-        return len({r.replicate for r in self.records})
 
     def mean_curves(self, eps):
         """Ensemble means over replicates of the four error time series."""

@@ -88,16 +88,12 @@ class ModeGaussianDraw:
             pos[:, zero] = tail[zero] * zeta[:, zero] / np.sqrt(2.0)
         return c
 
-    def field_coeffs(self, sigma):
-        """Raw two-sided coefficient array with mode-k entry sigma[k] * zeta_k."""
-        return mirror(self.half_coeffs(sigma))
-
     def field(self, sigma):
         """Field with mode-k coefficient sigma[k] * zeta_k (reality built in).
 
         sigma is a real array over k = 0..K; E|coefficient_k|^2 = sigma[k]^2.
         """
-        return SpectralField(self.K, self.n, self.field_coeffs(sigma))
+        return SpectralField(self.K, self.n, mirror(self.half_coeffs(sigma)))
 
 
 @dataclass(frozen=True)

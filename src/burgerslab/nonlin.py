@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import GridField, evaluate_on_grid, from_grid, odd_fft_size
+from .spectral import from_grid, odd_fft_size, to_grid
 
 
 @dataclass(frozen=True)
@@ -209,8 +209,7 @@ def alias_free_grid_size(K, degree):
 def apply_pointwise(P, u):
     """Evaluate P(u(x)) pseudospectrally and truncate back to u's band."""
     M = alias_free_grid_size(u.K, P.degree)
-    vals = evaluate(P, evaluate_on_grid(u, M))
-    return from_grid(GridField(M, vals), u.K)
+    return from_grid(evaluate(P, to_grid(u, M)), u.K)
 
 
 def apply_bilinear(jac, u, w):
@@ -223,34 +222,15 @@ def apply_bilinear(jac, u, w):
     if u.n != n or w.n != n or u.K != w.K:
         raise ValueError("field shape mismatch")
     M = alias_free_grid_size(u.K, max(e.degree for row in jac for e in row) + 1)
-    ug = evaluate_on_grid(u, M)
-    wg = evaluate_on_grid(w, M)
+    ug = to_grid(u, M)
+    wg = to_grid(w, M)
     out = np.zeros_like(wg)
     for i in range(n):
         for j in range(n):
             entry = jac[i][j]
             if entry.terms:
                 out[i] += entry(ug) * wg[j]
-    return from_grid(GridField(M, out), u.K)
-
-
-def apply_hessian_form(hess, u, v, w):
-    """Pointwise quadratic form sum_{j,l} (d^2 P_i/du_j du_l)(u(x)) v_j(x) w_l(x)."""
-    n = len(hess)
-    if not (u.n == v.n == w.n == n) or not (u.K == v.K == w.K):
-        raise ValueError("field shape mismatch")
-    M = alias_free_grid_size(u.K, max(e.degree for mat in hess for row in mat for e in row) + 2)
-    ug = evaluate_on_grid(u, M)
-    vg = evaluate_on_grid(v, M)
-    wg = evaluate_on_grid(w, M)
-    out = np.zeros_like(vg)
-    for i in range(n):
-        for j in range(n):
-            for l in range(n):
-                entry = hess[i][j][l]
-                if entry.terms:
-                    out[i] += entry(ug) * vg[j] * wg[l]
-    return from_grid(GridField(M, out), u.K)
+    return from_grid(out, u.K)
 
 
 # -- text format ---------------------------------------------------------------

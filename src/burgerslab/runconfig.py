@@ -38,6 +38,8 @@ def parse_v0(spec, K, n):
     if spec.startswith(("sin:", "cos:")):
         parts = spec.split(":")
         amp = float(parts[1])
+        if not math.isfinite(amp):
+            raise ValueError(f"v0 amplitude must be finite, got {spec!r}")
         comp = int(parts[2]) - 1 if len(parts) > 2 else 0
         if not 0 <= comp < n:
             raise ValueError(f"v0 component out of range in {spec!r}")
@@ -64,6 +66,8 @@ def parse_v0(spec, K, n):
                     val = float(fields[2]) + 1j * float(fields[3])
                 except ValueError:
                     raise ValueError(f"{where}: cannot parse {line!r}") from None
+                if not np.isfinite(val):
+                    raise ValueError(f"{where}: value must be finite, got {line!r}")
                 if not 0 <= comp < n:
                     raise ValueError(f"{where}: component {comp + 1} outside 1..{n}")
                 if abs(k) > K:

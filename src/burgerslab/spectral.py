@@ -7,8 +7,15 @@ coefficients with respect to the orthonormal basis
 
 so that u(x) = sum_k coeffs[k] * e_k(x).  Reality of the field is the
 invariant coeffs[-k] == conj(coeffs[k]); every operation in this module
-preserves it.  Grid sizes paired with a band limit are odd, which keeps the
-mode <-> gridpoint correspondence symmetric.
+preserves it.  The stepper and the stacked norms work on half spectra
+instead, the (n, K+1) coefficients of modes 0..K (the layout of rfft and
+irfft), and ``mirror`` turns one back into the two-sided array.
+
+Grid values are plain (n, M) arrays at x_j = 2*pi*j/M.  ``coeffs_to_values``
+has one fast path for padded grids M >= 2K+1 and one explicit fold path for
+coarser ones; ``to_grid`` and ``from_grid`` are the checked pair on odd
+padded grids, whose oddness keeps the mode <-> gridpoint correspondence
+symmetric.
 """
 
 import functools
@@ -163,32 +170,6 @@ class SpectralField:
         return SpectralField(self.K, self.n, self.coeffs * m[None, :])
 
 
-@dataclass(frozen=True)
-class GridField:
-    """Real values on the uniform grid x_j = 2*pi*j/M, j = 0..M-1 (M odd)."""
-
-    M: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 2 or v.shape[1] != self.M:
-            raise ValueError(f"values shape {v.shape} does not match (n, M={self.M})")
-        if self.M % 2 == 0:
-            raise ResolutionError("grid size must be odd")
-        v = v.copy()
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
-
-    @property
-    def n(self):
-        return self.values.shape[0]
-
-    @property
-    def x(self):
-        return 2.0 * np.pi * np.arange(self.M) / self.M
-
-
 # -- transforms -------------------------------------------------------------
 
 
@@ -269,26 +250,22 @@ def values_to_half(values, K):
     return np.fft.rfft(values, axis=1)[:, : K + 1] * (SQRT_2PI / M)
 
 
-def evaluate_on_grid(u, M):
-    """Point values of u at x_j = 2*pi*j/M for any M >= 1, as an (n, M) array."""
-    return coeffs_to_values(u.coeffs, M)
-
-
 def to_grid(u, M):
-    """Evaluate the field on an odd grid of size M >= 2K+1 (exact sampling)."""
+    """Values of the field on an odd grid of size M >= 2K+1 (exact sampling),
+    as an (n, M) array."""
     M = int(M)
     if M % 2 == 0 or M < 2 * u.K + 1:
         raise ResolutionError(f"need odd M >= 2K+1 = {2 * u.K + 1}, got M = {M}")
-    return GridField(M, evaluate_on_grid(u, M))
+    return coeffs_to_values(u.coeffs, M)
 
 
-def from_grid(g, K):
-    """Fourier coefficients of the grid data, band-limited to max mode K.
+def from_grid(values, K):
+    """Fourier coefficients of (n, M) grid values, band-limited to max mode K.
 
     Exact inverse of ``to_grid`` when M == 2K+1; for M > 2K+1 the modes above
     K are discarded (low-pass).  Reality holds exactly by construction.
     """
-    return SpectralField(int(K), g.n, values_to_coeffs(g.values, K))
+    return SpectralField(int(K), values.shape[0], values_to_coeffs(values, K))
 
 
 # -- projections and norms ---------------------------------------------------

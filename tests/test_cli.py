@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from burgerslab import integrator
 from burgerslab.cli import EXIT_BLOWUP, EXIT_OK, EXIT_QUADRATURE, EXIT_VALIDATION, _summary_line, main
 
 
@@ -162,6 +163,16 @@ class TestConvergeCommand:
         assert manifest["numpy_version"] == np.__version__ and manifest["scipy_version"]
         for name, digest in manifest["outputs"].items():
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+    def test_quadrature_lambda_is_resolved_once(self, tmp_path, run_config, monkeypatch):
+        # converge resolves Lambda before it writes and hands the value on
+        calls = []
+        quadrature = integrator.lambda_quadrature
+        monkeypatch.setattr(integrator, "lambda_quadrature", lambda *a: calls.append(a) or quadrature(*a))
+        cfg = tmp_path / "quad.cfg"
+        cfg.write_text(run_config.read_text().replace("closed_form", "quadrature"))
+        assert main(["converge", "--config", str(cfg), "--out", str(tmp_path / "q"), "--seed", "1"]) == EXIT_OK
+        assert len(calls) == 1
 
     def test_dry_run_validates_without_outputs(self, tmp_path, run_config, capsys):
         out = tmp_path / "dry"

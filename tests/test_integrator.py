@@ -323,14 +323,14 @@ class TestHalfSpectrumStepping:
     def test_snapshots_bitwise_equal_to_two_sided_loop(self, rng, variant, n, substeps, killed, with_drift):
         cfg = self.cfg(variant, n, substeps, killed, with_drift)
         u0 = random_field(rng, cfg.K, n=n, decay=1.5)
-        times, snaps = simulate(cfg, 0.3, u0, derive_stream(3, 1, "wiener"))
+        times, half = simulate(cfg, 0.3, u0, derive_stream(3, 1, "wiener"))
         ref = two_sided_simulate(cfg, 0.3, u0, derive_stream(3, 1, "wiener"))
-        assert len(snaps) == len(ref) == len(sample_steps(cfg))
-        for got, want in zip(snaps, ref):
-            assert got.shape == (n, 2 * cfg.K + 1)
-            assert np.array_equal(got, want)
+        assert len(ref) == len(sample_steps(cfg))
+        assert half.shape == (len(ref), n, cfg.K + 1)
+        for got, want in zip(half, ref):
+            assert np.array_equal(mirror(got), want)
         if variant == "approximate" and killed:
-            assert np.all(snaps[-1][:, np.abs(np.arange(-cfg.K, cfg.K + 1)) >= 13] == 0.0)
+            assert np.all(half[-1][:, 13:] == 0.0)
 
     @pytest.mark.parametrize("variant", ["approximate", "limit_corrected"])
     def test_mean_mode_stays_exactly_real(self, rng, variant):
@@ -438,7 +438,7 @@ class TestRunCoupled:
             run_cfg = replace(cfg, variant=variant, eps=eps_run)
             runs[variant] = simulate(run_cfg, lam, cfg.v0_field() + init, derive_stream(cfg.seed, 0, "wiener"))[1]
         for name, limit in (("corrected", "limit_corrected"), ("uncorrected", "limit_uncorrected")):
-            diffs = [SpectralField(cfg.K, cfg.n, a - b) for a, b in zip(runs["approximate"], runs[limit])]
+            diffs = [SpectralField(cfg.K, cfg.n, mirror(a - b)) for a, b in zip(runs["approximate"], runs[limit])]
             sup = np.array([sup_norm(d) for d in diffs])
             ha = np.array([sobolev_norm(d, cfg.alpha) for d in diffs])
             assert getattr(rec, f"sup_err_{name}").tobytes() == sup.tobytes()
@@ -497,10 +497,10 @@ class TestSolutionRoughness:
             )
             u_bar0 = cfg.v0_field() + pair.psi
             rng = derive_stream(cfg.seed, rep, "wiener")
-            times, snaps = simulate(cfg, 0.25, u_bar0, rng)
+            times, half = simulate(cfg, 0.25, u_bar0, rng)
             vals = [
-                float(quadratic_variation(SpectralField(cfg.K, 1, c), M_qv)[0])
-                for t, c in zip(times, snaps)
+                float(quadratic_variation(SpectralField(cfg.K, 1, mirror(c)), M_qv)[0])
+                for t, c in zip(times, half)
                 if t >= 0.1 - 1e-12
             ]
             qvs.append(np.mean(vals))

@@ -8,7 +8,6 @@ from burgerslab.nonlin import (
     PolynomialMap,
     alias_free_grid_size,
     apply_bilinear,
-    apply_hessian_form,
     apply_pointwise,
     evaluate,
     hessian,
@@ -21,11 +20,10 @@ from burgerslab.schemes import apply_D_eps, identity_scheme
 from burgerslab.spectral import (
     _RADIX_COST,
     SQRT_2PI,
-    GridField,
     SpectralField,
-    evaluate_on_grid,
     from_grid,
     odd_fft_size,
+    to_grid,
 )
 from conftest import random_field
 
@@ -239,8 +237,8 @@ class TestBilinearAndHessian:
         w = apply_D_eps(s, u, 0.05)
         out = apply_bilinear(jacobian(burgers_flux()), u, w)
         M = 51  # alias-free for a quadratic form at K = 12
-        prod = evaluate_on_grid(u, M) * evaluate_on_grid(w, M)
-        expected = from_grid(GridField(M, prod), 12)
+        prod = to_grid(u, M) * to_grid(w, M)
+        expected = from_grid(prod, 12)
         assert np.max(np.abs(out.coeffs - expected.coeffs)) < 1e-12
 
     def test_hessian_of_quadratic_is_constant(self):
@@ -249,23 +247,6 @@ class TestBilinearAndHessian:
         assert str(H[0][0][1]) == "1"
         assert str(H[0][1][0]) == "1"
         assert str(H[1][1][1]) == "2"
-
-    def test_hessian_form_matches_direct_evaluation(self, rng):
-        G = parse_polynomial_map("u1^3; u1*u2^2", 2)
-        H = hessian(G)
-        u = random_field(rng, K=6, n=2)
-        v = random_field(rng, K=6, n=2)
-        out = apply_hessian_form(H, u, v, v)
-        M = 61  # alias-free for the cubic form at K = 6
-        ug, vg = evaluate_on_grid(u, M), evaluate_on_grid(v, M)
-        direct = np.zeros_like(vg)
-        for i in range(2):
-            for j in range(2):
-                for l in range(2):
-                    if H[i][j][l].terms:
-                        direct[i] += H[i][j][l](ug) * vg[j] * vg[l]
-        expected = from_grid(GridField(M, direct), 6)
-        assert np.max(np.abs(out.coeffs - expected.coeffs)) < 1e-10
 
 
 class TestParsing:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from burgerslab.cli import EXIT_OK, EXIT_VALIDATION, main
 from burgerslab.runconfig import load_run_config, parse_v0
-from burgerslab.spectral import evaluate_on_grid
+from burgerslab.spectral import to_grid
 
 
 class TestParseV0:
@@ -21,13 +21,13 @@ class TestParseV0:
     def test_sine_profile(self):
         u = parse_v0("sin:2", 8, 1)
         x = 2.0 * np.pi * np.arange(33) / 33
-        vals = evaluate_on_grid(u, 33)
+        vals = to_grid(u, 33)
         assert np.max(np.abs(vals[0] - 2.0 * np.sin(x))) < 1e-12
 
     def test_cosine_component_selector(self):
         u = parse_v0("cos:0.5:2", 8, 2)
         x = 2.0 * np.pi * np.arange(33) / 33
-        vals = evaluate_on_grid(u, 33)
+        vals = to_grid(u, 33)
         assert np.max(np.abs(vals[0])) == 0.0
         assert np.max(np.abs(vals[1] - 0.5 * np.cos(x))) < 1e-12
 
@@ -47,6 +47,8 @@ class TestParseV0:
             ("-9,2,1.0,0.0", "mode -9 outside band"),
             ("2,1,1.0", "expected 'k,comp,re,im'"),
             ("2,one,1.0,0.0", "cannot parse"),
+            ("2,1,nan,0.0", "value must be finite"),
+            ("2,1,0.5,-inf", "value must be finite"),
         ],
     )
     def test_modes_file_bad_row_names_file_and_line(self, tmp_path, row, message):
@@ -158,7 +160,7 @@ def test_generated_valid_configs_pass_the_dry_run(case):
         plan = json.loads(stdout)
         assert plan["eps"] == eps and plan["steps"] == steps
         assert plan["replicates"] == int(sections["model"]["replicates"])
-        assert not any(out.iterdir())
+        assert not out.exists()
 
 
 def _assert_rejected(code, stderr, out, reason):
@@ -214,6 +216,8 @@ def bad_mode_rows(draw, K, n):
         f"{k},{comp},0.5",  # three fields
         f"{k},{comp},0.5,0.0,1.0",  # five fields
         f"{k},{comp},half,0.0",  # not a number
+        f"{k},{comp},{draw(st.sampled_from(['nan', 'inf', '-inf']))},0.0",  # not finite
+        f"{k},{comp},0.5,{draw(st.sampled_from(['nan', 'inf', '-inf']))}",
         f"{k}.5,{comp},0.5,0.0",  # fractional mode
         f"{k},{draw(st.sampled_from([0, n + 1]))},0.5,0.0",  # no such component
         f"{draw(st.sampled_from([-1, 1])) * (K + draw(st.integers(1, 9)))},{comp},0.5,0.0",  # outside the band
@@ -236,3 +240,13 @@ def test_generated_bad_modes_rows_exit_2_with_file_and_line(case, data):
         sections["model"]["v0"] = f"modes:{modes}"
         code, _, stderr, out = _dry_run(work, sections)
         _assert_rejected(code, stderr, out, f"{modes}:{where + 1}:")
+
+
+@_PROPERTY
+@given(run_configs(), st.sampled_from(["sin", "cos"]), st.sampled_from(["nan", "inf", "-inf"]), st.booleans())
+def test_generated_non_finite_v0_exit_2(case, kind, bad, with_component):
+    sections = case[0]
+    sections["model"]["v0"] = f"{kind}:{bad}" + (f":{sections['model']['n']}" if with_component else "")
+    with tempfile.TemporaryDirectory() as work:
+        code, _, stderr, out = _dry_run(work, sections)
+        _assert_rejected(code, stderr, out, "v0 amplitude must be finite")

@@ -6,13 +6,11 @@ from hypothesis import strategies as st
 
 from burgerslab.spectral import (
     SQRT_2PI,
-    GridField,
     ResolutionError,
     SpectralField,
     band_project,
     coeffs_to_values,
     embed,
-    evaluate_on_grid,
     from_grid,
     half_to_values,
     mirror,
@@ -37,7 +35,7 @@ def to_grid_direct(u, M):
         raise ResolutionError(f"need odd M >= 2K+1 = {2 * u.K + 1}, got M = {M}")
     x = 2.0 * np.pi * np.arange(M) / M
     phases = np.exp(1j * np.outer(u.modes, x)) / SQRT_2PI
-    return GridField(M, (u.coeffs @ phases).real)
+    return (u.coeffs @ phases).real
 
 
 def l2_inner(u, v):
@@ -49,14 +47,14 @@ class TestToGrid:
     def test_constant_field(self):
         u = SpectralField.constant(3.25, K=6)
         g = to_grid(u, 13)
-        assert np.allclose(g.values, 3.25, atol=1e-14)
+        assert np.allclose(g, 3.25, atol=1e-14)
 
     def test_single_mode_cosine_pair(self):
         # coeffs[+-1] = 1 is the reality pair of a pure cosine
         u = SpectralField.from_modes(K=2, entries={1: 1.0})
         g = to_grid(u, 5)
         expected = 2.0 / SQRT_2PI * np.cos(2.0 * np.pi * np.arange(5) / 5)
-        assert np.allclose(g.values[0], expected, atol=1e-14)
+        assert np.allclose(g[0], expected, atol=1e-14)
 
     def test_round_trip(self, rng):
         u = random_field(rng, K=33, n=2)
@@ -75,13 +73,12 @@ class TestToGrid:
         u = random_field(rng, K=17, n=3)
         g_fast = to_grid(u, 41)
         g_ref = to_grid_direct(u, 41)
-        assert np.max(np.abs(g_fast.values - g_ref.values)) < 1e-12
+        assert np.max(np.abs(g_fast - g_ref)) < 1e-12
 
 
 class TestFromGrid:
     def test_constant_grid(self):
-        g = GridField(9, np.full((1, 9), 2.5))
-        u = from_grid(g, 4)
+        u = from_grid(np.full((1, 9), 2.5), 4)
         assert abs(u.mode(0)[0] - 2.5 * SQRT_2PI) < 1e-13
         others = np.delete(u.coeffs[0], 4)
         assert np.max(np.abs(others)) < 1e-14
@@ -96,7 +93,7 @@ class TestFromGrid:
         # under e_k = (2pi)^(-1/2) e^{ikx}: sin(x) has coeffs[+-1] = -+ i sqrt(pi/2)
         M = 33
         x = 2.0 * np.pi * np.arange(M) / M
-        u = from_grid(GridField(M, np.sin(x)[None, :]), 8)
+        u = from_grid(np.sin(x)[None, :], 8)
         assert abs(u.mode(1)[0] - (-1j * np.sqrt(np.pi / 2))) < 1e-13
         assert abs(u.mode(-1)[0] - (1j * np.sqrt(np.pi / 2))) < 1e-13
         others = np.abs(u.coeffs[0]).copy()
@@ -108,6 +105,10 @@ class TestFromGrid:
         g = to_grid(embed(u, 20), 41)
         v = from_grid(g, 5)
         assert np.max(np.abs(v.coeffs - u.coeffs)) < 1e-13
+
+    def test_rejects_coarse_grid(self):
+        with pytest.raises(ResolutionError):
+            from_grid(np.zeros((1, 8)), 4)
 
 
 class TestProjections:
@@ -157,7 +158,7 @@ class TestNorms:
         # sobolev_norm(u, 0); the grid integral of |u|^2 is exact at M >= 2K+1.
         u = random_field(rng, K=21, n=2)
         g = to_grid(u, 129)
-        quad = np.sqrt(np.sum(g.values**2) * 2.0 * np.pi / g.M)
+        quad = np.sqrt(np.sum(g**2) * 2.0 * np.pi / 129)
         assert abs(quad - sobolev_norm(u, 0.0)) < 1e-10
 
     def test_sup_norm_constant(self):
@@ -166,7 +167,7 @@ class TestNorms:
     def test_sup_norm_sine(self):
         M = 17
         x = 2.0 * np.pi * np.arange(M) / M
-        u = from_grid(GridField(M, np.sin(x)[None, :]), 3)
+        u = from_grid(np.sin(x)[None, :], 3)
         assert abs(sup_norm(u) - 1.0) < 1e-6
 
     def test_sup_norm_against_dense_sampling(self, rng):
@@ -277,7 +278,7 @@ class TestInvariants:
         ]
         for op in ops:
             w = op(u)
-            g = evaluate_on_grid(w, 61)  # raises if imag residue > 1e-10
+            g = to_grid(w, 61)  # raises if imag residue > 1e-10
             assert np.all(np.isfinite(g))
             assert np.max(np.abs(w.coeffs - np.conj(w.coeffs[:, ::-1]))) == 0.0
 
@@ -287,13 +288,13 @@ class TestInvariants:
         with pytest.raises(ValueError):
             SpectralField(2, 1, c)
 
-    def test_evaluate_on_grid_allows_coarse_grids(self, rng):
+    def test_coeffs_to_values_allows_coarse_grids(self, rng):
         # aliased point evaluation agrees with the direct sum for M < 2K+1
         u = random_field(rng, K=10)
         M = 7
         xs = 2.0 * np.pi * np.arange(M) / M
         direct = (u.coeffs @ (np.exp(1j * np.outer(u.modes, xs)) / SQRT_2PI)).real
-        assert np.max(np.abs(evaluate_on_grid(u, M) - direct)) < 1e-12
+        assert np.max(np.abs(coeffs_to_values(u.coeffs, M) - direct)) < 1e-12
 
 
 class TestTransformPaths:
@@ -313,7 +314,7 @@ class TestTransformPaths:
     def test_padded_path_matches_direct_evaluation(self, rng, K, M, n):
         # to_grid_direct takes odd grids only; even ones use the same sum
         u = random_field(rng, K=K, n=n)
-        ref = to_grid_direct(u, M).values if M % 2 else self.direct(u, M)
+        ref = to_grid_direct(u, M) if M % 2 else self.direct(u, M)
         assert np.max(np.abs(coeffs_to_values(u.coeffs, M) - ref)) < 1e-12
 
     @staticmethod
