@@ -61,9 +61,8 @@ print("\n== the discrete chain rule, exact for a quadratic flux ==")
 G = parse_polynomial_map("0.5*u1^2", 1)
 rng = np.random.default_rng(3)
 k = np.arange(1, 25)
-c = np.zeros((1, 49), dtype=complex)
-c[0, 25:] = (rng.standard_normal(24) + 1j * rng.standard_normal(24)) / (1 + k)
-c[0, :24] = np.conj(c[0, 25:])[::-1]
+c = np.zeros((1, 25), dtype=complex)  # modes 0..24; mode -k is the conjugate of mode k
+c[0, 1:] = (rng.standard_normal(24) + 1j * rng.standard_normal(24)) / (1 + k)
 from burgerslab.spectral import SpectralField
 
 u = SpectralField(24, 1, c)

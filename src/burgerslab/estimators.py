@@ -24,13 +24,16 @@ def theta_eps(u, scheme, eps):
     """Quadratic energy sum_i |w_i| * ||(u(. + eps y_i) - u)/eps||_{L^2}^2.
 
     Equals the |mu|-integral of y^2 ||difference quotient||^2; computed per
-    mode by Parseval, no grids involved.
+    mode by Parseval, no grids involved, as a weighted sum over the half
+    spectrum: mode 0 counts once, modes 1..K twice (for themselves and their
+    conjugates at -k, whose multiplier has the same modulus).
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     scheme.require_valid()
     k = u.modes.astype(float)
-    power = np.sum(np.abs(u.coeffs) ** 2, axis=0)
+    power = np.sum(np.abs(u.half) ** 2, axis=0)
+    power[1:] *= 2.0
     total = 0.0
     for y, w in scheme.mu:
         if w == 0.0:
@@ -140,7 +143,7 @@ def quadratic_variation(u, M):
         raise ValueError("need at least two gridpoints")
     # the fold path, looked up on the module at call time so that a wrapper
     # installed on spectral.coeffs_to_values (perfbench/spans.py) sees it
-    vals = spectral.coeffs_to_values(u.coeffs, M)
+    vals = spectral.coeffs_to_values(u.half, M)
     inc = np.roll(vals, -1, axis=1) - vals
     return np.sum(inc**2, axis=1)
 

@@ -24,14 +24,15 @@ drift correction, which feeds on exactly those modes, would shrink with it;
 see the drift-correction experiment in the acceptance tests.
 
 The state is stepped as a half spectrum, the (n, K+1) coefficients of
-modes 0..K (the layout of rfft and irfft): the fields are real, so mode -k
-is the conjugate of mode k, every per-mode factor respects that symmetry,
-and the update never needs the negative modes.  Reality therefore holds by
-construction; no Hermitian check, mirror or two-sided noise array is built
-inside the time loop.  simulate records the half spectrum itself at the
-recorded steps, the errors are normed from those records, and only the
-final states that the diagnostics take as fields are mirrored to two-sided
-arrays.
+modes 0..K (the layout of rfft and irfft), which is also how a SpectralField
+stores itself: the fields are real, so mode -k is the conjugate of mode k,
+every per-mode factor respects that symmetry, and the update never needs
+the negative modes.  Reality therefore holds by construction; no Hermitian
+check and no two-sided array is built anywhere on the way from the initial
+field through the time loop.  simulate starts from the initial field's half
+spectrum and records the half spectrum itself at the recorded steps, the
+errors are normed from those records, and the final limit state that the
+diagnostics take as a field is wrapped as it is.
 
 The limit equation carries the flux in conservative form d/dx G(u); the
 discretized equation applies the literal nonconservative product
@@ -39,6 +40,7 @@ grad G(u) . D_eps u, which is exactly the object whose limit acquires the
 drift correction.
 """
 
+import math
 from dataclasses import dataclass, field, replace
 from concurrent.futures import ProcessPoolExecutor
 
@@ -49,7 +51,7 @@ from .correction import (
     lambda_closed_form_for_scheme,
     lambda_quadrature,
 )
-from .estimators import quadratic_variation, theta_eps, xi_eps
+from .estimators import quadratic_variation
 from .noise import (
     ModeGaussianDraw,
     derive_stream,
@@ -63,16 +65,17 @@ from .spectral import (
     SpectralField,
     embed,
     half_to_values,
-    mirror,
     sobolev_norms,
     sup_norms,
     values_to_half,
 )
 
-# Not used here since the stepper works on half spectra and the errors are
-# taken as stacks, but kept as module attributes: perfbench/spans.py wraps
-# each function under every module name its callers have looked it up by,
-# and checks that the names still exist.
+# Not used here since the stepper works on half spectra, the errors are
+# taken as stacks and no diagnostic takes xi_eps, but kept as module
+# attributes: perfbench/spans.py wraps each function under every module
+# name its callers have looked it up by, and checks that the names still
+# exist.
+from .estimators import xi_eps  # noqa: F401
 from .spectral import coeffs_to_values, sobolev_norm, sup_norm, values_to_coeffs  # noqa: F401
 
 VARIANTS = ("approximate", "limit_corrected", "limit_uncorrected")
@@ -113,6 +116,9 @@ class SimConfig:
         for name in ("nu", "dt", "eps"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        for name in ("nu", "T", "alpha"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         for name in ("n", "K", "sample_every"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
@@ -309,7 +315,7 @@ def simulate(cfg, lam, u0, wiener_rng, record_steps=None):
     steps = sorted({m for m in record_steps if 0 <= m <= cfg.n_steps})
     slot = {m: i for i, m in enumerate(steps)}
     stepper = Stepper(cfg, lam)
-    half = u0.coeffs[:, cfg.K :].copy()
+    half = u0.half
     records = np.empty((len(steps), cfg.n, cfg.K + 1), dtype=np.complex128)
     if 0 in slot:
         records[0] = half
@@ -359,10 +365,6 @@ class TrajectoryRecord:
         return float(np.max(self.sup_err_uncorrected))
 
 
-def _field(cfg, coeffs):
-    return SpectralField(cfg.K, cfg.n, coeffs)
-
-
 def _run_replicate(cfg, eps_list, replicate, lam):
     """All runs of one replicate: two limit runs plus one discretized run
     per eps, sharing the mode draw and the Wiener stream."""
@@ -395,7 +397,7 @@ def _run_replicate(cfg, eps_list, replicate, lam):
     except BlowUpError as err:
         # a limit run left the finite range: the whole replicate is flagged
         return [flagged_record(eps, err.time) for eps in eps_list]
-    final_limit = _field(cfg, mirror(limits[0][-1]))
+    final_limit = SpectralField(cfg.K, cfg.n, limits[0][-1])
 
     records = []
     for eps in eps_list:
@@ -408,7 +410,6 @@ def _run_replicate(cfg, eps_list, replicate, lam):
         except BlowUpError as err:
             records.append(flagged_record(eps, err.time))
             continue
-        final_approx = _field(cfg, mirror(approx[-1]))
         # Stack the differences to one limit run at a time: one stack of
         # both, or both kept, raised the peak memory of a K = 1024 replicate
         # by about 1 MiB.
@@ -418,13 +419,7 @@ def _run_replicate(cfg, eps_list, replicate, lam):
             sup.append(sup_norms(diff))
             halpha.append(sobolev_norms(diff, cfg.alpha))
         diagnostics = {
-            "theta_eps_final": theta_eps(final_approx, cfg.scheme, eps),
-            "xi_mean_diag_final": float(
-                np.mean(np.diag(xi_eps(final_approx, cfg.scheme, eps).spatial_mean()))
-            ),
-            "qv_limit_final": float(
-                np.mean(quadratic_variation(final_limit, max(8, cfg.K // 4)))
-            ),
+            "qv_limit_final": float(np.mean(quadratic_variation(final_limit, max(8, cfg.K // 4)))),
         }
         records.append(
             TrajectoryRecord(

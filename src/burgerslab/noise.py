@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import SpectralField, mirror
+from .spectral import SpectralField
 
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -93,7 +93,7 @@ class ModeGaussianDraw:
 
         sigma is a real array over k = 0..K; E|coefficient_k|^2 = sigma[k]^2.
         """
-        return SpectralField(self.K, self.n, mirror(self.half_coeffs(sigma)))
+        return SpectralField(self.K, self.n, self.half_coeffs(sigma))
 
 
 @dataclass(frozen=True)

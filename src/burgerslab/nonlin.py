@@ -119,14 +119,6 @@ class PolynomialMap:
     components: tuple
 
     @staticmethod
-    def from_components(components):
-        components = tuple(components)
-        n = len(components)
-        if any(p.nvars != n for p in components):
-            raise ValueError("every component must be a polynomial in n variables")
-        return PolynomialMap(n, components)
-
-    @staticmethod
     def zero(n):
         return PolynomialMap(n, tuple(Polynomial.zero(n) for _ in range(n)))
 

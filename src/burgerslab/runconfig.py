@@ -45,13 +45,12 @@ def parse_v0(spec, K, n):
             raise ValueError(f"v0 component out of range in {spec!r}")
         coeff = amp * np.sqrt(np.pi / 2.0)
         value = -1j * coeff if spec.startswith("sin:") else coeff
-        c = np.zeros((n, 2 * K + 1), dtype=np.complex128)
-        c[comp, K + 1] = value
-        c[comp, K - 1] = np.conj(value)
+        c = np.zeros((n, K + 1), dtype=np.complex128)
+        c[comp, 1] = value
         return SpectralField(K, n, c)
     if spec.startswith("modes:"):
         path = spec[len("modes:") :]
-        c = np.zeros((n, 2 * K + 1), dtype=np.complex128)
+        c = np.zeros((n, K + 1), dtype=np.complex128)
         with open(path) as fh:
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.strip()
@@ -72,8 +71,9 @@ def parse_v0(spec, K, n):
                     raise ValueError(f"{where}: component {comp + 1} outside 1..{n}")
                 if abs(k) > K:
                     raise ValueError(f"{where}: mode {k} outside band [-{K}, {K}]")
-                c[comp, K + k] = val
-                c[comp, K - k] = np.conj(val)
+                # one entry per mode: a line for -k gives the conjugate of
+                # mode k, a line for 0 its real part
+                c[comp, abs(k)] = val if k > 0 else np.conj(val) if k < 0 else val.real
         return SpectralField(K, n, c)
     raise ValueError(f"unknown v0 spec {spec!r}")
 

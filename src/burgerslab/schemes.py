@@ -330,12 +330,15 @@ def derivative_symbol(scheme, kappa):
     """The Fourier symbol of the measure, sum_i w_i exp(i*kappa*y_i).
 
     Equals i*kappa*g(kappa) where g is the derivative multiplier profile.
-    Accepts scalars or arrays.
+    Accepts scalars or arrays.  Summed atom by atom, elementwise, so each
+    entry depends on its own kappa only, and the symbol at -kappa is the
+    exact conjugate of the symbol at kappa.
     """
     kappa = np.asarray(kappa, dtype=float)
-    ys = np.array([y for y, _ in scheme.mu])
-    ws = np.array([w for _, w in scheme.mu])
-    return np.tensordot(ws, np.exp(1j * np.multiply.outer(ys, kappa)), axes=(0, 0))
+    out = np.zeros(kappa.shape, dtype=np.complex128)
+    for y, w in scheme.mu:
+        out += w * np.exp(1j * (y * kappa))
+    return out
 
 
 def d_eps_multiplier(scheme, eps, modes):
@@ -365,7 +368,7 @@ def apply_Delta_eps(scheme, u, eps):
     fv = scheme.f_at(eps * np.abs(k))
     infinite = ~np.isfinite(fv)
     if np.any(infinite):
-        active = np.any(np.abs(u.coeffs[:, infinite]) > 0.0)
+        active = np.any(np.abs(u.half[:, infinite]) > 0.0)
         if active:
             raise InfiniteSymbolError(
                 "field has active modes where f = +inf; project them out first"

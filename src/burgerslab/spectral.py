@@ -1,15 +1,18 @@
 """Band-limited real vector fields on the torus [0, 2*pi].
 
-A field with max mode K is stored as the two-sided array of Fourier
-coefficients with respect to the orthonormal basis
+A field with max mode K has Fourier coefficients with respect to the
+orthonormal basis
 
     e_k(x) = (2*pi)**(-1/2) * exp(i*k*x),      k = -K..K,
 
-so that u(x) = sum_k coeffs[k] * e_k(x).  Reality of the field is the
-invariant coeffs[-k] == conj(coeffs[k]); every operation in this module
-preserves it.  The stepper and the stacked norms work on half spectra
-instead, the (n, K+1) coefficients of modes 0..K (the layout of rfft and
-irfft), and ``mirror`` turns one back into the two-sided array.
+so that u(x) = sum_k c_k e_k(x).  The fields are real, so c_{-k} is the
+conjugate of c_k and c_0 is real.  A field is therefore stored as its half
+spectrum, the (n, K+1) coefficients of modes 0..K (the layout of rfft and
+irfft), and reality holds by construction: the only condition the layout
+leaves open, a real c_0, is checked when a field is made.  The stepper, the
+Wiener draws and the stacked norms work on the same layout; ``mirror``
+builds the two-sided (n, 2K+1) array of modes -K..K, which a field exposes
+read-only as ``coeffs``.
 
 Grid values are plain (n, M) arrays at x_j = 2*pi*j/M.  ``coeffs_to_values``
 has one fast path for padded grids M >= 2K+1 and one explicit fold path for
@@ -71,69 +74,74 @@ def odd_fft_size(m):
 
 @dataclass(frozen=True)
 class SpectralField:
-    """Immutable band-limited field; coeffs has shape (n, 2K+1), modes -K..K."""
+    """Immutable real band-limited field; ``half`` has shape (n, K+1), the
+    coefficients of modes 0..K (mode -k is the conjugate of mode k)."""
 
     K: int
     n: int
-    coeffs: np.ndarray
+    half: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=np.complex128)
-        if c.shape != (self.n, 2 * self.K + 1):
+        c = np.array(self.half, dtype=np.complex128)
+        if c.shape != (self.n, self.K + 1):
             raise ValueError(
-                f"coeffs shape {c.shape} does not match (n, 2K+1) = "
-                f"({self.n}, {2 * self.K + 1})"
+                f"half spectrum shape {c.shape} does not match (n, K+1) = ({self.n}, {self.K + 1})"
             )
-        scale = max(float(np.max(np.abs(c))), 1e-300) if c.size else 1.0
-        mirrored = np.conj(c[:, ::-1])
-        if np.max(np.abs(c - mirrored)) > _REALITY_RTOL * scale:
-            raise ValueError("reality condition violated: coeffs[-k] != conj(coeffs[k])")
-        # Make the invariant exact (identity on already-symmetric data).
-        c = 0.5 * (c + mirrored)
-        c[:, self.K] = c[:, self.K].real
+        im0 = np.abs(c[:, 0].imag)
+        if im0.any() and np.max(im0) > _REALITY_RTOL * max(float(np.max(np.abs(c))), 1e-300):
+            raise ValueError("reality condition violated: mode 0 is not real")
+        c[:, 0] = c[:, 0].real
         c.flags.writeable = False
-        object.__setattr__(self, "coeffs", c)
+        object.__setattr__(self, "half", c)
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def zeros(K, n=1):
-        return SpectralField(K, n, np.zeros((n, 2 * K + 1), dtype=np.complex128))
+        return SpectralField(K, n, np.zeros((n, K + 1), dtype=np.complex128))
 
     @staticmethod
     def constant(values, K):
         """Field identically equal to `values` (scalar or length-n vector)."""
         v = np.atleast_1d(np.asarray(values, dtype=float))
-        c = np.zeros((v.size, 2 * K + 1), dtype=np.complex128)
-        c[:, K] = v * SQRT_2PI
+        c = np.zeros((v.size, K + 1), dtype=np.complex128)
+        c[:, 0] = v * SQRT_2PI
         return SpectralField(K, v.size, c)
 
     @staticmethod
     def from_modes(K, entries, n=1):
         """Build a field from {k: value} (or iterable of (k, value)) pairs.
 
-        Each entry sets coeffs[k] for one component (value may be a length-n
-        vector); the conjugate at -k is filled in automatically.
+        Each entry sets the coefficient of mode k for one component (value
+        may be a length-n vector), and with it the conjugate at -k; a later
+        entry for k or -k overrides an earlier one.
         """
-        c = np.zeros((n, 2 * K + 1), dtype=np.complex128)
+        c = np.zeros((n, K + 1), dtype=np.complex128)
         items = entries.items() if hasattr(entries, "items") else entries
         for k, val in items:
             if abs(k) > K:
                 raise ValueError(f"mode {k} outside band [-{K}, {K}]")
             v = np.atleast_1d(np.asarray(val, dtype=np.complex128))
-            c[:, K + k] = v
-            c[:, K - k] = np.conj(v)
+            c[:, abs(k)] = v if k >= 0 else np.conj(v)
         return SpectralField(K, n, c)
 
     # -- basic accessors ---------------------------------------------------
 
     @property
     def modes(self):
-        return np.arange(-self.K, self.K + 1)
+        """The stored modes 0..K."""
+        return np.arange(self.K + 1)
+
+    @property
+    def coeffs(self):
+        """Read-only two-sided (n, 2K+1) coefficients of modes -K..K."""
+        c = mirror(self.half)
+        c.flags.writeable = False
+        return c
 
     def mode(self, k):
-        """Coefficient vector (length n) of mode k."""
-        return self.coeffs[:, self.K + k]
+        """Coefficient vector (length n) of mode k, for any |k| <= K."""
+        return self.half[:, k] if k >= 0 else np.conj(self.half[:, -k])
 
     # -- arithmetic (fields of equal K and n) ------------------------------
 
@@ -142,7 +150,7 @@ class SpectralField:
             return NotImplemented
         if other.K != self.K or other.n != self.n:
             raise ValueError("field shape mismatch")
-        return SpectralField(self.K, self.n, op(self.coeffs, other.coeffs))
+        return SpectralField(self.K, self.n, op(self.half, other.half))
 
     def __add__(self, other):
         return self._binary(other, np.add)
@@ -151,75 +159,64 @@ class SpectralField:
         return self._binary(other, np.subtract)
 
     def __mul__(self, scalar):
-        return SpectralField(self.K, self.n, self.coeffs * float(scalar))
+        return SpectralField(self.K, self.n, self.half * float(scalar))
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return SpectralField(self.K, self.n, -self.coeffs)
+        return SpectralField(self.K, self.n, -self.half)
 
     def apply_multiplier(self, m):
-        """Apply a Fourier multiplier m(k), given as an array over k = -K..K.
+        """Apply a Fourier multiplier m(k), given as an array over k = 0..K.
 
-        The multiplier must be Hermitian (m(-k) == conj(m(k))) so that the
-        reality condition survives; this holds for every operator used here.
+        Mode -k is scaled by conj(m(k)), so the multiplier is Hermitian by
+        construction; m(0) must be real, like the mode it scales.
         """
         m = np.asarray(m)
-        if m.shape != (2 * self.K + 1,):
-            raise ValueError("multiplier must have one entry per mode")
-        return SpectralField(self.K, self.n, self.coeffs * m[None, :])
+        if m.shape != (self.K + 1,):
+            raise ValueError("multiplier must have one entry per mode k = 0..K")
+        return SpectralField(self.K, self.n, self.half * m)
 
 
 # -- transforms -------------------------------------------------------------
 
 
 def coeffs_to_values(coeffs, M):
-    """Raw fast path: point values at x_j = 2*pi*j/M of a (n, 2K+1) coefficient
-    array, for any M >= 1.  This is exact point evaluation of the
-    trigonometric polynomial (not an interpolation statement).
+    """Point values at x_j = 2*pi*j/M, for any M >= 1, of the real field
+    with half spectrum ``coeffs`` (n, K+1).  This is exact point evaluation
+    of the trigonometric polynomial (not an interpolation statement).  Like
+    irfft, both paths take the real part of mode 0 and ignore Im c_0.
 
-    Two paths, both rejecting coefficients that break the reality condition
-    by more than 1e-10 * max|c| with ValueError (non-finite input passes
-    through unchecked, so a blown-up state reaches its caller as such):
-
-    - padded, M >= 2K+1: no mode folds, so modes 0..K form the half spectrum
-      of one real inverse transform (``half_to_values``); the reality check
-      is the O(nK) Hermitian test max|c_k - conj c_{-k}|, |Im c_0| on the
-      input.
-    - fold, M < 2K+1: modes are folded modulo M into a full complex
-      spectrum; the check is the imaginary residue of the inverse ``ifft``.
+    - padded, M >= 2K+1: no mode folds, so this is one real inverse
+      transform (``half_to_values``).
+    - fold, M < 2K+1: the two-sided modes -K..K are folded modulo M into a
+      full complex spectrum, and the real part of its inverse ``ifft`` is
+      returned.
     """
     M = int(M)
     if M < 1:
         raise ValueError("M must be positive")
     n, width = coeffs.shape
-    K = (width - 1) // 2
-    if M >= width:
-        scale = max(float(np.max(np.abs(coeffs))), 1e-300)
-        asym = np.abs(coeffs[:, K:] - np.conj(coeffs[:, K::-1]))
-        asym[:, 0] *= 0.5  # c_0 - conj(c_0) = 2i Im c_0
-        resid = float(np.max(asym))
-        if resid > 1e-10 * scale:
-            raise ValueError(f"Hermitian residue {resid:.3e} exceeds 1e-10 * coefficient magnitude")
-        return half_to_values(coeffs[:, K:], M)
+    if M >= 2 * width - 1:
+        return half_to_values(coeffs, M)
+    K = width - 1
+    c = mirror(coeffs)
+    c[:, K] = c[:, K].real
     B = np.zeros((n, M), dtype=np.complex128)
     cols = np.mod(np.arange(-K, K + 1), M)
-    np.add.at(B, (np.arange(n)[:, None], cols[None, :]), coeffs)
+    np.add.at(B, (np.arange(n)[:, None], cols[None, :]), c)
     vals = np.fft.ifft(B * (M / SQRT_2PI), axis=1)
-    scale = max(float(np.max(np.abs(vals))), 1e-300)
-    resid = float(np.max(np.abs(vals.imag)))
-    if resid > 1e-10 * scale:
-        raise ValueError(f"imaginary residue {resid:.3e} exceeds 1e-10 * field magnitude")
     return np.ascontiguousarray(vals.real)
 
 
 def values_to_coeffs(values, K):
-    """Raw fast path: band-limited coefficients of real (n, M) grid data."""
+    """Half spectrum (modes 0..K, shape (n, K+1)) of real (n, M) grid data,
+    band-limited to max mode K; needs M >= 2K+1."""
     K = int(K)
     M = values.shape[1]
     if M < 2 * K + 1:
         raise ResolutionError(f"need M >= 2K+1 = {2 * K + 1}, got M = {M}")
-    return mirror(values_to_half(values, K))
+    return values_to_half(values, K)
 
 
 def mirror(half):
@@ -256,11 +253,11 @@ def to_grid(u, M):
     M = int(M)
     if M % 2 == 0 or M < 2 * u.K + 1:
         raise ResolutionError(f"need odd M >= 2K+1 = {2 * u.K + 1}, got M = {M}")
-    return coeffs_to_values(u.coeffs, M)
+    return coeffs_to_values(u.half, M)
 
 
 def from_grid(values, K):
-    """Fourier coefficients of (n, M) grid values, band-limited to max mode K.
+    """Field of (n, M) grid values, band-limited to max mode K.
 
     Exact inverse of ``to_grid`` when M == 2K+1; for M > 2K+1 the modes above
     K are discarded (low-pass).  Reality holds exactly by construction.
@@ -275,20 +272,18 @@ def project(u, N):
     """Low-pass projection: keep modes with |k| <= N, zero the rest."""
     if N < 0:
         raise ValueError("N must be nonnegative")
-    keep = (np.abs(u.modes) <= N).astype(float)
-    return u.apply_multiplier(keep)
+    return u.apply_multiplier((u.modes <= N).astype(float))
 
 
 def band_project(u, n_lo, n_hi):
     """Keep modes with n_lo < |k| <= n_hi (annular band; thresholds may be real)."""
-    a = np.abs(u.modes)
-    keep = ((a > n_lo) & (a <= n_hi)).astype(float)
-    return u.apply_multiplier(keep)
+    k = u.modes
+    return u.apply_multiplier(((k > n_lo) & (k <= n_hi)).astype(float))
 
 
 def sobolev_norm(u, s):
-    """Fractional Sobolev norm (sum_k |coeffs[k]|^2 (1+k^2)^s)^(1/2)."""
-    return float(sobolev_norms(u.coeffs[None, :, u.K :], s)[0])
+    """Fractional Sobolev norm (sum_{|k| <= K} |c_k|^2 (1+k^2)^s)^(1/2)."""
+    return float(sobolev_norms(u.half[None], s)[0])
 
 
 def sobolev_norms(half, s):
@@ -305,7 +300,7 @@ def sobolev_norms(half, s):
 
 def sup_norm(u):
     """Approximate sup over x and components of |u| (see ``sup_norms``)."""
-    return float(sup_norms(u.coeffs[None, :, u.K :])[0])
+    return float(sup_norms(u.half[None])[0])
 
 
 # Grid points of one sup_norms transform: each transform takes as many
@@ -383,6 +378,6 @@ def embed(u, K):
     K = int(K)
     if K < u.K:
         raise ValueError("embed target band smaller than the field band")
-    c = np.zeros((u.n, 2 * K + 1), dtype=np.complex128)
-    c[:, K - u.K : K + u.K + 1] = u.coeffs
+    c = np.zeros((u.n, K + 1), dtype=np.complex128)
+    c[:, : u.K + 1] = u.half
     return SpectralField(K, u.n, c)

@@ -9,10 +9,9 @@ def random_field(rng, K, n=1, decay=1.0):
     k = np.arange(1, K + 1)
     amp = (1.0 + k) ** (-decay)
     z = rng.standard_normal((n, K)) + 1j * rng.standard_normal((n, K))
-    c = np.zeros((n, 2 * K + 1), dtype=np.complex128)
-    c[:, K + 1 :] = amp * z
-    c[:, :K] = np.conj(c[:, K + 1 :])[:, ::-1]
-    c[:, K] = rng.standard_normal(n)
+    c = np.zeros((n, K + 1), dtype=np.complex128)  # modes 0..K
+    c[:, 1:] = amp * z
+    c[:, 0] = rng.standard_normal(n)
     return SpectralField(K, n, c)
 
 

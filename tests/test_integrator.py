@@ -84,11 +84,11 @@ class TestStep:
         cfg = make_cfg(G=PolynomialMap.zero(1), variant="limit_uncorrected", T=0.05)
         u = random_field(rng, cfg.K)
         stepper = Stepper(cfg, 0.0)
-        c = u.coeffs[:, cfg.K :].copy()
+        c = u.half.copy()
         for _ in range(cfg.n_steps):
             c = stepper.step_coeffs(c, 0.0)
         k = np.arange(cfg.K + 1, dtype=float)
-        exact = u.coeffs[:, cfg.K :] * np.exp(-cfg.nu * k**2 * cfg.T)[None, :]
+        exact = u.half * np.exp(-cfg.nu * k**2 * cfg.T)[None, :]
         assert np.max(np.abs(c - exact)) < 1e-12
 
     def test_constant_drift_grows_mean_mode(self):
@@ -117,7 +117,7 @@ class TestStep:
         k = 2
         u = SpectralField.from_modes(K=cfg.K, entries={k: 0.4 - 0.1j})
         stepper = Stepper(cfg, 0.0)
-        c = u.coeffs[:, cfg.K :].copy()
+        c = u.half.copy()
         for _ in range(100):
             c = stepper.step_coeffs(c, 0.0)
         exact = (0.4 - 0.1j) * np.exp(-(cfg.nu * k**2 + 1.0) * 0.1)
@@ -129,7 +129,7 @@ class TestStep:
                        lambda_mode="zero")
         u = random_field(rng, cfg.K)
         stepper = Stepper(cfg, 0.0)
-        c = stepper.step_coeffs(u.coeffs[:, cfg.K :], 0.0)
+        c = stepper.step_coeffs(u.half, 0.0)
         killed = np.arange(cfg.K + 1) >= np.pi / cfg.eps
         assert killed.any() and np.all(c[:, killed] == 0.0)
 
@@ -152,22 +152,21 @@ class TestStep:
 
 
 def separate_transforms_nonlinearity(stepper, half, M=None):
-    """Drift-plus-flux term with one two-sided transform per array, as a
-    reference for the stacked half-spectrum transforms of
-    Stepper.nonlinearity; takes and returns modes 0..K, M overrides the grid."""
+    """Drift-plus-flux term with one transform per array, as a reference for
+    the stacked transforms of Stepper.nonlinearity; takes and returns modes
+    0..K, M overrides the grid."""
     cfg, M = stepper.cfg, M or stepper.M
-    coeffs = mirror(half)
-    grid = coeffs_to_values(coeffs, M)
+    grid = coeffs_to_values(half, M)
     drift = values_to_coeffs(evaluate(stepper.drift, grid), cfg.K)
     if cfg.variant != "approximate":
         flux = values_to_coeffs(evaluate(cfg.G, grid), cfg.K)
-        return (drift + mirror(stepper.ik[None, :]) * flux)[:, cfg.K :]
-    dgrid = coeffs_to_values(coeffs * mirror(stepper.d_mult[None, :]), M)
+        return drift + stepper.ik[None, :] * flux
+    dgrid = coeffs_to_values(half * stepper.d_mult[None, :], M)
     total = np.zeros((cfg.n, M))
     for i in range(cfg.n):
         for j in range(cfg.n):
             total[i] += stepper.jac_G[i][j](grid) * dgrid[j]
-    return (drift + values_to_coeffs(total, cfg.K))[:, cfg.K :]
+    return drift + values_to_coeffs(total, cfg.K)
 
 
 class TestStackedNonlinearity:
@@ -193,7 +192,7 @@ class TestStackedNonlinearity:
             variant=variant,
         )
         stepper = Stepper(cfg, 0.3)
-        half = random_field(rng, cfg.K, n=n, decay=1.5).coeffs[:, cfg.K :]
+        half = random_field(rng, cfg.K, n=n, decay=1.5).half
         got = stepper.nonlinearity(half)
         ref = separate_transforms_nonlinearity(stepper, half)
         assert np.max(np.abs(ref)) > 0.1
@@ -218,7 +217,7 @@ class TestStepperBuffers:
                        lambda_mode="quadrature", variant=variant)
         shared = Stepper(cfg, 0.3)
         fresh = [Stepper(cfg, 0.3), Stepper(cfg, 0.3)]
-        states = [random_field(rng, cfg.K, n=n, decay=1.5).coeffs[:, cfg.K :].copy() for _ in range(2)]
+        states = [random_field(rng, cfg.K, n=n, decay=1.5).half.copy() for _ in range(2)]
         refs = [c.copy() for c in states]
         w = derive_stream(5, 0, "wiener")
         kept = []  # every array returned, with its bytes when it was returned
@@ -256,7 +255,7 @@ class TestAliasFreeNonlinearity:
             variant=variant,
         )
         stepper = Stepper(cfg, 0.3)
-        half = random_field(rng, cfg.K, decay=1.0).coeffs[:, cfg.K :]
+        half = random_field(rng, cfg.K, decay=1.0).half
         got = stepper.nonlinearity(half)
         ref = separate_transforms_nonlinearity(stepper, half, M=8 * (2 * cfg.K + 1) + 1)
         assert np.max(np.abs(got - ref)) < 1e-12 * np.max(np.abs(ref))
@@ -264,34 +263,36 @@ class TestAliasFreeNonlinearity:
 
 def two_sided_simulate(cfg, lam, u0, rng):
     """Reference for simulate: the exponential-Euler loop on two-sided
-    (n, 2K+1) arrays, with Hermitian-checked transforms (coeffs_to_values,
-    values_to_coeffs), mirrored Wiener increments and the per-mode factors
-    of the Stepper mirrored onto modes -K..K."""
+    (n, 2K+1) arrays, with mirrored Wiener increments, the per-mode factors
+    of the Stepper mirrored onto modes -K..K, and transforms that read modes
+    0..K of the state and mirror their result."""
     st = Stepper(cfg, lam)
     n, K, M = cfg.n, cfg.K, st.M
     even = lambda a: np.concatenate([a[:0:-1], a])
     decay, phi1_dt, noise_fac = even(st.decay), even(st.phi1_dt), even(st.noise_fac)
     d_mult, ik = mirror(st.d_mult[None, :])[0], mirror(st.ik[None, :])[0]
+    to_values = lambda c: coeffs_to_values(c[:, K:], M)
+    to_coeffs = lambda v: mirror(values_to_coeffs(v, K))
 
     def nonlinearity(c):
         if st.drift_zero and st.G_zero:
             return 0.0
         if st.G_zero:
-            return values_to_coeffs(evaluate(st.drift, coeffs_to_values(c, M)), K)
+            return to_coeffs(evaluate(st.drift, to_values(c)))
         if cfg.variant == "approximate":
-            both = coeffs_to_values(np.concatenate([c, c * d_mult[None, :]]), M)
+            both = to_values(np.concatenate([c, c * d_mult[None, :]]))
             grid, dgrid = both[:n], both[n:]
             total = np.zeros((n, M)) if st.drift_zero else evaluate(st.drift, grid)
             for i in range(n):
                 for j in range(n):
                     if st.jac_G[i][j].terms:
                         total[i] += st.jac_G[i][j](grid) * dgrid[j]
-            return values_to_coeffs(total, K)
-        grid = coeffs_to_values(c, M)
+            return to_coeffs(total)
+        grid = to_values(c)
         flux = evaluate(cfg.G, grid)
         if st.drift_zero:
-            return ik[None, :] * values_to_coeffs(flux, K)
-        both = values_to_coeffs(np.concatenate([evaluate(st.drift, grid), flux]), K)
+            return ik[None, :] * to_coeffs(flux)
+        both = to_coeffs(np.concatenate([evaluate(st.drift, grid), flux]))
         return both[:n] + ik[None, :] * both[n:]
 
     sub = cfg.noise_substeps
@@ -336,7 +337,7 @@ class TestHalfSpectrumStepping:
     def test_mean_mode_stays_exactly_real(self, rng, variant):
         cfg = self.cfg(variant, 2, 1, killed=True)
         stepper = Stepper(cfg, 0.3)
-        half = random_field(rng, cfg.K, n=2, decay=1.5).coeffs[:, cfg.K :].copy()
+        half = random_field(rng, cfg.K, n=2, decay=1.5).half.copy()
         w = derive_stream(3, 2, "wiener")
         for _ in range(cfg.n_steps):
             half = stepper.step_coeffs(half, wiener_increment_coeffs(cfg.K, 2, cfg.dt, w))
@@ -406,7 +407,7 @@ class TestRunCoupled:
         rec = res.records[0]
         assert not rec.blown_up
         assert np.all(np.isfinite(rec.sup_err_corrected))
-        assert rec.diagnostics["theta_eps_final"] > 0.0
+        assert rec.diagnostics["qv_limit_final"] > 0.0
 
     def test_mean_curves_and_summary_shapes(self):
         cfg = make_cfg(T=0.02, sample_every=5)
@@ -438,7 +439,7 @@ class TestRunCoupled:
             run_cfg = replace(cfg, variant=variant, eps=eps_run)
             runs[variant] = simulate(run_cfg, lam, cfg.v0_field() + init, derive_stream(cfg.seed, 0, "wiener"))[1]
         for name, limit in (("corrected", "limit_corrected"), ("uncorrected", "limit_uncorrected")):
-            diffs = [SpectralField(cfg.K, cfg.n, mirror(a - b)) for a, b in zip(runs["approximate"], runs[limit])]
+            diffs = [SpectralField(cfg.K, cfg.n, a - b) for a, b in zip(runs["approximate"], runs[limit])]
             sup = np.array([sup_norm(d) for d in diffs])
             ha = np.array([sobolev_norm(d, cfg.alpha) for d in diffs])
             assert getattr(rec, f"sup_err_{name}").tobytes() == sup.tobytes()
@@ -499,7 +500,7 @@ class TestSolutionRoughness:
             rng = derive_stream(cfg.seed, rep, "wiener")
             times, half = simulate(cfg, 0.25, u_bar0, rng)
             vals = [
-                float(quadratic_variation(SpectralField(cfg.K, 1, mirror(c)), M_qv)[0])
+                float(quadratic_variation(SpectralField(cfg.K, 1, c), M_qv)[0])
                 for t, c in zip(times, half)
                 if t >= 0.1 - 1e-12
             ]

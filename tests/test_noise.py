@@ -15,7 +15,7 @@ from burgerslab.schemes import (
     galerkin_scheme,
     identity_scheme,
 )
-from burgerslab.spectral import SpectralField, mirror, sobolev_norm, sup_norm
+from burgerslab.spectral import SpectralField, sobolev_norm, sup_norm
 
 
 def coupling_l2_distance_sq(scheme, eps, nu, K, n=1):
@@ -26,8 +26,8 @@ def coupling_l2_distance_sq(scheme, eps, nu, K, n=1):
 
 
 def wiener_increment(K, n, dt, rng):
-    """One Wiener increment as a two-sided field."""
-    return SpectralField(K, n, mirror(wiener_increment_coeffs(K, n, dt, rng)))
+    """One Wiener increment as a field."""
+    return SpectralField(K, n, wiener_increment_coeffs(K, n, dt, rng))
 
 
 class TestDeriveStream:

@@ -38,6 +38,15 @@ class TestParseV0:
         assert u.mode(2)[0] == -0.5j
         assert u.mode(-2)[0] == 0.5j
 
+    def test_modes_file_writes_each_mode_once(self, tmp_path):
+        # a line for -k sets the conjugate of mode k, a later line for k or -k
+        # overrides it, and a line for 0 gives its real part
+        path = tmp_path / "v0.csv"
+        path.write_text("k,comp,re,im\n-3,1,0.5,0.25\n0,1,2.0,7.0\n3,1,1.0,0.0\n-3,1,0.0,1.0\n")
+        u = parse_v0(f"modes:{path}", 8, 1)
+        assert u.mode(3)[0] == -1j and u.mode(-3)[0] == 1j
+        assert u.mode(0)[0] == 2.0
+
     @pytest.mark.parametrize(
         "row, message",
         [
@@ -202,6 +211,20 @@ def test_generated_non_positive_numbers_exit_2(case, where, data):
         ladder = sections[section][key].split(",")
         ladder.insert(data.draw(st.integers(0, len(ladder)), label="position"), bad)
         bad = ",".join(ladder)
+    sections[section][key] = bad
+    with tempfile.TemporaryDirectory() as work:
+        code, _, stderr, out = _dry_run(work, sections)
+        _assert_rejected(code, stderr, out, key)
+
+
+_FINITE = [("model", "nu"), ("model", "alpha"), ("time", "T")]
+
+
+@_PROPERTY
+@given(run_configs(), st.sampled_from(_FINITE), st.sampled_from(["inf", "-inf", "nan"]))
+def test_generated_non_finite_numbers_exit_2(case, where, bad):
+    sections = case[0]
+    section, key = where
     sections[section][key] = bad
     with tempfile.TemporaryDirectory() as work:
         code, _, stderr, out = _dry_run(work, sections)

@@ -141,7 +141,7 @@ class TestApplyDeltaEps:
         u = random_field(rng, K=8)
         v = apply_Delta_eps(identity_scheme(1, 0), u, 0.3)
         k = u.modes.astype(float)
-        assert np.max(np.abs(v.coeffs - u.coeffs * -(k**2))) < 1e-12
+        assert np.max(np.abs(v.half - u.half * -(k**2))) < 1e-12
 
     def test_finite_difference_symbol(self):
         eps = 0.2

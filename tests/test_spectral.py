@@ -33,9 +33,14 @@ def to_grid_direct(u, M):
     M = int(M)
     if M % 2 == 0 or M < 2 * u.K + 1:
         raise ResolutionError(f"need odd M >= 2K+1 = {2 * u.K + 1}, got M = {M}")
-    x = 2.0 * np.pi * np.arange(M) / M
-    phases = np.exp(1j * np.outer(u.modes, x)) / SQRT_2PI
-    return (u.coeffs @ phases).real
+    return direct_values(u, M)
+
+
+def direct_values(u, M):
+    """Direct O(K*M) sum over the two-sided modes -K..K at x_j = 2*pi*j/M,
+    for any M >= 1."""
+    xs = 2.0 * np.pi * np.arange(M) / M
+    return (u.coeffs @ (np.exp(1j * np.outer(np.arange(-u.K, u.K + 1), xs)) / SQRT_2PI)).real
 
 
 def l2_inner(u, v):
@@ -130,9 +135,9 @@ class TestProjections:
     def test_band_edges(self, rng):
         u = random_field(rng, K=9)
         v = band_project(u, 2, 5)
-        kept = np.abs(v.modes)
+        kept = v.modes
         expect = (kept > 2) & (kept <= 5)
-        assert np.all((np.abs(v.coeffs[0]) > 0) == expect)
+        assert np.all((np.abs(v.half[0]) > 0) == expect)
 
     def test_idempotent_and_self_adjoint(self, rng):
         u = random_field(rng, K=16, n=2)
@@ -173,8 +178,7 @@ class TestNorms:
     def test_sup_norm_against_dense_sampling(self, rng):
         # band-limited bump: compare against brute force max on 1e5 points
         u = random_field(rng, K=12, decay=2.0)
-        xs = np.linspace(0.0, 2.0 * np.pi, 100_000, endpoint=False)
-        vals = (u.coeffs @ (np.exp(1j * np.outer(u.modes, xs)) / SQRT_2PI)).real
+        vals = direct_values(u, 100_000)
         assert abs(sup_norm(u) - np.max(np.abs(vals))) < 1e-4
 
 
@@ -282,30 +286,53 @@ class TestInvariants:
             assert np.all(np.isfinite(g))
             assert np.max(np.abs(w.coeffs - np.conj(w.coeffs[:, ::-1]))) == 0.0
 
-    def test_constructor_rejects_broken_reality(self):
-        c = np.zeros((1, 5), dtype=complex)
-        c[0, 3] = 1.0  # no conjugate partner
-        with pytest.raises(ValueError):
-            SpectralField(2, 1, c)
+    def test_constructor_rejects_non_real_mode_zero(self):
+        # the one reality condition a half spectrum does not enforce itself
+        c = np.zeros((2, 3), dtype=complex)
+        c[:, 1] = 1.0 - 2.0j
+        c[1, 0] = 1.0 + 1e-3j
+        with pytest.raises(ValueError, match="mode 0 is not real"):
+            SpectralField(2, 2, c)
+        c[1, 0] = 1.0 + 1e-12j  # rounding level: accepted, and made exactly real
+        u = SpectralField(2, 2, c)
+        assert u.half[1, 0] == 1.0 and not np.signbit(u.half[:, 0].imag).any()
+        assert np.array_equal(u.half[:, 1:], c[:, 1:])
+
+    def test_constructor_checks_shape_and_keeps_a_frozen_copy(self):
+        with pytest.raises(ValueError, match="shape"):
+            SpectralField(2, 1, np.zeros((1, 5)))  # the two-sided layout
+        c = np.zeros((1, 3), dtype=complex)
+        u = SpectralField(2, 1, c)
+        c[0, 1] = 1.0
+        assert u.mode(1)[0] == 0.0
+        assert not u.half.flags.writeable and not u.coeffs.flags.writeable
+
+    def test_multiplier_is_given_on_modes_zero_to_K(self, rng):
+        u = random_field(rng, K=4, n=2)
+        with pytest.raises(ValueError, match="k = 0..K"):
+            u.apply_multiplier(np.ones(9))  # the two-sided layout
+        # a complex factor at k = 0 would make the mean complex
+        with pytest.raises(ValueError, match="mode 0 is not real"):
+            u.apply_multiplier(np.array([1j, 1.0, 1.0, 1.0, 1.0]))
+
+    def test_negative_modes_are_conjugates(self, rng):
+        u = random_field(rng, K=6, n=2)
+        assert np.array_equal(u.modes, np.arange(7))
+        for k in range(1, 7):
+            assert np.array_equal(u.mode(-k), np.conj(u.mode(k)))
+            assert np.array_equal(u.coeffs[:, 6 - k], u.mode(-k))
 
     def test_coeffs_to_values_allows_coarse_grids(self, rng):
         # aliased point evaluation agrees with the direct sum for M < 2K+1
         u = random_field(rng, K=10)
-        M = 7
-        xs = 2.0 * np.pi * np.arange(M) / M
-        direct = (u.coeffs @ (np.exp(1j * np.outer(u.modes, xs)) / SQRT_2PI)).real
-        assert np.max(np.abs(coeffs_to_values(u.coeffs, M) - direct)) < 1e-12
+        assert np.max(np.abs(coeffs_to_values(u.half, 7) - direct_values(u, 7))) < 1e-12
 
 
 class TestTransformPaths:
-    """Padded grids (M >= 2K+1) take one real inverse transform; coarser
-    grids fold modes into a complex one.  Both must be exact point
-    evaluation and both must refuse coefficients that are not Hermitian."""
-
-    @staticmethod
-    def direct(u, M):
-        xs = 2.0 * np.pi * np.arange(M) / M
-        return (u.coeffs @ (np.exp(1j * np.outer(u.modes, xs)) / SQRT_2PI)).real
+    """Padded grids (M >= 2K+1) take one real inverse transform of the half
+    spectrum; coarser grids fold the two-sided modes into a complex one.
+    Both must be exact point evaluation, and both take the real part of
+    mode 0."""
 
     @pytest.mark.parametrize(
         "K, M, n",
@@ -314,42 +341,22 @@ class TestTransformPaths:
     def test_padded_path_matches_direct_evaluation(self, rng, K, M, n):
         # to_grid_direct takes odd grids only; even ones use the same sum
         u = random_field(rng, K=K, n=n)
-        ref = to_grid_direct(u, M) if M % 2 else self.direct(u, M)
-        assert np.max(np.abs(coeffs_to_values(u.coeffs, M) - ref)) < 1e-12
+        ref = to_grid_direct(u, M) if M % 2 else direct_values(u, M)
+        assert np.max(np.abs(coeffs_to_values(u.half, M) - ref)) < 1e-12
 
-    @staticmethod
-    def broken(rng, K, n, where):
-        c = random_field(rng, K=K, n=n).coeffs.copy()
-        if where == "mean":
-            c[-1, K] += 1e-3j
-        else:
-            c[-1, K + where] += 1e-3 * (1.0 + 1.0j)
-        return c
-
-    @pytest.mark.parametrize("M", [17, 18, 40, 7, 4])  # padded (odd, even), fold
-    @pytest.mark.parametrize("where", [1, 8, "mean"])
-    def test_rejects_non_hermitian_coefficients(self, rng, M, where):
-        c = self.broken(rng, 8, 2, where)
-        with pytest.raises(ValueError):
-            coeffs_to_values(c, M)
-
-    def test_rejects_imaginary_constant_with_zero_band(self):
-        with pytest.raises(ValueError):
-            coeffs_to_values(np.array([[1.0 + 1e-3j]]), 3)
-
-    @pytest.mark.parametrize("M", [41, 7])
-    def test_accepts_rounding_level_asymmetry(self, rng, M):
-        u = random_field(rng, K=17, n=2)
-        c = u.coeffs.copy()
-        c[0, 17 + 3] *= 1.0 + 1e-14
-        assert np.max(np.abs(coeffs_to_values(c, M) - self.direct(u, M))) < 1e-12
+    @pytest.mark.parametrize("K, M", [(8, 17), (8, 18), (8, 40), (8, 7), (8, 4), (0, 3), (0, 1)])  # padded, fold
+    def test_both_paths_ignore_imaginary_mode_zero(self, rng, K, M):
+        u = random_field(rng, K=K, n=2)
+        c = u.half.copy()
+        c[:, 0] += np.array([1e-3j, -2.5j])
+        assert coeffs_to_values(c, M).tobytes() == coeffs_to_values(u.half, M).tobytes()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_state_passes_through(self, rng, bad):
         # a blown-up state must reach the integrator's finiteness test, not
         # be mistaken for broken reality
-        c = random_field(rng, K=8, n=2).coeffs.copy()
-        c[1, 8 + 2] = c[1, 8 - 2] = bad
+        c = random_field(rng, K=8, n=2).half.copy()
+        c[1, 2] = bad
         with np.errstate(invalid="ignore", over="ignore"):
             vals = coeffs_to_values(c, 17)
         assert np.all(np.isfinite(vals[0])) and not np.all(np.isfinite(vals[1]))
@@ -362,11 +369,11 @@ class TestHalfSpectrum:
     @pytest.mark.parametrize("M", [35, 36, 41])
     def test_half_to_values_matches_padded_path(self, rng, M):
         u = random_field(rng, K=17, n=2)
-        assert np.array_equal(half_to_values(u.coeffs[:, 17:], M), coeffs_to_values(u.coeffs, M))
+        assert np.array_equal(half_to_values(u.half, M), coeffs_to_values(u.half, M))
 
     @pytest.mark.parametrize("K, M, n", [(17, 35, 2), (17, 36, 1), (17, 105, 3), (0, 1, 1)])
     def test_half_to_values_with_a_buffer_is_bitwise_equal(self, rng, K, M, n):
-        half = random_field(rng, K=K, n=n).coeffs[:, K:]
+        half = random_field(rng, K=K, n=n).half
         buf = np.zeros((n, M // 2 + 1), dtype=np.complex128)
         for _ in range(2):  # a reused buffer as well as a fresh one
             got = half_to_values(half, M, buf)
@@ -378,11 +385,14 @@ class TestHalfSpectrum:
         vals = rng.standard_normal((2, 41))
         half = values_to_half(vals, 17)
         assert half.shape == (2, 18)
-        assert np.array_equal(mirror(half), values_to_coeffs(vals, 17))
+        assert np.array_equal(values_to_coeffs(vals, 17), half)
 
     def test_mirror_restores_a_hermitian_array(self, rng):
         u = random_field(rng, K=9, n=2)
-        assert np.array_equal(mirror(u.coeffs[:, 9:]), u.coeffs)
+        two = mirror(u.half)
+        assert np.array_equal(two[:, 9:], u.half)
+        assert np.array_equal(two[:, :9], np.conj(u.half[:, :0:-1]))
+        assert np.array_equal(two, u.coeffs)
 
 
 @st.composite
