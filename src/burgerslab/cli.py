@@ -205,6 +205,22 @@ def _summary_line(row):
     )
 
 
+def _qv_limit_summary(result, nu):
+    """Ensemble mean and standard error of the grid quadratic variation of
+    the final corrected limit state, next to the stationary density pi/nu
+    it approaches.  Every eps run of a replicate carries the same value, so
+    each replicate with a surviving eps run counts once; the mean needs one
+    and the standard error two, else they are None."""
+    per_replicate = {r.replicate: r.diagnostics["qv_limit_final"] for r in result.records if not r.blown_up}
+    qv = np.array([per_replicate[rep] for rep in sorted(per_replicate)])
+    return {
+        "n": int(qv.size),
+        "mean": float(np.mean(qv)) if qv.size else None,
+        "stderr": float(np.std(qv, ddof=1) / np.sqrt(qv.size)) if qv.size > 1 else None,
+        "pi_over_nu": math.pi / nu,
+    }
+
+
 def cmd_converge(args):
     # read every input and resolve Lambda before anything is written; the
     # run takes the resolved value, so Lambda is computed once
@@ -257,6 +273,7 @@ def cmd_converge(args):
     )
     resolved = replace(cfg, lambda_mode="explicit", lambda_value=lam)
     result = run_coupled(resolved, eps_list, replicates, workers=args.workers)
+    manifest.data["diagnostics"] = {"qv_limit_final": _qv_limit_summary(result, cfg.nu)}
     manifest.stage("simulation")
 
     outputs = []

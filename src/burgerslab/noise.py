@@ -6,13 +6,17 @@ counterpart has variance h(eps|k|)^2 / (2(1 + nu k^2 f(eps|k|))).  Sampling
 both from one shared set of standard normals (comonotone per mode) couples
 them optimally for single-time marginals and keeps the sampler exact and
 stateless; this replaces a shared-driving-noise time integral and changes
-only constants, not scaling exponents.
+only constants, not scaling exponents.  The draw is made when a pair is
+sampled, so the random stream moves the same whichever field is read; each
+field is built from it on first read, so a study that reads one of the two
+never builds the other.
 
 Random streams are derived from (seed, replicate, purpose) through a seed
 sequence, so ensembles parallelize without any shared mutable state and
 results cannot depend on thread scheduling.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -99,17 +103,34 @@ class ModeGaussianDraw:
 @dataclass(frozen=True)
 class CoupledStationaryPair:
     """Stationary samples of the limit and discretized linear equations,
-    built from one shared draw."""
+    built from one shared draw.
 
-    psi: SpectralField
-    psi_tilde: SpectralField
+    ``psi`` and ``psi_tilde`` are built from ``draw`` on first read and then
+    kept; reading them draws nothing.
+    """
+
     draw: ModeGaussianDraw
+    scheme: object
+    eps: float
+    nu: float
+
+    @functools.cached_property
+    def psi(self):
+        return self.draw.field(stationary_sigmas(self.draw.K, self.nu))
+
+    @functools.cached_property
+    def psi_tilde(self):
+        return self.draw.field(discrete_sigmas(self.scheme, self.eps, self.nu, self.draw.K))
 
 
+@functools.lru_cache(maxsize=None)
 def stationary_sigmas(K, nu):
-    """Per-mode standard deviations (2(1 + nu k^2))^(-1/2) of the limit equation."""
+    """Per-mode standard deviations (2(1 + nu k^2))^(-1/2) of the limit
+    equation, as a read-only array (memoized per (K, nu))."""
     k = np.arange(K + 1, dtype=float)
-    return 1.0 / np.sqrt(2.0 * (1.0 + nu * k * k))
+    sigma = 1.0 / np.sqrt(2.0 * (1.0 + nu * k * k))
+    sigma.flags.writeable = False
+    return sigma
 
 
 def discrete_sigmas(scheme, eps, nu, K):
@@ -128,14 +149,12 @@ def discrete_sigmas(scheme, eps, nu, K):
 
 
 def sample_stationary_pair(scheme, eps, nu, K, rng, n=1):
-    """Draw the coupled pair (psi, psi_tilde) from one set of mode normals."""
+    """Draw the coupled pair (psi, psi_tilde) from one set of mode normals;
+    the fields are built on first read (see ``CoupledStationaryPair``)."""
     if K < 1 or nu <= 0 or eps <= 0:
         raise ValueError("need K >= 1, nu > 0, eps > 0")
     scheme.require_valid()
-    draw = ModeGaussianDraw.sample(K, n, rng)
-    psi = draw.field(stationary_sigmas(K, nu))
-    psi_tilde = draw.field(discrete_sigmas(scheme, eps, nu, K))
-    return CoupledStationaryPair(psi, psi_tilde, draw)
+    return CoupledStationaryPair(ModeGaussianDraw.sample(K, n, rng), scheme, eps, nu)
 
 
 def wiener_increment_coeffs(K, n, dt, rng):

@@ -189,9 +189,14 @@ def coeffs_to_values(coeffs, M):
 
     - padded, M >= 2K+1: no mode folds, so this is one real inverse
       transform (``half_to_values``).
-    - fold, M < 2K+1: the two-sided modes -K..K are folded modulo M into a
-      full complex spectrum, and the real part of its inverse ``ifft`` is
-      returned.
+    - fold, M < 2K+1: the two-sided modes -K..K are written in order into
+      a zero-padded (n, rows*M) array from column (-K) mod M, so that every
+      column is its mode modulo M; the rows of its (n, rows, M) view are
+      added into a zero (n, M) spectrum one at a time and in order, and the
+      real part of the spectrum's inverse ``ifft`` is returned.  Each bin
+      thus sums +0.0 and then its modes in increasing k, the order of a
+      scatter-add of the two-sided array (a pairwise or first-row-seeded
+      ``sum`` would round, or sign a zero, differently).
     """
     M = int(M)
     if M < 1:
@@ -200,11 +205,17 @@ def coeffs_to_values(coeffs, M):
     if M >= 2 * width - 1:
         return half_to_values(coeffs, M)
     K = width - 1
-    c = mirror(coeffs)
-    c[:, K] = c[:, K].real
+    start = -K % M
+    rows = -(-(start + 2 * K + 1) // M)
+    padded = np.zeros((n, rows * M), dtype=np.complex128)
+    zero = start + K
+    np.conjugate(coeffs[:, :0:-1], out=padded[:, start:zero])
+    padded[:, zero] = coeffs[:, 0].real
+    padded[:, zero + 1 : zero + width] = coeffs[:, 1:]
+    folded = padded.reshape(n, rows, M)
     B = np.zeros((n, M), dtype=np.complex128)
-    cols = np.mod(np.arange(-K, K + 1), M)
-    np.add.at(B, (np.arange(n)[:, None], cols[None, :]), c)
+    for row in range(rows):
+        B += folded[:, row]
     vals = np.fft.ifft(B * (M / SQRT_2PI), axis=1)
     return np.ascontiguousarray(vals.real)
 

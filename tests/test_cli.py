@@ -1,12 +1,19 @@
+import contextlib
 import hashlib
+import io
 import json
+import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from burgerslab import integrator
-from burgerslab.cli import EXIT_BLOWUP, EXIT_OK, EXIT_QUADRATURE, EXIT_VALIDATION, _summary_line, main
+from burgerslab.cli import EXIT_BLOWUP, EXIT_OK, EXIT_QUADRATURE, EXIT_VALIDATION, _qv_limit_summary, _summary_line, main
+from burgerslab.runconfig import load_run_config
 
 
 @pytest.fixture
@@ -143,6 +150,22 @@ class TestConvergeCommand:
         }
         assert all(len(d) == 64 for d in manifest["outputs"].values())
         assert "simulation" in manifest["wall_clock_seconds"]
+
+    def test_manifest_reports_the_final_limit_qv(self, tmp_path, run_config):
+        out = tmp_path / "qv"
+        assert main(["converge", "--config", str(run_config), "--out", str(out), "--seed", "1"]) == EXIT_OK
+        got = json.loads((out / "demo_manifest.json").read_text())["diagnostics"]["qv_limit_final"]
+        spec = load_run_config(run_config)
+        result = integrator.run_coupled(spec.sim_config(seed=1), spec.eps_list, 2)
+        # one value per replicate, carried by each of its eps runs
+        qv = np.array([[r.diagnostics["qv_limit_final"] for r in result.records if r.replicate == rep] for rep in (0, 1)])
+        assert np.all(qv == qv[:, :1]) and qv[0, 0] != qv[1, 0]
+        assert got == {
+            "n": 2,
+            "mean": float(np.mean(qv[:, 0])),
+            "stderr": float(np.std(qv[:, 0], ddof=1) / np.sqrt(2.0)),
+            "pi_over_nu": np.pi,
+        }
 
     @pytest.mark.parametrize("mode", ["closed_form", "quadrature", "zero"])
     def test_manifest_records_lambda_and_validation(self, tmp_path, run_config, mode):
@@ -355,6 +378,20 @@ class TestQvCommand:
         assert abs(payload["mc_mean"] - payload["exact_sum"]) < 5 * payload["mc_stderr"]
 
 
+def test_qv_limit_summary_counts_each_surviving_replicate_once():
+    def record(replicate, qv=None):
+        diagnostics = {} if qv is None else {"qv_limit_final": qv}
+        return SimpleNamespace(replicate=replicate, diagnostics=diagnostics, blown_up=qv is None)
+
+    # replicate 0 survives at one eps of two, replicate 1 at none
+    one = SimpleNamespace(records=[record(0, 3.0), record(0), record(1), record(1)])
+    assert _qv_limit_summary(one, 2.0) == {"n": 1, "mean": 3.0, "stderr": None, "pi_over_nu": np.pi / 2.0}
+    two = SimpleNamespace(records=[record(0, 3.0), record(1, 5.0), record(0, 3.0), record(1)])
+    assert _qv_limit_summary(two, 1.0) == {"n": 2, "mean": 4.0, "stderr": 1.0, "pi_over_nu": np.pi}
+    none = SimpleNamespace(records=[record(0)])
+    assert _qv_limit_summary(none, 1.0) == {"n": 0, "mean": None, "stderr": None, "pi_over_nu": np.pi}
+
+
 def test_summary_line_without_a_standard_error():
     row = {"eps": 0.125, "n_ok": 1, "n_blowup": 1, "mean_sup_corrected": 0.01, "se_sup_corrected": None,
            "mean_sup_uncorrected": 0.02, "se_sup_uncorrected": None}
@@ -363,3 +400,59 @@ def test_summary_line_without_a_standard_error():
     )
     row.update(n_ok=2, se_sup_corrected=0.00123, se_sup_uncorrected=0.5)
     assert "(se 0.0012)" in _summary_line(row) and "(se 0.5)" in _summary_line(row)
+
+
+# -- generated scheme files through ``lambda`` and ``chaos --dry-run`` ---------
+
+_VALID = {
+    "name": st.sampled_from(["fd", "my scheme"]),
+    "f": st.sampled_from(["identity", "finite_difference", "galerkin"]),
+    "h": st.sampled_from(["one", "indicator_pi"]),
+    "mu": st.sampled_from(["(1,1);(0,-1)", "(0.5,1);(-0.5,-1)", "(2,0.5);(0,-0.5)", "(1,0.5);(-1,-0.5)"]),
+    "q": st.sampled_from(["0.4", "0.1", "1"]),
+}
+_REAL = st.one_of(st.floats(-3.0, 3.0), st.sampled_from([float("nan"), float("inf"), -float("inf"), 1e300]))
+_BROKEN = {
+    "name": st.just(""),
+    "f": st.sampled_from(["bogus", "table:missing.tbl", ""]),
+    "h": st.sampled_from(["bogus", "table:missing.tbl", ""]),
+    "mu": st.one_of(
+        st.sampled_from(["", ";", "(1,1", "(1,2,3)", "(a,b)", "1,1;0,-1"]),
+        st.lists(st.tuples(_REAL, _REAL), min_size=1, max_size=3).map(
+            lambda atoms: ";".join(f"({y!r},{w!r})" for y, w in atoms)
+        ),
+    ),
+    "q": st.one_of(st.sampled_from(["abc", "", "nan", "inf", "-1", "0"]), _REAL.map(repr)),
+}
+_JUNK = st.sampled_from(["# comment", "", "garbage", "extra = 1", "= 1", "mu"])
+
+
+@st.composite
+def scheme_files(draw):
+    """The text of a scheme file: every key takes a value that some valid
+    scheme uses, except for at most two keys that are malformed or missing,
+    and up to two junk lines may be mixed in."""
+    broken = draw(st.lists(st.sampled_from(sorted(_VALID)), max_size=2, unique=True))
+    lines = []
+    for key in _VALID:
+        if key in broken and draw(st.booleans()):
+            continue  # missing
+        value = draw(_BROKEN[key] if key in broken else _VALID[key])
+        lines.append(f"{key} = {value}")
+    for line in draw(st.lists(_JUNK, max_size=2)):
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(scheme_files())
+def test_generated_scheme_files_exit_0_or_2(text):
+    # a scheme file, however malformed, is rejected with exit 2 or used;
+    # no input of this kind ends in a traceback
+    with tempfile.TemporaryDirectory() as work:
+        path = Path(work) / "gen.scheme"
+        path.write_text(text)
+        for argv in (["lambda", "--scheme", str(path)], ["chaos", "--scheme", str(path), "--dry-run"]):
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv)
+            assert code in (EXIT_OK, EXIT_VALIDATION), (argv[0], text)

@@ -55,6 +55,32 @@ class TestStationaryPair:
         )
         assert np.array_equal(pair.psi.coeffs, pair.psi_tilde.coeffs)
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_fields_are_built_from_the_draw_on_first_read(self, n):
+        # the draw moves the stream when the pair is sampled; reading a field
+        # draws nothing, and a second read returns the field already built
+        scheme, eps, nu, K = finite_difference_scheme(1, 0), 0.05, 2.0, 64
+        rng = derive_stream(n, 0, "lazy")
+        pair = sample_stationary_pair(scheme, eps, nu, K, rng, n=n)
+        after_draw = rng.bit_generator.state
+        reference = derive_stream(n, 0, "lazy")
+        ModeGaussianDraw.sample(K, n, reference)
+        assert after_draw == reference.bit_generator.state
+        for name, sigma in (
+            ("psi_tilde", discrete_sigmas(scheme, eps, nu, K)),
+            ("psi", stationary_sigmas(K, nu)),
+        ):
+            field = getattr(pair, name)
+            assert rng.bit_generator.state == after_draw
+            assert field.n == n and field.half.tobytes() == pair.draw.field(sigma).half.tobytes()
+            assert getattr(pair, name) is field
+
+    def test_stationary_sigmas_are_read_only(self):
+        sigma = stationary_sigmas(16, 1.0)
+        assert stationary_sigmas(16, 1.0) is sigma
+        with pytest.raises(ValueError):
+            sigma[1] = 0.0
+
     def test_mode_zero_variance_half(self):
         s = finite_difference_scheme(1, 0)
         assert abs(stationary_sigmas(8, nu=3.0)[0] ** 2 - 0.5) < 1e-15

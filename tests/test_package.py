@@ -70,3 +70,37 @@ def test_traced_converge_call_counts_follow_the_closed_forms(tmp_path):
         "noise.ModeGaussianDraw.sample": R * (2 + E) * steps * s + R * (1 + E),
     }
     assert {name: calls.get(name, 0) for name in want} == want
+
+
+def test_traced_stationary_call_counts_follow_the_closed_forms(tmp_path):
+    # every chaos or qv sample is one stationary pair drawn by one mode draw,
+    # each qv sample folds once, and neither study steps or draws Wiener noise
+    eps, chaos_samples, qv_samples = (0.1, 0.07), 3, 4
+    scheme = tmp_path / "fd.scheme"
+    scheme.write_text("name = fd\nf = finite_difference\nh = indicator_pi\nmu = (1,1);(0,-1)\nq = 0.4\n")
+    out = str(tmp_path / "out")
+    commands = (
+        ["chaos", "--scheme", str(scheme), "--eps", ",".join(map(repr, eps)), "--nu", "1.0",
+         "--samples", str(chaos_samples), "--out", out, "--seed", "4"],
+        ["qv", "--nu", "1.0", "--K", "64", "--M", "16", "--samples", str(qv_samples), "--out", out, "--seed", "4"],
+    )
+    spans = import_spans()
+    tracer = spans.Tracer()
+    spans.instrument(tracer)
+    try:
+        with tracer.round():
+            codes = [main(argv) for argv in commands]
+    finally:
+        tracer.uninstall()
+    assert codes == [0, 0]
+    calls = {name: count for name, (count, _) in tracer.per_round()[0]["spans"].items()}
+    samples = len(eps) * chaos_samples + qv_samples
+    want = {
+        "noise.sample_stationary_pair": samples,
+        "noise.ModeGaussianDraw.sample": samples,
+        "spectral.coeffs_to_values.fold": qv_samples,
+        "noise.wiener_increment_coeffs": 0,
+        "integrator.Stepper": 0,
+        "integrator.step_coeffs": 0,
+    }
+    assert {name: calls.get(name, 0) for name in want} == want

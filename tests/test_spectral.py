@@ -351,6 +351,35 @@ class TestTransformPaths:
         c[:, 0] += np.array([1e-3j, -2.5j])
         assert coeffs_to_values(c, M).tobytes() == coeffs_to_values(u.half, M).tobytes()
 
+    @staticmethod
+    def scatter_fold(coeffs, M):
+        # the fold as a scatter-add of the two-sided modes -K..K, in order
+        n, width = coeffs.shape
+        K = width - 1
+        c = mirror(coeffs)
+        c[:, K] = c[:, K].real
+        B = np.zeros((n, M), dtype=np.complex128)
+        cols = np.mod(np.arange(-K, K + 1), M)
+        np.add.at(B, (np.arange(n)[:, None], cols[None, :]), c)
+        return np.ascontiguousarray(np.fft.ifft(B * (M / SQRT_2PI), axis=1).real)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize(
+        "K, M",
+        [(1, 1), (1, 2), (5, 1), (5, 2), (5, 3), (12, 5), (12, 12), (12, 13), (12, 20), (12, 24), (40, 7), (40, 80)],
+    )
+    def test_fold_bytes_match_the_scatter_add(self, rng, K, M, n):
+        # M < K+1, K+1 <= M < 2K+1 and M = 2K; random, partly zeroed and
+        # all -0.0 spectra, whose zero signs a reordered sum would change
+        assert M < 2 * K + 1
+        half = random_field(rng, K=K, n=n).half.copy()
+        zeroed = half.copy()
+        zeroed[:, rng.random(K + 1) < 0.5] = 0.0
+        zeroed[:, 1::3] = -0.0
+        negative_zero = np.full((n, K + 1), complex(-0.0, -0.0))
+        for c in (half, zeroed, negative_zero):
+            assert coeffs_to_values(c, M).tobytes() == self.scatter_fold(c, M).tobytes()
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_state_passes_through(self, rng, bad):
         # a blown-up state must reach the integrator's finiteness test, not
