@@ -40,18 +40,26 @@ from .correction import (
     lambda_quadrature,
 )
 from .estimators import (
+    difference_grids,
     expected_qv,
-    negative_sobolev_distance,
+    negative_sobolev_distances,
     quadratic_variation,
     rate_fit,
-    xi_eps,
-    xi_eps_y,
+    spatial_means,
+    xi_grid_size,
+    xi_halves,
 )
 from .integrator import resolve_lambda, run_coupled
 from .noise import derive_stream, discrete_sigmas, sample_stationary_pair, stationary_sigmas, ModeGaussianDraw
 from .runconfig import load_run_config
 from .schemes import SchemeValidationError, load_scheme_file
 from .spectral import band_project, sup_norm
+
+# Not used here since chaos takes its tensors and distances as stacks, but
+# kept as module attributes: perfbench/spans.py wraps each function under
+# every module name its callers have looked it up by, and checks that the
+# names still exist (ROADMAP item 1).
+from .estimators import negative_sobolev_distance, xi_eps, xi_eps_y  # noqa: F401
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -370,7 +378,26 @@ def cmd_converge(args):
 # -- chaos ---------------------------------------------------------------------
 
 
+# Grid points of one chaos chunk: each eps takes its samples in chunks of as
+# many as fit on its tensor grid (at least one), which bounds each of
+# the chunk's grids at about _CHAOS_POINTS doubles, whatever --samples is
+# (40 samples at K = 125, 5 at K = 1000).
+_CHAOS_POINTS = 1 << 14
+
+
 def cmd_chaos(args):
+    """Second-chaos study over stationary samples of the discretized
+    equation, band-projected to eps^-gamma < |k| <= eps^-chi.
+
+    Each eps draws its samples one pair at a time from its own stream and
+    processes them in chunks of as many samples as fit in ``_CHAOS_POINTS``
+    grid points (at least one): the chunk's draws are stacked into one, scaled by the discrete sigmas and
+    the band mask, and each live atom's difference grid is taken once for
+    the whole chunk, serving both that atom's tensor mean (E xi_eps_y ->
+    Lambda_eps_y) and the weighted tensor xi_eps whose H^-alpha distance to
+    Lambda_eps * Identity is recorded.  Every row is bitwise its one-sample
+    computation, so the chunk size moves no output byte.
+    """
     eps_list = _eps_list(args.eps)
     _require(_positive(args.nu), f"--nu must be positive, got {args.nu}")
     _require(args.samples >= 2, f"--samples must be at least 2, got {args.samples}")
@@ -386,23 +413,29 @@ def cmd_chaos(args):
     manifest = Manifest("chaos", args.seed, extra={"scheme": scheme.name})
 
     nu, gamma, chi, alpha = args.nu, DEFAULT_GAMMA, DEFAULT_CHI, 0.75
-    atom_rows, dist_rows = [], []
+    atom_rows, dist_rows, per_eps = [], [], []
     for i, eps in enumerate(sorted(eps_list, reverse=True)):
+        start = time.perf_counter()
         K = int(np.ceil(eps**-chi))
+        M = xi_grid_size(K)
+        chunk = max(1, _CHAOS_POINTS // M)
         lam_eps = lambda_eps(scheme, eps, gamma, chi, nu)
+        sigma = discrete_sigmas(scheme, eps, nu, K)
         rng = derive_stream(args.seed, i, "chaos")
         atom_means = {y: [] for y, w in scheme.mu if w != 0.0 and y != 0.0}
         dists = []
-        for _ in range(args.samples):
-            psit = sample_stationary_pair(scheme, eps, nu, K, rng).psi_tilde
-            band = band_project(psit, eps**-gamma, eps**-chi)
-            for y in atom_means:
-                atom_means[y].append(xi_eps_y(band, y, eps).spatial_mean()[0, 0])
-            dists.append(
-                negative_sobolev_distance(xi_eps(band, scheme, eps), lam_eps, alpha)
+        for lo in range(0, args.samples, chunk):
+            draw = ModeGaussianDraw.stack(
+                [sample_stationary_pair(scheme, eps, nu, K, rng).draw for _ in range(min(chunk, args.samples - lo))]
             )
+            half = band_project(draw.field(sigma), eps**-gamma, eps**-chi).half[:, None, :]
+            grids = difference_grids(half, scheme.mu, eps)
+            # an atom repeated in mu has the same grid, and one mean
+            for y, d in {y: d for y, _, d in grids}.items():
+                atom_means[y].append(spatial_means(xi_halves(half.shape, [(y, 1.0, d)], eps))[:, 0, 0])
+            dists.append(negative_sobolev_distances(xi_halves(half.shape, grids, eps), lam_eps, alpha))
         for y, vals in sorted(atom_means.items()):
-            vals = np.asarray(vals)
+            vals = np.concatenate(vals)
             atom_rows.append(
                 (
                     eps,
@@ -413,7 +446,7 @@ def cmd_chaos(args):
                     lambda_eps_y(scheme, eps, gamma, chi, nu, y),
                 )
             )
-        dists = np.asarray(dists)
+        dists = np.concatenate(dists)
         dist_rows.append(
             (
                 eps,
@@ -422,6 +455,10 @@ def cmd_chaos(args):
                 dists.size,
             )
         )
+        per_eps.append(
+            {"eps": eps, "K": K, "M": M, "samples_per_chunk": chunk, "sampling_s": round(time.perf_counter() - start, 6)}
+        )
+    manifest.data["per_eps"] = per_eps
     manifest.stage("sampling")
 
     atom_path = out / "chaos_atoms.csv"
@@ -453,7 +490,7 @@ def cmd_chaos(args):
 
 def cmd_qv(args):
     _require(args.K >= 1, f"--K must be at least 1, got {args.K}")
-    _require(args.M >= 1, f"--M must be at least 1, got {args.M}")
+    _require(args.M >= 2, f"--M must be at least 2 (a quadratic variation needs two gridpoints), got {args.M}")
     _require(args.samples >= 2, f"--samples must be at least 2, got {args.samples}")
     _require(_positive(args.nu), f"--nu must be positive, got {args.nu}")
     if args.dry_run:
@@ -538,6 +575,7 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        _require(args.workers >= 1, f"--workers must be at least 1, got {args.workers}")
         return args.func(args)
     except (InputError, SchemeValidationError) as err:
         print(str(err), file=sys.stderr)

@@ -8,6 +8,15 @@ no interpolation bias; the only stochastic error in the experiments is
 Monte Carlo.  Difference quotients are evaluated in undivided form
 (u(. + eps*y) - u, no division by y), which is well defined at y = 0 and
 absorbs the y^2 weights exactly.
+
+The tensor and its distance are stack-first: ``difference_grids``,
+``xi_halves`` and ``negative_sobolev_distances`` take a (rows, n, K+1)
+stack of half spectra, with one shift and one transform per live atom and
+one transform back per tensor for the whole stack, so a study can share
+each atom's difference grid between its tensors and process a chunk of
+samples at once.  ``xi_eps``, ``xi_eps_y`` and ``negative_sobolev_distance``
+are their one-row calls, and every row of a stack is bitwise its one-row
+call.
 """
 
 from dataclasses import dataclass
@@ -16,8 +25,14 @@ import numpy as np
 
 from . import spectral
 from .nonlin import alias_free_grid_size, hessian
-from .spectral import SQRT_2PI, SpectralField, from_grid, sobolev_norm, to_grid
+from .spectral import SQRT_2PI, SpectralField, from_grid, sobolev_norms, to_grid
 from .schemes import shift_minus
+
+# Not used here since the distances are taken as one stack, but kept as a
+# module attribute: perfbench/spans.py wraps it under every module name its
+# callers have looked it up by, and checks that the names still exist
+# (ROADMAP item 1).
+from .spectral import sobolev_norm  # noqa: F401
 
 
 def theta_eps(u, scheme, eps):
@@ -55,32 +70,75 @@ class XiMatrixField:
     def entry(self, i, j):
         return self.entries[i][j]
 
+    @property
+    def half(self):
+        """The entries' half spectra as one (n, n, K+1) array."""
+        return np.stack([[e.half[0] for e in row] for row in self.entries])
+
     def spatial_mean(self):
         """Mean over x of each entry, as an (n, n) real matrix."""
-        out = np.empty((self.n, self.n))
-        for i in range(self.n):
-            for j in range(self.n):
-                out[i, j] = self.entries[i][j].mode(0)[0].real / SQRT_2PI
-        return out
+        return spatial_means(self.half[None])[0]
 
 
-def _xi_entries(u, atoms, eps):
-    """Entries of sum over (y, w) atoms of (w/(2 eps)) d (x) d, d = u(. + eps y) - u,
-    formed pointwise on the alias-free grid for a product of two fields and
-    truncated back to u's band; the y = 0 atom contributes zero."""
+def xi_grid_size(K):
+    """Size of the grid on which the tensor's products are formed: the
+    alias-free grid for a product of two fields of band K."""
+    return alias_free_grid_size(K, 2)
+
+
+def difference_grids(half, atoms, eps):
+    """Grid values of the undivided differences d = u(. + eps y) - u of each
+    row u of a (rows, n, K+1) stack of half spectra, one (rows, n, M) array
+    per live atom (w != 0, y != 0) of ``atoms``, as a list of (y, w, d) in
+    the atoms' order, on M = xi_grid_size(K) points.  One shift and one
+    transform serve the whole stack, and each row's values are those of its
+    one-row call."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    M = alias_free_grid_size(u.K, 2)
-    acc = np.zeros((u.n, u.n, M))
-    for y, w in atoms:
-        if w == 0.0 or y == 0.0:
-            continue
-        d = to_grid(shift_minus(u, eps * y), M)
-        acc += (w / (2.0 * eps)) * d[:, None, :] * d[None, :, :]
-    return tuple(
-        tuple(from_grid(acc[i, j][None, :], u.K) for j in range(u.n))
-        for i in range(u.n)
-    )
+    rows, n, width = half.shape
+    M = xi_grid_size(width - 1)
+    u = SpectralField(width - 1, rows * n, half.reshape(rows * n, width))
+    return [
+        (y, w, to_grid(shift_minus(u, eps * y), M).reshape(rows, n, M))
+        for y, w in atoms
+        if w != 0.0 and y != 0.0
+    ]
+
+
+def xi_halves(shape, grids, eps):
+    """Half spectra, shape (rows, n, n, K+1), of the tensor
+    sum over ``grids`` (y, w, d) of (w/(2 eps)) d (x) d for a (rows, n, K+1)
+    stack of the given ``shape`` (see ``difference_grids``).
+
+    The products are formed pointwise and added in the grids' order, then
+    truncated back to the band with one transform for the whole stack, and
+    Im c_0 is zeroed as a ``SpectralField`` does; each row is bitwise its
+    one-row call.  No grids give the zero tensor.
+    """
+    rows, n, width = shape
+    M = xi_grid_size(width - 1)
+    acc = np.zeros((rows, n, n, M))
+    for _, w, d in grids:
+        acc += (w / (2.0 * eps)) * d[:, :, None, :] * d[:, None, :, :]
+    # looked up on the module at call time, like the fold in
+    # quadratic_variation, so that perfbench/spans.py's wrapper sees it
+    xi = spectral.values_to_coeffs(acc.reshape(rows * n * n, M), width - 1).reshape(rows, n, n, width)
+    xi[..., 0] = xi[..., 0].real
+    return xi
+
+
+def spatial_means(xi):
+    """Mean over x of each entry of a (rows, n, n, K+1) tensor stack, as a
+    (rows, n, n) real array."""
+    return xi[..., 0].real / SQRT_2PI
+
+
+def _xi_field(u, atoms, eps, scheme_name):
+    """The tensor of ``xi_halves`` for one field u, as an XiMatrixField."""
+    half = u.half[None]
+    xi = xi_halves(half.shape, difference_grids(half, atoms, eps), eps)[0]
+    entries = tuple(tuple(SpectralField(u.K, 1, xi[i, j][None]) for j in range(u.n)) for i in range(u.n))
+    return XiMatrixField(u.n, entries, scheme_name, eps)
 
 
 def xi_eps(u, scheme, eps):
@@ -89,15 +147,17 @@ def xi_eps(u, scheme, eps):
 
     The undivided differences absorb the eps y^2 / 2 weights exactly; the
     y = 0 atom contributes zero.  Entries are scalar fields (n = 1 per
-    entry) indexed by the two tensor slots.
+    entry) indexed by the two tensor slots.  The one-row call of
+    ``difference_grids`` and ``xi_halves``.
     """
     scheme.require_valid()
-    return XiMatrixField(u.n, _xi_entries(u, scheme.mu, eps), scheme.name, eps)
+    return _xi_field(u, scheme.mu, eps, scheme.name)
 
 
 def xi_eps_y(u, y, eps):
-    """Single-atom tensor (eps y^2/2) (difference quotient)^(x)2, unweighted."""
-    return XiMatrixField(u.n, _xi_entries(u, ((y, 1.0),), eps), "", eps)
+    """Single-atom tensor (eps y^2/2) (difference quotient)^(x)2, unweighted
+    (the one-row call of ``xi_halves`` with the atom (y, 1))."""
+    return _xi_field(u, ((y, 1.0),), eps, "")
 
 
 def chain_rule_defect(G, u, scheme, eps):
@@ -168,18 +228,28 @@ def expected_qv(nu, K, M):
 def negative_sobolev_distance(A, c, alpha):
     """Frobenius-aggregated H^{-alpha} norm of (c * Identity - A).
 
-    A is an XiMatrixField, c a scalar; entries are measured with
-    sobolev_norm at order -alpha and combined in quadrature.
+    A is an XiMatrixField, c a scalar; the one-row call of
+    ``negative_sobolev_distances``.
     """
+    return float(negative_sobolev_distances(A.half[None], c, alpha)[0])
+
+
+def negative_sobolev_distances(xi, c, alpha):
+    """Frobenius-aggregated H^{-alpha} norm of (c * Identity - A) for each
+    tensor A of a (rows, n, n, K+1) stack of half spectra, as a (rows,)
+    array: each entry is measured with ``sobolev_norms`` at order -alpha,
+    one stack for all entries, and the squares are added entry by entry in
+    row-major order."""
     if alpha <= 0.5:
         raise ValueError("need alpha > 1/2")
-    total = 0.0
-    for i in range(A.n):
-        for j in range(A.n):
-            e = A.entries[i][j]
-            diff = SpectralField.constant(c if i == j else 0.0, e.K) - e
-            total += sobolev_norm(diff, -alpha) ** 2
-    return float(np.sqrt(total))
+    rows, n, _, width = xi.shape
+    target = np.zeros((n, n, width), dtype=np.complex128)
+    target[range(n), range(n), 0] = c * SQRT_2PI
+    norms = sobolev_norms((target - xi).reshape(rows * n * n, 1, width), -alpha).reshape(rows, n * n)
+    total = np.zeros(rows)
+    for entry in range(n * n):
+        total += norms[:, entry] ** 2
+    return np.sqrt(total)
 
 
 def rate_fit(eps_values, errors):

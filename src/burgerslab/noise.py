@@ -58,6 +58,17 @@ class ModeGaussianDraw:
         z = rng.standard_normal(n + 2 * n * K)
         return ModeGaussianDraw(K, n, z[:n], z[n:].reshape(n, K, 2))
 
+    @staticmethod
+    def stack(draws):
+        """One draw whose components are those of ``draws`` (of one K), in
+        order; its coefficients are, row by row, those of the draws."""
+        return ModeGaussianDraw(
+            draws[0].K,
+            sum(d.n for d in draws),
+            np.concatenate([d.z0 for d in draws]),
+            np.concatenate([d.zz for d in draws]),
+        )
+
     def half_coeffs(self, sigma):
         """Half spectrum (n, K+1) with mode-k entry sigma[k] * zeta_k, k = 0..K;
         a scalar sigma stands for the same value at every mode.

@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from burgerslab import integrator
+from burgerslab import cli, integrator
 from burgerslab.cli import EXIT_BLOWUP, EXIT_OK, EXIT_QUADRATURE, EXIT_VALIDATION, _qv_limit_summary, _summary_line, main
+from burgerslab.estimators import xi_grid_size
 from burgerslab.runconfig import load_run_config
 
 
@@ -344,6 +345,8 @@ class TestChaosCommand:
     [
         (["qv", "--K", "0"], "--K"),
         (["qv", "--M", "0"], "--M"),
+        (["qv", "--M", "1"], "--M"),
+        (["qv", "--M", "1", "--dry-run"], "--M"),
         (["qv", "--nu", "-1"], "--nu"),
         (["qv", "--samples", "0"], "--samples"),
         (["qv", "--samples", "1", "--dry-run"], "--samples"),
@@ -365,6 +368,43 @@ def test_numeric_arguments_validated_up_front(tmp_path, scheme_file, capsys, arg
     captured = capsys.readouterr()
     assert message in captured.err and captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+@pytest.mark.parametrize("command", ["lambda", "converge", "chaos", "qv"])
+def test_workers_below_one_exit_2_before_writing(tmp_path, scheme_file, run_config, capsys, command, workers):
+    # every subcommand takes --workers; none may run with fewer than one
+    out = tmp_path / "out"
+    extra = {"lambda": ["--scheme", str(scheme_file)], "chaos": ["--scheme", str(scheme_file)],
+             "converge": ["--config", str(run_config)], "qv": []}[command]
+    assert main([command, *extra, "--workers", workers, "--out", str(out)]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert "--workers" in captured.err and captured.out == ""
+    assert not out.exists()
+
+
+def test_chaos_outputs_do_not_depend_on_the_chunk_size(tmp_path, monkeypatch, capsys):
+    # two live atoms with unequal weights, and 7 samples: one sample per
+    # chunk, chunks of 3 at the finer eps (7 is no multiple of 3), and one
+    # chunk for all; every digested byte and the standard output agree
+    scheme = tmp_path / "two.scheme"
+    scheme.write_text("name = two\nf = finite_difference\nh = indicator_pi\nmu = (1,1.5);(-1,0.5);(0,-2)\nq = 0.4\n")
+    fine_M = xi_grid_size(int(np.ceil(0.07**-1.5)))
+    results, chunks = [], []
+    for points in (1, 3 * fine_M, 10 * fine_M):
+        monkeypatch.setattr(cli, "_CHAOS_POINTS", points)
+        out = tmp_path / f"points{points}"
+        argv = ["chaos", "--scheme", str(scheme), "--eps", "0.1,0.07", "--samples", "7", "--seed", "3", "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        files = {name: (out / name).read_bytes() for name in ("chaos_atoms.csv", "chaos_distance.csv")}
+        results.append((files, capsys.readouterr().out))
+        per_eps = json.loads((out / "chaos_manifest.json").read_text())["per_eps"]
+        assert [row["M"] for row in per_eps] == [xi_grid_size(row["K"]) for row in per_eps]
+        assert all(row["sampling_s"] >= 0 for row in per_eps)
+        chunks.append([row["samples_per_chunk"] for row in per_eps])
+    assert chunks[0] == [1, 1] and chunks[1][1] == 3 and min(chunks[2]) >= 7
+    assert results[0] == results[1] == results[2]
+    assert len(results[0][0]["chaos_atoms.csv"].decode().strip().split("\n")) == 1 + 2 * 2  # two atoms per eps
 
 
 class TestQvCommand:

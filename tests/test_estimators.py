@@ -5,27 +5,34 @@ from burgerslab.correction import lambda_eps, lambda_eps_y
 from burgerslab.estimators import (
     XiMatrixField,
     chain_rule_defect,
+    difference_grids,
     expected_qv,
     negative_sobolev_distance,
+    negative_sobolev_distances,
     quadratic_variation,
     rate_fit,
+    spatial_means,
     theta_eps,
     xi_eps,
     xi_eps_y,
+    xi_halves,
 )
-from burgerslab.noise import derive_stream, sample_stationary_pair
-from burgerslab.nonlin import apply_bilinear, apply_pointwise, jacobian, parse_polynomial_map
+from burgerslab.noise import derive_stream, discrete_sigmas, sample_stationary_pair
+from burgerslab.nonlin import alias_free_grid_size, apply_bilinear, apply_pointwise, jacobian, parse_polynomial_map
 from burgerslab.schemes import (
     apply_D_eps,
     apply_hatD,
     finite_difference_scheme,
     identity_scheme,
+    shift_minus,
 )
 from burgerslab.spectral import (
     SQRT_2PI,
     SpectralField,
     band_project,
+    from_grid,
     sobolev_norm,
+    to_grid,
 )
 from conftest import random_field
 
@@ -132,6 +139,89 @@ class TestXi:
             vals[i] = A.spatial_mean()[0, 1]
         se = np.std(vals, ddof=1) / np.sqrt(nsamp)
         assert abs(np.mean(vals)) < 5.0 * se
+
+
+def _xi_reference(u, atoms, eps):
+    """Entries of the weighted tensor, one entry field at a time, with the
+    arithmetic of the per-entry implementation the stacked form replaced."""
+    M = alias_free_grid_size(u.K, 2)
+    acc = np.zeros((u.n, u.n, M))
+    for y, w in atoms:
+        if w == 0.0 or y == 0.0:
+            continue
+        d = to_grid(shift_minus(u, eps * y), M)
+        acc += (w / (2.0 * eps)) * d[:, None, :] * d[None, :, :]
+    return [[from_grid(acc[i, j][None, :], u.K) for j in range(u.n)] for i in range(u.n)]
+
+
+def _distance_reference(entries, c, alpha):
+    total = 0.0
+    for i, row in enumerate(entries):
+        for j, e in enumerate(row):
+            total += sobolev_norm(SpectralField.constant(c if i == j else 0.0, e.K) - e, -alpha) ** 2
+    return float(np.sqrt(total))
+
+
+class TestStackedForms:
+    """The stacked tensors and distances give every row the bytes of the
+    one-row calls, and of the per-entry reference arithmetic."""
+
+    # atoms (2, 1/3) and (-1, -1/3): two live atoms, neither weight 1; modes
+    # above pi/eps have zero sigma, and the band (3, 36] holds 32..36 of them
+    scheme = finite_difference_scheme(2, 1)
+    eps, K, n = 0.1, 40, 2
+
+    def fields(self):
+        sigma = discrete_sigmas(self.scheme, self.eps, 1.0, self.K)
+        assert np.all(sigma[32:37] == 0.0) and np.all(sigma[4:32] > 0.0)
+        rng = derive_stream(5, 0, "stacked")
+        draws = [sample_stationary_pair(self.scheme, self.eps, 1.0, self.K, rng, n=self.n) for _ in range(2)]
+        return [band_project(pair.psi_tilde, 3, 36) for pair in draws]
+
+    @staticmethod
+    def same(a, b):
+        return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+    def test_xi_rows_are_the_one_row_calls(self):
+        fields = self.fields()
+        half = np.stack([u.half for u in fields])
+        grids = difference_grids(half, self.scheme.mu, self.eps)
+        assert [(y, w) for y, w, _ in grids] == list(self.scheme.mu)
+        xi = xi_halves(half.shape, grids, self.eps)
+        assert xi.shape == (2, self.n, self.n, self.K + 1)
+        for r, u in enumerate(fields):
+            one_row = xi_eps(u, self.scheme, self.eps)
+            assert self.same(xi[r], one_row.half)
+            assert self.same(xi[r], [[e.half[0] for e in row] for row in _xi_reference(u, self.scheme.mu, self.eps)])
+            assert self.same(spatial_means(xi)[r], one_row.spatial_mean())
+        for y, _, d in grids:
+            single = xi_halves(half.shape, [(y, 1.0, d)], self.eps)
+            for r, u in enumerate(fields):
+                one_row = xi_eps_y(u, y, self.eps)
+                assert self.same(single[r], one_row.half)
+                assert self.same(single[r], [[e.half[0] for e in row] for row in _xi_reference(u, ((y, 1.0),), self.eps)])
+                assert self.same(spatial_means(single)[r], one_row.spatial_mean())
+
+    def test_distance_rows_are_the_one_row_calls(self):
+        fields = self.fields()
+        half = np.stack([u.half for u in fields])
+        xi = xi_halves(half.shape, difference_grids(half, self.scheme.mu, self.eps), self.eps)
+        dists = negative_sobolev_distances(xi, 0.3, 0.75)
+        assert dists.shape == (2,)
+        for r, u in enumerate(fields):
+            A = xi_eps(u, self.scheme, self.eps)
+            assert self.same(dists[r], negative_sobolev_distance(A, 0.3, 0.75))
+            assert self.same(dists[r], _distance_reference(A.entries, 0.3, 0.75))
+
+    def test_no_live_atom_gives_the_zero_tensor(self):
+        u = self.fields()[0]
+        assert difference_grids(u.half[None], ((0.0, 1.0), (1.0, 0.0)), self.eps) == []
+        assert np.all(xi_eps_y(u, 0.0, self.eps).half == 0.0)
+
+    def test_eps_must_be_positive(self):
+        u = self.fields()[0]
+        with pytest.raises(ValueError):
+            difference_grids(u.half[None], self.scheme.mu, 0.0)
 
 
 class TestChainRuleDefect:

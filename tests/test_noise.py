@@ -233,3 +233,16 @@ def test_scalar_sigma_is_the_constant_array():
     draw = ModeGaussianDraw.sample(9, 2, derive_stream(0, 0, "s"))
     for sigma in (0.0, -0.0, 0.7, -2.5):
         assert draw.half_coeffs(sigma).tobytes() == draw.half_coeffs(np.full(10, sigma)).tobytes()
+
+
+@pytest.mark.parametrize("K", [1, 7, 1024])
+def test_stacked_draw_rows_are_the_draws(K):
+    # a chunk of draws stacked into one gives each draw's coefficients, row
+    # by row and byte for byte, also on modes whose sigma is zero
+    rng = derive_stream(3, K, "stack")
+    draws = [ModeGaussianDraw.sample(K, n, rng) for n in (1, 2, 1)]
+    stacked = ModeGaussianDraw.stack(draws)
+    assert (stacked.K, stacked.n) == (K, 4) and stacked.zz.flags.c_contiguous
+    sigma = np.random.default_rng(K).uniform(0.0, 1.0, K + 1)
+    sigma[::3] = 0.0
+    assert stacked.half_coeffs(sigma).tobytes() == np.concatenate([d.half_coeffs(sigma) for d in draws]).tobytes()

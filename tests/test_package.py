@@ -1,8 +1,12 @@
+import math
 import sys
 from pathlib import Path
 
 import burgerslab
+from burgerslab import cli
 from burgerslab.cli import main
+from burgerslab.correction import DEFAULT_CHI
+from burgerslab.estimators import xi_grid_size
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -74,7 +78,8 @@ def test_traced_converge_call_counts_follow_the_closed_forms(tmp_path):
 
 def test_traced_stationary_call_counts_follow_the_closed_forms(tmp_path):
     # every chaos or qv sample is one stationary pair drawn by one mode draw,
-    # each qv sample folds once, and neither study steps or draws Wiener noise
+    # each qv sample folds once, each chaos chunk shifts once per live atom,
+    # and neither study steps or draws Wiener noise
     eps, chaos_samples, qv_samples = (0.1, 0.07), 3, 4
     scheme = tmp_path / "fd.scheme"
     scheme.write_text("name = fd\nf = finite_difference\nh = indicator_pi\nmu = (1,1);(0,-1)\nq = 0.4\n")
@@ -95,7 +100,14 @@ def test_traced_stationary_call_counts_follow_the_closed_forms(tmp_path):
     assert codes == [0, 0]
     calls = {name: count for name, (count, _) in tracer.per_round()[0]["spans"].items()}
     samples = len(eps) * chaos_samples + qv_samples
+    # chaos takes its samples in chunks of _CHAOS_POINTS // M (at least one)
+    # at each eps, M the tensor grid of the band K = ceil(eps^-chi)
+    chunks = sum(
+        -(-chaos_samples // max(1, cli._CHAOS_POINTS // xi_grid_size(math.ceil(e**-DEFAULT_CHI)))) for e in eps
+    )
+    live_atoms = 1  # (1, 1); the atom at 0 shifts nothing
     want = {
+        "schemes.shift_minus": live_atoms * chunks,
         "noise.sample_stationary_pair": samples,
         "noise.ModeGaussianDraw.sample": samples,
         "spectral.coeffs_to_values.fold": qv_samples,
