@@ -282,6 +282,8 @@ def cmd_converge(args):
     resolved = replace(cfg, lambda_mode="explicit", lambda_value=lam)
     result = run_coupled(resolved, eps_list, replicates, workers=args.workers)
     manifest.data["diagnostics"] = {"qv_limit_final": _qv_limit_summary(result, cfg.nu)}
+    # per replicate: wall seconds, and the steps and any blow-up of each run
+    manifest.data["replicates"] = result.replicates
     manifest.stage("simulation")
 
     outputs = []

@@ -38,9 +38,17 @@ The limit equation carries the flux in conservative form d/dx G(u); the
 discretized equation applies the literal nonconservative product
 grad G(u) . D_eps u, which is exactly the object whose limit acquires the
 drift correction.
+
+The transforms, the pointwise polynomials and the update of a step write
+into arrays the Stepper owns (see its docstring); beyond the new state, a
+step allocates only the powers v_j ** e a polynomial takes and the scratch
+of its later terms.  The operations and their order are those of the
+allocating arithmetic, so every state has the bytes of a step that
+allocates all its temporaries.
 """
 
 import math
+import time
 from dataclasses import dataclass, field, replace
 from concurrent.futures import ProcessPoolExecutor
 
@@ -82,11 +90,13 @@ VARIANTS = ("approximate", "limit_corrected", "limit_uncorrected")
 
 
 class BlowUpError(RuntimeError):
-    """State left the finite range; carries the last valid time."""
+    """State left the finite range; carries the last valid time and the
+    number of steps taken up to it."""
 
-    def __init__(self, time):
+    def __init__(self, time, steps=None):
         super().__init__(f"solution blew up after t = {time:.6g}")
         self.time = time
+        self.steps = steps
 
 
 @dataclass
@@ -113,15 +123,18 @@ class SimConfig:
     noise_substeps: int = 1
 
     def __post_init__(self):
+        for name in ("n", "K", "sample_every", "noise_substeps"):
+            value = getattr(self, name)
+            if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
         for name in ("nu", "dt", "eps"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        for name in ("nu", "T", "alpha"):
+        for name in ("nu", "dt", "eps", "T", "alpha"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        for name in ("n", "K", "sample_every"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         if not self.T >= self.dt:
             raise ValueError(f"horizon T = {self.T} shorter than one step dt = {self.dt}")
         steps = self.T / self.dt
@@ -131,8 +144,6 @@ class SimConfig:
             raise ValueError(f"variant must be one of {VARIANTS}")
         if self.F.n != self.n or self.G.n != self.n:
             raise ValueError("drift and flux must have n components")
-        if self.noise_substeps < 1:
-            raise ValueError("noise_substeps must be >= 1")
         if self.v0 is not None:
             if self.v0.n != self.n:
                 raise ValueError("v0 component count mismatch")
@@ -191,6 +202,29 @@ class Stepper:
     Hermitian for ``d_mult`` and ``ik``, so this is the two-sided update
     restricted to modes 0..K; mode 0 stays real because every term feeding
     it is.
+
+    The stepper owns the scratch of its right-hand side, made once here and
+    overwritten by every step:
+
+    - ``padded`` (zero above mode K, so only its first K+1 columns are ever
+      written) holds the scaled spectrum on its way to the grid, and
+      ``grid`` receives the grid values: the state, and for the approximate
+      variant its D_eps derivative (stacked in ``stack`` first) below it;
+    - ``grid_out`` holds what goes back to the band: the pointwise drift
+      plus the Jacobian products (approximate; ``entry`` holds one Jacobian
+      entry times its derivative row), or the drift above the flux (limit);
+      ``spectrum`` receives its real transform and ``both`` (limit) the
+      scaled modes 0..K;
+    - ``N`` receives the step's right-hand side and ``update`` each product
+      added to the new state; ``finite`` is the blow-up check's mask.
+
+    Every array a step writes is one of these, except the new state that
+    ``step_coeffs`` returns, and ``nonlinearity`` called without ``out``
+    also returns a new array; so what they return is never overwritten by a
+    later step.  Writing into owned arrays changes no bit: every product,
+    sum and transform is the one the allocating arithmetic takes, with the
+    same operands in the same order (``tests/test_integrator.py`` keeps that
+    arithmetic as a reference and compares bytes).
     """
 
     def __init__(self, cfg, lam):
@@ -211,13 +245,15 @@ class Stepper:
             self.m = np.ones_like(k)
             self.drift = corrected_drift(cfg.F, cfg.G, lam) if cfg.variant == "limit_corrected" else cfg.F
 
+        # Real factors, stored as complex128 (x + 0j): the update multiplies
+        # complex states by them, and numpy would cast them on every step.
         killed = ~np.isfinite(lam_k)
         z = np.where(killed, -np.inf, -lam_k * cfg.dt)
-        self.decay = np.where(killed, 0.0, np.exp(np.where(killed, 0.0, z)))
-        self.phi1_dt = np.where(killed, 0.0, cfg.dt * _phi1(np.where(killed, 0.0, z)))
-        self.noise_fac = np.where(killed, 0.0, self.m) * _ou_noise_factor(
-            np.where(killed, np.inf, lam_k * cfg.dt)
-        )
+        self.decay = np.where(killed, 0.0, np.exp(np.where(killed, 0.0, z))).astype(np.complex128)
+        self.phi1_dt = np.where(killed, 0.0, cfg.dt * _phi1(np.where(killed, 0.0, z))).astype(np.complex128)
+        self.noise_fac = (
+            np.where(killed, 0.0, self.m) * _ou_noise_factor(np.where(killed, np.inf, lam_k * cfg.dt))
+        ).astype(np.complex128)
 
         self.d_mult = d_eps_multiplier(cfg.scheme, cfg.eps, np.arange(K + 1))
         self.ik = 1j * k
@@ -228,22 +264,26 @@ class Stepper:
         # the nonzero entries (i, j, dG_i/du_j) of the Jacobian, row by row
         self.jac_terms = [(i, j, self.jac_G[i][j]) for i in range(n) for j in range(n) if self.jac_G[i][j].terms]
 
-        # Scratch, owned by this stepper and overwritten by every step; no
-        # step returns a view of it.  The padded spectrum of the transforms
-        # to the grid (zero above mode K, so only its first K+1 columns are
-        # ever written), the approximate variant's stack of the state and its
-        # D_eps derivative, and the grid arrays that go back to the band.
-        half_width = self.M // 2 + 1
+        # scratch, overwritten by every step (see the class docstring)
+        w, half_width = K + 1, self.M // 2 + 1
+        rows_in, rows_out = (2 * n, n) if cfg.variant == "approximate" else (n, 2 * n)
+        self.padded = np.zeros((rows_in, half_width), dtype=np.complex128)
+        self.grid = np.empty((rows_in, self.M))
+        self.grid_out = np.empty((rows_out, self.M))
+        self.spectrum = np.empty((rows_out, half_width), dtype=np.complex128)
         if cfg.variant == "approximate":
-            self.padded = np.zeros((2 * n, half_width), dtype=np.complex128)
-            self.stack = np.empty((2 * n, K + 1), dtype=np.complex128)
-            self.grid_out = np.empty((n, self.M))
+            self.stack = np.empty((2 * n, w), dtype=np.complex128)
+            self.entry = np.empty(self.M)
         else:
-            self.padded = np.zeros((n, half_width), dtype=np.complex128)
-            self.grid_out = np.empty((2 * n, self.M))  # drift rows, then flux rows
+            self.both = np.empty((2 * n, w), dtype=np.complex128)
+        self.N = np.empty((n, w), dtype=np.complex128)
+        self.update = np.empty((n, w), dtype=np.complex128)
+        self.finite = np.empty((n, w), dtype=bool)
 
-    def nonlinearity(self, half):
-        """Half spectrum of the drift-plus-flux term for this variant.
+    def nonlinearity(self, half, out=None):
+        """Half spectrum of the drift-plus-flux term for this variant,
+        written to ``out`` (an (n, K+1) complex array) or to a new array
+        when None; 0.0 when the drift and the flux are both zero.
 
         Arrays that go through the same transform are stacked into one call:
         the state and its D_eps derivative on the way to the grid, the drift
@@ -254,41 +294,49 @@ class Stepper:
         if self.drift_zero and self.G_zero:
             return 0.0
         if self.G_zero:
-            grid = half_to_values(half, M, self.padded[:n])
-            return values_to_half(evaluate(self.drift, grid, self.grid_out[:n]), K)
+            grid = half_to_values(half, M, self.padded[:n], self.grid[:n])
+            drift = evaluate(self.drift, grid, self.grid_out[:n])
+            return values_to_half(drift, K, self.spectrum[:n], out)
         if cfg.variant == "approximate":
             stack = self.stack
             stack[:n] = half
             np.multiply(half, self.d_mult, out=stack[n:])
-            both = half_to_values(stack, M, self.padded)
+            both = half_to_values(stack, M, self.padded, self.grid)
             grid, dgrid = both[:n], both[n:]
-            total = self.grid_out
+            total, entry_grid = self.grid_out, self.entry
             if self.drift_zero:
                 total.fill(0.0)
             else:
                 evaluate(self.drift, grid, total)
             for i, j, entry in self.jac_terms:
-                total[i] += entry(grid) * dgrid[j]
-            return values_to_half(total, K)
-        grid = half_to_values(half, M, self.padded)
+                entry(grid, out=entry_grid)
+                entry_grid *= dgrid[j]
+                total[i] += entry_grid
+            return values_to_half(total, K, self.spectrum, out)
+        grid = half_to_values(half, M, self.padded, self.grid)
         if self.drift_zero:
-            return self.ik * values_to_half(evaluate(cfg.G, grid, self.grid_out[:n]), K)
+            flux = evaluate(cfg.G, grid, self.grid_out[:n])
+            return np.multiply(self.ik, values_to_half(flux, K, self.spectrum[:n], self.both[:n]), out=out)
         both_grid = self.grid_out
         evaluate(self.drift, grid, both_grid[:n])
         evaluate(cfg.G, grid, both_grid[n:])
-        both = values_to_half(both_grid, K)
-        return both[:n] + self.ik * both[n:]
+        both = values_to_half(both_grid, K, self.spectrum, self.both)
+        flux = np.multiply(self.ik, both[n:], out=both[n:])
+        return np.add(both[:n], flux, out=out)
 
     def step_coeffs(self, half, dW_half):
-        """One step of the half-spectrum state; None once it is non-finite."""
-        # non-finite states are legitimate here: they signal blow-up, which
-        # the caller turns into BlowUpError, so silence the transient warnings
-        with np.errstate(over="ignore", invalid="ignore"):
-            N = self.nonlinearity(half)
-            new = self.decay * half
-            new += self.phi1_dt * N
-            new += self.noise_fac * dW_half
-        if not np.isfinite(new).all():
+        """One step of the half-spectrum state, as a new array; None once it
+        is non-finite.
+
+        A state on its way to blowing up overflows; numpy warns of that
+        unless the caller silences it, as ``simulate`` does for its loop.
+        """
+        N = self.nonlinearity(half, self.N)
+        new = self.decay * half
+        update = self.update
+        new += np.multiply(self.phi1_dt, N, out=update)
+        new += np.multiply(self.noise_fac, dW_half, out=update)
+        if np.count_nonzero(np.isfinite(new, out=self.finite)) < new.size:
             return None
         return new
 
@@ -321,15 +369,18 @@ def simulate(cfg, lam, u0, wiener_rng, record_steps=None):
         records[0] = half
     sub = cfg.noise_substeps
     dt_sub = cfg.dt / sub
-    for m in range(1, cfg.n_steps + 1):
-        dW = wiener_increment_coeffs(cfg.K, cfg.n, dt_sub, wiener_rng)
-        for _ in range(sub - 1):
-            dW += wiener_increment_coeffs(cfg.K, cfg.n, dt_sub, wiener_rng)
-        half = stepper.step_coeffs(half, dW)
-        if half is None:
-            raise BlowUpError((m - 1) * cfg.dt)
-        if m in slot:
-            records[slot[m]] = half
+    # non-finite states are legitimate here: they signal blow-up, which
+    # becomes BlowUpError, so the transient warnings are silenced
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(1, cfg.n_steps + 1):
+            dW = wiener_increment_coeffs(cfg.K, cfg.n, dt_sub, wiener_rng)
+            for _ in range(sub - 1):
+                dW += wiener_increment_coeffs(cfg.K, cfg.n, dt_sub, wiener_rng)
+            half = stepper.step_coeffs(half, dW)
+            if half is None:
+                raise BlowUpError((m - 1) * cfg.dt, m - 1)
+            if m in slot:
+                records[slot[m]] = half
     times = np.array([m * cfg.dt for m in steps])
     return times, records
 
@@ -367,8 +418,36 @@ class TrajectoryRecord:
 
 def _run_replicate(cfg, eps_list, replicate, lam):
     """All runs of one replicate: two limit runs plus one discretized run
-    per eps, sharing the mode draw and the Wiener stream."""
+    per eps, sharing the mode draw and the Wiener stream.
+
+    Returns the records, one per eps, and a report of the replicate: its
+    wall seconds and, per run in the order run, its row (the variant, and
+    eps for a discretized run), the steps it took and its blow-up time
+    (None unless it blew up).  A blown-up limit run ends the replicate, so
+    the runs after it are not in the report.
+    """
+    start = time.perf_counter()
+    runs = []
+    records = _replicate_records(cfg, eps_list, replicate, lam, runs)
+    return records, {"replicate": replicate, "wall_s": round(time.perf_counter() - start, 6), "runs": runs}
+
+
+def _replicate_records(cfg, eps_list, replicate, lam, runs):
+    """The records of ``_run_replicate``; appends each run's row to ``runs``."""
     record_steps = sample_steps(cfg)
+
+    def run(run_cfg, u0):
+        row = {"row": run_cfg.variant, "eps": run_cfg.eps if run_cfg.variant == "approximate" else None}
+        runs.append(row)
+        rng = derive_stream(cfg.seed, replicate, "wiener")
+        try:
+            result = simulate(run_cfg, lam, u0, rng, record_steps)
+        except BlowUpError as err:
+            row.update(steps=err.steps, blowup_time=err.time)
+            raise
+        row.update(steps=run_cfg.n_steps, blowup_time=None)
+        return result
+
     draw = ModeGaussianDraw.sample(cfg.K, cfg.n, derive_stream(cfg.seed, replicate, "ic"))
     v0 = cfg.v0_field()
     psi = draw.field(stationary_sigmas(cfg.K, cfg.nu))
@@ -391,9 +470,7 @@ def _run_replicate(cfg, eps_list, replicate, lam):
     limits = []  # corrected, then uncorrected
     try:
         for variant in ("limit_corrected", "limit_uncorrected"):
-            run_cfg = replace(cfg, variant=variant)
-            rng = derive_stream(cfg.seed, replicate, "wiener")
-            limits.append(simulate(run_cfg, lam, u_bar0, rng, record_steps)[1])
+            limits.append(run(replace(cfg, variant=variant), u_bar0)[1])
     except BlowUpError as err:
         # a limit run left the finite range: the whole replicate is flagged
         return [flagged_record(eps, err.time) for eps in eps_list]
@@ -401,12 +478,9 @@ def _run_replicate(cfg, eps_list, replicate, lam):
 
     records = []
     for eps in eps_list:
-        run_cfg = replace(cfg, eps=eps, variant="approximate")
         psit = draw.field(discrete_sigmas(cfg.scheme, eps, cfg.nu, cfg.K))
-        u0 = v0 + psit
-        rng = derive_stream(cfg.seed, replicate, "wiener")
         try:
-            times, approx = simulate(run_cfg, lam, u0, rng, record_steps)
+            times, approx = run(replace(cfg, eps=eps, variant="approximate"), v0 + psit)
         except BlowUpError as err:
             records.append(flagged_record(eps, err.time))
             continue
@@ -447,6 +521,9 @@ class EnsembleResult:
     times: np.ndarray
     records: list
     lam: float
+    # one report per replicate, in replicate order (see _run_replicate);
+    # it carries wall times, so it goes to the manifest only
+    replicates: list = field(default_factory=list)
 
     @property
     def blowup_fraction(self):
@@ -516,6 +593,9 @@ def run_coupled(cfg, eps_list, replicates, workers=1):
     eps_list = tuple(float(e) for e in eps_list)
     if not eps_list:
         raise ValueError("need at least one eps")
+    for eps in eps_list:
+        if not 0.0 < eps < math.inf:
+            raise ValueError(f"eps must be positive and finite, got {eps}")
     lam, _ = resolve_lambda(cfg)
     tasks = [(cfg, eps_list, r, lam) for r in range(replicates)]
     if workers > 1:
@@ -523,7 +603,7 @@ def run_coupled(cfg, eps_list, replicates, workers=1):
             per_rep = list(pool.map(_replicate_worker, tasks))
     else:
         per_rep = [_replicate_worker(t) for t in tasks]
-    records = [rec for rep in per_rep for rec in rep]
+    records = [rec for recs, _ in per_rep for rec in recs]
     records.sort(key=lambda r: (r.eps, r.replicate))
     times = np.array(sample_steps(cfg), dtype=float) * cfg.dt
-    return EnsembleResult(eps_list, times, records, lam)
+    return EnsembleResult(eps_list, times, records, lam, [report for _, report in per_rep])

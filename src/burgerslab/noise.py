@@ -26,6 +26,8 @@ from .spectral import SpectralField
 
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
+_INV_SQRT2_COMPLEX = np.array(_INV_SQRT2, dtype=np.complex128)
+_INV_SQRT2_COMPLEX.flags.writeable = False
 
 
 def derive_stream(seed, replicate, purpose):
@@ -83,18 +85,19 @@ class ModeGaussianDraw:
         """
         c = np.empty((self.n, self.K + 1), dtype=np.complex128)
         zeta = self.zz.view(np.complex128)[..., 0]
+        pos = c[:, 1:]
         if isinstance(sigma, float) and sigma != 0.0:
             c[:, 0] = sigma * self.z0
-            pos = c[:, 1:]
-            np.multiply(zeta, sigma, out=pos)
-            pos *= _INV_SQRT2
+            # sigma and 1/sqrt(2) as the complex128 scalars numpy would cast
+            # them to (x + 0j): the same products, without the casting loop
+            np.multiply(zeta, np.array(sigma, dtype=np.complex128), out=pos)
+            pos *= _INV_SQRT2_COMPLEX
             return c
         sigma = np.asarray(sigma, dtype=float)
         if sigma.ndim and sigma.shape != (self.K + 1,):
             raise ValueError("sigma must be a scalar or have one entry per mode k = 0..K")
         head, tail = (sigma, sigma) if sigma.ndim == 0 else (sigma[0], sigma[1:])
         c[:, 0] = head * self.z0
-        pos = c[:, 1:]
         np.multiply(zeta, tail, out=pos)
         pos *= _INV_SQRT2
         if np.count_nonzero(tail) < tail.size:

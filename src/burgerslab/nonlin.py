@@ -22,13 +22,17 @@ class Polynomial:
 
     nvars: int
     terms: tuple  # ((exponents, coeff), ...), canonically sorted, no zero coeffs
-    # per term, in term order: (coeff, ((variable, power), ...)) over the
-    # nonzero powers; built once here, walked by every __call__
+    # per term, in term order: (coeff, first, rest) over the (variable,
+    # power) pairs of its nonzero powers, first None for the constant term;
+    # built once here, walked by every __call__
     plan: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        plan = tuple((coeff, tuple((j, e) for j, e in enumerate(expo) if e)) for expo, coeff in self.terms)
-        object.__setattr__(self, "plan", plan)
+        plan = []
+        for expo, coeff in self.terms:
+            factors = tuple((j, e) for j, e in enumerate(expo) if e)
+            plan.append((coeff, factors[0] if factors else None, factors[1:]))
+        object.__setattr__(self, "plan", tuple(plan))
 
     @staticmethod
     def from_terms(nvars, terms):
@@ -53,24 +57,52 @@ class Polynomial:
     def degree(self):
         return max((sum(e) for e, _ in self.terms), default=0)
 
-    def __call__(self, v):
-        """Evaluate at v of shape (nvars,) or (nvars, M); returns scalar or (M,)."""
+    def __call__(self, v, out=None):
+        """Evaluate at v of shape (nvars,) or (nvars, M); returns a scalar or
+        an (M,) array, or ``out`` (an array of v.shape[1:], not overlapping
+        v) written with the value.
+
+        The value is the sum of the terms in plan order, each term
+        coeff * f1 * f2 ... taken left to right with f = v[j] ** e, and the
+        first term has 0.0 added (a lone -0.0 term gives 0.0).  The first
+        term is built in ``out``, a later one in one scratch array.  A
+        product with a coefficient of exactly 1.0 is skipped, which changes
+        no bit, so that term starts from f1 itself; v[j] ** e is the only
+        other array a call makes.
+        """
         if type(v) is not np.ndarray or v.dtype != np.float64:
             v = np.asarray(v, dtype=float)
         shape = v.shape[1:]
-        out = None
-        for coeff, factors in self.plan:
-            term = coeff
-            for j, e in factors:
-                term = term * (v[j] if e == 1 else v[j] ** e)
-            if out is not None:
-                out += term
-            elif not factors:
-                out = np.full(shape, coeff) if shape else np.float64(coeff)
+        given = out is not None
+        if not given:
+            out = np.empty(shape)
+        first, scratch = True, None
+        for coeff, head, rest in self.plan:
+            if head is None:  # the constant term, first in canonical order
+                if first:
+                    out[...] = coeff
+                else:
+                    out += coeff
+                first = False
+                continue
+            if first:
+                dst = out
+            elif coeff != 1.0 or rest:
+                dst = scratch = np.empty(shape) if scratch is None else scratch
+            j, e = head
+            term = v[j] if e == 1 else v[j] ** e
+            if coeff != 1.0:
+                term = np.multiply(coeff, term, out=dst)
+            for j, e in rest:
+                term = np.multiply(term, v[j] if e == 1 else v[j] ** e, out=dst)
+            if first:
+                np.add(term, 0.0, out=out)
+                first = False
             else:
-                term += 0.0  # the sum starts from +0.0: a lone -0.0 term gives 0.0
-                out = term
-        return np.zeros(shape) if out is None else out
+                out += term
+        if first:
+            out[...] = 0.0
+        return out if given or shape else out[()]
 
     def diff(self, j):
         terms = []
@@ -143,8 +175,8 @@ class PolynomialMap:
 
 def evaluate(P, v, out=None):
     """Componentwise evaluation; v of shape (n,) or (n, M).  Component i is
-    written to row i of ``out`` (a new (n,) + v.shape[1:] array when None),
-    which is returned."""
+    written in place to row i of ``out`` (a new (n,) + v.shape[1:] array
+    when None, else one that does not overlap v), which is returned."""
     if type(v) is not np.ndarray or v.dtype != np.float64:
         v = np.asarray(v, dtype=float)
     if v.shape[0] != P.n:
@@ -152,7 +184,7 @@ def evaluate(P, v, out=None):
     if out is None:
         out = np.empty((P.n,) + v.shape[1:])
     for i, p in enumerate(P.components):
-        out[i] = p(v)
+        p(v, out[i, ...])  # a row view, 0-d for a point
     return out
 
 

@@ -236,26 +236,34 @@ def mirror(half):
     return np.concatenate([np.conj(half[:, :0:-1]), half], axis=1)
 
 
-def half_to_values(half, M, buf=None):
+def half_to_values(half, M, buf=None, out=None):
     """Point values on M >= 2K+1 points of a real field given by its half
     spectrum: the (n, K+1) coefficients of modes 0..K, the negative modes
     being their conjugates.  Reality holds by construction; Im of mode 0 is
     ignored, so the caller vouches for it.
 
     ``buf`` is an optional caller-owned (n, M//2+1) complex array, zero above
-    mode K, that holds the scaled spectrum; a new one is made when None."""
+    mode K, that holds the scaled spectrum, and ``out`` an optional (n, M)
+    float array that receives the values; new ones are made when None.
+    Either way the arithmetic, and so every bit, is the same."""
     n, width = half.shape
     if buf is None:
         buf = np.zeros((n, M // 2 + 1), dtype=np.complex128)
     np.multiply(half, M / SQRT_2PI, out=buf[:, :width])
-    return np.fft.irfft(buf, n=M, axis=1)
+    return np.fft.irfft(buf, n=M, axis=1, out=out)
 
 
-def values_to_half(values, K):
+def values_to_half(values, K, buf=None, out=None):
     """Half spectrum (modes 0..K, shape (n, K+1)) of real (n, M) grid data,
-    M >= 2K+1 (unchecked)."""
+    M >= 2K+1 (unchecked).
+
+    ``buf`` is an optional caller-owned (n, M//2+1) complex array that
+    receives the whole real transform, and ``out`` an optional (n, K+1)
+    complex array that receives the scaled modes 0..K; new ones are made
+    when None, with the same bits."""
     M = values.shape[1]
-    return np.fft.rfft(values, axis=1)[:, : K + 1] * (SQRT_2PI / M)
+    spectrum = np.fft.rfft(values, axis=1, out=buf)
+    return np.multiply(spectrum[:, : K + 1], SQRT_2PI / M, out=out)
 
 
 def to_grid(u, M):

@@ -152,6 +152,27 @@ class TestConvergeCommand:
         assert all(len(d) == 64 for d in manifest["outputs"].values())
         assert "simulation" in manifest["wall_clock_seconds"]
 
+    def test_manifest_reports_each_replicate(self, tmp_path, run_config):
+        # wall seconds and per-run steps go to the manifest only: the
+        # digested outputs stay byte-identical across worker counts
+        outs = {workers: tmp_path / f"w{workers}" for workers in (1, 2)}
+        for workers, out in outs.items():
+            argv = ["converge", "--config", str(run_config), "--out", str(out), "--seed", "2", "--workers", str(workers)]
+            assert main(argv) == EXIT_OK
+        manifests = {w: json.loads((out / "demo_manifest.json").read_text()) for w, out in outs.items()}
+        reports = manifests[1]["replicates"]
+        assert [r["replicate"] for r in reports] == [0, 1]
+        for report in reports:
+            assert report["wall_s"] > 0.0
+            assert report["runs"] == [
+                {"row": "limit_corrected", "eps": None, "steps": 20, "blowup_time": None},
+                {"row": "limit_uncorrected", "eps": None, "steps": 20, "blowup_time": None},
+                {"row": "approximate", "eps": 0.25, "steps": 20, "blowup_time": None},
+                {"row": "approximate", "eps": 0.125, "steps": 20, "blowup_time": None},
+            ]
+        assert [r["runs"] for r in manifests[2]["replicates"]] == [r["runs"] for r in reports]
+        assert manifests[1]["outputs"] == manifests[2]["outputs"]
+
     def test_manifest_reports_the_final_limit_qv(self, tmp_path, run_config):
         out = tmp_path / "qv"
         assert main(["converge", "--config", str(run_config), "--out", str(out), "--seed", "1"]) == EXIT_OK

@@ -16,7 +16,7 @@ from burgerslab.integrator import (
     simulate,
     TrajectoryRecord,
 )
-from burgerslab.noise import derive_stream, sample_stationary_pair, wiener_increment_coeffs
+from burgerslab.noise import ModeGaussianDraw, derive_stream, sample_stationary_pair, wiener_increment_coeffs
 from burgerslab.nonlin import (
     PolynomialMap,
     apply_bilinear,
@@ -35,7 +35,7 @@ from burgerslab.spectral import (
     sup_norm,
     values_to_coeffs,
 )
-from conftest import random_field
+from conftest import random_field, reference_polynomial_value
 
 
 def make_cfg(**kw):
@@ -67,6 +67,37 @@ class TestConfig:
         cfg = make_cfg(v0=v0)
         assert cfg.v0.K == cfg.K
         assert cfg.v0.mode(1)[0] == 0.5j
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("eps", np.inf),
+            ("eps", np.nan),
+            ("dt", np.inf),
+            ("n", 1.0),
+            ("K", 8.0),
+            ("K", True),
+            ("sample_every", 2.5),
+            ("noise_substeps", 2.5),
+            ("noise_substeps", True),
+            ("noise_substeps", 0),
+        ],
+    )
+    def test_rejects_non_finite_steps_and_non_integer_counts(self, name, value):
+        # each would otherwise pass and end as NaN multipliers (reported as
+        # blow-ups) or as a TypeError mid-run
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            make_cfg(**{name: value})
+
+    def test_accepts_numpy_integer_counts(self):
+        cfg = make_cfg(K=np.int64(16), n=np.int64(1), sample_every=np.int32(20), noise_substeps=np.int64(2))
+        assert cfg.n_steps == 100
+
+    def test_run_coupled_rejects_a_non_finite_eps_before_running(self, monkeypatch):
+        monkeypatch.setattr("burgerslab.integrator.simulate", lambda *a, **k: pytest.fail("ran a simulation"))
+        for eps in (np.inf, np.nan, 0.0):
+            with pytest.raises(ValueError, match="^eps must be positive and finite"):
+                run_coupled(make_cfg(), [0.25, eps], 2)
 
     def test_resolve_lambda_modes(self):
         assert resolve_lambda(make_cfg(lambda_mode="zero"))[0] == 0.0
@@ -233,6 +264,110 @@ class TestStepperBuffers:
         assert all(arr.tobytes() == before for arr, before in kept)
 
 
+def reference_nonlinearity(st, half):
+    """Stepper.nonlinearity by allocating arithmetic: a new array for every
+    transform and product, and each Polynomial term by term
+    (reference_polynomial_value); the stepper's buffered right-hand side
+    must match it bit for bit."""
+    cfg = st.cfg
+    n, K, M = cfg.n, cfg.K, st.M
+
+    def to_values(c):
+        padded = np.zeros((c.shape[0], M // 2 + 1), dtype=np.complex128)
+        np.multiply(c, M / SQRT_2PI, out=padded[:, : K + 1])
+        return np.fft.irfft(padded, n=M, axis=1)
+
+    def to_half(values):
+        return np.fft.rfft(values, axis=1)[:, : K + 1] * (SQRT_2PI / M)
+
+    def apply(P, grid):
+        return np.array([reference_polynomial_value(p, grid) for p in P.components])
+
+    if st.drift_zero and st.G_zero:
+        return 0.0
+    if st.G_zero:
+        return to_half(apply(st.drift, to_values(half)))
+    if cfg.variant == "approximate":
+        both = to_values(np.concatenate([half, half * st.d_mult]))
+        grid, dgrid = both[:n], both[n:]
+        total = np.zeros((n, M)) if st.drift_zero else apply(st.drift, grid)
+        for i, j, entry in st.jac_terms:
+            total[i] += reference_polynomial_value(entry, grid) * dgrid[j]
+        return to_half(total)
+    grid = to_values(half)
+    if st.drift_zero:
+        return st.ik * to_half(apply(cfg.G, grid))
+    both = to_half(np.concatenate([apply(st.drift, grid), apply(cfg.G, grid)]))
+    return both[:n] + st.ik * both[n:]
+
+
+def reference_step(st, half, dW):
+    """Stepper.step_coeffs by allocating arithmetic, with the per-mode
+    factors real (the stepper keeps them as complex128 with zero imaginary
+    parts, which numpy would otherwise cast them to on every step)."""
+    factors = (st.decay, st.phi1_dt, st.noise_fac)
+    assert all(not np.any(a.imag) for a in factors)
+    decay, phi1_dt, noise_fac = (a.real.copy() for a in factors)
+    with np.errstate(over="ignore", invalid="ignore"):
+        new = decay * half
+        new += phi1_dt * reference_nonlinearity(st, half)
+        new += noise_fac * dW
+    return new if np.isfinite(new).all() else None
+
+
+def reference_increment(K, n, dt, rng):
+    """One Wiener increment as the plain complex expression of its draw."""
+    draw = ModeGaussianDraw.sample(K, n, rng)
+    c = np.empty((n, K + 1), dtype=np.complex128)
+    c[:, 0] = np.sqrt(dt) * draw.z0
+    c[:, 1:] = np.sqrt(dt) * (draw.zz[:, :, 0] + 1j * draw.zz[:, :, 1]) / np.sqrt(2.0)
+    return c
+
+
+class TestBufferedStepping:
+    """The stepper's buffered right-hand side, in-place evaluation and
+    owned transforms keep the allocating arithmetic op for op, so every
+    step gives the same bytes; finite-difference symbols at eps = 0.25 kill
+    modes 13..16 of K = 16."""
+
+    def cfg(self, variant, n, with_drift, **kw):
+        F, G = TestStackedNonlinearity.MAPS[(n, with_drift)]
+        return make_cfg(n=n, scheme=finite_difference_scheme(1, 0), eps=0.25, F=parse_polynomial_map(F, n),
+                        G=parse_polynomial_map(G, n), lambda_mode="quadrature", variant=variant, **kw)
+
+    @pytest.mark.parametrize("variant", ["approximate", "limit_corrected", "limit_uncorrected"])
+    @pytest.mark.parametrize("n, with_drift", list(TestStackedNonlinearity.MAPS))
+    def test_steps_bitwise_equal_to_the_allocating_arithmetic(self, rng, variant, n, with_drift):
+        cfg = self.cfg(variant, n, with_drift)
+        st = Stepper(cfg, 0.3)
+        if variant == "approximate":
+            assert np.all(st.decay[13:] == 0.0) and np.all(st.decay[:13] != 0.0)
+        got = want = random_field(rng, cfg.K, n=n, decay=1.5).half
+        w = derive_stream(8, n, "wiener")
+        for _ in range(20):
+            dW = wiener_increment_coeffs(cfg.K, n, cfg.dt, w)
+            assert np.asarray(st.nonlinearity(got)).tobytes() == np.asarray(reference_nonlinearity(st, want)).tobytes()
+            got, want = st.step_coeffs(got, dW), reference_step(st, want, dW)
+            assert got.tobytes() == want.tobytes()
+        assert np.max(np.abs(got)) > 0.1
+
+    @pytest.mark.parametrize("variant", ["approximate", "limit_corrected", "limit_uncorrected"])
+    @pytest.mark.parametrize("n, with_drift", list(TestStackedNonlinearity.MAPS))
+    def test_simulate_bitwise_equal_at_two_substeps(self, rng, variant, n, with_drift):
+        cfg = self.cfg(variant, n, with_drift, noise_substeps=2, T=0.02, sample_every=1)
+        u0 = random_field(rng, cfg.K, n=n, decay=1.5)
+        times, got = simulate(cfg, 0.3, u0, derive_stream(9, n, "wiener"))
+        st, w, half = Stepper(cfg, 0.3), derive_stream(9, n, "wiener"), u0.half
+        want = [half]
+        for _ in range(cfg.n_steps):
+            dW = reference_increment(cfg.K, n, cfg.dt / 2, w)
+            dW += reference_increment(cfg.K, n, cfg.dt / 2, w)
+            half = reference_step(st, half, dW)
+            want.append(half)
+        assert got.shape == (cfg.n_steps + 1, n, cfg.K + 1)
+        assert got.tobytes() == np.array(want).tobytes()
+
+
 class TestAliasFreeNonlinearity:
     @pytest.mark.parametrize(
         "variant, F, G",
@@ -383,6 +518,40 @@ class TestRunCoupled:
             assert a.eps == b.eps and a.replicate == b.replicate
             assert np.array_equal(a.sup_err_corrected, b.sup_err_corrected)
             assert np.array_equal(a.halpha_err_uncorrected, b.halpha_err_uncorrected)
+
+    def test_replicate_reports_record_steps_and_blowups(self, monkeypatch):
+        cfg = make_cfg(T=0.02, sample_every=5)
+        real = simulate
+
+        def blow_up_at_eighth(run_cfg, *args):
+            # every eps = 0.125 run blows up after 4 steps
+            if run_cfg.variant == "approximate" and run_cfg.eps == 0.125:
+                raise BlowUpError(4 * run_cfg.dt, 4)
+            return real(run_cfg, *args)
+
+        monkeypatch.setattr("burgerslab.integrator.simulate", blow_up_at_eighth)
+        res = run_coupled(cfg, [0.25, 0.125], replicates=2)
+        assert [r["replicate"] for r in res.replicates] == [0, 1]
+        for report in res.replicates:
+            assert report["wall_s"] > 0.0
+            assert report["runs"] == [
+                {"row": "limit_corrected", "eps": None, "steps": 20, "blowup_time": None},
+                {"row": "limit_uncorrected", "eps": None, "steps": 20, "blowup_time": None},
+                {"row": "approximate", "eps": 0.25, "steps": 20, "blowup_time": None},
+                {"row": "approximate", "eps": 0.125, "steps": 4, "blowup_time": 4 * cfg.dt},
+            ]
+        assert res.blowup_count(0.125) == 2 and res.blowup_count(0.25) == 0
+
+    def test_a_blown_up_limit_run_ends_the_replicate_report(self):
+        cfg = make_cfg(F=parse_polynomial_map("u1^3", 1), G=PolynomialMap.zero(1), dt=0.5, T=50.0,
+                       sample_every=100, lambda_mode="zero", v0=SpectralField.constant(1e60, 16))
+        res = run_coupled(cfg, [0.25], replicates=2)
+        assert res.blowup_fraction == 1.0
+        for report in res.replicates:
+            (row,) = report["runs"]
+            assert row["row"] == "limit_corrected" and row["eps"] is None
+            assert row["blowup_time"] == row["steps"] * cfg.dt < cfg.T
+        assert [r.blowup_time for r in res.records] == [rep["runs"][0]["blowup_time"] for rep in res.replicates]
 
     def test_seed_changes_results(self):
         cfg = make_cfg(T=0.02, sample_every=5)

@@ -25,7 +25,7 @@ from burgerslab.spectral import (
     odd_fft_size,
     to_grid,
 )
-from conftest import random_field
+from conftest import random_field, reference_polynomial_value
 
 
 def burgers_flux():
@@ -82,6 +82,54 @@ class TestEvaluate:
             got = evaluate(P, v, out=buf)
             assert got is buf
             assert np.array_equal(np.signbit(got), np.signbit(want)) and np.array_equal(got, want)
+
+
+_SPECIAL_VALUES = (0.0, -0.0, np.inf, -np.inf, np.nan)
+
+
+@st.composite
+def _polynomials_and_grids(draw):
+    """A Polynomial in 1..3 variables (coefficients including +-1.0, powers
+    up to 4, possibly constant-only or zero) and an (n, M) grid holding
+    signed zeros, infinities and nans among finite values."""
+    n = draw(st.integers(1, 3))
+    coeff = st.one_of(
+        st.sampled_from((1.0, -1.0, 0.5, -2.0)),
+        st.floats(-1e3, 1e3, allow_nan=False).filter(lambda c: c != 0.0),
+    )
+    exponent = st.tuples(*[st.integers(0, 4)] * n)
+    terms = draw(st.lists(st.tuples(exponent, coeff), max_size=4))
+    if draw(st.booleans()):
+        terms.append(((0,) * n, draw(coeff)))
+    M = draw(st.integers(1, 6))
+    value = st.one_of(st.sampled_from(_SPECIAL_VALUES), st.floats(-1e3, 1e3, allow_nan=False))
+    grid = np.array(draw(st.lists(value, min_size=n * M, max_size=n * M))).reshape(n, M)
+    return Polynomial.from_terms(n, terms), grid
+
+
+@settings(max_examples=400, deadline=None)
+@given(_polynomials_and_grids())
+def test_evaluation_in_place_is_bitwise_the_term_by_term_arithmetic(case):
+    # a new array, a given out array and the reference agree byte for byte,
+    # nan signs and signed zeros included
+    p, grid = case
+    with np.errstate(all="ignore"):
+        want = reference_polynomial_value(p, grid)
+        got = p(grid)
+        buf = np.full(grid.shape[1:], 7.0)
+        assert p(grid, out=buf) is buf
+        assert got.tobytes() == want.tobytes() == buf.tobytes()
+        point = grid[:, 0]
+        values = evaluate(PolynomialMap(p.nvars, (p,) * p.nvars), point)
+        scalar = reference_polynomial_value(p, point)
+        assert isinstance(p(point), np.float64)
+    # at a point the reference takes numpy's scalar operators, the evaluator
+    # its ufuncs on a 0-d array; both round alike (the powers are the same
+    # scalar v[j] ** e), so every value is equal, signed zeros and
+    # infinities included, but a nan may come out with the other sign
+    old = np.full(p.nvars, scalar)
+    assert np.array_equal(values, old, equal_nan=True)
+    assert np.array_equal(np.signbit(values[~np.isnan(old)]), np.signbit(old[~np.isnan(old)]))
 
 
 class TestJacobian:

@@ -1,6 +1,11 @@
 import math
+import re
 import sys
 from pathlib import Path
+
+import numpy as np
+import pytest
+import scipy
 
 import burgerslab
 from burgerslab import cli
@@ -8,13 +13,30 @@ from burgerslab.cli import main
 from burgerslab.correction import DEFAULT_CHI
 from burgerslab.estimators import xi_grid_size
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 
 
 def test_every_exported_name_resolves():
     assert len(set(burgerslab.__all__)) == len(burgerslab.__all__)
     for name in burgerslab.__all__:
         assert getattr(burgerslab, name) is not None, name
+
+
+def _release(version):
+    """The leading numeric release of a version string, as a tuple of ints."""
+    return tuple(int(part) for part in re.match(r"\d+(?:\.\d+)*", version).group().split("."))
+
+
+def test_installed_numpy_and_scipy_meet_the_declared_floors():
+    # the transforms write into caller-owned arrays (numpy >= 2.0's fft
+    # out=); an older install must fail here, not mid-run
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    dependencies = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["dependencies"]
+    floors = dict(re.fullmatch(r"([a-z]+)>=([0-9.]+)", dep).groups() for dep in dependencies)
+    assert set(floors) == {"numpy", "scipy"} and _release(floors["numpy"]) >= (2, 0)
+    for module in (np, scipy):
+        assert _release(module.__version__) >= _release(floors[module.__name__]), module.__name__
 
 
 def import_spans():
