@@ -52,7 +52,6 @@ from .noise import (
 from .integrator import (
     BlowUpError,
     SimConfig,
-    TrajectoryRecord,
     run_coupled,
     simulate,
 )
@@ -104,7 +103,6 @@ __all__ = [
     "sample_stationary_pair",
     "BlowUpError",
     "SimConfig",
-    "TrajectoryRecord",
     "run_coupled",
     "simulate",
     "chain_rule_defect",

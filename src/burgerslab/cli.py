@@ -49,7 +49,7 @@ from .estimators import (
     xi_grid_size,
     xi_halves,
 )
-from .integrator import resolve_lambda, run_coupled
+from .integrator import ERRORS, resolve_lambda, run_coupled
 from .noise import derive_stream, discrete_sigmas, sample_stationary_pair, stationary_sigmas, ModeGaussianDraw
 from .runconfig import load_run_config
 from .schemes import SchemeValidationError, load_scheme_file
@@ -216,17 +216,27 @@ def _summary_line(row):
 def _qv_limit_summary(result, nu):
     """Ensemble mean and standard error of the grid quadratic variation of
     the final corrected limit state, next to the stationary density pi/nu
-    it approaches.  Every eps run of a replicate carries the same value, so
-    each replicate with a surviving eps run counts once; the mean needs one
-    and the standard error two, else they are None."""
-    per_replicate = {r.replicate: r.diagnostics["qv_limit_final"] for r in result.records if not r.blown_up}
-    qv = np.array([per_replicate[rep] for rep in sorted(per_replicate)])
+    it approaches.  Each replicate whose limit runs survived reports one
+    value; the mean needs one and the standard error two, else they are
+    None."""
+    qv = np.array([r["qv_limit_final"] for r in result.replicates if r["qv_limit_final"] is not None])
     return {
         "n": int(qv.size),
         "mean": float(np.mean(qv)) if qv.size else None,
         "stderr": float(np.std(qv, ddof=1) / np.sqrt(qv.size)) if qv.size > 1 else None,
         "pi_over_nu": math.pi / nu,
     }
+
+
+def _distinct_tables(eps_list, source):
+    """``eps_list``, if no two of its values share a converge table name
+    (``f"{eps:g}"``), which would make one table overwrite the other."""
+    seen = {}
+    for eps in eps_list:
+        name = f"{eps:g}"
+        _require(name not in seen, f"{source} values {seen.get(name)!r} and {eps!r} share the table name eps{name}")
+        seen[name] = eps
+    return eps_list
 
 
 def cmd_converge(args):
@@ -236,14 +246,15 @@ def cmd_converge(args):
         args.replicates is None or args.replicates >= 2,
         f"--replicates must be at least 2 (for a standard error), got {args.replicates}",
     )
-    eps_override = _eps_list(args.eps) if args.eps is not None else None
+    _require(_positive(args.tol), f"--tol must be positive, got {args.tol}")
+    eps_override = _distinct_tables(_eps_list(args.eps), "--eps") if args.eps is not None else None
     try:
         spec = load_run_config(args.config)
         report = spec.scheme.validate()
         if not report.ok:
             print(report.summary(), file=sys.stderr)
             return EXIT_VALIDATION
-        eps_list = eps_override or spec.eps_list
+        eps_list = eps_override or _distinct_tables(spec.eps_list, "eps")
         cfg = spec.sim_config(seed=args.seed, lambda_tol=args.tol)
         lam, lam_result = resolve_lambda(cfg)
     except QuadratureError as err:
@@ -287,32 +298,14 @@ def cmd_converge(args):
     manifest.stage("simulation")
 
     outputs = []
-    for eps in eps_list:
-        if not result.records_for(eps):
+    columns = ("t",) + ERRORS
+    for e, eps in enumerate(eps_list):
+        if result.blown_up[:, e].all():
             print(f"eps={eps:g}: every replicate blew up; no table written", file=sys.stderr)
             continue
         curves = result.mean_curves(eps)
         path = f"{prefix}_eps{eps:g}.csv"
-        rows = list(
-            zip(
-                curves["t"].tolist(),
-                curves["sup_err_corrected"].tolist(),
-                curves["sup_err_uncorrected"].tolist(),
-                curves["halpha_err_corrected"].tolist(),
-                curves["halpha_err_uncorrected"].tolist(),
-            )
-        )
-        _write_csv(
-            path,
-            [
-                "t",
-                "sup_err_corrected",
-                "sup_err_uncorrected",
-                "halpha_err_corrected",
-                "halpha_err_uncorrected",
-            ],
-            rows,
-        )
+        _write_csv(path, columns, zip(*(curves[name].tolist() for name in columns)))
         outputs.append(path)
 
     # initial-coupling scaling table: E||psi_tilde(0) - psi(0)||_sup per eps

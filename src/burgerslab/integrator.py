@@ -39,6 +39,14 @@ discretized equation applies the literal nonconservative product
 grad G(u) . D_eps u, which is exactly the object whose limit acquires the
 drift correction.
 
+A coupled ensemble is one dense result.  Each replicate norms the
+differences of every eps run to the two limit runs at the recorded steps
+into an (E, 4, S) block whose columns are ERRORS, NaN for an eps whose run
+or a limit run blew up, and takes the quadratic variation of the final
+corrected limit state once, into its report.  run_coupled stacks the
+blocks into EnsembleResult.errors, (R, E, 4, S), next to the (R, E)
+blow-up mask the replicates return.
+
 The transforms, the pointwise polynomials and the update of a step write
 into arrays the Stepper owns (see its docstring); beyond the new state, a
 step allocates only the powers v_j ** e a polynomial takes and the scratch
@@ -51,6 +59,7 @@ import math
 import time
 from dataclasses import dataclass, field, replace
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
 import numpy as np
 
@@ -388,138 +397,84 @@ def simulate(cfg, lam, u0, wiener_rng, record_steps=None):
 # -- coupled ensembles ---------------------------------------------------------
 
 
-@dataclass
-class TrajectoryRecord:
-    """Error time series of one (replicate, eps) coupled comparison."""
-
-    eps: float
-    replicate: int
-    times: np.ndarray
-    sup_err_corrected: np.ndarray
-    sup_err_uncorrected: np.ndarray
-    halpha_err_corrected: np.ndarray
-    halpha_err_uncorrected: np.ndarray
-    blown_up: bool = False
-    blowup_time: float | None = None
-    diagnostics: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if np.any(np.diff(self.times) <= 0):
-            raise ValueError("sample times must be strictly increasing")
-
-    @property
-    def max_sup_corrected(self):
-        return float(np.max(self.sup_err_corrected))
-
-    @property
-    def max_sup_uncorrected(self):
-        return float(np.max(self.sup_err_uncorrected))
+# the error columns of a replicate's block and of the converge tables: sup
+# and H^alpha distances to the corrected and to the uncorrected limit run
+ERRORS = ("sup_err_corrected", "sup_err_uncorrected", "halpha_err_corrected", "halpha_err_uncorrected")
 
 
 def _run_replicate(cfg, eps_list, replicate, lam):
     """All runs of one replicate: two limit runs plus one discretized run
     per eps, sharing the mode draw and the Wiener stream.
 
-    Returns the records, one per eps, and a report of the replicate: its
-    wall seconds and, per run in the order run, its row (the variant, and
-    eps for a discretized run), the steps it took and its blow-up time
-    (None unless it blew up).  A blown-up limit run ends the replicate, so
-    the runs after it are not in the report.
+    Returns ``(errors, blown_up, report)``.  ``errors`` is an (E, 4, S)
+    block: per eps, the ERRORS columns at the S recorded steps.
+    ``blown_up`` is the (E,) mask of the eps whose run, or a limit run,
+    blew up; their rows of ``errors`` are NaN.  The report holds the
+    replicate's wall seconds, the grid quadratic variation of the final
+    corrected limit state (None if a limit run blew up) and, per run in the
+    order run, its row (the variant, and eps for a discretized run), the
+    steps it took and its blow-up time (None unless it blew up).  A
+    blown-up limit run ends the replicate, so the runs after it are not in
+    the report.
     """
     start = time.perf_counter()
-    runs = []
-    records = _replicate_records(cfg, eps_list, replicate, lam, runs)
-    return records, {"replicate": replicate, "wall_s": round(time.perf_counter() - start, 6), "runs": runs}
-
-
-def _replicate_records(cfg, eps_list, replicate, lam, runs):
-    """The records of ``_run_replicate``; appends each run's row to ``runs``."""
     record_steps = sample_steps(cfg)
+    errors = np.full((len(eps_list), len(ERRORS), len(record_steps)), np.nan)
+    blown_up = np.ones(len(eps_list), dtype=bool)
+    report = {"replicate": replicate, "qv_limit_final": None, "runs": []}
 
     def run(run_cfg, u0):
+        """The run's (S, n, K+1) records, or None if it blew up."""
         row = {"row": run_cfg.variant, "eps": run_cfg.eps if run_cfg.variant == "approximate" else None}
-        runs.append(row)
-        rng = derive_stream(cfg.seed, replicate, "wiener")
+        report["runs"].append(row)
         try:
-            result = simulate(run_cfg, lam, u0, rng, record_steps)
+            records = simulate(run_cfg, lam, u0, derive_stream(cfg.seed, replicate, "wiener"), record_steps)[1]
         except BlowUpError as err:
             row.update(steps=err.steps, blowup_time=err.time)
-            raise
+            return None
         row.update(steps=run_cfg.n_steps, blowup_time=None)
-        return result
+        return records
 
     draw = ModeGaussianDraw.sample(cfg.K, cfg.n, derive_stream(cfg.seed, replicate, "ic"))
     v0 = cfg.v0_field()
-    psi = draw.field(stationary_sigmas(cfg.K, cfg.nu))
-    u_bar0 = v0 + psi
-
-    def flagged_record(eps, blowup_time):
-        nanv = np.full(len(record_steps), np.nan)
-        return TrajectoryRecord(
-            eps,
-            replicate,
-            np.array(record_steps, dtype=float) * cfg.dt,
-            nanv,
-            nanv.copy(),
-            nanv.copy(),
-            nanv.copy(),
-            blown_up=True,
-            blowup_time=blowup_time,
-        )
-
-    limits = []  # corrected, then uncorrected
-    try:
-        for variant in ("limit_corrected", "limit_uncorrected"):
-            limits.append(run(replace(cfg, variant=variant), u_bar0)[1])
-    except BlowUpError as err:
-        # a limit run left the finite range: the whole replicate is flagged
-        return [flagged_record(eps, err.time) for eps in eps_list]
-    final_limit = SpectralField(cfg.K, cfg.n, limits[0][-1])
-
-    records = []
-    for eps in eps_list:
-        psit = draw.field(discrete_sigmas(cfg.scheme, eps, cfg.nu, cfg.K))
-        try:
-            times, approx = run(replace(cfg, eps=eps, variant="approximate"), v0 + psit)
-        except BlowUpError as err:
-            records.append(flagged_record(eps, err.time))
-            continue
-        # Stack the differences to one limit run at a time: one stack of
-        # both, or both kept, raised the peak memory of a K = 1024 replicate
-        # by about 1 MiB.
-        sup, halpha = [], []
-        for limit in limits:
-            diff = approx - limit  # at every recorded step
-            sup.append(sup_norms(diff))
-            halpha.append(sobolev_norms(diff, cfg.alpha))
-        diagnostics = {
-            "qv_limit_final": float(np.mean(quadratic_variation(final_limit, max(8, cfg.K // 4)))),
-        }
-        records.append(
-            TrajectoryRecord(
-                eps,
-                replicate,
-                times,
-                *sup,
-                *halpha,
-                diagnostics=diagnostics,
-            )
-        )
-    return records
-
-
-def _replicate_worker(args):
-    cfg, eps_list, replicate, lam = args
-    return _run_replicate(cfg, eps_list, replicate, lam)
+    u_bar0 = v0 + draw.field(stationary_sigmas(cfg.K, cfg.nu))
+    limits = []  # corrected, then uncorrected; a blow-up ends the replicate
+    for variant in ("limit_corrected", "limit_uncorrected"):
+        if (limit := run(replace(cfg, variant=variant), u_bar0)) is None:
+            break
+        limits.append(limit)
+    if len(limits) == 2:
+        final_limit = SpectralField(cfg.K, cfg.n, limits[0][-1])
+        report["qv_limit_final"] = float(np.mean(quadratic_variation(final_limit, max(8, cfg.K // 4))))
+        for e, eps in enumerate(eps_list):
+            psit = draw.field(discrete_sigmas(cfg.scheme, eps, cfg.nu, cfg.K))
+            approx = run(replace(cfg, eps=eps, variant="approximate"), v0 + psit)
+            if approx is None:
+                continue
+            # one limit run's differences at a time: stacking both raised
+            # the peak memory of a K = 1024 replicate by about 1 MiB
+            for c, limit in enumerate(limits):
+                diff = approx - limit  # at every recorded step
+                errors[e, c] = sup_norms(diff)
+                errors[e, 2 + c] = sobolev_norms(diff, cfg.alpha)
+            blown_up[e] = False
+    report["wall_s"] = round(time.perf_counter() - start, 6)
+    return errors, blown_up, report
 
 
 @dataclass
 class EnsembleResult:
-    """Aggregated coupled-error statistics for one experiment family."""
+    """The coupled errors of one experiment family and their statistics.
+
+    ``errors[r, e]`` holds replicate r's ERRORS columns at ``eps_list[e]``
+    over ``times``; ``blown_up[r, e]`` marks the pairs whose eps run or a
+    limit run blew up, whose rows are NaN.
+    """
 
     eps_list: tuple
     times: np.ndarray
-    records: list
+    errors: np.ndarray  # (R, E, 4, S)
+    blown_up: np.ndarray  # (R, E) bool
     lam: float
     # one report per replicate, in replicate order (see _run_replicate);
     # it carries wall times, so it goes to the manifest only
@@ -527,29 +482,16 @@ class EnsembleResult:
 
     @property
     def blowup_fraction(self):
-        return sum(r.blown_up for r in self.records) / len(self.records)
-
-    def records_for(self, eps):
-        return [r for r in self.records if r.eps == eps and not r.blown_up]
-
-    def blowup_count(self, eps=None):
-        return sum(
-            1 for r in self.records if r.blown_up and (eps is None or r.eps == eps)
-        )
+        return int(np.count_nonzero(self.blown_up)) / self.blown_up.size
 
     def mean_curves(self, eps):
-        """Ensemble means over replicates of the four error time series."""
-        recs = self.records_for(eps)
-        if not recs:
+        """Ensemble means over the surviving replicates of the four error
+        time series, by ERRORS name, and the times under ``"t"``."""
+        e = self.eps_list.index(eps)
+        ok = ~self.blown_up[:, e]
+        if not ok.any():
             raise ValueError(f"no surviving replicates at eps = {eps}")
-        stack = lambda name: np.mean([getattr(r, name) for r in recs], axis=0)
-        return {
-            "t": self.times,
-            "sup_err_corrected": stack("sup_err_corrected"),
-            "sup_err_uncorrected": stack("sup_err_uncorrected"),
-            "halpha_err_corrected": stack("halpha_err_corrected"),
-            "halpha_err_uncorrected": stack("halpha_err_uncorrected"),
-        }
+        return {"t": self.times, **dict(zip(ERRORS, np.mean(self.errors[ok, e], axis=0)))}
 
     def summary(self):
         """Per-eps mean and standard error of the trajectory-max sup errors.
@@ -558,26 +500,14 @@ class EnsembleResult:
         None, like every statistic of an eps with none.
         """
         rows = []
-        for eps in self.eps_list:
-            recs = self.records_for(eps)
-            nn = len(recs)
-            row = {"eps": eps, "n_ok": nn, "n_blowup": self.blowup_count(eps)}
-            if nn:
-                mc = np.array([r.max_sup_corrected for r in recs])
-                mu = np.array([r.max_sup_uncorrected for r in recs])
-                row.update(
-                    mean_sup_corrected=float(np.mean(mc)),
-                    se_sup_corrected=float(np.std(mc, ddof=1) / np.sqrt(nn)) if nn > 1 else None,
-                    mean_sup_uncorrected=float(np.mean(mu)),
-                    se_sup_uncorrected=float(np.std(mu, ddof=1) / np.sqrt(nn)) if nn > 1 else None,
-                )
-            else:
-                row.update(
-                    mean_sup_corrected=None,
-                    se_sup_corrected=None,
-                    mean_sup_uncorrected=None,
-                    se_sup_uncorrected=None,
-                )
+        for e, eps in enumerate(self.eps_list):
+            ok = ~self.blown_up[:, e]
+            nn = int(np.count_nonzero(ok))
+            row = {"eps": eps, "n_ok": nn, "n_blowup": ok.size - nn}
+            for c, name in enumerate(("corrected", "uncorrected")):
+                maxima = self.errors[ok, e, c].max(axis=1)  # each survivor's maximum over time
+                row[f"mean_sup_{name}"] = float(np.mean(maxima)) if nn else None
+                row[f"se_sup_{name}"] = float(np.std(maxima, ddof=1) / np.sqrt(nn)) if nn > 1 else None
             rows.append(row)
         return rows
 
@@ -596,14 +526,15 @@ def run_coupled(cfg, eps_list, replicates, workers=1):
     for eps in eps_list:
         if not 0.0 < eps < math.inf:
             raise ValueError(f"eps must be positive and finite, got {eps}")
+    if len(set(eps_list)) < len(eps_list):
+        raise ValueError(f"eps values must be distinct, got {eps_list}")
     lam, _ = resolve_lambda(cfg)
-    tasks = [(cfg, eps_list, r, lam) for r in range(replicates)]
+    run = partial(_run_replicate, cfg, eps_list, lam=lam)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_rep = list(pool.map(_replicate_worker, tasks))
+            per_rep = list(pool.map(run, range(replicates)))
     else:
-        per_rep = [_replicate_worker(t) for t in tasks]
-    records = [rec for recs, _ in per_rep for rec in recs]
-    records.sort(key=lambda r: (r.eps, r.replicate))
+        per_rep = list(map(run, range(replicates)))
+    errors, blown_up, reports = zip(*per_rep)
     times = np.array(sample_steps(cfg), dtype=float) * cfg.dt
-    return EnsembleResult(eps_list, times, records, lam, [report for _, report in per_rep])
+    return EnsembleResult(eps_list, times, np.stack(errors), np.stack(blown_up), lam, list(reports))

@@ -49,10 +49,6 @@ class Polynomial:
     def zero(nvars):
         return Polynomial(nvars, ())
 
-    @staticmethod
-    def constant(nvars, c):
-        return Polynomial.from_terms(nvars, [((0,) * nvars, c)])
-
     @property
     def degree(self):
         return max((sum(e) for e, _ in self.terms), default=0)

@@ -176,18 +176,29 @@ class TestConvergeCommand:
     def test_manifest_reports_the_final_limit_qv(self, tmp_path, run_config):
         out = tmp_path / "qv"
         assert main(["converge", "--config", str(run_config), "--out", str(out), "--seed", "1"]) == EXIT_OK
-        got = json.loads((out / "demo_manifest.json").read_text())["diagnostics"]["qv_limit_final"]
+        manifest = json.loads((out / "demo_manifest.json").read_text())
         spec = load_run_config(run_config)
         result = integrator.run_coupled(spec.sim_config(seed=1), spec.eps_list, 2)
-        # one value per replicate, carried by each of its eps runs
-        qv = np.array([[r.diagnostics["qv_limit_final"] for r in result.records if r.replicate == rep] for rep in (0, 1)])
-        assert np.all(qv == qv[:, :1]) and qv[0, 0] != qv[1, 0]
-        assert got == {
+        # one value per replicate, in its report
+        qv = np.array([r["qv_limit_final"] for r in result.replicates])
+        assert qv.shape == (2,) and qv[0] != qv[1]
+        assert [r["qv_limit_final"] for r in manifest["replicates"]] == qv.tolist()
+        assert manifest["diagnostics"]["qv_limit_final"] == {
             "n": 2,
-            "mean": float(np.mean(qv[:, 0])),
-            "stderr": float(np.std(qv[:, 0], ddof=1) / np.sqrt(2.0)),
+            "mean": float(np.mean(qv)),
+            "stderr": float(np.std(qv, ddof=1) / np.sqrt(2.0)),
             "pi_over_nu": np.pi,
         }
+
+    def test_final_limit_qv_is_taken_once_per_replicate(self, tmp_path, run_config, monkeypatch):
+        # the final corrected limit state is one per replicate, whatever the
+        # number of eps runs, so its quadratic variation is taken R times
+        calls = []
+        qv = integrator.quadratic_variation
+        monkeypatch.setattr(integrator, "quadratic_variation", lambda *a: calls.append(a) or qv(*a))
+        argv = ["converge", "--config", str(run_config), "--out", str(tmp_path / "q"), "--seed", "1"]
+        assert main(argv + ["--eps", "0.25,0.125,0.0625", "--replicates", "3"]) == EXIT_OK
+        assert len(calls) == 3
 
     @pytest.mark.parametrize("mode", ["closed_form", "quadrature", "zero"])
     def test_manifest_records_lambda_and_validation(self, tmp_path, run_config, mode):
@@ -270,6 +281,8 @@ class TestConvergeCommand:
             ("eps = 0.25,0.125", "eps = 0.25,0", "eps"),
             ("eps = 0.25,0.125", "eps = ,", "eps"),
             ("replicates = 2", "replicates = 1", "replicates"),
+            ("eps = 0.25,0.125", "eps = 0.25,0.25,0.125", "eps values 0.25 and 0.25 share the table name eps0.25"),
+            ("eps = 0.25,0.125", "eps = 0.1234567,0.1234568", "share the table name eps0.123457"),
         ],
     )
     def test_config_errors_exit_2(self, tmp_path, run_config, capsys, old, new, message):
@@ -295,6 +308,12 @@ class TestConvergeCommand:
             (["--eps", "0.25,-0.1"], "--eps"),
             (["--eps", "0.25,x"], "--eps"),
             (["--eps", ""], "--eps"),
+            (["--eps", "0.25,0.25,0.125"], "--eps values 0.25 and 0.25 share the table name eps0.25"),
+            (["--eps", "0.1234567,0.1234568"], "--eps values 0.1234567 and 0.1234568 share the table name"),
+            (["--tol", "nan"], "--tol"),
+            (["--tol", "inf"], "--tol"),
+            (["--tol", "0"], "--tol"),
+            (["--tol", "-1"], "--tol must be positive"),
         ],
     )
     @pytest.mark.parametrize("dry_run", [False, True])
@@ -440,17 +459,13 @@ class TestQvCommand:
 
 
 def test_qv_limit_summary_counts_each_surviving_replicate_once():
-    def record(replicate, qv=None):
-        diagnostics = {} if qv is None else {"qv_limit_final": qv}
-        return SimpleNamespace(replicate=replicate, diagnostics=diagnostics, blown_up=qv is None)
+    def result(*values):
+        # a replicate whose limit run blew up reports None
+        return SimpleNamespace(replicates=[{"replicate": r, "qv_limit_final": v} for r, v in enumerate(values)])
 
-    # replicate 0 survives at one eps of two, replicate 1 at none
-    one = SimpleNamespace(records=[record(0, 3.0), record(0), record(1), record(1)])
-    assert _qv_limit_summary(one, 2.0) == {"n": 1, "mean": 3.0, "stderr": None, "pi_over_nu": np.pi / 2.0}
-    two = SimpleNamespace(records=[record(0, 3.0), record(1, 5.0), record(0, 3.0), record(1)])
-    assert _qv_limit_summary(two, 1.0) == {"n": 2, "mean": 4.0, "stderr": 1.0, "pi_over_nu": np.pi}
-    none = SimpleNamespace(records=[record(0)])
-    assert _qv_limit_summary(none, 1.0) == {"n": 0, "mean": None, "stderr": None, "pi_over_nu": np.pi}
+    assert _qv_limit_summary(result(3.0, None), 2.0) == {"n": 1, "mean": 3.0, "stderr": None, "pi_over_nu": np.pi / 2.0}
+    assert _qv_limit_summary(result(3.0, 5.0), 1.0) == {"n": 2, "mean": 4.0, "stderr": 1.0, "pi_over_nu": np.pi}
+    assert _qv_limit_summary(result(None), 1.0) == {"n": 0, "mean": None, "stderr": None, "pi_over_nu": np.pi}
 
 
 def test_summary_line_without_a_standard_error():

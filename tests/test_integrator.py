@@ -6,6 +6,7 @@ import pytest
 
 from burgerslab.estimators import quadratic_variation
 from burgerslab.integrator import (
+    ERRORS,
     BlowUpError,
     EnsembleResult,
     SimConfig,
@@ -14,7 +15,6 @@ from burgerslab.integrator import (
     run_coupled,
     sample_steps,
     simulate,
-    TrajectoryRecord,
 )
 from burgerslab.noise import ModeGaussianDraw, derive_stream, sample_stationary_pair, wiener_increment_coeffs
 from burgerslab.nonlin import (
@@ -495,29 +495,26 @@ class TestRunCoupled:
     def test_zero_lambda_makes_limits_identical(self):
         cfg = make_cfg(lambda_mode="zero", T=0.02, sample_every=5)
         res = run_coupled(cfg, [0.25, 0.125], replicates=2)
-        for rec in res.records:
-            assert np.array_equal(rec.sup_err_corrected, rec.sup_err_uncorrected)
-            assert np.array_equal(rec.halpha_err_corrected, rec.halpha_err_uncorrected)
+        assert res.errors.shape == (2, 2, len(ERRORS), len(res.times)) and not res.blown_up.any()
+        assert np.array_equal(res.errors[:, :, 0], res.errors[:, :, 1])  # sup
+        assert np.array_equal(res.errors[:, :, 2], res.errors[:, :, 3])  # H^alpha
 
     def test_no_flux_collapses_all_variants(self):
         # identity scheme and G = 0: discretized and limit dynamics coincide
         cfg = make_cfg(G=PolynomialMap.zero(1), F=parse_polynomial_map("-u1", 1),
                        T=0.02, sample_every=5)
         res = run_coupled(cfg, [0.25], replicates=2)
-        for rec in res.records:
-            assert np.all(rec.sup_err_corrected == 0.0)
-            assert np.all(rec.sup_err_uncorrected == 0.0)
+        assert np.all(res.errors[:, :, :2] == 0.0)
 
     def test_worker_count_does_not_change_results(self):
         cfg = make_cfg(T=0.02, sample_every=5, scheme=finite_difference_scheme(1, 0),
                        lambda_mode="quadrature")
         res1 = run_coupled(cfg, [0.25, 0.125], replicates=3, workers=1)
         res2 = run_coupled(cfg, [0.25, 0.125], replicates=3, workers=2)
-        assert len(res1.records) == len(res2.records)
-        for a, b in zip(res1.records, res2.records):
-            assert a.eps == b.eps and a.replicate == b.replicate
-            assert np.array_equal(a.sup_err_corrected, b.sup_err_corrected)
-            assert np.array_equal(a.halpha_err_uncorrected, b.halpha_err_uncorrected)
+        assert res1.errors.shape == (3, 2, len(ERRORS), len(res1.times))
+        assert res1.errors.tobytes() == res2.errors.tobytes()
+        assert np.array_equal(res1.blown_up, res2.blown_up)
+        assert [r["qv_limit_final"] for r in res1.replicates] == [r["qv_limit_final"] for r in res2.replicates]
 
     def test_replicate_reports_record_steps_and_blowups(self, monkeypatch):
         cfg = make_cfg(T=0.02, sample_every=5)
@@ -533,34 +530,57 @@ class TestRunCoupled:
         res = run_coupled(cfg, [0.25, 0.125], replicates=2)
         assert [r["replicate"] for r in res.replicates] == [0, 1]
         for report in res.replicates:
-            assert report["wall_s"] > 0.0
+            assert report["wall_s"] > 0.0 and report["qv_limit_final"] > 0.0
             assert report["runs"] == [
                 {"row": "limit_corrected", "eps": None, "steps": 20, "blowup_time": None},
                 {"row": "limit_uncorrected", "eps": None, "steps": 20, "blowup_time": None},
                 {"row": "approximate", "eps": 0.25, "steps": 20, "blowup_time": None},
                 {"row": "approximate", "eps": 0.125, "steps": 4, "blowup_time": 4 * cfg.dt},
             ]
-        assert res.blowup_count(0.125) == 2 and res.blowup_count(0.25) == 0
+        assert res.blown_up.tolist() == [[False, True], [False, True]]
+        assert [row["n_blowup"] for row in res.summary()] == [0, 2]
+        assert np.all(np.isnan(res.errors[:, 1])) and np.all(np.isfinite(res.errors[:, 0]))
+        assert res.blowup_fraction == 0.5
 
     def test_a_blown_up_limit_run_ends_the_replicate_report(self):
         cfg = make_cfg(F=parse_polynomial_map("u1^3", 1), G=PolynomialMap.zero(1), dt=0.5, T=50.0,
                        sample_every=100, lambda_mode="zero", v0=SpectralField.constant(1e60, 16))
         res = run_coupled(cfg, [0.25], replicates=2)
-        assert res.blowup_fraction == 1.0
+        assert res.blowup_fraction == 1.0 and res.blown_up.all()
+        assert np.all(np.isnan(res.errors))
         for report in res.replicates:
             (row,) = report["runs"]
             assert row["row"] == "limit_corrected" and row["eps"] is None
             assert row["blowup_time"] == row["steps"] * cfg.dt < cfg.T
-        assert [r.blowup_time for r in res.records] == [rep["runs"][0]["blowup_time"] for rep in res.replicates]
+            assert report["qv_limit_final"] is None
+
+    def test_a_blown_up_limit_run_flags_every_eps_of_its_replicate(self, monkeypatch):
+        cfg = make_cfg(T=0.02, sample_every=5)
+        real, limit_runs = simulate, []
+
+        def blow_up_second_uncorrected(run_cfg, *args):
+            # replicates run in order, so this is replicate 1's uncorrected limit
+            if run_cfg.variant == "limit_uncorrected":
+                limit_runs.append(run_cfg)
+                if len(limit_runs) == 2:
+                    raise BlowUpError(3 * run_cfg.dt, 3)
+            return real(run_cfg, *args)
+
+        monkeypatch.setattr("burgerslab.integrator.simulate", blow_up_second_uncorrected)
+        res = run_coupled(cfg, [0.25, 0.125], replicates=2)
+        assert res.blown_up.tolist() == [[False, False], [True, True]]
+        assert np.all(np.isfinite(res.errors[0])) and np.all(np.isnan(res.errors[1]))
+        assert [row["n_ok"] for row in res.summary()] == [1, 1]
+        assert res.replicates[0]["qv_limit_final"] > 0.0 and res.replicates[1]["qv_limit_final"] is None
+        assert [row["row"] for row in res.replicates[1]["runs"]] == ["limit_corrected", "limit_uncorrected"]
+        assert res.replicates[1]["runs"][1]["steps"] == 3
 
     def test_seed_changes_results(self):
         cfg = make_cfg(T=0.02, sample_every=5)
         res1 = run_coupled(cfg, [0.25], replicates=1)
         cfg2 = make_cfg(T=0.02, sample_every=5, seed=8)
         res2 = run_coupled(cfg2, [0.25], replicates=1)
-        assert not np.array_equal(
-            res1.records[0].sup_err_uncorrected, res2.records[0].sup_err_uncorrected
-        )
+        assert not np.array_equal(res1.errors[0, 0, 1], res2.errors[0, 0, 1])
 
     def test_two_component_smoke(self):
         cfg = make_cfg(
@@ -573,20 +593,24 @@ class TestRunCoupled:
             K=12,
         )
         res = run_coupled(cfg, [0.25], replicates=1)
-        rec = res.records[0]
-        assert not rec.blown_up
-        assert np.all(np.isfinite(rec.sup_err_corrected))
-        assert rec.diagnostics["qv_limit_final"] > 0.0
+        assert not res.blown_up[0, 0]
+        assert np.all(np.isfinite(res.errors[0, 0]))
+        assert res.replicates[0]["qv_limit_final"] > 0.0
 
     def test_mean_curves_and_summary_shapes(self):
         cfg = make_cfg(T=0.02, sample_every=5)
         res = run_coupled(cfg, [0.25, 0.125], replicates=3)
         curves = res.mean_curves(0.125)
-        assert curves["t"].shape == curves["sup_err_corrected"].shape
+        assert list(curves) == ["t", *ERRORS]
+        assert all(curves[name].shape == curves["t"].shape for name in ERRORS)
         rows = res.summary()
         assert [r["eps"] for r in rows] == [0.25, 0.125]
         assert all(r["n_ok"] == 3 and r["n_blowup"] == 0 for r in rows)
 
+    def test_rejects_repeated_eps(self):
+        cfg = make_cfg(T=0.02, sample_every=5)
+        with pytest.raises(ValueError, match="distinct"):
+            run_coupled(cfg, [0.25, 0.125, 0.25], replicates=2)
 
     def test_recorded_errors_are_the_norms_of_the_differences(self):
         # the stacked evaluation gives, bit for bit, the one-field norms of
@@ -597,7 +621,7 @@ class TestRunCoupled:
                        lambda_mode="quadrature", v0=SpectralField.from_modes(12, {1: [0.5, 0.25j]}, n=2))
         lam, _ = resolve_lambda(cfg)
         eps = 0.25
-        rec = run_coupled(cfg, [eps], replicates=1).records[0]
+        block = run_coupled(cfg, [eps], replicates=1).errors[0, 0]
         draw_psi = sample_stationary_pair(cfg.scheme, eps, cfg.nu, cfg.K, derive_stream(cfg.seed, 0, "ic"), n=2)
         runs = {}
         for variant, eps_run, init in (
@@ -611,21 +635,22 @@ class TestRunCoupled:
             diffs = [SpectralField(cfg.K, cfg.n, a - b) for a, b in zip(runs["approximate"], runs[limit])]
             sup = np.array([sup_norm(d) for d in diffs])
             ha = np.array([sobolev_norm(d, cfg.alpha) for d in diffs])
-            assert getattr(rec, f"sup_err_{name}").tobytes() == sup.tobytes()
-            assert getattr(rec, f"halpha_err_{name}").tobytes() == ha.tobytes()
-        assert rec.sup_err_corrected[0] > 0.0  # the initial coupling is not exact here
+            assert block[ERRORS.index(f"sup_err_{name}")].tobytes() == sup.tobytes()
+            assert block[ERRORS.index(f"halpha_err_{name}")].tobytes() == ha.tobytes()
+        assert block[0, 0] > 0.0  # the initial coupling is not exact here
 
 
 class TestSummary:
     def _result(self, maxima):
         """One eps; maxima[r] is replicate r's sup error, None for a blow-up."""
         t = np.array([0.0, 1.0])
-        records = []
+        errors = np.full((len(maxima), 1, len(ERRORS), 2), np.nan)
         for r, m in enumerate(maxima):
-            curve = np.array([0.0, np.nan if m is None else m])
-            records.append(TrajectoryRecord(0.5, r, t, curve, 2.0 * curve, curve, curve,
-                                            blown_up=m is None, blowup_time=0.5 if m is None else None))
-        return EnsembleResult((0.5,), t, records, 0.25)
+            if m is not None:
+                curve = np.array([0.0, m])
+                errors[r, 0] = [curve, 2.0 * curve, curve, curve]
+        blown_up = np.array([[m is None] for m in maxima])
+        return EnsembleResult((0.5,), t, errors, blown_up, 0.25)
 
     def test_single_survivor_has_no_standard_error(self):
         (row,) = self._result([0.3, None]).summary()
@@ -638,6 +663,41 @@ class TestSummary:
         (row,) = self._result([0.3, 0.5, None]).summary()
         assert row["n_ok"] == 2
         assert row["se_sup_corrected"] == float(np.std([0.3, 0.5], ddof=1) / np.sqrt(2))
+
+    def test_no_survivor_has_no_statistics(self):
+        result = self._result([None, None])
+        (row,) = result.summary()
+        assert row == {"eps": 0.5, "n_ok": 0, "n_blowup": 2, "mean_sup_corrected": None, "se_sup_corrected": None,
+                       "mean_sup_uncorrected": None, "se_sup_uncorrected": None}
+        with pytest.raises(ValueError, match="no surviving replicates"):
+            result.mean_curves(0.5)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_block_statistics_are_the_per_pair_arithmetic(self, seed):
+        # the statistics index the dense block; they equal, byte for byte,
+        # the arithmetic over one error series per surviving (replicate,
+        # eps) pair, taken in replicate order
+        rng = np.random.default_rng(seed)
+        R, E, S = rng.integers(1, 40), rng.integers(1, 5), rng.integers(2, 250)
+        errors = rng.lognormal(size=(R, E, len(ERRORS), S))
+        blown_up = rng.random((R, E)) < 0.3
+        errors[blown_up] = np.nan
+        eps_list = tuple(2.0 ** -(e + 2) for e in range(E))
+        result = EnsembleResult(eps_list, np.arange(S) * 0.1, errors, blown_up, 0.25)
+        rows = result.summary()
+        for e, eps in enumerate(eps_list):
+            pairs = [errors[r, e].copy() for r in range(R) if not blown_up[r, e]]
+            assert rows[e]["n_ok"] == len(pairs) and rows[e]["n_blowup"] == R - len(pairs)
+            if not pairs:
+                continue
+            curves = result.mean_curves(eps)
+            for c, name in enumerate(ERRORS):
+                assert curves[name].tobytes() == np.mean([p[c] for p in pairs], axis=0).tobytes()
+            for c, name in enumerate(("corrected", "uncorrected")):
+                maxima = np.array([float(np.max(p[c])) for p in pairs])
+                assert rows[e][f"mean_sup_{name}"] == float(np.mean(maxima))
+                if len(pairs) > 1:
+                    assert rows[e][f"se_sup_{name}"] == float(np.std(maxima, ddof=1) / np.sqrt(len(pairs)))
 
 
 class TestSolutionRoughness:

@@ -120,12 +120,12 @@ _FLUX = {1: ("0", "0.5*u1^2"), 2: ("0; 0", "0.5*u1^2 + 0.5*u2^2; u1*u2")}
 @st.composite
 def run_configs(draw):
     """A valid run config as {section: {key: text}}, with the eps ladder and
-    step count it must echo."""
+    step count it must echo; no two eps share a converge table name."""
     n = draw(st.sampled_from([1, 2]))
     K = draw(st.integers(1, 64))
     dt = draw(st.sampled_from([1e-4, 2.5e-4, 5e-4, 1e-3, 0.01, 0.1]))
     steps = draw(st.integers(1, 500))
-    eps = draw(st.lists(st.floats(1e-3, 0.9), min_size=1, max_size=4))
+    eps = draw(st.lists(st.floats(1e-3, 0.9), min_size=1, max_size=4, unique_by=lambda e: f"{e:g}"))
     amp = draw(st.floats(-4.0, 4.0))
     comp = draw(st.integers(1, n))
     v0 = draw(st.sampled_from(["zero", f"sin:{amp!r}", f"sin:{amp!r}:{comp}"]))
