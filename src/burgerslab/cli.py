@@ -51,7 +51,7 @@ from .estimators import (
 )
 from .integrator import ERRORS, resolve_lambda, run_coupled
 from .noise import derive_stream, discrete_sigmas, sample_stationary_pair, stationary_sigmas, ModeGaussianDraw
-from .runconfig import load_run_config
+from .runconfig import InputError, eps_ladder, load_run_config, replicate_count
 from .schemes import SchemeValidationError, load_scheme_file
 from .spectral import band_project, sup_norm
 
@@ -119,10 +119,6 @@ class Manifest:
         Path(path).write_text(json.dumps(self.data, indent=2, sort_keys=True) + "\n")
 
 
-class InputError(ValueError):
-    """A command-line input or input file that cannot be used (exit 2)."""
-
-
 def _require(ok, message):
     if not ok:
         raise InputError(message)
@@ -137,8 +133,7 @@ def _eps_list(text):
         eps_list = tuple(float(e) for e in text.split(","))
     except ValueError:
         raise InputError(f"--eps must be a comma list of numbers, got {text!r}") from None
-    _require(all(_positive(e) for e in eps_list), f"--eps values must be positive, got {text}")
-    return eps_list
+    return eps_ladder(eps_list, "--eps")
 
 
 def _load_and_validate_scheme(path):
@@ -228,33 +223,19 @@ def _qv_limit_summary(result, nu):
     }
 
 
-def _distinct_tables(eps_list, source):
-    """``eps_list``, if no two of its values share a converge table name
-    (``f"{eps:g}"``), which would make one table overwrite the other."""
-    seen = {}
-    for eps in eps_list:
-        name = f"{eps:g}"
-        _require(name not in seen, f"{source} values {seen.get(name)!r} and {eps!r} share the table name eps{name}")
-        seen[name] = eps
-    return eps_list
-
-
 def cmd_converge(args):
     # read every input and resolve Lambda before anything is written; the
     # run takes the resolved value, so Lambda is computed once
-    _require(
-        args.replicates is None or args.replicates >= 2,
-        f"--replicates must be at least 2 (for a standard error), got {args.replicates}",
-    )
+    replicates = None if args.replicates is None else replicate_count(args.replicates, "--replicates")
     _require(_positive(args.tol), f"--tol must be positive, got {args.tol}")
-    eps_override = _distinct_tables(_eps_list(args.eps), "--eps") if args.eps is not None else None
+    eps_override = _eps_list(args.eps) if args.eps is not None else None
     try:
         spec = load_run_config(args.config)
         report = spec.scheme.validate()
         if not report.ok:
             print(report.summary(), file=sys.stderr)
             return EXIT_VALIDATION
-        eps_list = eps_override or _distinct_tables(spec.eps_list, "eps")
+        eps_list = eps_override or spec.eps_list
         cfg = spec.sim_config(seed=args.seed, lambda_tol=args.tol)
         lam, lam_result = resolve_lambda(cfg)
     except QuadratureError as err:
@@ -263,7 +244,7 @@ def cmd_converge(args):
     except (OSError, ValueError) as err:
         print(f"invalid run config {args.config}: {err}", file=sys.stderr)
         return EXIT_VALIDATION
-    replicates = spec.replicates if args.replicates is None else args.replicates
+    replicates = replicates or spec.replicates
 
     if args.dry_run:
         plan = {

@@ -47,6 +47,11 @@ corrected limit state once, into its report.  run_coupled stacks the
 blocks into EnsembleResult.errors, (R, E, 4, S), next to the (R, E)
 blow-up mask the replicates return.
 
+A SimConfig is frozen and checks every field when it is made, so a config
+that exists is a valid one.  run_coupled makes the configs of all 2 + E
+runs with dataclasses.replace, which checks each again, before any
+replicate starts, and every replicate steps those same configs.
+
 The transforms, the pointwise polynomials and the update of a step write
 into arrays the Stepper owns (see its docstring); beyond the new state, a
 step allocates only the powers v_j ** e a polynomial takes and the scratch
@@ -57,7 +62,7 @@ allocates all its temporaries.
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 
@@ -96,6 +101,7 @@ from .estimators import xi_eps  # noqa: F401
 from .spectral import coeffs_to_values, sobolev_norm, sup_norm, values_to_coeffs  # noqa: F401
 
 VARIANTS = ("approximate", "limit_corrected", "limit_uncorrected")
+LAMBDA_MODES = ("quadrature", "closed_form", "explicit", "zero")
 
 
 class BlowUpError(RuntimeError):
@@ -108,9 +114,11 @@ class BlowUpError(RuntimeError):
         self.steps = steps
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimConfig:
-    """Complete description of one experiment."""
+    """Complete description of one experiment, checked on construction and
+    frozen; a variant is made with dataclasses.replace, which checks it
+    again."""
 
     nu: float
     n: int
@@ -139,9 +147,9 @@ class SimConfig:
             if value < 1:
                 raise ValueError(f"{name} must be at least 1, got {value}")
         for name in ("nu", "dt", "eps"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        for name in ("nu", "dt", "eps", "T", "alpha"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
+        for name in ("T", "alpha"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.T >= self.dt:
@@ -151,6 +159,10 @@ class SimConfig:
             raise ValueError(f"T/dt must be integral, got T = {self.T}, dt = {self.dt}")
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}")
+        if self.lambda_mode not in LAMBDA_MODES:
+            raise ValueError(f"lambda_mode must be one of {LAMBDA_MODES}, got {self.lambda_mode!r}")
+        if self.lambda_mode == "explicit" and not math.isfinite(math.nan if self.lambda_value is None else self.lambda_value):
+            raise ValueError(f"explicit lambda_mode requires a finite lambda_value, got {self.lambda_value}")
         if self.F.n != self.n or self.G.n != self.n:
             raise ValueError("drift and flux must have n components")
         if self.v0 is not None:
@@ -159,7 +171,7 @@ class SimConfig:
             if self.v0.K > self.K:
                 raise ValueError("v0 is not band-limited within K")
             if self.v0.K < self.K:
-                self.v0 = embed(self.v0, self.K)
+                object.__setattr__(self, "v0", embed(self.v0, self.K))
 
     @property
     def n_steps(self):
@@ -174,16 +186,12 @@ def resolve_lambda(cfg):
     if cfg.lambda_mode == "zero":
         return 0.0, None
     if cfg.lambda_mode == "explicit":
-        if cfg.lambda_value is None:
-            raise ValueError("explicit lambda_mode requires lambda_value")
         return float(cfg.lambda_value), None
     if cfg.lambda_mode == "closed_form":
         res = lambda_closed_form_for_scheme(cfg.scheme, cfg.nu)
-        return res.value, res
-    if cfg.lambda_mode == "quadrature":
+    else:
         res = lambda_quadrature(cfg.scheme, cfg.nu, cfg.lambda_tol)
-        return res.value, res
-    raise ValueError(f"unknown lambda_mode {cfg.lambda_mode!r}")
+    return res.value, res
 
 
 def _phi1(z):
@@ -402,9 +410,10 @@ def simulate(cfg, lam, u0, wiener_rng, record_steps=None):
 ERRORS = ("sup_err_corrected", "sup_err_uncorrected", "halpha_err_corrected", "halpha_err_uncorrected")
 
 
-def _run_replicate(cfg, eps_list, replicate, lam):
-    """All runs of one replicate: two limit runs plus one discretized run
-    per eps, sharing the mode draw and the Wiener stream.
+def _run_replicate(limit_cfgs, eps_cfgs, replicate, lam):
+    """All runs of one replicate: the two limit runs of ``limit_cfgs``
+    (corrected, then uncorrected) plus one discretized run per config of
+    ``eps_cfgs``, sharing the mode draw and the Wiener stream.
 
     Returns ``(errors, blown_up, report)``.  ``errors`` is an (E, 4, S)
     block: per eps, the ERRORS columns at the S recorded steps.
@@ -418,9 +427,10 @@ def _run_replicate(cfg, eps_list, replicate, lam):
     the report.
     """
     start = time.perf_counter()
+    cfg = limit_cfgs[0]
     record_steps = sample_steps(cfg)
-    errors = np.full((len(eps_list), len(ERRORS), len(record_steps)), np.nan)
-    blown_up = np.ones(len(eps_list), dtype=bool)
+    errors = np.full((len(eps_cfgs), len(ERRORS), len(record_steps)), np.nan)
+    blown_up = np.ones(len(eps_cfgs), dtype=bool)
     report = {"replicate": replicate, "qv_limit_final": None, "runs": []}
 
     def run(run_cfg, u0):
@@ -439,16 +449,16 @@ def _run_replicate(cfg, eps_list, replicate, lam):
     v0 = cfg.v0_field()
     u_bar0 = v0 + draw.field(stationary_sigmas(cfg.K, cfg.nu))
     limits = []  # corrected, then uncorrected; a blow-up ends the replicate
-    for variant in ("limit_corrected", "limit_uncorrected"):
-        if (limit := run(replace(cfg, variant=variant), u_bar0)) is None:
+    for limit_cfg in limit_cfgs:
+        if (limit := run(limit_cfg, u_bar0)) is None:
             break
         limits.append(limit)
     if len(limits) == 2:
         final_limit = SpectralField(cfg.K, cfg.n, limits[0][-1])
         report["qv_limit_final"] = float(np.mean(quadratic_variation(final_limit, max(8, cfg.K // 4))))
-        for e, eps in enumerate(eps_list):
-            psit = draw.field(discrete_sigmas(cfg.scheme, eps, cfg.nu, cfg.K))
-            approx = run(replace(cfg, eps=eps, variant="approximate"), v0 + psit)
+        for e, eps_cfg in enumerate(eps_cfgs):
+            psit = draw.field(discrete_sigmas(cfg.scheme, eps_cfg.eps, cfg.nu, cfg.K))
+            approx = run(eps_cfg, v0 + psit)
             if approx is None:
                 continue
             # one limit run's differences at a time: stacking both raised
@@ -462,7 +472,7 @@ def _run_replicate(cfg, eps_list, replicate, lam):
     return errors, blown_up, report
 
 
-@dataclass
+@dataclass(frozen=True)
 class EnsembleResult:
     """The coupled errors of one experiment family and their statistics.
 
@@ -478,7 +488,7 @@ class EnsembleResult:
     lam: float
     # one report per replicate, in replicate order (see _run_replicate);
     # it carries wall times, so it goes to the manifest only
-    replicates: list = field(default_factory=list)
+    replicates: tuple = ()
 
     @property
     def blowup_fraction(self):
@@ -518,18 +528,20 @@ def run_coupled(cfg, eps_list, replicates, workers=1):
     stream; per-eps error statistics aggregated over replicates.
 
     Results are independent of `workers` (replicates are self-contained and
-    output order is canonical).
+    output order is canonical).  Every run's config is made, and so
+    checked, before any replicate starts.
     """
     eps_list = tuple(float(e) for e in eps_list)
     if not eps_list:
         raise ValueError("need at least one eps")
-    for eps in eps_list:
-        if not 0.0 < eps < math.inf:
-            raise ValueError(f"eps must be positive and finite, got {eps}")
     if len(set(eps_list)) < len(eps_list):
         raise ValueError(f"eps values must be distinct, got {eps_list}")
+    if replicates < 1:
+        raise ValueError(f"replicates must be at least 1, got {replicates}")
+    limit_cfgs = tuple(replace(cfg, variant=variant) for variant in ("limit_corrected", "limit_uncorrected"))
+    eps_cfgs = tuple(replace(cfg, eps=eps, variant="approximate") for eps in eps_list)
     lam, _ = resolve_lambda(cfg)
-    run = partial(_run_replicate, cfg, eps_list, lam=lam)
+    run = partial(_run_replicate, limit_cfgs, eps_cfgs, lam=lam)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_rep = list(pool.map(run, range(replicates)))
@@ -537,4 +549,4 @@ def run_coupled(cfg, eps_list, replicates, workers=1):
         per_rep = list(map(run, range(replicates)))
     errors, blown_up, reports = zip(*per_rep)
     times = np.array(sample_steps(cfg), dtype=float) * cfg.dt
-    return EnsembleResult(eps_list, times, np.stack(errors), np.stack(blown_up), lam, list(reports))
+    return EnsembleResult(eps_list, times, np.stack(errors), np.stack(blown_up), lam, reports)

@@ -15,19 +15,52 @@ K, dt and T are required.  A key outside these lists, in any section, is
 rejected by name rather than ignored.  Everything is inspectable text; the
 parsed object echoes its source exactly, and a content hash of that echo
 rides along in every output sidecar.
+
+The whole config is parsed and checked when it is loaded: the RunSpec holds
+a frozen SimConfig, which checks its own fields, and the experiment-level
+eps ladder and replicate count pass the rules below, which the command line
+applies to its overrides too (each names the place its value came from).
 """
 
 import configparser
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .integrator import SimConfig
-from .nonlin import parse_polynomial_map
+from .nonlin import PolynomialMap, parse_polynomial_map
 from .schemes import scheme_from_mapping, load_scheme_file
 from .spectral import SpectralField
+
+
+class InputError(ValueError):
+    """A command-line input or input file that cannot be used (exit 2)."""
+
+
+def eps_ladder(values, source):
+    """``values`` as a tuple, if it is non-empty, every value is positive
+    and finite, and no two share a table name (``f"{eps:g}"``: one table
+    would overwrite the other); else InputError naming ``source``."""
+    values = tuple(values)
+    if not values or not all(0 < e < math.inf for e in values):
+        raise InputError(f"{source} must be a list of positive finite numbers, got {values}")
+    seen = {}
+    for eps in values:
+        name = f"{eps:g}"
+        if name in seen:
+            raise InputError(f"{source} values {seen[name]!r} and {eps!r} share the table name eps{name}")
+        seen[name] = eps
+    return values
+
+
+def replicate_count(value, source):
+    """``value``, if it is at least 2 (a standard error needs two); else
+    InputError naming ``source``."""
+    if value < 2:
+        raise InputError(f"{source} must be at least 2 (for a standard error), got {value}")
+    return value
 
 
 def parse_v0(spec, K, n):
@@ -78,52 +111,26 @@ def parse_v0(spec, K, n):
     raise ValueError(f"unknown v0 spec {spec!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunSpec:
-    """Parsed run config: a SimConfig factory plus experiment-level settings."""
+    """Parsed run config: the SimConfig it describes (at seed 0) plus
+    experiment-level settings."""
 
-    scheme: object
-    model: dict
-    time: dict
+    config: SimConfig
     output_prefix: str
     eps_list: tuple
     replicates: int
     echo: str
 
+    @property
+    def scheme(self):
+        return self.config.scheme
+
     def content_hash(self):
         return hashlib.sha256(self.echo.encode("utf-8")).hexdigest()
 
     def sim_config(self, seed=0, lambda_tol=1e-8):
-        m, t = self.model, self.time
-        n = int(m.get("n", 1))
-        K = int(m["K"])
-        for name, value in (("n", n), ("K", K)):
-            if value < 1:
-                raise ValueError(f"{name} must be at least 1, got {value}")
-        lam_mode = m.get("lambda_mode", "closed_form")
-        lam_value = None
-        if lam_mode.startswith("explicit:"):
-            lam_value = float(lam_mode.split(":", 1)[1])
-            lam_mode = "explicit"
-        return SimConfig(
-            nu=float(m.get("nu", 1.0)),
-            n=n,
-            K=K,
-            dt=float(t["dt"]),
-            T=float(t["T"]),
-            eps=self.eps_list[0],
-            scheme=self.scheme,
-            F=parse_polynomial_map(m.get("F", ";".join(["0"] * n)), n),
-            G=parse_polynomial_map(m.get("G", ";".join(["0"] * n)), n),
-            lambda_mode=lam_mode,
-            lambda_value=lam_value,
-            lambda_tol=lambda_tol,
-            v0=parse_v0(m.get("v0", "zero"), K, n),
-            seed=int(seed),
-            alpha=float(m.get("alpha", 0.75)),
-            sample_every=int(t.get("sample_every", 25)),
-            noise_substeps=int(t.get("noise_substeps", 1)),
-        )
+        return replace(self.config, seed=int(seed), lambda_tol=lambda_tol)
 
 
 _KEYS = {
@@ -135,8 +142,9 @@ _REQUIRED = {"model": {"K"}, "time": {"dt", "T"}, "output": set()}
 
 
 def load_run_config(path):
-    """Parse a run config.  Unparsable text, a missing section or required key
-    and an unknown key raise ValueError; RunSpec.sim_config parses the values."""
+    """Parse and check a run config.  Unparsable text, a missing section or
+    required key, an unknown key and a value that breaks a rule raise
+    ValueError."""
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str
     with open(path) as fh:
@@ -163,20 +171,41 @@ def load_run_config(path):
     else:
         scheme = scheme_from_mapping(scheme_section)
 
-    model = dict(parser["model"])
-    time_sec = dict(parser["time"])
+    m, t = dict(parser["model"]), dict(parser["time"])
     output = dict(parser["output"]) if "output" in parser else {}
 
-    eps_list = tuple(float(x) for x in model.get("eps", "0.125").split(",") if x.strip())
-    replicates = int(model.get("replicates", 8))
-    if not eps_list or not all(0 < e < math.inf for e in eps_list):
-        raise ValueError(f"{path}: eps must be a list of positive numbers, got {model.get('eps')!r}")
-    if replicates < 2:
-        raise ValueError(f"{path}: replicates must be at least 2, got {replicates}")
-    return RunSpec(
+    eps_list = eps_ladder((float(x) for x in m.get("eps", "0.125").split(",") if x.strip()), "eps")
+    replicates = replicate_count(int(m.get("replicates", 8)), "replicates")
+    lam_mode, lam_value = m.get("lambda_mode", "closed_form"), None
+    if lam_mode.startswith("explicit:"):
+        lam_mode, lam_value = "explicit", float(lam_mode.split(":", 1)[1])
+    n = int(m.get("n", 1))
+    config = SimConfig(
+        nu=float(m.get("nu", 1.0)),
+        n=n,
+        K=int(m["K"]),
+        dt=float(t["dt"]),
+        T=float(t["T"]),
+        eps=eps_list[0],
         scheme=scheme,
-        model=model,
-        time=time_sec,
+        F=PolynomialMap.zero(n),
+        G=PolynomialMap.zero(n),
+        lambda_mode=lam_mode,
+        lambda_value=lam_value,
+        alpha=float(m.get("alpha", 0.75)),
+        sample_every=int(t.get("sample_every", 25)),
+        noise_substeps=int(t.get("noise_substeps", 1)),
+    )
+    # n and K have passed their checks, so the texts sized by them can be parsed
+    zero = ";".join(["0"] * n)
+    config = replace(
+        config,
+        F=parse_polynomial_map(m.get("F", zero), n),
+        G=parse_polynomial_map(m.get("G", zero), n),
+        v0=parse_v0(m.get("v0", "zero"), config.K, n),
+    )
+    return RunSpec(
+        config=config,
         output_prefix=output.get("prefix", "run"),
         eps_list=eps_list,
         replicates=replicates,

@@ -10,12 +10,19 @@ measure mu = sum_i w_i * delta_{y_i} generating the approximate derivative
 Restricting mu to finite atomic measures keeps every moment exact and all
 derived mode sums finite.  Symbols may be builtin tags, tabulated
 piecewise-linear interpolants, or user callables (vectorized, pure).
+
+A Scheme is frozen and stores only (name, f, h, mu, q).  Everything else
+is derived from those fields on read: the kinds of its symbols, where h is
+known to vanish, whether it is one of the builtin families (whose closed
+forms then apply), and its validation report, computed once on first read.
+A variant is made with dataclasses.replace, which derives all of these
+afresh, so no fact can outlive the fields it was derived from.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-
 
 
 
@@ -65,6 +72,21 @@ _F_BUILTINS = {
 }
 _H_BUILTINS = {"one": _h_one, "indicator_pi": _h_indicator_pi}
 
+# the builtin families: f tag -> (h tag, q)
+_FAMILIES = {
+    "identity": ("one", 1.0),
+    "finite_difference": ("indicator_pi", float(4.0 / np.pi**2) * 0.999),  # inf of 4 sin^2(t/2)/t^2 on [0, pi)
+    "galerkin": ("indicator_pi", 1.0),
+}
+
+
+def _kind(symbol, builtins):
+    """The builtin tag of ``symbol``, else "table" or "callable"."""
+    for tag, fn in builtins.items():
+        if symbol is fn:
+            return tag
+    return "table" if isinstance(symbol, TabulatedSymbol) else "callable"
+
 
 @dataclass(frozen=True)
 class TabulatedSymbol:
@@ -101,9 +123,9 @@ def tabulated_symbol(ts, values, extrapolate):
 # -- the scheme itself -------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scheme:
-    """A discretization triple; treat as immutable once validated.
+    """A discretization triple (frozen; see the module docstring).
 
     f, h: vectorized maps on [0, inf) (f may return +inf); mu: tuple of
     (location, weight) atoms; q: claimed lower bound of f where finite.
@@ -114,23 +136,42 @@ class Scheme:
     h: object
     mu: tuple
     q: float
-    f_kind: str = "callable"
-    h_kind: str = "callable"
-    h_support: float | None = None  # h known to vanish beyond this point
-    builtin: tuple | None = None  # (tag, a, b) for the three builtin families
-    validation: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        self.mu = tuple((float(y), float(w)) for y, w in self.mu)
+        object.__setattr__(self, "mu", tuple((float(y), float(w)) for y, w in self.mu))
+
+    @property
+    def f_kind(self):
+        return _kind(self.f, _F_BUILTINS)
+
+    @property
+    def h_kind(self):
+        return _kind(self.h, _H_BUILTINS)
+
+    @property
+    def h_support(self):
+        """The point beyond which h is known to vanish, or None."""
+        if self.h is _h_indicator_pi:
+            return np.pi
+        if isinstance(self.h, TabulatedSymbol) and self.h.extrapolate == 0.0:
+            return float(self.h.knots[-1])
+        return None
+
+    @property
+    def builtin(self):
+        """(tag, a, b) for the three builtin families, else None."""
+        return _detect_builtin(self.f_kind, self.h_kind, self.mu)
+
+    @cached_property
+    def validation(self):
+        """The ValidationReport, made by ``validate(self)`` on first read."""
+        return validate(self)
 
     def validate(self):
-        report = validate(self)
-        self.validation = report
-        return report
+        """The validation report (see ``validation``)."""
+        return self.validation
 
     def require_valid(self):
-        if self.validation is None:
-            self.validate()
         if not self.validation.ok:
             raise SchemeValidationError(
                 f"scheme '{self.name}' failed validation:\n{self.validation.summary()}"
@@ -153,49 +194,24 @@ def atoms_one_sided(a, b):
     return ((a, 1.0 / (a + b)), (-b, -1.0 / (a + b)))
 
 
+def _family(tag, a, b):
+    h_tag, q = _FAMILIES[tag]
+    return Scheme(f"{tag}(a={a},b={b})", _F_BUILTINS[tag], _H_BUILTINS[h_tag], atoms_one_sided(a, b), q)
+
+
 def identity_scheme(a=1.0, b=0.0):
     """No discretization of Laplacian or noise: f = h = 1."""
-    return Scheme(
-        name=f"identity(a={a},b={b})",
-        f=_f_identity,
-        h=_h_one,
-        mu=atoms_one_sided(a, b),
-        q=1.0,
-        f_kind="identity",
-        h_kind="one",
-        h_support=None,
-        builtin=("identity", float(a), float(b)),
-    )
+    return _family("identity", a, b)
 
 
 def finite_difference_scheme(a=1, b=0):
     """Three-point Laplacian stencil on a grid of spacing eps, cut at mode pi/eps."""
-    return Scheme(
-        name=f"finite_difference(a={a},b={b})",
-        f=_f_finite_difference,
-        h=_h_indicator_pi,
-        mu=atoms_one_sided(a, b),
-        q=float(4.0 / np.pi**2) * 0.999,  # inf of 4 sin^2(t/2)/t^2 on [0, pi)
-        f_kind="finite_difference",
-        h_kind="indicator_pi",
-        h_support=np.pi,
-        builtin=("finite_difference", float(a), float(b)),
-    )
+    return _family("finite_difference", a, b)
 
 
 def galerkin_scheme(a=1.0, b=0.0):
     """Spectral truncation: exact Laplacian and noise on modes below pi/eps."""
-    return Scheme(
-        name=f"galerkin(a={a},b={b})",
-        f=_f_galerkin,
-        h=_h_indicator_pi,
-        mu=atoms_one_sided(a, b),
-        q=1.0,
-        f_kind="galerkin",
-        h_kind="indicator_pi",
-        h_support=np.pi,
-        builtin=("galerkin", float(a), float(b)),
-    )
+    return _family("galerkin", a, b)
 
 
 # -- validation --------------------------------------------------------------
@@ -447,47 +463,27 @@ def scheme_from_mapping(entries):
     unknown = set(entries) - required
     if unknown:
         raise ValueError(f"scheme description has unknown key(s) {sorted(unknown)}")
-    fspec = entries["f"].strip()
-    hspec = entries["h"].strip()
-
-    if fspec in _F_BUILTINS:
-        f, f_kind = _F_BUILTINS[fspec], fspec
-    elif fspec.startswith("table:"):
-        f, f_kind = tabulated_symbol(*_load_table(fspec[len("table:") :])), "table"
-    else:
-        raise ValueError(f"unknown f spec {fspec!r}")
-
-    h_support = None
-    if hspec in _H_BUILTINS:
-        h, h_kind = _H_BUILTINS[hspec], hspec
-        if hspec == "indicator_pi":
-            h_support = np.pi
-    elif hspec.startswith("table:"):
-        ts, vs, extrap = _load_table(hspec[len("table:") :])
-        h, h_kind = tabulated_symbol(ts, vs, extrap), "table"
-        if extrap == 0.0:
-            h_support = float(ts[-1])
-    else:
-        raise ValueError(f"unknown h spec {hspec!r}")
-
-    mu = parse_mu(entries["mu"])
     return Scheme(
         name=entries["name"].strip(),
-        f=f,
-        h=h,
-        mu=mu,
+        f=_symbol(entries["f"].strip(), _F_BUILTINS, "f"),
+        h=_symbol(entries["h"].strip(), _H_BUILTINS, "h"),
+        mu=parse_mu(entries["mu"]),
         q=float(entries["q"]),
-        f_kind=f_kind,
-        h_kind=h_kind,
-        h_support=h_support,
-        builtin=_detect_builtin(f_kind, h_kind, mu),
     )
+
+
+def _symbol(spec, builtins, which):
+    """A builtin tag or table:<path> as a symbol."""
+    if spec in builtins:
+        return builtins[spec]
+    if spec.startswith("table:"):
+        return tabulated_symbol(*_load_table(spec[len("table:") :]))
+    raise ValueError(f"unknown {which} spec {spec!r}")
 
 
 def _detect_builtin(f_kind, h_kind, mu):
     """Recognize the three builtin families so closed forms stay available."""
-    pairs = {"identity": "one", "finite_difference": "indicator_pi", "galerkin": "indicator_pi"}
-    if pairs.get(f_kind) != h_kind or len(mu) > 2:
+    if _FAMILIES.get(f_kind, (None,))[0] != h_kind or len(mu) > 2:
         return None
     atoms = [(y, w) for y, w in mu if w != 0.0]
     pos = [(y, w) for y, w in atoms if w > 0]

@@ -7,6 +7,8 @@ ten minutes on one core, everything else in seconds to a minute.
 """
 
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -209,7 +211,7 @@ def correction_experiment():
 def correction_experiment_halved_dt():
     # same Brownian path (substep telescoping) and same sample times
     cfg = correction_experiment_config(dt=1.25e-4, noise_substeps=1)
-    cfg.sample_every = 50
+    cfg = replace(cfg, sample_every=50)
     return run_coupled(cfg, EPS_LADDER, REPLICATES)
 
 

@@ -281,6 +281,8 @@ class TestConvergeCommand:
             ("eps = 0.25,0.125", "eps = 0.25,0", "eps"),
             ("eps = 0.25,0.125", "eps = ,", "eps"),
             ("replicates = 2", "replicates = 1", "replicates"),
+            ("lambda_mode = closed_form", "lambda_mode = explicit:nan", "finite lambda_value"),
+            ("lambda_mode = closed_form", "lambda_mode = bogus", "lambda_mode must be one of"),
             ("eps = 0.25,0.125", "eps = 0.25,0.25,0.125", "eps values 0.25 and 0.25 share the table name eps0.25"),
             ("eps = 0.25,0.125", "eps = 0.1234567,0.1234568", "share the table name eps0.123457"),
         ],
@@ -393,6 +395,8 @@ class TestChaosCommand:
         (["chaos", "--eps", "0"], "--eps"),
         (["chaos", "--eps", "0.04,-0.1"], "--eps"),
         (["chaos", "--eps", "0.04,x"], "--eps"),
+        (["chaos", "--eps", "0.1,0.1,0.05"], "--eps values 0.1 and 0.1 share the table name eps0.1"),
+        (["chaos", "--eps", "0.1,0.1,0.05", "--dry-run"], "--eps values 0.1 and 0.1 share the table name eps0.1"),
         (["chaos", "--nu", "0"], "--nu"),
         (["chaos", "--samples", "0"], "--samples"),
         (["chaos", "--samples", "1"], "--samples"),

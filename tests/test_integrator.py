@@ -1,5 +1,5 @@
 import json
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -98,6 +98,28 @@ class TestConfig:
         for eps in (np.inf, np.nan, 0.0):
             with pytest.raises(ValueError, match="^eps must be positive and finite"):
                 run_coupled(make_cfg(), [0.25, eps], 2)
+
+    def test_fields_cannot_be_reassigned(self):
+        cfg = make_cfg()
+        with pytest.raises(FrozenInstanceError):
+            cfg.sample_every = 0
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"sample_every": 0}, "^sample_every must be at least 1"),
+            ({"eps": np.nan}, "^eps must be positive and finite"),
+            ({"K": 0}, "^K must be at least 1"),
+            ({"lambda_mode": "bogus"}, "^lambda_mode must be one of"),
+            ({"lambda_mode": "explicit"}, "^explicit lambda_mode requires a finite lambda_value"),
+            ({"lambda_mode": "explicit", "lambda_value": np.nan}, "^explicit lambda_mode requires a finite lambda_value"),
+        ],
+    )
+    def test_construction_and_replace_check_alike(self, change, message):
+        with pytest.raises(ValueError, match=message):
+            make_cfg(**change)
+        with pytest.raises(ValueError, match=message):
+            replace(make_cfg(), **change)
 
     def test_resolve_lambda_modes(self):
         assert resolve_lambda(make_cfg(lambda_mode="zero"))[0] == 0.0
@@ -611,6 +633,13 @@ class TestRunCoupled:
         cfg = make_cfg(T=0.02, sample_every=5)
         with pytest.raises(ValueError, match="distinct"):
             run_coupled(cfg, [0.25, 0.125, 0.25], replicates=2)
+
+    @pytest.mark.parametrize("replicates", [0, -1])
+    def test_rejects_replicates_below_one_before_running(self, monkeypatch, replicates):
+        monkeypatch.setattr("burgerslab.integrator.resolve_lambda", lambda *a, **k: pytest.fail("resolved Lambda"))
+        monkeypatch.setattr("burgerslab.integrator.simulate", lambda *a, **k: pytest.fail("ran a simulation"))
+        with pytest.raises(ValueError, match="^replicates must be at least 1"):
+            run_coupled(make_cfg(T=0.02, sample_every=5), [0.25, 0.125], replicates)
 
     def test_recorded_errors_are_the_norms_of_the_differences(self):
         # the stacked evaluation gives, bit for bit, the one-field norms of

@@ -1,4 +1,7 @@
+import dataclasses
+import importlib
 import math
+import pkgutil
 import re
 import sys
 from pathlib import Path
@@ -21,6 +24,21 @@ def test_every_exported_name_resolves():
     assert len(set(burgerslab.__all__)) == len(burgerslab.__all__)
     for name in burgerslab.__all__:
         assert getattr(burgerslab, name) is not None, name
+
+
+def test_every_dataclass_is_frozen():
+    # inputs are checked once, on construction; a field reassigned after
+    # that would skip the checks, and a derived fact could go stale
+    found = []
+    for info in pkgutil.iter_modules(burgerslab.__path__):
+        if info.name == "__main__":  # importing it runs the command line
+            continue
+        module = importlib.import_module(f"burgerslab.{info.name}")
+        for obj in vars(module).values():
+            if dataclasses.is_dataclass(obj) and isinstance(obj, type) and obj.__module__ == module.__name__:
+                found.append(obj)
+                assert obj.__dataclass_params__.frozen, f"{module.__name__}.{obj.__name__} is not frozen"
+    assert {"Scheme", "SimConfig", "RunSpec", "EnsembleResult"} <= {cls.__name__ for cls in found}
 
 
 def _release(version):

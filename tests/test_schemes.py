@@ -1,6 +1,9 @@
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
+from burgerslab.correction import lambda_closed_form_for_scheme, lambda_quadrature
 from burgerslab.schemes import (
     InfiniteSymbolError,
     Scheme,
@@ -16,9 +19,11 @@ from burgerslab.schemes import (
     identity_scheme,
     load_scheme_file,
     parse_mu,
+    scheme_from_mapping,
     shift_minus,
     tabulated_symbol,
     validate,
+    _h_indicator_pi,
 )
 from burgerslab.spectral import (
     SpectralField,
@@ -41,8 +46,7 @@ class TestValidation:
         assert report.ok, report.summary()
 
     def test_mu_without_zero_mass_fails(self):
-        s = identity_scheme(1, 0)
-        s.mu = ((1.0, 1.0),)  # delta_1: total mass 1, not 0
+        s = replace(identity_scheme(1, 0), mu=((1.0, 1.0),))  # delta_1: total mass 1, not 0
         report = validate(s)
         assert not report["mu_total_mass_zero"].passed
         with pytest.raises(SchemeValidationError):
@@ -50,22 +54,19 @@ class TestValidation:
             s.require_valid()
 
     def test_wrong_first_moment_fails(self):
-        s = identity_scheme(1, 0)
-        s.mu = ((2.0, 0.5), (-2.0, -0.5))  # first moment 2
+        s = replace(identity_scheme(1, 0), mu=((2.0, 0.5), (-2.0, -0.5)))  # first moment 2
         report = validate(s)
         assert report["mu_total_mass_zero"].passed
         assert not report["mu_first_moment_one"].passed
         assert abs(report["mu_first_moment_one"].value - 2.0) < 1e-15
 
     def test_sloped_f_fails_derivative_check(self):
-        s = identity_scheme(1, 0)
-        s.f = lambda t: 1.0 + np.asarray(t)
+        s = replace(identity_scheme(1, 0), f=lambda t: 1.0 + np.asarray(t))
         report = validate(s)
         assert not report["f_derivative_zero_at_zero"].passed
 
     def test_noise_on_killed_modes_fails(self):
-        s = galerkin_scheme(1, 0)
-        s.h = lambda t: np.ones_like(np.asarray(t, dtype=float))
+        s = replace(galerkin_scheme(1, 0), h=lambda t: np.ones_like(np.asarray(t, dtype=float)))
         report = validate(s)
         assert not report["h_vanishes_where_f_infinite"].passed
 
@@ -74,6 +75,46 @@ class TestValidation:
         bv = report["h2_over_f_sampled_variation"]
         assert bv.passed  # informational, never a failure
         assert bv.value > 0.5  # the indicator jump alone contributes ~pi^2/4 / ...
+
+
+class TestDerivedFacts:
+    """A scheme stores only (name, f, h, mu, q); every other fact follows
+    its fields, so a variant made with replace cannot keep a stale one."""
+
+    def test_scheme_stores_only_its_triple_and_q(self):
+        assert [f.name for f in fields(Scheme)] == ["name", "f", "h", "mu", "q"]
+
+    def test_builtin_follows_mu(self):
+        s = identity_scheme(1, 0)
+        assert s.validate().ok
+        t = replace(s, mu=atoms_one_sided(0, 1))
+        assert t.builtin == ("identity", 0.0, 1.0)
+        closed = lambda_closed_form_for_scheme(t, 1.0).value
+        assert abs(closed - (-0.25)) < 1e-12
+        assert abs(lambda_quadrature(t, 1.0).value - closed) < 1e-12
+
+    def test_h_kind_and_support_follow_h(self):
+        t = replace(identity_scheme(1, 0), h=_h_indicator_pi)
+        assert t.h_kind == "indicator_pi" and t.h_support == np.pi
+        fresh = scheme_from_mapping({"name": t.name, "f": "identity", "h": "indicator_pi", "mu": "(1,1);(0,-1)", "q": "1"})
+        assert lambda_quadrature(t, 1.0).value == lambda_quadrature(fresh, 1.0).value
+
+    def test_replace_validates_again(self):
+        s = identity_scheme(1, 0).require_valid()
+        with pytest.raises(SchemeValidationError):
+            replace(s, mu=((1.0, 1.0),)).require_valid()
+
+    @pytest.mark.parametrize("make, kinds", [
+        (identity_scheme, ("identity", "one", None)),
+        (finite_difference_scheme, ("finite_difference", "indicator_pi", np.pi)),
+        (galerkin_scheme, ("galerkin", "indicator_pi", np.pi)),
+    ])
+    def test_family_facts(self, make, kinds):
+        s = make(2, 1)
+        assert (s.f_kind, s.h_kind, s.h_support) == kinds
+        assert s.builtin == (kinds[0], 2.0, 1.0)
+        own = replace(s, f=lambda t: np.ones_like(np.asarray(t, dtype=float)))
+        assert own.f_kind == "callable" and own.builtin is None
 
 
 class TestDerivativeSymbol:
