@@ -154,6 +154,13 @@ def cmd_lambda(args):
     if not report.ok:
         print(report.summary(), file=sys.stderr)
         return EXIT_VALIDATION
+    if args.closed_form:
+        # only a builtin family with admissible offsets has one; know that
+        # before the quadrature runs
+        try:
+            oracle = lambda_closed_form_for_scheme(scheme, args.nu)
+        except ValueError as err:
+            raise InputError(f"--closed-form: {err}") from None
     if args.dry_run:
         print(json.dumps({"scheme": scheme.name, "valid": True, "dry_run": True}))
         return EXIT_OK
@@ -166,7 +173,6 @@ def cmd_lambda(args):
         return EXIT_QUADRATURE
     payload = res.to_dict()
     if args.closed_form:
-        oracle = lambda_closed_form_for_scheme(scheme, args.nu)
         payload["closed_form"] = oracle.value
         payload["difference"] = res.value - oracle.value
     print(json.dumps(payload, sort_keys=True))
@@ -375,6 +381,8 @@ def cmd_chaos(args):
     computation, so the chunk size moves no output byte.
     """
     eps_list = _eps_list(args.eps)
+    # the band eps^-gamma < |k| <= eps^-chi is empty or inverted unless eps < 1
+    _require(max(eps_list) < 1, f"--eps values must be below 1, got {list(eps_list)}")
     _require(_positive(args.nu), f"--nu must be positive, got {args.nu}")
     _require(args.samples >= 2, f"--samples must be at least 2, got {args.samples}")
     scheme, report = _load_and_validate_scheme(args.scheme)

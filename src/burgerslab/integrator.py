@@ -85,20 +85,19 @@ from .nonlin import PolynomialMap, alias_free_grid_size, evaluate, jacobian
 from .schemes import d_eps_multiplier
 from .spectral import (
     SpectralField,
+    coeffs_to_values,
     embed,
-    half_to_values,
     sobolev_norms,
     sup_norms,
-    values_to_half,
+    values_to_coeffs,
 )
 
-# Not used here since the stepper works on half spectra, the errors are
-# taken as stacks and no diagnostic takes xi_eps, but kept as module
-# attributes: perfbench/spans.py wraps each function under every module
-# name its callers have looked it up by, and checks that the names still
-# exist.
+# Not used here since the errors are taken as stacks and no diagnostic takes
+# xi_eps, but kept as module attributes: perfbench/spans.py wraps each
+# function under every module name its callers have looked it up by, and
+# checks that the names still exist.
 from .estimators import xi_eps  # noqa: F401
-from .spectral import coeffs_to_values, sobolev_norm, sup_norm, values_to_coeffs  # noqa: F401
+from .spectral import sobolev_norm, sup_norm  # noqa: F401
 
 VARIANTS = ("approximate", "limit_corrected", "limit_uncorrected")
 LAMBDA_MODES = ("quadrature", "closed_form", "explicit", "zero")
@@ -220,18 +219,28 @@ class Stepper:
     restricted to modes 0..K; mode 0 stays real because every term feeding
     it is.
 
-    The stepper owns the scratch of its right-hand side, made once here and
-    overwritten by every step:
+    Only ``__init__`` reads the variant.  It fixes the right-hand side as
+    two row groups of n rows, either of which may be empty:
 
-    - ``padded`` (zero above mode K, so only its first K+1 columns are ever
-      written) holds the scaled spectrum on its way to the grid, and
-      ``grid`` receives the grid values: the state, and for the approximate
-      variant its D_eps derivative (stacked in ``stack`` first) below it;
-    - ``grid_out`` holds what goes back to the band: the pointwise drift
-      plus the Jacobian products (approximate; ``entry`` holds one Jacobian
-      entry times its derivative row), or the drift above the flux (limit);
-      ``spectrum`` receives its real transform and ``both`` (limit) the
-      scaled modes 0..K;
+    - a: the drift (corrected for ``limit_corrected``) plus, for the
+      approximate variant, the products dG_i/du_j(u) (D_eps u)_j of
+      ``jac_terms``, taken back to the band as it is;
+    - b: the flux G(u) of a limit variant, taken back and multiplied by ik
+      (the conservative form d/dx G(u)).
+
+    ``jac_terms`` is empty for the limit variants; the state goes to the
+    grid with its D_eps derivative below it only when it is not.
+
+    The stepper owns the scratch of its right-hand side, sized by those
+    rows, made once here and overwritten by every step:
+
+    - to the grid: ``stack`` (with ``jac_terms``) holds the state above its
+      D_eps derivative, ``padded`` (zero above mode K) their scaled
+      spectrum and ``grid`` their values;
+    - on the grid: ``grid_out`` holds group a above group b, and ``entry``
+      (with ``jac_terms``) one Jacobian entry times its derivative row;
+    - back: ``spectrum`` receives the real transform of ``grid_out`` and
+      ``back`` (with group b) its scaled modes 0..K;
     - ``N`` receives the step's right-hand side and ``update`` each product
       added to the new state; ``finite`` is the blow-up check's mask.
 
@@ -252,7 +261,8 @@ class Stepper:
         # the corrected drift F - lam Laplacian(G) never exceeds this degree
         self.M = alias_free_grid_size(K, max(cfg.F.degree, cfg.G.degree))
 
-        if cfg.variant == "approximate":
+        approximate = cfg.variant == "approximate"
+        if approximate:
             fv = cfg.scheme.f_at(cfg.eps * np.abs(k))
             lam_k = np.where(np.isfinite(fv), cfg.nu * k**2 * np.where(np.isfinite(fv), fv, 0.0), np.inf)
             self.m = cfg.scheme.h_at(cfg.eps * np.abs(k))
@@ -278,68 +288,67 @@ class Stepper:
         self.G_zero = cfg.G.is_zero()
         self.drift_zero = self.drift.is_zero()
         n = cfg.n
-        # the nonzero entries (i, j, dG_i/du_j) of the Jacobian, row by row
-        self.jac_terms = [(i, j, self.jac_G[i][j]) for i in range(n) for j in range(n) if self.jac_G[i][j].terms]
+        # the nonzero entries (i, j, dG_i/du_j) of the Jacobian, row by row,
+        # for the nonconservative product of the approximate variant
+        jac_terms = [(i, j, self.jac_G[i][j]) for i in range(n) for j in range(n) if self.jac_G[i][j].terms]
+        self.jac_terms = jac_terms if approximate else []
+        # the row groups (see the class docstring): n rows each, or none
+        self.rows_a = n if not self.drift_zero or self.jac_terms else 0
+        self.rows_b = n if not approximate and not self.G_zero else 0
 
         # scratch, overwritten by every step (see the class docstring)
         w, half_width = K + 1, self.M // 2 + 1
-        rows_in, rows_out = (2 * n, n) if cfg.variant == "approximate" else (n, 2 * n)
+        rows_in, rows_out = 2 * n if self.jac_terms else n, self.rows_a + self.rows_b
+        if self.jac_terms:
+            self.stack = np.empty((rows_in, w), dtype=np.complex128)
+            self.entry = np.empty(self.M)
         self.padded = np.zeros((rows_in, half_width), dtype=np.complex128)
         self.grid = np.empty((rows_in, self.M))
         self.grid_out = np.empty((rows_out, self.M))
         self.spectrum = np.empty((rows_out, half_width), dtype=np.complex128)
-        if cfg.variant == "approximate":
-            self.stack = np.empty((2 * n, w), dtype=np.complex128)
-            self.entry = np.empty(self.M)
-        else:
-            self.both = np.empty((2 * n, w), dtype=np.complex128)
+        if self.rows_b:
+            self.back = np.empty((rows_out, w), dtype=np.complex128)
         self.N = np.empty((n, w), dtype=np.complex128)
         self.update = np.empty((n, w), dtype=np.complex128)
         self.finite = np.empty((n, w), dtype=bool)
 
     def nonlinearity(self, half, out=None):
-        """Half spectrum of the drift-plus-flux term for this variant,
-        written to ``out`` (an (n, K+1) complex array) or to a new array
-        when None; 0.0 when the drift and the flux are both zero.
+        """Half spectrum of the drift-plus-flux term, a + ik b over the row
+        groups (see the class docstring), written to ``out`` (an (n, K+1)
+        complex array) or to a new array when None; 0.0 when both groups
+        are empty.
 
-        Arrays that go through the same transform are stacked into one call:
-        the state and its D_eps derivative on the way to the grid, the drift
-        and the conservative flux on the way back.
+        One stacked transform takes the state, and its D_eps derivative when
+        there are Jacobian terms, to the grid; one takes both groups back.
         """
-        cfg = self.cfg
-        n, K, M = cfg.n, cfg.K, self.M
-        if self.drift_zero and self.G_zero:
+        n, rows_a, rows_b = self.cfg.n, self.rows_a, self.rows_b
+        if not rows_a + rows_b:
             return 0.0
-        if self.G_zero:
-            grid = half_to_values(half, M, self.padded[:n], self.grid[:n])
-            drift = evaluate(self.drift, grid, self.grid_out[:n])
-            return values_to_half(drift, K, self.spectrum[:n], out)
-        if cfg.variant == "approximate":
+        if self.jac_terms:
             stack = self.stack
             stack[:n] = half
             np.multiply(half, self.d_mult, out=stack[n:])
-            both = half_to_values(stack, M, self.padded, self.grid)
-            grid, dgrid = both[:n], both[n:]
-            total, entry_grid = self.grid_out, self.entry
+            half = stack
+        grid = coeffs_to_values(half, self.M, buf=self.padded, out=self.grid)
+        u, groups = grid[:n], self.grid_out
+        if rows_a:
+            a = groups[:n]
             if self.drift_zero:
-                total.fill(0.0)
+                a.fill(0.0)
             else:
-                evaluate(self.drift, grid, total)
+                evaluate(self.drift, u, a)
             for i, j, entry in self.jac_terms:
-                entry(grid, out=entry_grid)
-                entry_grid *= dgrid[j]
-                total[i] += entry_grid
-            return values_to_half(total, K, self.spectrum, out)
-        grid = half_to_values(half, M, self.padded, self.grid)
-        if self.drift_zero:
-            flux = evaluate(cfg.G, grid, self.grid_out[:n])
-            return np.multiply(self.ik, values_to_half(flux, K, self.spectrum[:n], self.both[:n]), out=out)
-        both_grid = self.grid_out
-        evaluate(self.drift, grid, both_grid[:n])
-        evaluate(cfg.G, grid, both_grid[n:])
-        both = values_to_half(both_grid, K, self.spectrum, self.both)
-        flux = np.multiply(self.ik, both[n:], out=both[n:])
-        return np.add(both[:n], flux, out=out)
+                entry(u, out=self.entry)
+                self.entry *= grid[n + j]
+                a[i] += self.entry
+        if not rows_b:
+            return values_to_coeffs(groups, self.cfg.K, buf=self.spectrum, out=out)
+        evaluate(self.cfg.G, u, groups[rows_a:])
+        back = values_to_coeffs(groups, self.cfg.K, buf=self.spectrum, out=self.back)
+        if not rows_a:
+            return np.multiply(self.ik, back, out=out)
+        flux = np.multiply(self.ik, back[n:], out=back[n:])
+        return np.add(back[:n], flux, out=out)
 
     def step_coeffs(self, half, dW_half):
         """One step of the half-spectrum state, as a new array; None once it
@@ -366,8 +375,9 @@ def sample_steps(cfg):
     return idx
 
 
-def simulate(cfg, lam, u0, wiener_rng, record_steps=None):
-    """Run one trajectory; returns (times, half) at the recorded steps.
+def simulate(cfg, lam, u0, wiener_rng):
+    """Run one trajectory; returns (times, half) at the recorded steps
+    (``sample_steps``).
 
     ``half`` is one (steps, n, K+1) array of the half-spectrum states at the
     recorded steps, in step order.  The Wiener stream is consumed in a fixed
@@ -375,15 +385,12 @@ def simulate(cfg, lam, u0, wiener_rng, record_steps=None):
     generators derived from the same key see the same increments.  Raises
     BlowUpError at the first non-finite state.
     """
-    if record_steps is None:
-        record_steps = sample_steps(cfg)
-    steps = sorted({m for m in record_steps if 0 <= m <= cfg.n_steps})
-    slot = {m: i for i, m in enumerate(steps)}
+    steps = sample_steps(cfg)
     stepper = Stepper(cfg, lam)
     half = u0.half
     records = np.empty((len(steps), cfg.n, cfg.K + 1), dtype=np.complex128)
-    if 0 in slot:
-        records[0] = half
+    records[0] = half
+    recorded = 1
     sub = cfg.noise_substeps
     dt_sub = cfg.dt / sub
     # non-finite states are legitimate here: they signal blow-up, which
@@ -396,8 +403,9 @@ def simulate(cfg, lam, u0, wiener_rng, record_steps=None):
             half = stepper.step_coeffs(half, dW)
             if half is None:
                 raise BlowUpError((m - 1) * cfg.dt, m - 1)
-            if m in slot:
-                records[slot[m]] = half
+            if m == steps[recorded]:
+                records[recorded] = half
+                recorded += 1
     times = np.array([m * cfg.dt for m in steps])
     return times, records
 
@@ -428,8 +436,7 @@ def _run_replicate(limit_cfgs, eps_cfgs, replicate, lam):
     """
     start = time.perf_counter()
     cfg = limit_cfgs[0]
-    record_steps = sample_steps(cfg)
-    errors = np.full((len(eps_cfgs), len(ERRORS), len(record_steps)), np.nan)
+    errors = np.full((len(eps_cfgs), len(ERRORS), len(sample_steps(cfg))), np.nan)
     blown_up = np.ones(len(eps_cfgs), dtype=bool)
     report = {"replicate": replicate, "qv_limit_final": None, "runs": []}
 
@@ -438,7 +445,7 @@ def _run_replicate(limit_cfgs, eps_cfgs, replicate, lam):
         row = {"row": run_cfg.variant, "eps": run_cfg.eps if run_cfg.variant == "approximate" else None}
         report["runs"].append(row)
         try:
-            records = simulate(run_cfg, lam, u0, derive_stream(cfg.seed, replicate, "wiener"), record_steps)[1]
+            records = simulate(run_cfg, lam, u0, derive_stream(cfg.seed, replicate, "wiener"))[1]
         except BlowUpError as err:
             row.update(steps=err.steps, blowup_time=err.time)
             return None

@@ -14,11 +14,15 @@ Wiener draws and the stacked norms work on the same layout; ``mirror``
 builds the two-sided (n, 2K+1) array of modes -K..K, which a field exposes
 read-only as ``coeffs``.
 
-Grid values are plain (n, M) arrays at x_j = 2*pi*j/M.  ``coeffs_to_values``
-has one fast path for padded grids M >= 2K+1 and one explicit fold path for
-coarser ones; ``to_grid`` and ``from_grid`` are the checked pair on odd
-padded grids, whose oddness keeps the mode <-> gridpoint correspondence
-symmetric.
+Grid values are plain (n, M) arrays at x_j = 2*pi*j/M.  One transform pair
+serves every caller.  ``coeffs_to_values`` has one fast path for padded
+grids M >= 2K+1, a single real inverse transform, and one explicit fold path
+for coarser ones; ``values_to_coeffs`` is the real forward transform back to
+modes 0..K, on padded grids only.  The fast path and ``values_to_coeffs``
+take optional caller-owned ``buf`` and ``out`` arrays, passed by keyword,
+and give the bits of the allocating call; the stepper passes its scratch.
+``to_grid`` and ``from_grid`` are the checked pair on odd padded grids,
+whose oddness keeps the mode <-> gridpoint correspondence symmetric.
 """
 
 import functools
@@ -181,14 +185,18 @@ class SpectralField:
 # -- transforms -------------------------------------------------------------
 
 
-def coeffs_to_values(coeffs, M):
+def coeffs_to_values(coeffs, M, buf=None, out=None):
     """Point values at x_j = 2*pi*j/M, for any M >= 1, of the real field
     with half spectrum ``coeffs`` (n, K+1).  This is exact point evaluation
     of the trigonometric polynomial (not an interpolation statement).  Like
     irfft, both paths take the real part of mode 0 and ignore Im c_0.
 
     - padded, M >= 2K+1: no mode folds, so this is one real inverse
-      transform (``half_to_values``).
+      transform of the spectrum scaled by M/sqrt(2 pi).  ``buf`` is an
+      optional caller-owned (n, M//2+1) complex array, zero above mode K,
+      that holds the scaled spectrum, and ``out`` an optional (n, M) float
+      array that receives the values; new ones are made when None, with the
+      same bits.
     - fold, M < 2K+1: the two-sided modes -K..K are written in order into
       a zero-padded (n, rows*M) array from column (-K) mod M, so that every
       column is its mode modulo M; the rows of its (n, rows, M) view are
@@ -196,14 +204,18 @@ def coeffs_to_values(coeffs, M):
       real part of the spectrum's inverse ``ifft`` is returned.  Each bin
       thus sums +0.0 and then its modes in increasing k, the order of a
       scatter-add of the two-sided array (a pairwise or first-row-seeded
-      ``sum`` would round, or sign a zero, differently).
+      ``sum`` would round, or sign a zero, differently).  It allocates its
+      own arrays; ``buf`` and ``out`` are for the padded path only.
     """
     M = int(M)
     if M < 1:
         raise ValueError("M must be positive")
     n, width = coeffs.shape
     if M >= 2 * width - 1:
-        return half_to_values(coeffs, M)
+        if buf is None:
+            buf = np.zeros((n, M // 2 + 1), dtype=np.complex128)
+        np.multiply(coeffs, M / SQRT_2PI, out=buf[:, :width])
+        return np.fft.irfft(buf, n=M, axis=1, out=out)
     K = width - 1
     start = -K % M
     rows = -(-(start + 2 * K + 1) // M)
@@ -220,50 +232,26 @@ def coeffs_to_values(coeffs, M):
     return np.ascontiguousarray(vals.real)
 
 
-def values_to_coeffs(values, K):
+def values_to_coeffs(values, K, buf=None, out=None):
     """Half spectrum (modes 0..K, shape (n, K+1)) of real (n, M) grid data,
-    band-limited to max mode K; needs M >= 2K+1."""
+    band-limited to max mode K; needs M >= 2K+1.
+
+    ``buf`` is an optional caller-owned (n, M//2+1) complex array that
+    receives the whole real transform, and ``out`` an optional (n, K+1)
+    complex array that receives the scaled modes 0..K; new ones are made
+    when None, with the same bits."""
     K = int(K)
     M = values.shape[1]
     if M < 2 * K + 1:
         raise ResolutionError(f"need M >= 2K+1 = {2 * K + 1}, got M = {M}")
-    return values_to_half(values, K)
+    spectrum = np.fft.rfft(values, axis=1, out=buf)
+    return np.multiply(spectrum[:, : K + 1], SQRT_2PI / M, out=out)
 
 
 def mirror(half):
     """Two-sided (n, 2K+1) coefficients, modes -K..K, of a half spectrum
     (n, K+1): mode -k is the conjugate of mode k."""
     return np.concatenate([np.conj(half[:, :0:-1]), half], axis=1)
-
-
-def half_to_values(half, M, buf=None, out=None):
-    """Point values on M >= 2K+1 points of a real field given by its half
-    spectrum: the (n, K+1) coefficients of modes 0..K, the negative modes
-    being their conjugates.  Reality holds by construction; Im of mode 0 is
-    ignored, so the caller vouches for it.
-
-    ``buf`` is an optional caller-owned (n, M//2+1) complex array, zero above
-    mode K, that holds the scaled spectrum, and ``out`` an optional (n, M)
-    float array that receives the values; new ones are made when None.
-    Either way the arithmetic, and so every bit, is the same."""
-    n, width = half.shape
-    if buf is None:
-        buf = np.zeros((n, M // 2 + 1), dtype=np.complex128)
-    np.multiply(half, M / SQRT_2PI, out=buf[:, :width])
-    return np.fft.irfft(buf, n=M, axis=1, out=out)
-
-
-def values_to_half(values, K, buf=None, out=None):
-    """Half spectrum (modes 0..K, shape (n, K+1)) of real (n, M) grid data,
-    M >= 2K+1 (unchecked).
-
-    ``buf`` is an optional caller-owned (n, M//2+1) complex array that
-    receives the whole real transform, and ``out`` an optional (n, K+1)
-    complex array that receives the scaled modes 0..K; new ones are made
-    when None, with the same bits."""
-    M = values.shape[1]
-    spectrum = np.fft.rfft(values, axis=1, out=buf)
-    return np.multiply(spectrum[:, : K + 1], SQRT_2PI / M, out=out)
 
 
 def to_grid(u, M):
@@ -354,7 +342,7 @@ def _line_maxima(lines, M):
     maximum on M points, polished by at most six Newton steps.  A row leaves
     the polish when a step would leave the grid cell (|step| > h), when f is
     not concave there, or once its step gains no more than rounding."""
-    vals = half_to_values(lines, M)
+    vals = coeffs_to_values(lines, M)
     idx = np.arange(len(lines))
     j = np.argmax(np.abs(vals), axis=1)
     at = vals[idx, j]

@@ -93,6 +93,28 @@ class TestLambdaCommand:
         payload = json.loads(capsys.readouterr().out)
         assert abs(payload["difference"]) < 1e-6
 
+    @pytest.mark.parametrize(
+        "f, mu, reason",
+        [
+            ("finite_difference", "(1,1.5);(-1,0.5);(0,-2)", "not a builtin family"),
+            ("finite_difference", "(0.5,2);(0,-2)", "only for integer offsets"),
+        ],
+    )
+    @pytest.mark.parametrize("dry_run", [False, True])
+    def test_closed_form_of_a_scheme_without_one_exits_2_before_the_quadrature(
+        self, tmp_path, monkeypatch, capsys, f, mu, reason, dry_run
+    ):
+        # both schemes are valid; neither has a closed form
+        path = tmp_path / "other.scheme"
+        path.write_text(f"name = other\nf = {f}\nh = indicator_pi\nmu = {mu}\nq = 0.4\n")
+        assert main(["lambda", "--scheme", str(path)]) == EXIT_OK
+        capsys.readouterr()
+        monkeypatch.setattr(cli, "lambda_quadrature", lambda *a: pytest.fail("quadrature ran"))
+        argv = ["lambda", "--scheme", str(path), "--closed-form"] + ["--dry-run"] * dry_run
+        assert main(argv) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert "--closed-form" in captured.err and reason in captured.err and captured.out == ""
+
     def test_invalid_scheme_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.scheme"
         path.write_text("name = bad\nf = identity\nh = one\nmu = (1,1)\nq = 1\n")
@@ -397,6 +419,8 @@ class TestChaosCommand:
         (["chaos", "--eps", "0.04,x"], "--eps"),
         (["chaos", "--eps", "0.1,0.1,0.05"], "--eps values 0.1 and 0.1 share the table name eps0.1"),
         (["chaos", "--eps", "0.1,0.1,0.05", "--dry-run"], "--eps values 0.1 and 0.1 share the table name eps0.1"),
+        (["chaos", "--eps", "2,1.5,1.2", "--samples", "4"], "--eps values must be below 1"),
+        (["chaos", "--eps", "2,1.5,1.2", "--samples", "4", "--dry-run"], "--eps values must be below 1"),
         (["chaos", "--nu", "0"], "--nu"),
         (["chaos", "--samples", "0"], "--samples"),
         (["chaos", "--samples", "1"], "--samples"),

@@ -15,6 +15,8 @@ from burgerslab import cli
 from burgerslab.cli import main
 from burgerslab.correction import DEFAULT_CHI
 from burgerslab.estimators import xi_grid_size
+from burgerslab import spectral
+from burgerslab.spectral import odd_fft_size
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
@@ -104,6 +106,12 @@ def test_traced_converge_call_counts_follow_the_closed_forms(tmp_path):
         tracer.uninstall()
     assert code == 0
     calls = {name: count for name, (count, _) in tracer.per_round()[0]["spans"].items()}
+    S, n, K = 3, 2, 16  # recorded steps 0, 5 and 10
+    sup_lines = max(1, spectral._SUP_POINTS // odd_fft_size(4 * (2 * K + 1)))
+
+    def chunks(lines):
+        return -(-lines // sup_lines)
+
     want = {
         "integrator.step_coeffs": R * (2 + E) * steps,
         "integrator.nonlinearity.approximate": R * E * steps,
@@ -112,6 +120,12 @@ def test_traced_converge_call_counts_follow_the_closed_forms(tmp_path):
         "integrator.simulate": R * (2 + E),
         "noise.wiener_increment_coeffs": R * (2 + E) * steps * s,
         "noise.ModeGaussianDraw.sample": R * (2 + E) * steps * s + R * (1 + E),
+        # one stacked transform to the grid and one back per step, under the
+        # names the benchmark spans, and one padded transform per sup_norms
+        # chunk: each of the R·E·2 error blocks (S·n lines) and each of the
+        # R·E sup_norm calls of the scaling table (n lines)
+        "spectral.values_to_coeffs": R * (2 + E) * steps,
+        "spectral.coeffs_to_values.padded": R * (2 + E) * steps + R * E * (2 * chunks(S * n) + chunks(n)),
     }
     assert {name: calls.get(name, 0) for name in want} == want
 

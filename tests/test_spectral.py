@@ -12,7 +12,6 @@ from burgerslab.spectral import (
     coeffs_to_values,
     embed,
     from_grid,
-    half_to_values,
     mirror,
     odd_fft_size,
     project,
@@ -22,7 +21,6 @@ from burgerslab.spectral import (
     sup_norms,
     to_grid,
     values_to_coeffs,
-    values_to_half,
 )
 from burgerslab import spectral
 from conftest import random_field
@@ -197,7 +195,7 @@ def _dense_sup(line):
     across the cells next to it (each zoom shrinks the spacing 100-fold)."""
     K = line.size - 1
     M = 32 * (2 * K + 1)
-    vals = half_to_values(line[None, :], M)[0]
+    vals = coeffs_to_values(line[None, :], M)[0]
     j = int(np.argmax(np.abs(vals)))
     x, width = 2.0 * np.pi * j / M, 2.0 * np.pi / M
     c = line * np.where(np.arange(K + 1) > 0, 2.0, 1.0)
@@ -392,29 +390,39 @@ class TestTransformPaths:
 
 
 class TestHalfSpectrum:
-    """The half-spectrum helpers are the two-sided transforms restricted to
-    modes 0..K, bit for bit."""
+    """The padded path of coeffs_to_values and values_to_coeffs are the
+    two-sided transforms restricted to modes 0..K, bit for bit, with or
+    without caller-owned arrays."""
 
     @pytest.mark.parametrize("M", [35, 36, 41])
-    def test_half_to_values_matches_padded_path(self, rng, M):
+    def test_padded_path_is_one_real_inverse_transform(self, rng, M):
         u = random_field(rng, K=17, n=2)
-        assert np.array_equal(half_to_values(u.half, M), coeffs_to_values(u.half, M))
+        spectrum = np.zeros((2, M // 2 + 1), dtype=np.complex128)
+        spectrum[:, :18] = u.half * (M / SQRT_2PI)
+        assert np.array_equal(coeffs_to_values(u.half, M), np.fft.irfft(spectrum, n=M, axis=1))
 
     @pytest.mark.parametrize("K, M, n", [(17, 35, 2), (17, 36, 1), (17, 105, 3), (0, 1, 1)])
-    def test_half_to_values_with_a_buffer_is_bitwise_equal(self, rng, K, M, n):
+    def test_padded_path_with_buf_and_out_is_bitwise_equal(self, rng, K, M, n):
         half = random_field(rng, K=K, n=n).half
         buf = np.zeros((n, M // 2 + 1), dtype=np.complex128)
-        for _ in range(2):  # a reused buffer as well as a fresh one
-            got = half_to_values(half, M, buf)
-            assert got.tobytes() == half_to_values(half, M).tobytes()
+        out = np.empty((n, M))
+        for _ in range(2):  # reused arrays as well as fresh ones
+            got = coeffs_to_values(half, M, buf=buf)
+            assert got.tobytes() == coeffs_to_values(half, M).tobytes()
             assert not np.shares_memory(got, buf)
+            assert coeffs_to_values(half, M, buf=buf, out=out) is out
+            assert out.tobytes() == got.tobytes()
             half = half * 0.5
 
-    def test_values_to_half_is_the_nonnegative_half(self, rng):
+    def test_values_to_coeffs_is_the_nonnegative_half(self, rng):
         vals = rng.standard_normal((2, 41))
-        half = values_to_half(vals, 17)
+        half = values_to_coeffs(vals, 17)
         assert half.shape == (2, 18)
-        assert np.array_equal(values_to_coeffs(vals, 17), half)
+        assert np.array_equal(mirror(half)[:, 17:], half)
+        assert np.array_equal(half, np.fft.rfft(vals, axis=1)[:, :18] * (SQRT_2PI / 41))
+        buf, out = np.empty((2, 21), dtype=np.complex128), np.empty((2, 18), dtype=np.complex128)
+        assert values_to_coeffs(vals, 17, buf=buf, out=out) is out
+        assert out.tobytes() == half.tobytes()
 
     def test_mirror_restores_a_hermitian_array(self, rng):
         u = random_field(rng, K=9, n=2)
@@ -446,7 +454,10 @@ def _hermitian_half_and_grid(draw):
 def test_half_spectrum_round_trip(case):
     half, M = case
     K = half.shape[1] - 1
-    back = mirror(values_to_half(half_to_values(half, M), K))
+    back = mirror(values_to_coeffs(coeffs_to_values(half, M), K))
     scale = float(np.max(np.abs(half), initial=0.0))
     assert back.shape == (half.shape[0], 2 * K + 1)
-    assert np.max(np.abs(back - mirror(half))) <= 1e-13 * scale
+    # the scaling by M/sqrt(2 pi) and back rounds a subnormal coefficient
+    # (5e-324 at M = 1 becomes 0), so errors below the smallest normal
+    # number are underflow, not transform error
+    assert np.max(np.abs(back - mirror(half))) <= 1e-13 * scale + np.finfo(float).tiny
