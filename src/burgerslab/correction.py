@@ -12,14 +12,19 @@ This module evaluates Lambda by adaptive quadrature (with analytic handling
 of the oscillatory tail when h has unbounded support), provides the closed
 forms available for the builtin scheme families as independent oracles, and
 computes the mode sums that play the same role at finite resolution.
+
+The quadrature (scipy.integrate.quad) and the sine integral
+(scipy.special.sici) are imported where they run, on first use: importing
+scipy.integrate pulls in scipy.special, scipy.optimize and
+scipy.sparse.linalg, which takes most of a cold start and doubles its
+memory, while the closed forms of the identity and finite-difference
+families and the mode sums need numpy alone.
 """
 
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import sici
 
 from .nonlin import PolynomialMap, laplacian
 
@@ -64,6 +69,8 @@ class LambdaResult:
 
 def sine_integral(t):
     """Si(t) = int_0^t sin(x)/x dx (scipy.special.sici).  Odd in t."""
+    from scipy.special import sici
+
     return float(sici(t)[0])
 
 
@@ -97,6 +104,8 @@ def _atom_integral(scheme, y, epsabs):
     """Return (I(y), error_estimate) for one atom location y."""
     if y == 0.0:
         return 0.0, 0.0
+    from scipy.integrate import quad
+
     integrand = _integrand_factory(scheme, y)
     ay = abs(y)
 

@@ -63,7 +63,6 @@ allocates all its temporaries.
 import math
 import time
 from dataclasses import dataclass, replace
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 
 import numpy as np
@@ -550,6 +549,8 @@ def run_coupled(cfg, eps_list, replicates, workers=1):
     lam, _ = resolve_lambda(cfg)
     run = partial(_run_replicate, limit_cfgs, eps_cfgs, lam=lam)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loaded only when a pool runs
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_rep = list(pool.map(run, range(replicates)))
     else:

@@ -9,7 +9,7 @@ A run config has four sections of key = value lines:
                v0 (zero | sin:<amp>[:<comp>] | cos:<amp>[:<comp>] |
                modes:<path>), alpha, eps (comma list), replicates
     [time]     dt, T, sample_every, noise_substeps
-    [output]   prefix
+    [output]   prefix (a file-name stem inside the output directory)
 
 K, dt and T are required.  A key outside these lists, in any section, is
 rejected by name rather than ignored.  Everything is inspectable text; the
@@ -173,6 +173,14 @@ def load_run_config(path):
 
     m, t = dict(parser["model"]), dict(parser["time"])
     output = dict(parser["output"]) if "output" in parser else {}
+    prefix = output.get("prefix", "run")
+    if prefix in ("", ".", "..") or "/" in prefix or "\\" in prefix:
+        # the outputs are named <out>/<prefix>_...; such a prefix would put
+        # them outside <out>, or name them after the directory itself
+        raise ValueError(
+            f"{path}: [output] prefix must name files inside the output directory "
+            f"(not empty, '.' or '..', and no path separator), got {prefix!r}"
+        )
 
     eps_list = eps_ladder((float(x) for x in m.get("eps", "0.125").split(",") if x.strip()), "eps")
     replicates = replicate_count(int(m.get("replicates", 8)), "replicates")
@@ -206,7 +214,7 @@ def load_run_config(path):
     )
     return RunSpec(
         config=config,
-        output_prefix=output.get("prefix", "run"),
+        output_prefix=prefix,
         eps_list=eps_list,
         replicates=replicates,
         echo=text,

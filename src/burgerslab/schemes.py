@@ -509,15 +509,19 @@ def load_scheme_file(path):
 
     Keys: name; f = identity|finite_difference|galerkin|table:<path>;
     h = one|indicator_pi|table:<path>; mu = (y1,w1);(y2,w2);...; q = <real>.
+    A key given twice is an error, not an override.
     """
-    entries = {}
+    entries, first_line = {}, {}
     with open(path) as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
                 raise ValueError(f"bad line in scheme file: {raw!r}")
             key, value = line.split("=", 1)
-            entries[key.strip()] = value.strip()
+            key = key.strip()
+            if key in entries:
+                raise ValueError(f"{path}:{lineno}: duplicate key {key!r} (first given on line {first_line[key]})")
+            entries[key], first_line[key] = value.strip(), lineno
     return scheme_from_mapping(entries)

@@ -307,6 +307,13 @@ class TestConvergeCommand:
             ("lambda_mode = closed_form", "lambda_mode = bogus", "lambda_mode must be one of"),
             ("eps = 0.25,0.125", "eps = 0.25,0.25,0.125", "eps values 0.25 and 0.25 share the table name eps0.25"),
             ("eps = 0.25,0.125", "eps = 0.1234567,0.1234568", "share the table name eps0.123457"),
+            # outputs are <out>/<prefix>_...; "../escaped" would write them all
+            # into the parent of --out
+            ("prefix = demo\n", "prefix = ../escaped\n", "[output] prefix"),
+            ("prefix = demo\n", "prefix = sub/demo\n", "[output] prefix"),
+            ("prefix = demo\n", "prefix = ..\n", "[output] prefix"),
+            ("prefix = demo\n", "prefix = .\n", "[output] prefix"),
+            ("prefix = demo\n", "prefix =\n", "[output] prefix"),
         ],
     )
     def test_config_errors_exit_2(self, tmp_path, run_config, capsys, old, new, message):
@@ -320,7 +327,7 @@ class TestConvergeCommand:
             code = main(["converge", "--config", str(bad), "--out", str(tmp_path / "x")] + extra)
             assert code == EXIT_VALIDATION
             assert message in capsys.readouterr().err
-        assert not (tmp_path / "x" / "demo_summary.json").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.cfg", "modes.csv", "run.cfg"]
 
     @pytest.mark.parametrize(
         "args, message",
@@ -371,6 +378,23 @@ class TestConvergeCommand:
         assert code == EXIT_BLOWUP
         summary = json.loads((tmp_path / "boom" / "boom_summary.json").read_text())
         assert summary["blowup_fraction"] > 0.2
+
+
+@pytest.mark.parametrize("command", ["lambda", "chaos", "converge"])
+def test_scheme_file_with_a_repeated_key_exits_2(tmp_path, scheme_file, run_config, capsys, command):
+    # kept, the second mu would flip Lambda from 0.25 to -0.25
+    twice = tmp_path / "twice.scheme"
+    twice.write_text(scheme_file.read_text() + "mu = (0,1);(-1,-1)\n")
+    if command == "converge":
+        config = tmp_path / "file.cfg"
+        inline = "name = forward\nf = identity\nh = one\nmu = (1,1);(0,-1)\nq = 1\n"
+        config.write_text(run_config.read_text().replace(inline, f"file = {twice}\n"))
+        argv = ["converge", "--config", str(config), "--dry-run"]
+    else:
+        argv = [command, "--scheme", str(twice), "--dry-run"]
+    assert main(argv) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert "twice.scheme:6: duplicate key 'mu'" in captured.err and captured.out == ""
 
 
 class TestChaosCommand:

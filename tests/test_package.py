@@ -1,8 +1,11 @@
 import dataclasses
 import importlib
+import json
 import math
+import os
 import pkgutil
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -13,8 +16,9 @@ import scipy
 import burgerslab
 from burgerslab import cli
 from burgerslab.cli import main
-from burgerslab.correction import DEFAULT_CHI
+from burgerslab.correction import DEFAULT_CHI, lambda_closed_form, lambda_quadrature
 from burgerslab.estimators import xi_grid_size
+from burgerslab.schemes import load_scheme_file
 from burgerslab import spectral
 from burgerslab.spectral import odd_fft_size
 
@@ -57,6 +61,74 @@ def test_installed_numpy_and_scipy_meet_the_declared_floors():
     assert set(floors) == {"numpy", "scipy"} and _release(floors["numpy"]) >= (2, 0)
     for module in (np, scipy):
         assert _release(module.__version__) >= _release(floors[module.__name__]), module.__name__
+
+
+# Runs in a fresh interpreter (this one already holds scipy): imports the
+# command line, then runs each command given as JSON on argv[1] through
+# cli.main, and reports which of the costly modules are loaded after the
+# import and after each command, with each command's exit code and output.
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+from burgerslab import cli
+
+COSTLY = ("scipy.integrate", "scipy.special", "concurrent.futures.process")
+
+def loaded():
+    return [name for name in COSTLY if name in sys.modules]
+
+report = {"import": loaded(), "runs": []}
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    report["runs"].append({"code": code, "out": out.getvalue(), "loaded": loaded()})
+print(json.dumps(report))
+"""
+
+
+def test_each_command_loads_only_the_modules_it_runs(tmp_path):
+    # scipy.integrate (with scipy.special, scipy.optimize and
+    # scipy.sparse.linalg) is most of a cold start's time and half its
+    # memory; only Lambda by quadrature needs it, and only the galerkin
+    # closed form needs the sine integral
+    fd = "name = fd\nf = finite_difference\nh = indicator_pi\nmu = (1,1);(0,-1)\nq = 0.4\n"
+    forward = "name = forward\nf = identity\nh = one\nmu = (1,1);(0,-1)\nq = 1\n"
+    (tmp_path / "fd.scheme").write_text(fd)
+    (tmp_path / "forward.scheme").write_text(forward)
+    model = "[model]\nnu = 1\nK = 8\nG = 0.5*u1^2\nlambda_mode = closed_form\nv0 = sin:1\neps = 0.25\nreplicates = 2\n"
+    timing = "[time]\ndt = 1e-3\nT = 0.004\nsample_every = 2\n"
+    (tmp_path / "fd.cfg").write_text(f"[scheme]\n{fd}\n{model}\n{timing}")
+    galerkin = fd.replace("finite_difference", "galerkin")
+    (tmp_path / "galerkin.cfg").write_text(f"[scheme]\n{galerkin}\n{model}\n{timing}")
+    numpy_only = [
+        ["converge", "--config", "fd.cfg", "--out", "out"],
+        ["chaos", "--scheme", "fd.scheme", "--eps", "0.1", "--samples", "2", "--out", "out"],
+        ["qv", "--K", "32", "--M", "8", "--samples", "2", "--out", "out"],
+        ["lambda", "--scheme", "forward.scheme", "--dry-run"],
+    ]
+    needs_scipy = [
+        ["converge", "--config", "galerkin.cfg", "--dry-run"],
+        ["lambda", "--scheme", "forward.scheme"],
+    ]
+    src = str(Path(burgerslab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, json.dumps(numpy_only + needs_scipy)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    runs = report["runs"]
+    assert [run["code"] for run in runs] == [0] * len(runs)
+    assert report["import"] == []
+    assert [run["loaded"] for run in runs[: len(numpy_only)]] == [[]] * len(numpy_only)
+    galerkin_run, quadrature_run = runs[len(numpy_only):]
+    assert galerkin_run["loaded"] == ["scipy.special"]
+    assert quadrature_run["loaded"] == ["scipy.integrate", "scipy.special"]
+    # the values printed after loading on first use are the ones computed here
+    assert json.loads(galerkin_run["out"])["lambda"] == lambda_closed_form("galerkin", 1, 0, 1.0).value
+    quadrature = lambda_quadrature(load_scheme_file(tmp_path / "forward.scheme"), 1.0, 1e-8)
+    assert quadrature_run["out"] == json.dumps(quadrature.to_dict(), sort_keys=True) + "\n"
 
 
 def import_spans():

@@ -96,6 +96,27 @@ def test_load_run_config_round_trip(tmp_path):
     assert cfg.scheme.builtin == ("finite_difference", 1.0, 0.0)
 
 
+_PREFIX_CONFIG = (
+    "[scheme]\nname = s\nf = identity\nh = one\nmu = (1,1);(0,-1)\nq = 1\n\n"
+    "[model]\nK = 8\n\n[time]\ndt = 1e-3\nT = 0.01\n\n"
+)
+
+
+@pytest.mark.parametrize("prefix", ["", ".", "..", "../escaped", "sub/run", "/tmp/run", "..\\escaped"])
+def test_output_prefix_outside_the_output_directory_rejected(tmp_path, prefix):
+    path = tmp_path / "run.cfg"
+    path.write_text(_PREFIX_CONFIG + f"[output]\nprefix = {prefix}\n")
+    with pytest.raises(ValueError, match=r"\[output\] prefix must name files inside the output directory"):
+        load_run_config(path)
+
+
+@pytest.mark.parametrize("prefix", ["run", "run.v2", "..run", "a..b"])
+def test_output_prefix_that_is_a_file_name_stem_kept(tmp_path, prefix):
+    path = tmp_path / "run.cfg"
+    path.write_text(_PREFIX_CONFIG + f"[output]\nprefix = {prefix}\n")
+    assert load_run_config(path).output_prefix == prefix
+
+
 def test_missing_section_rejected(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("[scheme]\nname = s\nf = identity\nh = one\nmu = (1,1);(0,-1)\nq = 1\n")

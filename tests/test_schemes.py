@@ -321,6 +321,14 @@ class TestSchemeFiles:
         with pytest.raises(ValueError, match="extrapolate"):
             load_scheme_file(path)
 
+    def test_duplicate_key_names_the_key_and_both_lines(self, tmp_path):
+        # a repeated key is an error, not a silent override: a second mu line
+        # would flip the sign of Lambda
+        path = tmp_path / "twice.scheme"
+        path.write_text("name = fd\nf = identity\nh = one\nmu = (1,1);(0,-1)\nq = 1\n\nmu = (0,1);(-1,-1)\n")
+        with pytest.raises(ValueError, match=r"twice.scheme:7: duplicate key 'mu' \(first given on line 4\)"):
+            load_scheme_file(path)
+
     def test_parse_mu(self):
         assert parse_mu("(1,1);(0,-1)") == ((1.0, 1.0), (0.0, -1.0))
         assert parse_mu("(0.5, 2.0)") == ((0.5, 2.0),)
