@@ -14,7 +14,8 @@ the worker count, since replicate tasks are self-contained and outputs are
 ordered canonically.
 
 Exit codes: 0 ok, 2 validation failure, 3 blow-up quota exceeded,
-4 quadrature non-convergence.
+4 quadrature non-convergence.  A command returns 0 or 3, or raises; ``main``
+is the one place that turns an error into its message and exit code.
 """
 
 import argparse
@@ -34,6 +35,7 @@ from .correction import (
     DEFAULT_CHI,
     DEFAULT_GAMMA,
     QuadratureError,
+    chaos_band,
     lambda_closed_form_for_scheme,
     lambda_eps,
     lambda_eps_y,
@@ -42,6 +44,7 @@ from .correction import (
 from .estimators import (
     difference_grids,
     expected_qv,
+    mean_stderr,
     negative_sobolev_distances,
     quadratic_variation,
     rate_fit,
@@ -52,7 +55,7 @@ from .estimators import (
 from .integrator import ERRORS, resolve_lambda, run_coupled
 from .noise import derive_stream, discrete_sigmas, sample_stationary_pair, stationary_sigmas, ModeGaussianDraw
 from .runconfig import InputError, eps_ladder, load_run_config, replicate_count
-from .schemes import SchemeValidationError, load_scheme_file
+from .schemes import SchemeValidationError, identity_scheme, load_scheme_file
 from .spectral import band_project, sup_norm
 
 # Not used here since chaos takes its tensors and distances as stacks, but
@@ -141,7 +144,17 @@ def _load_and_validate_scheme(path):
         scheme = load_scheme_file(path)
     except (OSError, ValueError) as err:
         raise InputError(f"invalid scheme file {path}: {err}") from err
-    return scheme, scheme.validate()
+    return scheme.require_valid()
+
+
+def _out_dir(path):
+    """The output directory ``path``, made if it is missing."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise InputError(f"--out {path} cannot be used as the output directory: {err}") from None
+    return out
 
 
 # -- lambda ---------------------------------------------------------------------
@@ -150,10 +163,7 @@ def _load_and_validate_scheme(path):
 def cmd_lambda(args):
     _require(_positive(args.nu), f"--nu must be positive, got {args.nu}")
     _require(_positive(args.tol), f"--tol must be positive, got {args.tol}")
-    scheme, report = _load_and_validate_scheme(args.scheme)
-    if not report.ok:
-        print(report.summary(), file=sys.stderr)
-        return EXIT_VALIDATION
+    scheme = _load_and_validate_scheme(args.scheme)
     if args.closed_form:
         # only a builtin family with admissible offsets has one; know that
         # before the quadrature runs
@@ -164,13 +174,7 @@ def cmd_lambda(args):
     if args.dry_run:
         print(json.dumps({"scheme": scheme.name, "valid": True, "dry_run": True}))
         return EXIT_OK
-    try:
-        res = lambda_quadrature(scheme, args.nu, args.tol)
-    except QuadratureError as err:
-        print(f"quadrature did not converge: {err}", file=sys.stderr)
-        if err.partial is not None:
-            print(json.dumps(err.partial.to_dict(), sort_keys=True), file=sys.stderr)
-        return EXIT_QUADRATURE
+    res = lambda_quadrature(scheme, args.nu, args.tol)
     payload = res.to_dict()
     if args.closed_form:
         payload["closed_form"] = oracle.value
@@ -220,13 +224,9 @@ def _qv_limit_summary(result, nu):
     it approaches.  Each replicate whose limit runs survived reports one
     value; the mean needs one and the standard error two, else they are
     None."""
-    qv = np.array([r["qv_limit_final"] for r in result.replicates if r["qv_limit_final"] is not None])
-    return {
-        "n": int(qv.size),
-        "mean": float(np.mean(qv)) if qv.size else None,
-        "stderr": float(np.std(qv, ddof=1) / np.sqrt(qv.size)) if qv.size > 1 else None,
-        "pi_over_nu": math.pi / nu,
-    }
+    qv = [r["qv_limit_final"] for r in result.replicates if r["qv_limit_final"] is not None]
+    mean, stderr = mean_stderr(qv)
+    return {"n": len(qv), "mean": mean, "stderr": stderr, "pi_over_nu": math.pi / nu}
 
 
 def cmd_converge(args):
@@ -237,19 +237,14 @@ def cmd_converge(args):
     eps_override = _eps_list(args.eps) if args.eps is not None else None
     try:
         spec = load_run_config(args.config)
-        report = spec.scheme.validate()
-        if not report.ok:
-            print(report.summary(), file=sys.stderr)
-            return EXIT_VALIDATION
-        eps_list = eps_override or spec.eps_list
+        report = spec.scheme.require_valid().validation
         cfg = spec.sim_config(seed=args.seed, lambda_tol=args.tol)
         lam, lam_result = resolve_lambda(cfg)
-    except QuadratureError as err:
-        print(f"quadrature did not converge: {err}", file=sys.stderr)
-        return EXIT_QUADRATURE
+    except SchemeValidationError:
+        raise  # a ValueError too, but main reports it as it is
     except (OSError, ValueError) as err:
-        print(f"invalid run config {args.config}: {err}", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise InputError(f"invalid run config {args.config}: {err}") from err
+    eps_list = eps_override or spec.eps_list
     replicates = replicates or spec.replicates
 
     if args.dry_run:
@@ -265,9 +260,7 @@ def cmd_converge(args):
         print(json.dumps(plan, sort_keys=True))
         return EXIT_OK
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    prefix = out / spec.output_prefix
+    prefix = _out_dir(args.out) / spec.output_prefix
 
     # how Lambda was obtained, and the scheme's validation report; manifests
     # are not digested, so this moves no output byte
@@ -306,9 +299,7 @@ def cmd_converge(args):
             psi = draw.field(stationary_sigmas(cfg.K, cfg.nu))
             psit = draw.field(discrete_sigmas(cfg.scheme, eps, cfg.nu, cfg.K))
             vals.append(sup_norm(psit - psi))
-        scaling_rows.append(
-            (eps, float(np.mean(vals)), float(np.std(vals, ddof=1) / np.sqrt(len(vals))), len(vals))
-        )
+        scaling_rows.append((eps, *mean_stderr(vals), len(vals)))
     scaling_path = f"{prefix}_scaling.csv"
     _write_csv(scaling_path, ["eps", "mean", "stderr", "n_samples"], scaling_rows)
     outputs.append(scaling_path)
@@ -369,7 +360,8 @@ _CHAOS_POINTS = 1 << 14
 
 def cmd_chaos(args):
     """Second-chaos study over stationary samples of the discretized
-    equation, band-projected to eps^-gamma < |k| <= eps^-chi.
+    equation, band-projected to eps^-gamma < |k| <= eps^-chi (the modes of
+    ``chaos_band``, over which ``lambda_eps_y`` sums).
 
     Each eps draws its samples one pair at a time from its own stream and
     processes them in chunks of as many samples as fit in ``_CHAOS_POINTS``
@@ -380,26 +372,26 @@ def cmd_chaos(args):
     Lambda_eps * Identity is recorded.  Every row is bitwise its one-sample
     computation, so the chunk size moves no output byte.
     """
+    nu, gamma, chi, alpha = args.nu, DEFAULT_GAMMA, DEFAULT_CHI, 0.75
     eps_list = _eps_list(args.eps)
     # the band eps^-gamma < |k| <= eps^-chi is empty or inverted unless eps < 1
     _require(max(eps_list) < 1, f"--eps values must be below 1, got {list(eps_list)}")
-    _require(_positive(args.nu), f"--nu must be positive, got {args.nu}")
+    bands = {eps: chaos_band(eps, gamma, chi) for eps in eps_list}
+    empty = [eps for eps, (k_lo, k_hi) in bands.items() if k_lo > k_hi]
+    _require(not empty, f"--eps values {empty} leave no integer mode k with eps^-{gamma:.4g} < k <= eps^-{chi:g}")
+    _require(_positive(nu), f"--nu must be positive, got {nu}")
     _require(args.samples >= 2, f"--samples must be at least 2, got {args.samples}")
-    scheme, report = _load_and_validate_scheme(args.scheme)
-    if not report.ok:
-        print(report.summary(), file=sys.stderr)
-        return EXIT_VALIDATION
+    scheme = _load_and_validate_scheme(args.scheme)
     if args.dry_run:
         print(json.dumps({"scheme": scheme.name, "eps": list(eps_list), "dry_run": True}))
         return EXIT_OK
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     manifest = Manifest("chaos", args.seed, extra={"scheme": scheme.name})
 
-    nu, gamma, chi, alpha = args.nu, DEFAULT_GAMMA, DEFAULT_CHI, 0.75
     atom_rows, dist_rows, per_eps = [], [], []
     for i, eps in enumerate(sorted(eps_list, reverse=True)):
         start = time.perf_counter()
+        k_lo, k_hi = bands[eps]
         K = int(np.ceil(eps**-chi))
         M = xi_grid_size(K)
         chunk = max(1, _CHAOS_POINTS // M)
@@ -412,7 +404,7 @@ def cmd_chaos(args):
             draw = ModeGaussianDraw.stack(
                 [sample_stationary_pair(scheme, eps, nu, K, rng).draw for _ in range(min(chunk, args.samples - lo))]
             )
-            half = band_project(draw.field(sigma), eps**-gamma, eps**-chi).half[:, None, :]
+            half = band_project(draw.field(sigma), k_lo - 1, k_hi).half[:, None, :]
             grids = difference_grids(half, scheme.mu, eps)
             # an atom repeated in mu has the same grid, and one mean
             for y, d in {y: d for y, _, d in grids}.items():
@@ -420,25 +412,9 @@ def cmd_chaos(args):
             dists.append(negative_sobolev_distances(xi_halves(half.shape, grids, eps), lam_eps, alpha))
         for y, vals in sorted(atom_means.items()):
             vals = np.concatenate(vals)
-            atom_rows.append(
-                (
-                    eps,
-                    y,
-                    float(np.mean(vals)),
-                    float(np.std(vals, ddof=1) / np.sqrt(vals.size)),
-                    vals.size,
-                    lambda_eps_y(scheme, eps, gamma, chi, nu, y),
-                )
-            )
+            atom_rows.append((eps, y, *mean_stderr(vals), vals.size, lambda_eps_y(scheme, eps, gamma, chi, nu, y)))
         dists = np.concatenate(dists)
-        dist_rows.append(
-            (
-                eps,
-                float(np.mean(dists)),
-                float(np.std(dists, ddof=1) / np.sqrt(dists.size)),
-                dists.size,
-            )
-        )
+        dist_rows.append((eps, *mean_stderr(dists), dists.size))
         per_eps.append(
             {"eps": eps, "K": K, "M": M, "samples_per_chunk": chunk, "sampling_s": round(time.perf_counter() - start, 6)}
         )
@@ -480,23 +456,21 @@ def cmd_qv(args):
     if args.dry_run:
         print(json.dumps({"K": args.K, "M": args.M, "samples": args.samples, "dry_run": True}))
         return EXIT_OK
-    from .schemes import identity_scheme
-
     scheme = identity_scheme(1, 0)
-    scheme.validate()
     rng = derive_stream(args.seed, 0, "qv")
     vals = np.empty(args.samples)
     for i in range(args.samples):
         psi = sample_stationary_pair(scheme, 0.1, args.nu, args.K, rng).psi
         vals[i] = quadratic_variation(psi, args.M)[0]
     exact = expected_qv(args.nu, args.K, args.M)
+    mc_mean, mc_stderr = mean_stderr(vals)
     payload = {
         "nu": args.nu,
         "K": args.K,
         "M": args.M,
         "n_samples": args.samples,
-        "mc_mean": float(np.mean(vals)),
-        "mc_stderr": float(np.std(vals, ddof=1) / np.sqrt(args.samples)),
+        "mc_mean": mc_mean,
+        "mc_stderr": mc_stderr,
         "exact_sum": exact,
         "circle_total": float(np.pi / args.nu),
     }
@@ -564,6 +538,11 @@ def main(argv=None):
     except (InputError, SchemeValidationError) as err:
         print(str(err), file=sys.stderr)
         return EXIT_VALIDATION
+    except QuadratureError as err:
+        print(f"quadrature did not converge: {err}", file=sys.stderr)
+        if err.partial is not None:
+            print(json.dumps(err.partial.to_dict(), sort_keys=True), file=sys.stderr)
+        return EXIT_QUADRATURE
 
 
 if __name__ == "__main__":

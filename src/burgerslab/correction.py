@@ -11,7 +11,10 @@ for a scheme with symbols (f, h) and derivative measure mu = sum w_i d_{y_i}.
 This module evaluates Lambda by adaptive quadrature (with analytic handling
 of the oscillatory tail when h has unbounded support), provides the closed
 forms available for the builtin scheme families as independent oracles, and
-computes the mode sums that play the same role at finite resolution.
+computes the mode sums that play the same role at finite resolution.  Those
+sums run over the integer modes of the band eps^-gamma < k <= eps^-chi, and
+``chaos_band`` is the one place that rule is written: the chaos study
+projects its samples onto the same modes.
 
 The quadrature (scipy.integrate.quad) and the sine integral
 (scipy.special.sici) are imported where they run, on first use: importing
@@ -219,19 +222,29 @@ def lambda_closed_form_for_scheme(scheme, nu):
 # -- finite-resolution mode sums --------------------------------------------------
 
 
-def lambda_eps_y(scheme, eps, gamma=DEFAULT_GAMMA, chi=DEFAULT_CHI, nu=1.0, y=1.0):
-    """Mode sum over eps^-gamma < k < eps^-chi approximating the per-atom integral.
-
-    Exact finite sum (1 - cos(eps k y)) h(eps k)^2 / (2 pi eps (1 + nu k^2 f(eps k)))
-    over integer k; modes with f = +inf contribute zero since h vanishes there.
+def chaos_band(eps, gamma=DEFAULT_GAMMA, chi=DEFAULT_CHI):
+    """``(k_lo, k_hi)``, the first and last integer mode of the band
+    eps^-gamma < k <= eps^-chi: k_lo = floor(eps^-gamma) + 1 and
+    k_hi = floor(eps^-chi).  The band holds no mode when k_lo > k_hi, as for
+    every eps close enough to 1.  ``spectral.band_project`` with thresholds
+    k_lo - 1 and k_hi keeps exactly these modes.
     """
     if not 0 < gamma < chi:
         raise ValueError("need 0 < gamma < chi")
     if not 0 < eps < 1:
         raise ValueError("need eps in (0, 1)")
+    return int(np.floor(eps**-gamma)) + 1, int(np.floor(eps**-chi))
+
+
+def lambda_eps_y(scheme, eps, gamma=DEFAULT_GAMMA, chi=DEFAULT_CHI, nu=1.0, y=1.0):
+    """Mode sum over the band eps^-gamma < k <= eps^-chi (``chaos_band``)
+    approximating the per-atom integral.
+
+    Exact finite sum (1 - cos(eps k y)) h(eps k)^2 / (2 pi eps (1 + nu k^2 f(eps k)))
+    over integer k; modes with f = +inf contribute zero since h vanishes there.
+    """
+    k_lo, k_hi = chaos_band(eps, gamma, chi)
     scheme.require_valid()
-    k_lo = int(np.floor(eps**-gamma)) + 1
-    k_hi = int(np.ceil(eps**-chi)) - 1
     if k_lo > k_hi:
         warnings.warn("empty mode range in lambda_eps_y; returning 0", stacklevel=2)
         return 0.0

@@ -252,6 +252,16 @@ def negative_sobolev_distances(xi, c, alpha):
     return np.sqrt(total)
 
 
+def mean_stderr(values):
+    """Sample mean of a 1-d sequence and its standard error
+    std(ddof=1) / sqrt(n), as floats.  The mean needs one value and the
+    standard error two; without them each is None."""
+    x = np.asarray(values, dtype=float)
+    mean = float(np.mean(x)) if x.size else None
+    stderr = float(np.std(x, ddof=1) / np.sqrt(x.size)) if x.size > 1 else None
+    return mean, stderr
+
+
 def rate_fit(eps_values, errors):
     """Least-squares line through (log eps, log err): (slope, intercept, residual)."""
     eps_values = np.asarray(eps_values, dtype=float)

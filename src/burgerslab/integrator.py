@@ -72,7 +72,7 @@ from .correction import (
     lambda_closed_form_for_scheme,
     lambda_quadrature,
 )
-from .estimators import quadratic_variation
+from .estimators import mean_stderr, quadratic_variation
 from .noise import (
     ModeGaussianDraw,
     derive_stream,
@@ -521,9 +521,8 @@ class EnsembleResult:
             nn = int(np.count_nonzero(ok))
             row = {"eps": eps, "n_ok": nn, "n_blowup": ok.size - nn}
             for c, name in enumerate(("corrected", "uncorrected")):
-                maxima = self.errors[ok, e, c].max(axis=1)  # each survivor's maximum over time
-                row[f"mean_sup_{name}"] = float(np.mean(maxima)) if nn else None
-                row[f"se_sup_{name}"] = float(np.std(maxima, ddof=1) / np.sqrt(nn)) if nn > 1 else None
+                # each survivor's maximum over time
+                row[f"mean_sup_{name}"], row[f"se_sup_{name}"] = mean_stderr(self.errors[ok, e, c].max(axis=1))
             rows.append(row)
         return rows
 
@@ -534,8 +533,10 @@ def run_coupled(cfg, eps_list, replicates, workers=1):
     stream; per-eps error statistics aggregated over replicates.
 
     Results are independent of `workers` (replicates are self-contained and
-    output order is canonical).  Every run's config is made, and so
-    checked, before any replicate starts.
+    output order is canonical).  At most one worker process per replicate
+    is started, and none when that leaves one: the replicates then run in
+    this process.  Every run's config is made, and so checked, before any
+    replicate starts.
     """
     eps_list = tuple(float(e) for e in eps_list)
     if not eps_list:
@@ -548,6 +549,8 @@ def run_coupled(cfg, eps_list, replicates, workers=1):
     eps_cfgs = tuple(replace(cfg, eps=eps, variant="approximate") for eps in eps_list)
     lam, _ = resolve_lambda(cfg)
     run = partial(_run_replicate, limit_cfgs, eps_cfgs, lam=lam)
+    # a forked pool starts all its workers at the first task, busy or not
+    workers = min(workers, replicates)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # loaded only when a pool runs
 

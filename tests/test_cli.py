@@ -272,6 +272,8 @@ class TestConvergeCommand:
         bad = tmp_path / "bad.cfg"
         bad.write_text(run_config.read_text().replace("mu = (1,1);(0,-1)", "mu = (1,1)"))
         assert main(["converge", "--config", str(bad), "--out", str(tmp_path / "x")]) == EXIT_VALIDATION
+        # the validation report, not the missing closed form it implies
+        assert "[FAIL] mu_total_mass_zero" in capsys.readouterr().err
 
     def test_dry_run_unreachable_tolerance_exits_4(self, tmp_path, run_config, capsys):
         cfg = tmp_path / "quad.cfg"
@@ -280,7 +282,9 @@ class TestConvergeCommand:
         assert main(args) == EXIT_OK
         assert abs(json.loads(capsys.readouterr().out)["lambda"] - 0.25) < 1e-8
         assert main(args + ["--tol", "1e-18"]) == EXIT_QUADRATURE
-        assert "quadrature did not converge" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        # the partial result goes with the message, as under ``lambda``
+        assert "quadrature did not converge" in err and '"method": "quadrature"' in err
 
     @pytest.mark.parametrize(
         "old, new, message",
@@ -445,6 +449,10 @@ class TestChaosCommand:
         (["chaos", "--eps", "0.1,0.1,0.05", "--dry-run"], "--eps values 0.1 and 0.1 share the table name eps0.1"),
         (["chaos", "--eps", "2,1.5,1.2", "--samples", "4"], "--eps values must be below 1"),
         (["chaos", "--eps", "2,1.5,1.2", "--samples", "4", "--dry-run"], "--eps values must be below 1"),
+        # eps^-1/3 < k <= eps^-1.5 holds no integer k at any of these
+        (["chaos", "--eps", "0.9,0.85,0.8", "--samples", "4"], "--eps values [0.9, 0.85, 0.8] leave no integer mode"),
+        (["chaos", "--eps", "0.9,0.85,0.8", "--samples", "4", "--dry-run"], "leave no integer mode"),
+        (["chaos", "--eps", "0.1,0.08,0.8", "--samples", "4"], "--eps values [0.8] leave no integer mode"),
         (["chaos", "--nu", "0"], "--nu"),
         (["chaos", "--samples", "0"], "--samples"),
         (["chaos", "--samples", "1"], "--samples"),
@@ -473,6 +481,19 @@ def test_workers_below_one_exit_2_before_writing(tmp_path, scheme_file, run_conf
     captured = capsys.readouterr()
     assert "--workers" in captured.err and captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["converge", "chaos"])
+def test_out_naming_a_file_exits_2_before_writing(tmp_path, scheme_file, run_config, capsys, command):
+    taken = tmp_path / "taken"
+    taken.write_text("keep\n")
+    inputs = sorted(p.name for p in tmp_path.iterdir())
+    extra = {"converge": ["--config", str(run_config)],
+             "chaos": ["--scheme", str(scheme_file), "--eps", "0.3,0.25,0.2", "--samples", "2"]}[command]
+    assert main([command, *extra, "--out", str(taken)]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert f"--out {taken}" in captured.err and captured.out == ""
+    assert taken.read_text() == "keep\n" and sorted(p.name for p in tmp_path.iterdir()) == inputs
 
 
 def test_chaos_outputs_do_not_depend_on_the_chunk_size(tmp_path, monkeypatch, capsys):
@@ -584,3 +605,79 @@ def test_generated_scheme_files_exit_0_or_2(text):
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
                 code = main(argv)
             assert code in (EXIT_OK, EXIT_VALIDATION), (argv[0], text)
+
+
+# -- generated command lines through every subcommand ---------------------------
+
+_RUN_CONFIG = (
+    "[scheme]\nname = forward\nf = identity\nh = one\nmu = (1,1);(0,-1)\nq = 1\n\n"
+    "[model]\nnu = 1\nn = 1\nK = 16\nF = 0\nG = 0.5*u1^2\nlambda_mode = closed_form\nv0 = sin:1\n"
+    "eps = 0.25,0.125\nreplicates = 2\n\n"
+    "[time]\ndt = 1e-3\nT = 0.01\nsample_every = 5\n\n"
+    "[output]\nprefix = demo\n"
+)
+_NU = (["1", "0.5"], ["0", "-1", "nan", "inf", "x"])
+_TOL = (["1e-6"], ["0", "-1", "nan", "inf"])
+_SAMPLES = (["2", "3"], ["1", "0", "-2", "x"])
+_BAD_EPS = ["0", "0.3,0.3", "0.3,-0.1", "x", ""]
+# per subcommand, each flag's (usable, out-of-range or malformed) values; a
+# chaos ladder is out of range when eps^-1/3 < k <= eps^-1.5 holds no
+# integer k at one of its eps, as above eps = 2^(-2/3) ~ 0.63
+_ARGS = {
+    "lambda": {"--nu": _NU, "--tol": _TOL},
+    "converge": {
+        "--eps": (["0.25,0.125", "0.9,0.5,0.3"], _BAD_EPS),
+        "--replicates": (["2", "3"], ["1", "0", "x"]),
+        "--tol": _TOL,
+    },
+    "chaos": {
+        "--eps": (["0.3,0.25,0.2", "0.25,0.125"], _BAD_EPS + ["0.9,0.85,0.8", "0.3,0.8", "2,0.5"]),
+        "--nu": _NU,
+        "--samples": _SAMPLES,
+    },
+    "qv": {"--nu": _NU, "--K": (["8"], ["0", "-1"]), "--M": (["16"], ["1", "0"]), "--samples": _SAMPLES},
+}
+
+
+@st.composite
+def command_lines(draw):
+    """(argv, out_is_a_file) for one subcommand with tiny sizes: every flag
+    takes a usable value except for at most two that are out of range or
+    malformed (``--workers`` among them), and --out is a fresh path or an
+    existing file."""
+    command = draw(st.sampled_from(sorted(_ARGS)))
+    flags = {**_ARGS[command], "--workers": (["1"], ["0", "-1"])}
+    broken = draw(st.lists(st.sampled_from(sorted(flags)), max_size=2, unique=True))
+    argv = [command]
+    for flag, (usable, bad) in flags.items():
+        argv += [flag, draw(st.sampled_from(bad if flag in broken else usable))]
+    argv += ["--dry-run"] * draw(st.booleans())
+    return argv, draw(st.booleans())
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(command_lines())
+def test_generated_command_lines_exit_0_or_2(case):
+    # no argument of this kind ends in a traceback, and a rejected command
+    # line writes nothing, not even into --out
+    argv, out_is_a_file = case
+    with tempfile.TemporaryDirectory() as work:
+        work = Path(work)
+        (work / "forward.scheme").write_text("name = forward\nf = identity\nh = one\nmu = (1,1);(0,-1)\nq = 1\n")
+        (work / "run.cfg").write_text(_RUN_CONFIG)
+        out = work / "out"
+        if out_is_a_file:
+            out.write_text("keep\n")
+        inputs = sorted(p.name for p in work.iterdir())
+        source = {"converge": ["--config", str(work / "run.cfg")], "qv": []}.get(
+            argv[0], ["--scheme", str(work / "forward.scheme")]
+        )
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = main(argv + source + ["--out", str(out)])
+            except SystemExit as err:  # argparse rejects what it cannot parse
+                code = err.code
+        assert code in (EXIT_OK, EXIT_VALIDATION), (argv, out_is_a_file)
+        if code == EXIT_VALIDATION:
+            assert sorted(p.name for p in work.iterdir()) == inputs, (argv, out_is_a_file)
+            assert not out_is_a_file or out.read_text() == "keep\n"

@@ -3,8 +3,11 @@ import pytest
 from scipy.integrate import quad
 
 from burgerslab.correction import (
+    DEFAULT_CHI,
+    DEFAULT_GAMMA,
     LambdaResult,
     QuadratureError,
+    chaos_band,
     corrected_drift,
     lambda_closed_form,
     lambda_closed_form_for_scheme,
@@ -19,6 +22,13 @@ from burgerslab.schemes import (
     galerkin_scheme,
     identity_scheme,
 )
+from burgerslab.spectral import SpectralField, band_project
+
+
+def _kept_modes(K, n_lo, n_hi):
+    """The modes k >= 1 that band_project keeps of a field with every mode 1."""
+    ones = SpectralField(K, 1, np.ones((1, K + 1), dtype=np.complex128))
+    return np.flatnonzero(band_project(ones, n_lo, n_hi).half[0])
 
 
 class TestSineIntegral:
@@ -133,6 +143,32 @@ class TestLambdaEps:
         assert wide != tight
         # added summands are exactly zero; only summation grouping may differ
         assert abs(wider - wide) < 1e-15
+
+    @pytest.mark.parametrize(
+        "scheme, eps", [(finite_difference_scheme(1, 0), 0.25), (identity_scheme(1, 0), 0.04)]
+    )
+    def test_sums_the_modes_the_chaos_study_keeps(self, scheme, eps):
+        # eps^-chi is an integer here (8 and 125) and its mode is live, so a
+        # sum that stopped below it would miss a mode the samples hold
+        gamma, chi, nu = DEFAULT_GAMMA, DEFAULT_CHI, 0.7
+        k = _kept_modes(int(np.ceil(eps**-chi)), eps**-gamma, eps**-chi).astype(float)
+        assert k[-1] == eps**-chi
+        t = eps * k
+        f, h = scheme.f_at(t), scheme.h_at(t)
+        assert np.isfinite(f).all()
+        direct = np.sum((1.0 - np.cos(t)) * h**2 / (2.0 * np.pi * eps * (1.0 + nu * k**2 * f)))
+        assert lambda_eps_y(scheme, eps, gamma, chi, nu, 1.0) == pytest.approx(direct, rel=1e-12)
+
+    @pytest.mark.parametrize("eps", [0.9, 0.8, 0.7, 0.64, 0.62, 0.5, 0.25, 0.2, 0.125, 0.1, 0.07, 0.04, 0.01])
+    def test_chaos_band_is_the_projection_band(self, eps):
+        # k_lo - 1 and k_hi as thresholds keep what eps^-gamma and eps^-chi keep
+        k_lo, k_hi = chaos_band(eps)
+        K = int(np.ceil(eps**-DEFAULT_CHI))
+        kept = _kept_modes(K, eps**-DEFAULT_GAMMA, eps**-DEFAULT_CHI)
+        assert kept.tolist() == list(range(k_lo, k_hi + 1))
+        assert _kept_modes(K, k_lo - 1, k_hi).tolist() == kept.tolist()
+        # eps^-chi reaches 2 at eps = 2^(-2/3), and eps^-gamma stays below 2
+        assert (k_lo > k_hi) == (eps > 2.0 ** (-2.0 / 3.0))
 
     def test_empty_range_warns_and_returns_zero(self):
         s = identity_scheme(1, 0)

@@ -7,6 +7,7 @@ from burgerslab.estimators import (
     chain_rule_defect,
     difference_grids,
     expected_qv,
+    mean_stderr,
     negative_sobolev_distance,
     negative_sobolev_distances,
     quadratic_variation,
@@ -310,6 +311,14 @@ class TestNegativeSobolev:
         A = XiMatrixField(1, ((e,),), "x", 0.1)
         with pytest.raises(ValueError):
             negative_sobolev_distance(A, 0.0, 0.5)
+
+
+class TestMeanStderr:
+    def test_mean_needs_one_value_and_stderr_two(self):
+        assert mean_stderr([]) == (None, None)
+        assert mean_stderr(np.array([3.0])) == (3.0, None)
+        x = [0.3, 0.5, 1.7]
+        assert mean_stderr(x) == (float(np.mean(x)), float(np.std(x, ddof=1) / np.sqrt(3)))
 
 
 class TestRateFit:

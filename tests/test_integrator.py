@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 from dataclasses import FrozenInstanceError, replace
 
@@ -537,6 +538,31 @@ class TestRunCoupled:
         assert res1.errors.tobytes() == res2.errors.tobytes()
         assert np.array_equal(res1.blown_up, res2.blown_up)
         assert [r["qv_limit_final"] for r in res1.replicates] == [r["qv_limit_final"] for r in res2.replicates]
+
+    @pytest.mark.parametrize("workers, replicates, pools", [(64, 2, [2]), (8, 3, [3]), (2, 3, [2]), (4, 1, [])])
+    def test_at_most_one_worker_per_replicate(self, monkeypatch, workers, replicates, pools):
+        # a forked pool starts all its workers at the first task; this one
+        # records the size it was asked for and runs the tasks in order here
+        made = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                made.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        cfg = make_cfg(T=0.02, sample_every=5)
+        res = run_coupled(cfg, [0.25], replicates, workers=workers)
+        assert made == pools
+        assert res.errors.tobytes() == run_coupled(cfg, [0.25], replicates).errors.tobytes()
 
     def test_replicate_reports_record_steps_and_blowups(self, monkeypatch):
         cfg = make_cfg(T=0.02, sample_every=5)
