@@ -50,7 +50,6 @@ for kappa in (0.1, 1.0, np.pi):
           f"(ideal i*kappa = {1j * kappa:.4f})")
 
 fd = finite_difference_scheme(1, 0)
-fd.validate()
 w = SpectralField.from_modes(K=8, entries={4: 1.0})
 lap = apply_Delta_eps(fd, w, 0.3)
 print(f"\n3-point stencil symbol at k=4, eps=0.3: {lap.mode(4)[0].real:.4f} "

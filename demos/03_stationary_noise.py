@@ -14,7 +14,6 @@ from burgerslab.noise import discrete_sigmas, stationary_sigmas
 from burgerslab.schemes import finite_difference_scheme
 
 scheme = finite_difference_scheme(1, 0)
-scheme.validate()
 nu, K = 1.0, 1024
 
 print("== per-mode standard deviations ==")

@@ -13,7 +13,6 @@ from burgerslab.schemes import identity_scheme
 
 nu = 1.0
 scheme = identity_scheme(1, 0)
-scheme.validate()
 
 print("== exact expectation of the grid quadratic variation ==")
 for K, M in [(8192, 2048), (4096, 512), (512, 2048), (64, 4096)]:

@@ -26,7 +26,6 @@ from burgerslab.spectral import band_project
 
 gamma, chi, nu, alpha = 1.0 / 3.0, 1.5, 1.0, 0.75
 scheme = finite_difference_scheme(1, 0)
-scheme.validate()
 
 print("== per-atom tensor expectation vs the mode sum ==")
 eps = 0.02

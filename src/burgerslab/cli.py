@@ -22,6 +22,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import replace
@@ -139,19 +140,27 @@ def _eps_list(text):
     return eps_ladder(eps_list, "--eps")
 
 
-def _load_and_validate_scheme(path):
+def _load_scheme(path):
     try:
-        scheme = load_scheme_file(path)
+        return load_scheme_file(path)
+    except SchemeValidationError:
+        raise  # a ValueError too, but main reports it as it is
     except (OSError, ValueError) as err:
         raise InputError(f"invalid scheme file {path}: {err}") from err
-    return scheme.require_valid()
 
 
-def _out_dir(path):
-    """The output directory ``path``, made if it is missing."""
+def _out_dir(path, make):
+    """The output directory ``path``, made if ``make``.  It must be a
+    writable directory, or else the nearest path above it that exists must
+    be one, so that it can be made; otherwise InputError, with nothing made.
+    A dry run checks it the same way, without ``make``."""
     out = Path(path)
+    above = next(p for p in (out, *out.absolute().parents) if os.path.lexists(p))
     try:
-        out.mkdir(parents=True, exist_ok=True)
+        if not (above.is_dir() and os.access(above, os.W_OK | os.X_OK)):
+            raise NotADirectoryError(f"{above} is not a writable directory")
+        if make:
+            out.mkdir(parents=True, exist_ok=True)
     except OSError as err:
         raise InputError(f"--out {path} cannot be used as the output directory: {err}") from None
     return out
@@ -163,7 +172,7 @@ def _out_dir(path):
 def cmd_lambda(args):
     _require(_positive(args.nu), f"--nu must be positive, got {args.nu}")
     _require(_positive(args.tol), f"--tol must be positive, got {args.tol}")
-    scheme = _load_and_validate_scheme(args.scheme)
+    scheme = _load_scheme(args.scheme)
     if args.closed_form:
         # only a builtin family with admissible offsets has one; know that
         # before the quadrature runs
@@ -237,7 +246,6 @@ def cmd_converge(args):
     eps_override = _eps_list(args.eps) if args.eps is not None else None
     try:
         spec = load_run_config(args.config)
-        report = spec.scheme.require_valid().validation
         cfg = spec.sim_config(seed=args.seed, lambda_tol=args.tol)
         lam, lam_result = resolve_lambda(cfg)
     except SchemeValidationError:
@@ -246,6 +254,7 @@ def cmd_converge(args):
         raise InputError(f"invalid run config {args.config}: {err}") from err
     eps_list = eps_override or spec.eps_list
     replicates = replicates or spec.replicates
+    prefix = _out_dir(args.out, make=not args.dry_run) / spec.output_prefix
 
     if args.dry_run:
         plan = {
@@ -260,15 +269,13 @@ def cmd_converge(args):
         print(json.dumps(plan, sort_keys=True))
         return EXIT_OK
 
-    prefix = _out_dir(args.out) / spec.output_prefix
-
     # how Lambda was obtained, and the scheme's validation report; manifests
     # are not digested, so this moves no output byte
     lambda_record = {"lambda_mode": cfg.lambda_mode, "value": lam}
     if lam_result is not None:
         lambda_record.update(method=lam_result.method, abs_error_estimate=lam_result.abs_error_estimate)
     manifest = Manifest(
-        "converge", args.seed, spec.echo, extra={"lambda": lambda_record, "scheme_validation": report.summary()}
+        "converge", args.seed, spec.echo, extra={"lambda": lambda_record, "scheme_validation": spec.scheme.validation.summary()}
     )
     resolved = replace(cfg, lambda_mode="explicit", lambda_value=lam)
     result = run_coupled(resolved, eps_list, replicates, workers=args.workers)
@@ -381,11 +388,11 @@ def cmd_chaos(args):
     _require(not empty, f"--eps values {empty} leave no integer mode k with eps^-{gamma:.4g} < k <= eps^-{chi:g}")
     _require(_positive(nu), f"--nu must be positive, got {nu}")
     _require(args.samples >= 2, f"--samples must be at least 2, got {args.samples}")
-    scheme = _load_and_validate_scheme(args.scheme)
+    scheme = _load_scheme(args.scheme)
+    out = _out_dir(args.out, make=not args.dry_run)
     if args.dry_run:
         print(json.dumps({"scheme": scheme.name, "eps": list(eps_list), "dry_run": True}))
         return EXIT_OK
-    out = _out_dir(args.out)
     manifest = Manifest("chaos", args.seed, extra={"scheme": scheme.name})
 
     atom_rows, dist_rows, per_eps = [], [], []
@@ -500,7 +507,8 @@ def build_parser():
     sp.add_argument("--nu", type=float, default=1.0)
     sp.add_argument("--closed-form", action="store_true", help="also print the closed-form oracle")
     sp.add_argument("--tol", type=float, default=1e-8, help="quadrature tolerance for Lambda")
-    common(sp)
+    # lambda draws no sample and writes no file: none of the other common flags
+    sp.add_argument("--dry-run", action="store_true", help="validate the scheme without computing")
     sp.set_defaults(func=cmd_lambda)
 
     sp = sub.add_parser("converge", help="coupled ensemble error study")
@@ -533,7 +541,8 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        _require(args.workers >= 1, f"--workers must be at least 1, got {args.workers}")
+        if "workers" in args:  # lambda has no --workers
+            _require(args.workers >= 1, f"--workers must be at least 1, got {args.workers}")
         return args.func(args)
     except (InputError, SchemeValidationError) as err:
         print(str(err), file=sys.stderr)

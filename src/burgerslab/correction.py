@@ -158,7 +158,6 @@ def lambda_quadrature(scheme, nu, tol=1e-10):
         raise ValueError("nu must be positive")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    scheme.require_valid()
     pref = 1.0 / (2.0 * np.pi * nu)
     total, err = 0.0, 0.0
     for y, w in scheme.mu:
@@ -244,7 +243,6 @@ def lambda_eps_y(scheme, eps, gamma=DEFAULT_GAMMA, chi=DEFAULT_CHI, nu=1.0, y=1.
     over integer k; modes with f = +inf contribute zero since h vanishes there.
     """
     k_lo, k_hi = chaos_band(eps, gamma, chi)
-    scheme.require_valid()
     if k_lo > k_hi:
         warnings.warn("empty mode range in lambda_eps_y; returning 0", stacklevel=2)
         return 0.0
@@ -264,7 +262,6 @@ def lambda_eps_y(scheme, eps, gamma=DEFAULT_GAMMA, chi=DEFAULT_CHI, nu=1.0, y=1.
 
 def lambda_eps(scheme, eps, gamma=DEFAULT_GAMMA, chi=DEFAULT_CHI, nu=1.0):
     """Finite-resolution correction constant: mu-weighted sum of lambda_eps_y."""
-    scheme.require_valid()
     return float(
         sum(
             w * lambda_eps_y(scheme, eps, gamma, chi, nu, y)

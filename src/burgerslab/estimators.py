@@ -45,7 +45,6 @@ def theta_eps(u, scheme, eps):
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    scheme.require_valid()
     k = u.modes.astype(float)
     power = np.sum(np.abs(u.half) ** 2, axis=0)
     power[1:] *= 2.0
@@ -150,7 +149,6 @@ def xi_eps(u, scheme, eps):
     entry) indexed by the two tensor slots.  The one-row call of
     ``difference_grids`` and ``xi_halves``.
     """
-    scheme.require_valid()
     return _xi_field(u, scheme.mu, eps, scheme.name)
 
 
@@ -169,7 +167,6 @@ def chain_rule_defect(G, u, scheme, eps):
     For G of degree <= 2 the third-order remainder vanishes identically and
     this equals D_eps G(u) - grad G(u) . D_eps u exactly.
     """
-    scheme.require_valid()
     H = hessian(G)
     M = alias_free_grid_size(u.K, G.degree)
     ug = to_grid(u, M)

@@ -81,7 +81,7 @@ from .noise import (
     wiener_increment_coeffs,
 )
 from .nonlin import PolynomialMap, alias_free_grid_size, evaluate, jacobian
-from .schemes import d_eps_multiplier
+from .schemes import Scheme, d_eps_multiplier
 from .spectral import (
     SpectralField,
     coeffs_to_values,
@@ -124,7 +124,7 @@ class SimConfig:
     dt: float
     T: float
     eps: float
-    scheme: object
+    scheme: Scheme
     F: PolynomialMap
     G: PolynomialMap
     lambda_mode: str = "closed_form"  # quadrature | closed_form | explicit | zero
@@ -161,6 +161,9 @@ class SimConfig:
             raise ValueError(f"lambda_mode must be one of {LAMBDA_MODES}, got {self.lambda_mode!r}")
         if self.lambda_mode == "explicit" and not math.isfinite(math.nan if self.lambda_value is None else self.lambda_value):
             raise ValueError(f"explicit lambda_mode requires a finite lambda_value, got {self.lambda_value}")
+        if not isinstance(self.scheme, Scheme):
+            # a Scheme is validated when it is made; nothing else is
+            raise ValueError(f"scheme must be a Scheme, got {type(self.scheme).__name__}")
         if self.F.n != self.n or self.G.n != self.n:
             raise ValueError("drift and flux must have n components")
         if self.v0 is not None:
@@ -253,7 +256,6 @@ class Stepper:
     """
 
     def __init__(self, cfg, lam):
-        cfg.scheme.require_valid()
         self.cfg = cfg
         K = cfg.K
         k = np.arange(K + 1, dtype=float)

@@ -167,7 +167,6 @@ def sample_stationary_pair(scheme, eps, nu, K, rng, n=1):
     the fields are built on first read (see ``CoupledStationaryPair``)."""
     if K < 1 or nu <= 0 or eps <= 0:
         raise ValueError("need K >= 1, nu > 0, eps > 0")
-    scheme.require_valid()
     return CoupledStationaryPair(ModeGaussianDraw.sample(K, n, rng), scheme, eps, nu)
 
 

@@ -18,7 +18,8 @@ from .spectral import from_grid, odd_fft_size, to_grid
 
 @dataclass(frozen=True)
 class Polynomial:
-    """Sparse real polynomial in nvars variables: terms maps exponent tuples to coefficients."""
+    """Sparse real polynomial in nvars variables: terms maps exponent tuples to
+    coefficients, each finite (checked when the polynomial is made)."""
 
     nvars: int
     terms: tuple  # ((exponents, coeff), ...), canonically sorted, no zero coeffs
@@ -30,6 +31,8 @@ class Polynomial:
     def __post_init__(self):
         plan = []
         for expo, coeff in self.terms:
+            if not np.isfinite(coeff):
+                raise ValueError(f"polynomial coefficients must be finite, got {coeff}")
             factors = tuple((j, e) for j, e in enumerate(expo) if e)
             plan.append((coeff, factors[0] if factors else None, factors[1:]))
         object.__setattr__(self, "plan", tuple(plan))
@@ -141,10 +144,16 @@ class Polynomial:
 
 @dataclass(frozen=True)
 class PolynomialMap:
-    """A map R^n -> R^n given by one polynomial per component."""
+    """A map R^n -> R^n given by one polynomial per component: n
+    polynomials in n variables, checked when the map is made."""
 
     n: int
     components: tuple
+
+    def __post_init__(self):
+        nvars = [p.nvars for p in self.components]
+        if nvars != [self.n] * self.n:
+            raise ValueError(f"a map of R^{self.n} takes {self.n} polynomials in {self.n} variables, got variable counts {nvars}")
 
     @staticmethod
     def zero(n):
@@ -294,6 +303,4 @@ def parse_polynomial(text, nvars):
 def parse_polynomial_map(spec, n):
     """Parse one polynomial per component; spec is a ';'-joined string or a list."""
     parts = spec.split(";") if isinstance(spec, str) else list(spec)
-    if len(parts) != n:
-        raise ValueError(f"expected {n} components, got {len(parts)}")
     return PolynomialMap(n, tuple(parse_polynomial(p, n) for p in parts))

@@ -111,6 +111,14 @@ def parse_v0(spec, K, n):
     raise ValueError(f"unknown v0 spec {spec!r}")
 
 
+def _polynomial_map(model, key, n):
+    """The map of [model] ``key`` (zero if absent); an error names the key."""
+    try:
+        return parse_polynomial_map(model.get(key, ";".join(["0"] * n)), n)
+    except ValueError as err:
+        raise ValueError(f"[model] {key}: {err}") from None
+
+
 @dataclass(frozen=True)
 class RunSpec:
     """Parsed run config: the SimConfig it describes (at seed 0) plus
@@ -205,11 +213,10 @@ def load_run_config(path):
         noise_substeps=int(t.get("noise_substeps", 1)),
     )
     # n and K have passed their checks, so the texts sized by them can be parsed
-    zero = ";".join(["0"] * n)
     config = replace(
         config,
-        F=parse_polynomial_map(m.get("F", zero), n),
-        G=parse_polynomial_map(m.get("G", zero), n),
+        F=_polynomial_map(m, "F", n),
+        G=_polynomial_map(m, "G", n),
         v0=parse_v0(m.get("v0", "zero"), config.K, n),
     )
     return RunSpec(

@@ -11,23 +11,30 @@ Restricting mu to finite atomic measures keeps every moment exact and all
 derived mode sums finite.  Symbols may be builtin tags, tabulated
 piecewise-linear interpolants, or user callables (vectorized, pure).
 
-A Scheme is frozen and stores only (name, f, h, mu, q).  Everything else
-is derived from those fields on read: the kinds of its symbols, where h is
-known to vanish, whether it is one of the builtin families (whose closed
-forms then apply), and its validation report, computed once on first read.
-A variant is made with dataclasses.replace, which derives all of these
-afresh, so no fact can outlive the fields it was derived from.
+A Scheme is frozen and stores only (name, f, h, mu, q).  It is validated
+when it is made: a triple that fails a check of ``validate`` raises
+SchemeValidationError, which carries the failed report, so a Scheme that
+exists is an admissible one and no operator checks it again.  Everything
+else is derived from the fields on read: the kinds of its symbols, where h
+is known to vanish, and whether it is one of the builtin families (whose
+closed forms then apply).  A variant is made with dataclasses.replace,
+which validates it and derives all of these afresh, so no fact can outlive
+the fields it was derived from.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 
 
 class SchemeValidationError(ValueError):
-    """Scheme failed validation (or was never validated) and cannot be used."""
+    """A scheme failed validation and was not made; ``report`` is the
+    failed ValidationReport."""
+
+    def __init__(self, report):
+        super().__init__(f"scheme '{report.scheme_name}' failed validation:\n{report.summary()}")
+        self.report = report
 
 
 class InfiniteSymbolError(ValueError):
@@ -139,6 +146,10 @@ class Scheme:
 
     def __post_init__(self):
         object.__setattr__(self, "mu", tuple((float(y), float(w)) for y, w in self.mu))
+        # the report of ``validate(self)``, kept with the scheme (not a field)
+        object.__setattr__(self, "validation", validate(self))
+        if not self.validation.ok:
+            raise SchemeValidationError(self.validation)
 
     @property
     def f_kind(self):
@@ -162,21 +173,9 @@ class Scheme:
         """(tag, a, b) for the three builtin families, else None."""
         return _detect_builtin(self.f_kind, self.h_kind, self.mu)
 
-    @cached_property
-    def validation(self):
-        """The ValidationReport, made by ``validate(self)`` on first read."""
-        return validate(self)
-
     def validate(self):
-        """The validation report (see ``validation``)."""
+        """The validation report, made when the scheme was made."""
         return self.validation
-
-    def require_valid(self):
-        if not self.validation.ok:
-            raise SchemeValidationError(
-                f"scheme '{self.name}' failed validation:\n{self.validation.summary()}"
-            )
-        return self
 
     # vectorized symbol evaluation with scalar-or-array passthrough
     def f_at(self, t):
@@ -365,7 +364,6 @@ def apply_D_eps(scheme, u, eps):
     """Approximate derivative: mode k scaled by (1/eps) sum_i w_i e^{i k eps y_i}."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    scheme.require_valid()
     return u.apply_multiplier(d_eps_multiplier(scheme, eps, u.modes))
 
 
@@ -379,7 +377,6 @@ def apply_Delta_eps(scheme, u, eps):
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    scheme.require_valid()
     k = u.modes.astype(float)
     fv = scheme.f_at(eps * np.abs(k))
     infinite = ~np.isfinite(fv)
@@ -397,7 +394,6 @@ def apply_Q_eps(scheme, u, eps):
     """Noise filter: mode k scaled by h(eps|k|)."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    scheme.require_valid()
     return u.apply_multiplier(scheme.h_at(eps * np.abs(u.modes)))
 
 
@@ -498,8 +494,6 @@ def _detect_builtin(f_kind, h_kind, mu):
     if abs(pos[0][1] - scale) > 1e-12 * scale:
         return None
     if neg and abs(neg[0][1] + scale) > 1e-12 * scale:
-        return None
-    if not neg and b != 0.0:
         return None
     return (f_kind, a, b)
 

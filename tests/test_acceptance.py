@@ -109,7 +109,6 @@ def test_criterion_3_quadratic_variation():
     assert rel < 0.03, (exact, rel)
 
     scheme = identity_scheme(1, 0)
-    scheme.validate()
     rng = derive_stream(600, 0, "qv-acceptance")
     vals = np.empty(nsamp)
     for i in range(nsamp):

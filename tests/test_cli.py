@@ -318,6 +318,9 @@ class TestConvergeCommand:
             ("prefix = demo\n", "prefix = ..\n", "[output] prefix"),
             ("prefix = demo\n", "prefix = .\n", "[output] prefix"),
             ("prefix = demo\n", "prefix =\n", "[output] prefix"),
+            # a non-finite coefficient would blow up every replicate
+            ("F = 0\n", "F = nan*u1\n", "[model] F: polynomial coefficients must be finite"),
+            ("G = 0.5*u1^2", "G = 1e400*u1^2", "[model] G: polynomial coefficients must be finite"),
         ],
     )
     def test_config_errors_exit_2(self, tmp_path, run_config, capsys, old, new, message):
@@ -464,36 +467,64 @@ def test_numeric_arguments_validated_up_front(tmp_path, scheme_file, capsys, arg
     # rejected before any sampling or output, with the reason on stderr
     out = tmp_path / "out"
     extra = ["--scheme", str(scheme_file)] if args[0] in ("chaos", "lambda") else []
-    assert main(args + extra + ["--out", str(out)]) == EXIT_VALIDATION
+    # lambda writes no files, so it takes no --out
+    extra += ["--out", str(out)] if args[0] != "lambda" else []
+    assert main(args + extra) == EXIT_VALIDATION
     captured = capsys.readouterr()
     assert message in captured.err and captured.out == ""
     assert not out.exists()
 
 
 @pytest.mark.parametrize("workers", ["0", "-1"])
-@pytest.mark.parametrize("command", ["lambda", "converge", "chaos", "qv"])
+@pytest.mark.parametrize("command", ["converge", "chaos", "qv"])
 def test_workers_below_one_exit_2_before_writing(tmp_path, scheme_file, run_config, capsys, command, workers):
-    # every subcommand takes --workers; none may run with fewer than one
+    # every subcommand that takes --workers refuses fewer than one
     out = tmp_path / "out"
-    extra = {"lambda": ["--scheme", str(scheme_file)], "chaos": ["--scheme", str(scheme_file)],
-             "converge": ["--config", str(run_config)], "qv": []}[command]
+    extra = {"chaos": ["--scheme", str(scheme_file)], "converge": ["--config", str(run_config)], "qv": []}[command]
     assert main([command, *extra, "--workers", workers, "--out", str(out)]) == EXIT_VALIDATION
     captured = capsys.readouterr()
     assert "--workers" in captured.err and captured.out == ""
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag", [["--seed", "1"], ["--workers", "2"], ["--out", "x"]])
+def test_lambda_takes_no_run_flags(scheme_file, capsys, flag):
+    # lambda neither samples, nor runs in parallel, nor writes a file
+    with pytest.raises(SystemExit) as err:
+        main(["lambda", "--scheme", str(scheme_file), *flag])
+    assert err.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
+def _inputs(command, scheme_file, run_config):
+    """The input flags of a small run of ``command`` (converge or chaos)."""
+    if command == "converge":
+        return ["--config", str(run_config)]
+    return ["--scheme", str(scheme_file), "--eps", "0.3,0.25,0.2", "--samples", "2"]
+
+
+@pytest.mark.parametrize("dry_run", [False, True])
 @pytest.mark.parametrize("command", ["converge", "chaos"])
-def test_out_naming_a_file_exits_2_before_writing(tmp_path, scheme_file, run_config, capsys, command):
+def test_out_naming_a_file_exits_2_before_writing(tmp_path, scheme_file, run_config, capsys, command, dry_run):
+    # a dry run refuses the --out that the run would refuse
     taken = tmp_path / "taken"
     taken.write_text("keep\n")
     inputs = sorted(p.name for p in tmp_path.iterdir())
-    extra = {"converge": ["--config", str(run_config)],
-             "chaos": ["--scheme", str(scheme_file), "--eps", "0.3,0.25,0.2", "--samples", "2"]}[command]
-    assert main([command, *extra, "--out", str(taken)]) == EXIT_VALIDATION
-    captured = capsys.readouterr()
-    assert f"--out {taken}" in captured.err and captured.out == ""
+    extra = _inputs(command, scheme_file, run_config) + ["--dry-run"] * dry_run
+    for out in (taken, taken / "below"):
+        assert main([command, *extra, "--out", str(out)]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert f"--out {out} cannot be used as the output directory" in captured.err and captured.out == ""
     assert taken.read_text() == "keep\n" and sorted(p.name for p in tmp_path.iterdir()) == inputs
+
+
+@pytest.mark.parametrize("command", ["converge", "chaos"])
+def test_dry_run_makes_no_out_directory(tmp_path, scheme_file, run_config, capsys, command):
+    # a missing --out can be made, so the dry run passes, and makes nothing
+    out = tmp_path / "new" / "out"
+    assert main([command, *_inputs(command, scheme_file, run_config), "--out", str(out), "--dry-run"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["dry_run"] is True
+    assert not (tmp_path / "new").exists()
 
 
 def test_chaos_outputs_do_not_depend_on_the_chunk_size(tmp_path, monkeypatch, capsys):
@@ -643,10 +674,11 @@ _ARGS = {
 def command_lines(draw):
     """(argv, out_is_a_file) for one subcommand with tiny sizes: every flag
     takes a usable value except for at most two that are out of range or
-    malformed (``--workers`` among them), and --out is a fresh path or an
-    existing file."""
+    malformed (``--workers`` among them), and --out, for a subcommand that
+    takes it, is a fresh path or an existing file."""
     command = draw(st.sampled_from(sorted(_ARGS)))
-    flags = {**_ARGS[command], "--workers": (["1"], ["0", "-1"])}
+    # lambda takes neither --workers nor --out
+    flags = {**_ARGS[command], **({"--workers": (["1"], ["0", "-1"])} if command != "lambda" else {})}
     broken = draw(st.lists(st.sampled_from(sorted(flags)), max_size=2, unique=True))
     argv = [command]
     for flag, (usable, bad) in flags.items():
@@ -674,7 +706,7 @@ def test_generated_command_lines_exit_0_or_2(case):
         )
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             try:
-                code = main(argv + source + ["--out", str(out)])
+                code = main(argv + source + (["--out", str(out)] if argv[0] != "lambda" else []))
             except SystemExit as err:  # argparse rejects what it cannot parse
                 code = err.code
         assert code in (EXIT_OK, EXIT_VALIDATION), (argv, out_is_a_file)

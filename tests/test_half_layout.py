@@ -129,8 +129,6 @@ def field_pairs(draw):
 
 
 SCHEMES = [identity_scheme(1, 0), identity_scheme(1, 1), finite_difference_scheme(1, 0), galerkin_scheme(2, 1)]
-for _s in SCHEMES:
-    _s.validate()
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 

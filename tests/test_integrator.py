@@ -1,6 +1,7 @@
 import concurrent.futures
 import json
 from dataclasses import FrozenInstanceError, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -99,6 +100,14 @@ class TestConfig:
         for eps in (np.inf, np.nan, 0.0):
             with pytest.raises(ValueError, match="^eps must be positive and finite"):
                 run_coupled(make_cfg(), [0.25, eps], 2)
+
+    def test_rejects_a_scheme_that_is_not_a_scheme(self):
+        # an object with what a run reads of a scheme was never validated
+        s = identity_scheme(1, 0)
+        duck = SimpleNamespace(name=s.name, f_at=s.f_at, h_at=s.h_at, mu=s.mu, q=s.q)
+        for make in (lambda: make_cfg(scheme=duck), lambda: replace(make_cfg(), scheme=duck)):
+            with pytest.raises(ValueError, match="^scheme must be a Scheme, got SimpleNamespace"):
+                make()
 
     def test_fields_cannot_be_reassigned(self):
         cfg = make_cfg()

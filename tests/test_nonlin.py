@@ -328,6 +328,26 @@ class TestParsing:
         with pytest.raises(ValueError):
             parse_polynomial_map("u1; u2", 1)
 
+    @pytest.mark.parametrize("text", ["nan*u1", "1e400*u1^2", "u1 - inf"])
+    def test_rejects_non_finite_coefficients(self, text):
+        # such a drift or flux would blow up every run it is used in
+        with pytest.raises(ValueError, match="^polynomial coefficients must be finite"):
+            parse_polynomial(text, 1)
+
+    @pytest.mark.parametrize(
+        "components",
+        [
+            (Polynomial.from_terms(2, [((1, 0), -1.0)]),),  # one polynomial for two components
+            (Polynomial.from_terms(1, [((1,), -1.0)]), Polynomial.zero(1)),  # in one variable
+            (Polynomial.zero(2), Polynomial.zero(2), Polynomial.zero(2)),
+        ],
+    )
+    def test_map_takes_n_polynomials_in_n_variables(self, components):
+        # evaluate writes one row per polynomial, and the stepper would read
+        # a missing row from uninitialised scratch
+        with pytest.raises(ValueError, match=r"^a map of R\^2 takes 2 polynomials in 2 variables"):
+            PolynomialMap(2, components)
+
     @pytest.mark.parametrize(
         "text, n",
         [("u1*u2 - 0.25; u2^2", 2), ("-u1 - 2", 1), ("0.1234567*u1 + 1e-300", 1)],
@@ -343,7 +363,9 @@ class TestParsing:
 @st.composite
 def _polynomial_maps(draw):
     n = draw(st.integers(1, 3))
-    coeff = st.floats(allow_nan=False, allow_infinity=False)
+    # bounded so that the up to 5 terms of one exponent sum to a finite
+    # coefficient: a map with a non-finite one cannot be made
+    coeff = st.floats(min_value=-1e307, max_value=1e307)
     term = st.tuples(st.tuples(*[st.integers(0, 3)] * n), coeff)
     comps = [Polynomial.from_terms(n, draw(st.lists(term, max_size=5))) for _ in range(n)]
     return PolynomialMap(n, tuple(comps))

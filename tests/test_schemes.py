@@ -2,6 +2,8 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from burgerslab.correction import lambda_closed_form_for_scheme, lambda_quadrature
 from burgerslab.schemes import (
@@ -22,8 +24,8 @@ from burgerslab.schemes import (
     scheme_from_mapping,
     shift_minus,
     tabulated_symbol,
-    validate,
     _h_indicator_pi,
+    _h_one,
 )
 from burgerslab.spectral import (
     SpectralField,
@@ -46,35 +48,93 @@ class TestValidation:
         assert report.ok, report.summary()
 
     def test_mu_without_zero_mass_fails(self):
-        s = replace(identity_scheme(1, 0), mu=((1.0, 1.0),))  # delta_1: total mass 1, not 0
-        report = validate(s)
-        assert not report["mu_total_mass_zero"].passed
-        with pytest.raises(SchemeValidationError):
-            s.validate()
-            s.require_valid()
+        with pytest.raises(SchemeValidationError) as err:
+            replace(identity_scheme(1, 0), mu=((1.0, 1.0),))  # delta_1: total mass 1, not 0
+        report = err.value.report
+        assert not report.ok and not report["mu_total_mass_zero"].passed
+        assert str(err.value) == f"scheme 'identity(a=1,b=0)' failed validation:\n{report.summary()}"
 
     def test_wrong_first_moment_fails(self):
-        s = replace(identity_scheme(1, 0), mu=((2.0, 0.5), (-2.0, -0.5)))  # first moment 2
-        report = validate(s)
+        with pytest.raises(SchemeValidationError) as err:
+            replace(identity_scheme(1, 0), mu=((2.0, 0.5), (-2.0, -0.5)))  # first moment 2
+        report = err.value.report
         assert report["mu_total_mass_zero"].passed
         assert not report["mu_first_moment_one"].passed
         assert abs(report["mu_first_moment_one"].value - 2.0) < 1e-15
 
     def test_sloped_f_fails_derivative_check(self):
-        s = replace(identity_scheme(1, 0), f=lambda t: 1.0 + np.asarray(t))
-        report = validate(s)
-        assert not report["f_derivative_zero_at_zero"].passed
+        with pytest.raises(SchemeValidationError) as err:
+            replace(identity_scheme(1, 0), f=lambda t: 1.0 + np.asarray(t))
+        assert not err.value.report["f_derivative_zero_at_zero"].passed
 
     def test_noise_on_killed_modes_fails(self):
-        s = replace(galerkin_scheme(1, 0), h=lambda t: np.ones_like(np.asarray(t, dtype=float)))
-        report = validate(s)
-        assert not report["h_vanishes_where_f_infinite"].passed
+        with pytest.raises(SchemeValidationError) as err:
+            replace(galerkin_scheme(1, 0), h=lambda t: np.ones_like(np.asarray(t, dtype=float)))
+        assert not err.value.report["h_vanishes_where_f_infinite"].passed
+
+    def test_constructor_validates(self):
+        # Scheme(...) itself, not only replace, refuses an inadmissible triple
+        with pytest.raises(SchemeValidationError) as err:
+            Scheme("half", _h_one, _h_one, atoms_one_sided(1, 0), 2.0)  # f = 1 < q
+        assert [c.name for c in err.value.report.checks if not c.passed] == ["f_bounded_below_by_q"]
 
     def test_sampled_variation_recorded(self):
         report = finite_difference_scheme(1, 0).validate()
         bv = report["h2_over_f_sampled_variation"]
         assert bv.passed  # informational, never a failure
         assert bv.value > 0.5  # the indicator jump alone contributes ~pi^2/4 / ...
+
+
+@st.composite
+def _atoms(draw):
+    """A one-sided measure (admissible) two times in three, else atoms with
+    drawn weights (mostly not: mass 0 or first moment 1 fails)."""
+    if draw(st.integers(0, 2)):
+        return atoms_one_sided(draw(st.sampled_from([0.5, 1.0, 2.0])), draw(st.sampled_from([0.0, 1.0, 3.0])))
+    locations = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
+    weights = st.sampled_from([-1.0, -0.5, 0.5, 1.0, 2.0])
+    return tuple(draw(st.lists(st.tuples(locations, weights), min_size=1, max_size=3)))
+
+
+@st.composite
+def _tables(draw, values, beyond):
+    """A piecewise-linear symbol: flat near 0 at 1 (or at 0.5), then drawn
+    ``values``, and one of ``beyond`` past the last knot."""
+    start = draw(st.sampled_from([1.0, 1.0, 0.5]))
+    rest = draw(st.lists(st.sampled_from(values), min_size=1, max_size=3))
+    knots = np.cumsum([0.0] + [draw(st.sampled_from([0.5, 1.0, 2.0])) for _ in range(len(rest) + 1)])
+    return tabulated_symbol(knots, [start, start] + rest, draw(st.sampled_from(beyond)))
+
+
+_FAMILIES = (identity_scheme(), finite_difference_scheme(), galerkin_scheme())
+_F_SYMBOLS = st.one_of(st.sampled_from([s.f for s in _FAMILIES]), _tables([0.0, 0.5, 1.0, 2.0], [1.0, np.inf]))
+_H_SYMBOLS = st.one_of(st.sampled_from([_h_one, _h_indicator_pi]), _tables([0.0, 0.5, 1.0], [0.0, 1.0, np.inf]))
+
+
+@st.composite
+def _symbols(draw):
+    """(f, h, q) of a builtin family half the time, else drawn freely."""
+    if draw(st.booleans()):
+        family = draw(st.sampled_from(_FAMILIES))
+        return family.f, family.h, family.q
+    return draw(_F_SYMBOLS), draw(_H_SYMBOLS), draw(st.sampled_from([0.1, 0.25, 0.4, 1.0, -1.0, 0.0, 2.0]))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # symbols with f = 0 or h = inf
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(_symbols(), _atoms())
+def test_no_invalid_scheme_can_be_made(symbols, mu):
+    # a drawn triple is made and admissible, or refused with the report
+    # naming every check it failed
+    f, h, q = symbols
+    try:
+        s = Scheme("drawn", f, h, mu, q)
+    except SchemeValidationError as err:
+        failed = [c.name for c in err.report.checks if not c.passed]
+        assert failed and not err.report.ok
+        assert all(f"[FAIL] {name}:" in str(err) for name in failed)
+    else:
+        assert s.validate().ok and all(c.passed for c in s.validation.checks)
 
 
 class TestDerivedFacts:
@@ -100,9 +160,11 @@ class TestDerivedFacts:
         assert lambda_quadrature(t, 1.0).value == lambda_quadrature(fresh, 1.0).value
 
     def test_replace_validates_again(self):
-        s = identity_scheme(1, 0).require_valid()
-        with pytest.raises(SchemeValidationError):
-            replace(s, mu=((1.0, 1.0),)).require_valid()
+        s = identity_scheme(1, 0)
+        assert s.validation.ok
+        with pytest.raises(SchemeValidationError) as err:
+            replace(s, mu=((1.0, 1.0),))
+        assert not err.value.report.ok
 
     @pytest.mark.parametrize("make, kinds", [
         (identity_scheme, ("identity", "one", None)),
