@@ -19,6 +19,7 @@ is the one place that turns an error into its message and exit code.
 """
 
 import argparse
+import errno
 import hashlib
 import json
 import math
@@ -152,13 +153,18 @@ def _load_scheme(path):
 def _out_dir(path, make):
     """The output directory ``path``, made if ``make``.  It must be a
     writable directory, or else the nearest path above it that exists must
-    be one, so that it can be made; otherwise InputError, with nothing made.
+    be one, and each name still to be made must fit that file system's name
+    length, so that it can be made; otherwise InputError, with nothing made.
     A dry run checks it the same way, without ``make``."""
     out = Path(path)
     above = next(p for p in (out, *out.absolute().parents) if os.path.lexists(p))
     try:
         if not (above.is_dir() and os.access(above, os.W_OK | os.X_OK)):
             raise NotADirectoryError(f"{above} is not a writable directory")
+        name_max = os.pathconf(above, "PC_NAME_MAX")
+        for name in out.absolute().relative_to(above.absolute()).parts:
+            if len(os.fsencode(name)) > name_max:
+                raise OSError(errno.ENAMETOOLONG, os.strerror(errno.ENAMETOOLONG), name)
         if make:
             out.mkdir(parents=True, exist_ok=True)
     except OSError as err:

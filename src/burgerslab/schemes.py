@@ -324,8 +324,9 @@ def validate(scheme):
         )
     )
 
-    ratio = np.where(finite, hg**2 / np.where(finite, fg, 1.0), 0.0)
-    bv = float(np.sum(np.abs(np.diff(ratio))))
+    with np.errstate(divide="ignore", invalid="ignore"):  # f = 0 or h = inf: the ratio reads inf or nan
+        ratio = np.where(finite, hg**2 / np.where(finite, fg, 1.0), 0.0)
+        bv = float(np.sum(np.abs(np.diff(ratio))))
     checks.append(
         CheckResult(
             "h2_over_f_sampled_variation",

@@ -2,11 +2,13 @@
 
 Each test prints one machine-greppable PASS line after its assertions.
 The drift-correction experiment (criterion 5) and its step-halved twin
-(criterion 8) share session fixtures; together they run on the order of
-ten minutes on one core, everything else in seconds to a minute.
+(criterion 8) share session fixtures, which run one worker per core;
+together they take about five minutes on one core, everything else in
+seconds to a minute.
 """
 
 
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -173,6 +175,9 @@ def test_criterion_4b_negative_sobolev_slope():
 
 EPS_LADDER = (2.0**-3, 2.0**-4, 2.0**-5, 2.0**-6)
 REPLICATES = 32
+# the two fixtures run on every core; criterion 8b holds the results
+# byte-identical across worker counts
+FIXTURE_WORKERS = len(os.sched_getaffinity(0))
 
 
 def correction_experiment_config(dt=2.5e-4, noise_substeps=2):
@@ -203,7 +208,7 @@ def correction_experiment_config(dt=2.5e-4, noise_substeps=2):
 @pytest.fixture(scope="session")
 def correction_experiment():
     cfg = correction_experiment_config()
-    return run_coupled(cfg, EPS_LADDER, REPLICATES)
+    return run_coupled(cfg, EPS_LADDER, REPLICATES, workers=FIXTURE_WORKERS)
 
 
 @pytest.fixture(scope="session")
@@ -211,7 +216,7 @@ def correction_experiment_halved_dt():
     # same Brownian path (substep telescoping) and same sample times
     cfg = correction_experiment_config(dt=1.25e-4, noise_substeps=1)
     cfg = replace(cfg, sample_every=50)
-    return run_coupled(cfg, EPS_LADDER, REPLICATES)
+    return run_coupled(cfg, EPS_LADDER, REPLICATES, workers=FIXTURE_WORKERS)
 
 
 def test_criterion_5_main_correction_experiment(correction_experiment):

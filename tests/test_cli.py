@@ -527,6 +527,20 @@ def test_dry_run_makes_no_out_directory(tmp_path, scheme_file, run_config, capsy
     assert not (tmp_path / "new").exists()
 
 
+@pytest.mark.parametrize("dry_run", [False, True])
+@pytest.mark.parametrize("command", ["converge", "chaos"])
+def test_out_name_too_long_exits_2_before_writing(tmp_path, scheme_file, run_config, capsys, command, dry_run):
+    # a name longer than the file system takes is refused by the dry run
+    # as by the run, and nothing is made
+    inputs = sorted(p.name for p in tmp_path.iterdir())
+    out = tmp_path / ("a" * 300) / "out"
+    extra = _inputs(command, scheme_file, run_config) + ["--dry-run"] * dry_run
+    assert main([command, *extra, "--out", str(out)]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert "File name too long" in captured.err and captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == inputs
+
+
 def test_chaos_outputs_do_not_depend_on_the_chunk_size(tmp_path, monkeypatch, capsys):
     # two live atoms with unequal weights, and 7 samples: one sample per
     # chunk, chunks of 3 at the finer eps (7 is no multiple of 3), and one

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from burgerslab import correction
 from burgerslab.correction import (
     DEFAULT_CHI,
     DEFAULT_GAMMA,
@@ -18,9 +19,12 @@ from burgerslab.correction import (
 )
 from burgerslab.nonlin import PolynomialMap, evaluate, parse_polynomial_map
 from burgerslab.schemes import (
+    Scheme,
+    atoms_one_sided,
     finite_difference_scheme,
     galerkin_scheme,
     identity_scheme,
+    tabulated_symbol,
 )
 from burgerslab.spectral import SpectralField, band_project
 
@@ -74,6 +78,15 @@ class TestLambdaQuadrature:
         assert partial is not None
         assert abs(partial.value - 0.25) < 1e-8
 
+    def test_panel_limit_raises_with_partial(self, monkeypatch):
+        # one panel at most: refinement stops short, and the estimate says so
+        monkeypatch.setattr(correction, "_LIMIT_TAIL", 1)
+        with pytest.raises(QuadratureError) as exc:
+            lambda_quadrature(identity_scheme(1, 0), nu=1.0, tol=1e-10)
+        partial = exc.value.partial
+        assert partial.abs_error_estimate > 1e-10
+        assert abs(partial.value - 0.25) <= partial.abs_error_estimate
+
     def test_scaling_in_nu(self):
         s = galerkin_scheme(2, 1)
         vals = {nu: lambda_quadrature(s, nu=nu, tol=1e-10).value for nu in (0.5, 1.0, 2.0)}
@@ -119,6 +132,45 @@ class TestQuadratureVsClosedForm:
             plus = lambda_quadrature(make(a, b), nu=0.7, tol=1e-9).value
             minus = lambda_quadrature(make(b, a), nu=0.7, tol=1e-9).value
             assert abs(plus + minus) < 1e-8
+
+
+CRITERION_1_OFFSETS = [(a, b) for a in range(4) for b in range(4) if (a, b) != (0, 0)]
+CRITERION_1_NUS = (0.25, 1.0, 4.0)
+
+
+@pytest.mark.parametrize("make", [identity_scheme, finite_difference_scheme, galerkin_scheme])
+@pytest.mark.parametrize("tol", [1e-8, 1e-10])
+def test_error_estimate_bounds_the_error(make, tol):
+    # the reported estimate is never below the distance from the closed form
+    for a, b in CRITERION_1_OFFSETS:
+        for nu in CRITERION_1_NUS:
+            s = make(a, b)
+            res = lambda_quadrature(s, nu, tol)
+            err = abs(res.value - lambda_closed_form_for_scheme(s, nu).value)
+            assert err <= 1e-12 and res.abs_error_estimate >= err, (a, b, nu, err, res.abs_error_estimate)
+
+
+@pytest.mark.parametrize("a, b", [(1, 0), (3, 1)])
+def test_table_of_the_finite_difference_symbol(a, b):
+    # f = 4 sin^2(t/2)/t^2 tabulated at 2049 knots packed towards 0 (so the
+    # table is flat enough there to be a valid f), +inf beyond pi, and h = 1
+    # up to pi: every knot starts a panel.  Lambda moves from the
+    # finite-difference closed form only through the table's interpolation,
+    # by at most sup|f - f_table|/f_table times sum |w y| / (4 nu)
+    knots = np.pi * np.linspace(0.0, 1.0, 2049) ** 2
+    fd = lambda t: np.where(t == 0.0, 1.0, 4.0 * np.sin(t / 2.0) ** 2 / np.where(t == 0.0, 1.0, t) ** 2)
+    f = tabulated_symbol(knots, fd(knots), np.inf)
+    h = tabulated_symbol([0.0, np.pi], [1.0, 1.0], 0.0)
+    s = Scheme("fd_table", f, h, atoms_one_sided(a, b), finite_difference_scheme().q)
+    t = np.linspace(0.0, np.pi, 2_000_001)
+    rel = np.max(np.abs(fd(t) - f(t)) / f(t))
+    assert 0.0 < rel < 1e-6
+    nu = 1.0
+    res = lambda_quadrature(s, nu, tol=1e-10)
+    closed = lambda_closed_form("finite_difference", a, b, nu).value
+    bound = 1.01 * rel * sum(abs(w * y) for y, w in s.mu) / (4.0 * nu)
+    assert abs(res.value - closed) <= bound + 1e-12
+    assert res.abs_error_estimate <= 1e-10
 
 
 class TestLambdaEps:

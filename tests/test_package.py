@@ -88,9 +88,10 @@ print(json.dumps(report))
 
 def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     # scipy.integrate (with scipy.special, scipy.optimize and
-    # scipy.sparse.linalg) is most of a cold start's time and half its
-    # memory; only Lambda by quadrature needs it, and only the galerkin
-    # closed form needs the sine integral
+    # scipy.sparse.linalg) would be most of a cold start's time and half its
+    # memory, and no command needs it: Lambda by quadrature is numpy alone.
+    # Only the sine integral (the galerkin closed form, and the analytic
+    # tail of the identity family's quadrature) loads scipy.special
     fd = "name = fd\nf = finite_difference\nh = indicator_pi\nmu = (1,1);(0,-1)\nq = 0.4\n"
     forward = "name = forward\nf = identity\nh = one\nmu = (1,1);(0,-1)\nq = 1\n"
     (tmp_path / "fd.scheme").write_text(fd)
@@ -100,11 +101,15 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     (tmp_path / "fd.cfg").write_text(f"[scheme]\n{fd}\n{model}\n{timing}")
     galerkin = fd.replace("finite_difference", "galerkin")
     (tmp_path / "galerkin.cfg").write_text(f"[scheme]\n{galerkin}\n{model}\n{timing}")
+    quadrature_model = model.replace("closed_form", "quadrature")
+    (tmp_path / "quadrature.cfg").write_text(f"[scheme]\n{fd}\n{quadrature_model}\n{timing}")
     numpy_only = [
         ["converge", "--config", "fd.cfg", "--out", "out"],
         ["chaos", "--scheme", "fd.scheme", "--eps", "0.1", "--samples", "2", "--out", "out"],
         ["qv", "--K", "32", "--M", "8", "--samples", "2", "--out", "out"],
         ["lambda", "--scheme", "forward.scheme", "--dry-run"],
+        ["lambda", "--scheme", "fd.scheme"],
+        ["converge", "--config", "quadrature.cfg", "--dry-run"],
     ]
     needs_scipy = [
         ["converge", "--config", "galerkin.cfg", "--dry-run"],
@@ -124,7 +129,8 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     assert [run["loaded"] for run in runs[: len(numpy_only)]] == [[]] * len(numpy_only)
     galerkin_run, quadrature_run = runs[len(numpy_only):]
     assert galerkin_run["loaded"] == ["scipy.special"]
-    assert quadrature_run["loaded"] == ["scipy.integrate", "scipy.special"]
+    assert quadrature_run["loaded"] == ["scipy.special"]
+    assert not any("scipy.integrate" in run["loaded"] for run in runs)
     # the values printed after loading on first use are the ones computed here
     assert json.loads(galerkin_run["out"])["lambda"] == lambda_closed_form("galerkin", 1, 0, 1.0).value
     quadrature = lambda_quadrature(load_scheme_file(tmp_path / "forward.scheme"), 1.0, 1e-8)

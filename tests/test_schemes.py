@@ -120,7 +120,6 @@ def _symbols(draw):
     return draw(_F_SYMBOLS), draw(_H_SYMBOLS), draw(st.sampled_from([0.1, 0.25, 0.4, 1.0, -1.0, 0.0, 2.0]))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # symbols with f = 0 or h = inf
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(_symbols(), _atoms())
 def test_no_invalid_scheme_can_be_made(symbols, mu):
@@ -372,6 +371,20 @@ class TestSchemeFiles:
         assert s.h_kind == "table"
         assert s.h_support == 2.0
         assert np.allclose(s.h_at([0.5, 1.5, 3.0]), [1.0, 0.5, 0.0])
+
+    @pytest.mark.filterwarnings("error")
+    def test_symbol_reaching_zero_fails_without_warnings(self, tmp_path):
+        # f = 0 from t = 2 on: the report fails on q and records the
+        # informational h^2/f ratio, and numpy warns of nothing on the way
+        table = tmp_path / "f.csv"
+        table.write_text("extrapolate = 0\n0,1\n1,1\n2,0\n")
+        path = tmp_path / "z.scheme"
+        path.write_text(f"name = z\nf = table:{table}\nh = one\nmu = (1,1);(0,-1)\nq = 1\n")
+        with pytest.raises(SchemeValidationError) as err:
+            load_scheme_file(path)
+        report = err.value.report
+        assert [c.name for c in report.checks if not c.passed] == ["f_bounded_below_by_q"]
+        assert report["h2_over_f_sampled_variation"].passed
 
     def test_table_requires_extrapolation(self, tmp_path):
         table = tmp_path / "h.csv"
