@@ -17,8 +17,6 @@ from .schemes import (
     Scheme,
     apply_D_eps,
     apply_Delta_eps,
-    apply_hatD,
-    apply_Q_eps,
     derivative_symbol,
     finite_difference_scheme,
     galerkin_scheme,
@@ -53,7 +51,6 @@ from .integrator import (
     BlowUpError,
     SimConfig,
     run_coupled,
-    simulate,
 )
 from .estimators import (
     chain_rule_defect,
@@ -76,8 +73,6 @@ __all__ = [
     "Scheme",
     "apply_D_eps",
     "apply_Delta_eps",
-    "apply_hatD",
-    "apply_Q_eps",
     "derivative_symbol",
     "finite_difference_scheme",
     "galerkin_scheme",
@@ -104,7 +99,6 @@ __all__ = [
     "BlowUpError",
     "SimConfig",
     "run_coupled",
-    "simulate",
     "chain_rule_defect",
     "expected_qv",
     "negative_sobolev_distance",

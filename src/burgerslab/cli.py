@@ -304,13 +304,14 @@ def cmd_converge(args):
     # initial-coupling scaling table: E||psi_tilde(0) - psi(0)||_sup per eps
     scaling_rows = []
     for eps in eps_list:
+        sigma = discrete_sigmas(cfg.scheme, eps, cfg.nu, cfg.K)
         vals = []
         for rep in range(replicates):
             draw = ModeGaussianDraw.sample(
                 cfg.K, cfg.n, derive_stream(args.seed, rep, "ic")
             )
             psi = draw.field(stationary_sigmas(cfg.K, cfg.nu))
-            psit = draw.field(discrete_sigmas(cfg.scheme, eps, cfg.nu, cfg.K))
+            psit = draw.field(sigma)
             vals.append(sup_norm(psit - psi))
         scaling_rows.append((eps, *mean_stderr(vals), len(vals)))
     scaling_path = f"{prefix}_scaling.csv"

@@ -42,6 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nonlin import PolynomialMap, laplacian
+from .schemes import symbols_at
 
 DEFAULT_GAMMA = 1.0 / 3.0  # low band exponent: modes below eps^-gamma are dropped
 DEFAULT_CHI = 1.5  # high band exponent: modes above eps^-chi are dropped
@@ -114,11 +115,9 @@ def _integrand(scheme, ay, t):
     """2 sin^2(|y| t/2) h^2 / (t^2 f) at the points t > 0, which is
     (1 - cos(yt)) h^2 / (t^2 f) without the cancellation near t = 0;
     0 where f = +inf."""
-    fv = scheme.f_at(t)
-    live = np.isfinite(fv)
+    fv, killed, hv = symbols_at(scheme, t)
     s = np.sin(0.5 * ay * t)
-    hv = scheme.h_at(t)
-    return np.where(live, 2.0 * s * s * hv * hv / (t * t * np.where(live, fv, 1.0)), 0.0)
+    return np.where(killed, 0.0, 2.0 * s * s * hv * hv / (t * t * np.where(killed, 1.0, fv)))
 
 
 def _adaptive_quadrature(fn, knots, epsabs, limit):
@@ -303,9 +302,8 @@ def lambda_eps_y(scheme, eps, gamma=DEFAULT_GAMMA, chi=DEFAULT_CHI, nu=1.0, y=1.
         return 0.0
     k = np.arange(k_lo, k_hi + 1, dtype=float)
     t = eps * k
-    fv = scheme.f_at(t)
-    hv = scheme.h_at(t)
-    finite = np.isfinite(fv)
+    fv, killed, hv = symbols_at(scheme, t)
+    finite = ~killed
     summand = np.zeros_like(t)
     summand[finite] = (
         (1.0 - np.cos(t[finite] * y))

@@ -14,11 +14,11 @@ noise factor,
     phi1(z) = (e^z - 1)/z,      g(z) = sqrt((1 - e^(-2z)) / (2z)),
 
 with lam_k the diffusion rate of the variant (nu k^2, or nu k^2 f(eps|k|)
-with modes killed where f = +inf) and m_k the noise filter (h(eps|k|), or 1
-for the limit equation).  The factor g (g(0) = 1, g(inf) = 0) injects each
-step's noise with exactly the integrated Ornstein-Uhlenbeck variance, so
-the per-mode stationary law of the linear part is m_k^2/(2 lam_k) at every
-step size.  Transporting the raw increment by the semigroup instead would
+with modes killed where f = +inf, the rule of schemes.symbols_at) and m_k
+the noise filter (h(eps|k|), or 1 for the limit equation).  The factor g
+(g(0) = 1, g(inf) = 0) injects each step's noise with exactly the
+integrated Ornstein-Uhlenbeck variance, so the per-mode stationary law of
+the linear part is m_k^2/(2 lam_k) at every step size.  Transporting the raw increment by the semigroup instead would
 suppress the stationary variance of stiff modes by 2z/(e^(2z) - 1), and the
 drift correction, which feeds on exactly those modes, would shrink with it;
 see the drift-correction experiment in the acceptance tests.
@@ -48,9 +48,14 @@ blocks into EnsembleResult.errors, (R, E, 4, S), next to the (R, E)
 blow-up mask the replicates return.
 
 A SimConfig is frozen and checks every field when it is made, so a config
-that exists is a valid one.  run_coupled makes the configs of all 2 + E
-runs with dataclasses.replace, which checks each again, before any
-replicate starts, and every replicate steps those same configs.
+that exists is a valid one.  Its per-mode factors (the rates, the killed
+modes, m_k, the three update factors above, the D_eps multiplier of an
+approximate run, and the per-mode scale of the run's initial draw) are one
+frozen ModeTable, which ``mode_table`` evaluates from the config once.
+run_coupled makes the configs of all 2 + E runs with dataclasses.replace,
+which checks each again, and their tables before any replicate starts;
+every replicate steps those same tables, and neither simulate nor Stepper
+evaluates anything per mode.
 
 The transforms, the pointwise polynomials and the update of a step write
 into arrays the Stepper owns (see its docstring); beyond the new state, a
@@ -76,12 +81,12 @@ from .estimators import mean_stderr, quadratic_variation
 from .noise import (
     ModeGaussianDraw,
     derive_stream,
-    discrete_sigmas,
     stationary_sigmas,
+    symbol_sigmas,
     wiener_increment_coeffs,
 )
 from .nonlin import PolynomialMap, alias_free_grid_size, evaluate, jacobian
-from .schemes import Scheme, d_eps_multiplier
+from .schemes import Scheme, d_eps_multiplier, symbols_at
 from .spectral import (
     SpectralField,
     coeffs_to_values,
@@ -204,7 +209,6 @@ def _phi1(z):
 
 def _ou_noise_factor(z):
     """sqrt((1 - e^(-2z))/(2z)) elementwise; 1 at z = 0, 0 at z = inf."""
-    z = np.asarray(z, dtype=float)
     out = np.ones_like(z)
     pos = (z > 0.0) & np.isfinite(z)
     out[pos] = np.sqrt(-np.expm1(-2.0 * z[pos]) / (2.0 * z[pos]))
@@ -212,14 +216,68 @@ def _ou_noise_factor(z):
     return out
 
 
+@dataclass(frozen=True)
+class ModeTable:
+    """The per-mode factors of one run config on modes k = 0..K, made by
+    ``mode_table`` (see the module docstring); every array is read-only.
+
+    ``rates`` holds lam_k (+inf on the ``killed`` modes) and ``m`` the noise
+    filter m_k.  ``decay``, ``phi1_dt`` and ``noise_fac`` are the update's
+    real factors, stored as complex128 (x + 0j): the update multiplies
+    complex states by them, and numpy would cast them on every step.
+    ``d_mult`` is the D_eps multiplier of an approximate run (None for a
+    limit run) and ``sigma`` the per-mode scale of the run's initial draw,
+    the discretized stationary one of an approximate run and the limit
+    equation's of a limit run.
+    """
+
+    cfg: SimConfig
+    rates: np.ndarray
+    killed: np.ndarray
+    m: np.ndarray
+    decay: np.ndarray
+    phi1_dt: np.ndarray
+    noise_fac: np.ndarray
+    d_mult: np.ndarray | None
+    sigma: np.ndarray
+
+
+def mode_table(cfg):
+    """The ModeTable of ``cfg``: the scheme's symbols at cfg.eps for the
+    approximate variant, the continuum for a limit variant."""
+    k = np.arange(cfg.K + 1, dtype=float)
+    if cfg.variant == "approximate":
+        symbols = fv, killed_f, m = symbols_at(cfg.scheme, cfg.eps * k)
+        rates = np.where(killed_f, np.inf, cfg.nu * k**2 * np.where(killed_f, 0.0, fv))
+        d_mult = d_eps_multiplier(cfg.scheme, cfg.eps, np.arange(cfg.K + 1))
+        sigma = symbol_sigmas(symbols, cfg.nu)
+    else:
+        rates, m, d_mult = cfg.nu * k**2, np.ones_like(k), None
+        sigma = stationary_sigmas(cfg.K, cfg.nu)
+    # a rate that overflows to +inf is killed as f = +inf is
+    killed = ~np.isfinite(rates)
+    z = np.where(killed, 0.0, -rates * cfg.dt)
+    decay = np.where(killed, 0.0, np.exp(z)).astype(np.complex128)
+    phi1_dt = np.where(killed, 0.0, cfg.dt * _phi1(z)).astype(np.complex128)
+    noise_fac = (
+        np.where(killed, 0.0, m) * _ou_noise_factor(np.where(killed, np.inf, rates * cfg.dt))
+    ).astype(np.complex128)
+    for a in (rates, killed, m, decay, phi1_dt, noise_fac, d_mult, sigma):
+        if a is not None:
+            a.flags.writeable = False
+    return ModeTable(cfg, rates, killed, m, decay, phi1_dt, noise_fac, d_mult, sigma)
+
+
 class Stepper:
-    """Precomputed exponential-Euler update for one (variant, eps) run.
+    """Exponential-Euler update for one (variant, eps) run, on the factors
+    of its ModeTable.
 
     States, increments and every per-mode factor live on k = 0..K (half
     spectra, see the module docstring).  The factors are even in k, or
     Hermitian for ``d_mult`` and ``ik``, so this is the two-sided update
     restricted to modes 0..K; mode 0 stays real because every term feeding
-    it is.
+    it is.  ``decay``, ``phi1_dt``, ``noise_fac`` and ``d_mult`` are the
+    table's read-only arrays, shared by every Stepper of its run config.
 
     Only ``__init__`` reads the variant.  It fixes the right-hand side as
     two row groups of n rows, either of which may be empty:
@@ -255,36 +313,15 @@ class Stepper:
     arithmetic as a reference and compares bytes).
     """
 
-    def __init__(self, cfg, lam):
-        self.cfg = cfg
+    def __init__(self, table, lam):
+        cfg = self.cfg = table.cfg
         K = cfg.K
-        k = np.arange(K + 1, dtype=float)
         # the corrected drift F - lam Laplacian(G) never exceeds this degree
         self.M = alias_free_grid_size(K, max(cfg.F.degree, cfg.G.degree))
-
         approximate = cfg.variant == "approximate"
-        if approximate:
-            fv = cfg.scheme.f_at(cfg.eps * np.abs(k))
-            lam_k = np.where(np.isfinite(fv), cfg.nu * k**2 * np.where(np.isfinite(fv), fv, 0.0), np.inf)
-            self.m = cfg.scheme.h_at(cfg.eps * np.abs(k))
-            self.drift = cfg.F
-        else:
-            lam_k = cfg.nu * k**2
-            self.m = np.ones_like(k)
-            self.drift = corrected_drift(cfg.F, cfg.G, lam) if cfg.variant == "limit_corrected" else cfg.F
-
-        # Real factors, stored as complex128 (x + 0j): the update multiplies
-        # complex states by them, and numpy would cast them on every step.
-        killed = ~np.isfinite(lam_k)
-        z = np.where(killed, -np.inf, -lam_k * cfg.dt)
-        self.decay = np.where(killed, 0.0, np.exp(np.where(killed, 0.0, z))).astype(np.complex128)
-        self.phi1_dt = np.where(killed, 0.0, cfg.dt * _phi1(np.where(killed, 0.0, z))).astype(np.complex128)
-        self.noise_fac = (
-            np.where(killed, 0.0, self.m) * _ou_noise_factor(np.where(killed, np.inf, lam_k * cfg.dt))
-        ).astype(np.complex128)
-
-        self.d_mult = d_eps_multiplier(cfg.scheme, cfg.eps, np.arange(K + 1))
-        self.ik = 1j * k
+        self.drift = corrected_drift(cfg.F, cfg.G, lam) if cfg.variant == "limit_corrected" else cfg.F
+        self.decay, self.phi1_dt, self.noise_fac, self.d_mult = table.decay, table.phi1_dt, table.noise_fac, table.d_mult
+        self.ik = 1j * np.arange(K + 1, dtype=float)
         self.jac_G = jacobian(cfg.G)
         self.G_zero = cfg.G.is_zero()
         self.drift_zero = self.drift.is_zero()
@@ -376,9 +413,9 @@ def sample_steps(cfg):
     return idx
 
 
-def simulate(cfg, lam, u0, wiener_rng):
-    """Run one trajectory; returns (times, half) at the recorded steps
-    (``sample_steps``).
+def simulate(table, lam, u0, wiener_rng):
+    """Run one trajectory of the config of ``table`` (a ModeTable); returns
+    (times, half) at the recorded steps (``sample_steps``).
 
     ``half`` is one (steps, n, K+1) array of the half-spectrum states at the
     recorded steps, in step order.  The Wiener stream is consumed in a fixed
@@ -386,8 +423,9 @@ def simulate(cfg, lam, u0, wiener_rng):
     generators derived from the same key see the same increments.  Raises
     BlowUpError at the first non-finite state.
     """
+    cfg = table.cfg
     steps = sample_steps(cfg)
-    stepper = Stepper(cfg, lam)
+    stepper = Stepper(table, lam)
     half = u0.half
     records = np.empty((len(steps), cfg.n, cfg.K + 1), dtype=np.complex128)
     records[0] = half
@@ -419,10 +457,11 @@ def simulate(cfg, lam, u0, wiener_rng):
 ERRORS = ("sup_err_corrected", "sup_err_uncorrected", "halpha_err_corrected", "halpha_err_uncorrected")
 
 
-def _run_replicate(limit_cfgs, eps_cfgs, replicate, lam):
-    """All runs of one replicate: the two limit runs of ``limit_cfgs``
-    (corrected, then uncorrected) plus one discretized run per config of
-    ``eps_cfgs``, sharing the mode draw and the Wiener stream.
+def _run_replicate(limit_tables, eps_tables, replicate, lam):
+    """All runs of one replicate: the two limit runs of ``limit_tables``
+    (corrected, then uncorrected) plus one discretized run per ModeTable of
+    ``eps_tables``, sharing the mode draw, each scaled by its table's
+    sigma, and the Wiener stream.
 
     Returns ``(errors, blown_up, report)``.  ``errors`` is an (E, 4, S)
     block: per eps, the ERRORS columns at the S recorded steps.
@@ -436,17 +475,18 @@ def _run_replicate(limit_cfgs, eps_cfgs, replicate, lam):
     the report.
     """
     start = time.perf_counter()
-    cfg = limit_cfgs[0]
-    errors = np.full((len(eps_cfgs), len(ERRORS), len(sample_steps(cfg))), np.nan)
-    blown_up = np.ones(len(eps_cfgs), dtype=bool)
+    cfg = limit_tables[0].cfg
+    errors = np.full((len(eps_tables), len(ERRORS), len(sample_steps(cfg))), np.nan)
+    blown_up = np.ones(len(eps_tables), dtype=bool)
     report = {"replicate": replicate, "qv_limit_final": None, "runs": []}
 
-    def run(run_cfg, u0):
+    def run(table, u0):
         """The run's (S, n, K+1) records, or None if it blew up."""
+        run_cfg = table.cfg
         row = {"row": run_cfg.variant, "eps": run_cfg.eps if run_cfg.variant == "approximate" else None}
         report["runs"].append(row)
         try:
-            records = simulate(run_cfg, lam, u0, derive_stream(cfg.seed, replicate, "wiener"))[1]
+            records = simulate(table, lam, u0, derive_stream(cfg.seed, replicate, "wiener"))[1]
         except BlowUpError as err:
             row.update(steps=err.steps, blowup_time=err.time)
             return None
@@ -455,18 +495,17 @@ def _run_replicate(limit_cfgs, eps_cfgs, replicate, lam):
 
     draw = ModeGaussianDraw.sample(cfg.K, cfg.n, derive_stream(cfg.seed, replicate, "ic"))
     v0 = cfg.v0_field()
-    u_bar0 = v0 + draw.field(stationary_sigmas(cfg.K, cfg.nu))
+    u_bar0 = v0 + draw.field(limit_tables[0].sigma)
     limits = []  # corrected, then uncorrected; a blow-up ends the replicate
-    for limit_cfg in limit_cfgs:
-        if (limit := run(limit_cfg, u_bar0)) is None:
+    for limit_table in limit_tables:
+        if (limit := run(limit_table, u_bar0)) is None:
             break
         limits.append(limit)
     if len(limits) == 2:
         final_limit = SpectralField(cfg.K, cfg.n, limits[0][-1])
         report["qv_limit_final"] = float(np.mean(quadratic_variation(final_limit, max(8, cfg.K // 4))))
-        for e, eps_cfg in enumerate(eps_cfgs):
-            psit = draw.field(discrete_sigmas(cfg.scheme, eps_cfg.eps, cfg.nu, cfg.K))
-            approx = run(eps_cfg, v0 + psit)
+        for e, eps_table in enumerate(eps_tables):
+            approx = run(eps_table, v0 + draw.field(eps_table.sigma))
             if approx is None:
                 continue
             # one limit run's differences at a time: stacking both raised
@@ -537,8 +576,8 @@ def run_coupled(cfg, eps_list, replicates, workers=1):
     Results are independent of `workers` (replicates are self-contained and
     output order is canonical).  At most one worker process per replicate
     is started, and none when that leaves one: the replicates then run in
-    this process.  Every run's config is made, and so checked, before any
-    replicate starts.
+    this process.  Every run's config is made, and so checked, and its
+    ModeTable built before any replicate starts.
     """
     eps_list = tuple(float(e) for e in eps_list)
     if not eps_list:
@@ -547,10 +586,10 @@ def run_coupled(cfg, eps_list, replicates, workers=1):
         raise ValueError(f"eps values must be distinct, got {eps_list}")
     if replicates < 1:
         raise ValueError(f"replicates must be at least 1, got {replicates}")
-    limit_cfgs = tuple(replace(cfg, variant=variant) for variant in ("limit_corrected", "limit_uncorrected"))
-    eps_cfgs = tuple(replace(cfg, eps=eps, variant="approximate") for eps in eps_list)
+    limit_tables = tuple(mode_table(replace(cfg, variant=v)) for v in ("limit_corrected", "limit_uncorrected"))
+    eps_tables = tuple(mode_table(replace(cfg, eps=eps, variant="approximate")) for eps in eps_list)
     lam, _ = resolve_lambda(cfg)
-    run = partial(_run_replicate, limit_cfgs, eps_cfgs, lam=lam)
+    run = partial(_run_replicate, limit_tables, eps_tables, lam=lam)
     # a forked pool starts all its workers at the first task, busy or not
     workers = min(workers, replicates)
     if workers > 1:

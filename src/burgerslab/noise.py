@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .schemes import symbols_at
 from .spectral import SpectralField
 
 
@@ -148,17 +149,20 @@ def stationary_sigmas(K, nu):
 
 
 def discrete_sigmas(scheme, eps, nu, K):
-    """Per-mode standard deviations of the discretized stationary solution.
+    """Per-mode standard deviations of the discretized stationary solution
+    on modes k = 0..K: ``symbol_sigmas`` of the scheme's symbols at eps."""
+    return symbol_sigmas(symbols_at(scheme, eps * np.arange(K + 1, dtype=float)), nu)
 
-    h(eps k) / sqrt(2(1 + nu k^2 f(eps k))); zero on modes where f = +inf
-    (validated schemes have h = 0 there).
-    """
-    k = np.arange(K + 1, dtype=float)
-    fv = scheme.f_at(eps * k)
-    hv = scheme.h_at(eps * k)
-    finite = np.isfinite(fv)
-    out = np.zeros(K + 1)
-    out[finite] = hv[finite] / np.sqrt(2.0 * (1.0 + nu * k[finite] ** 2 * fv[finite]))
+
+def symbol_sigmas(symbols, nu):
+    """h / sqrt(2(1 + nu k^2 f)) on the live modes of ``symbols``, the
+    (f, killed, h) of ``schemes.symbols_at`` on modes k = 0..K, and 0 on
+    the killed ones (validated schemes have h = 0 there)."""
+    f, killed, h = symbols
+    live = ~killed
+    k = np.arange(f.size, dtype=float)
+    out = np.zeros(f.size)
+    out[live] = h[live] / np.sqrt(2.0 * (1.0 + nu * k[live] ** 2 * f[live]))
     return out
 
 

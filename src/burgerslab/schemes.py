@@ -11,6 +11,12 @@ Restricting mu to finite atomic measures keeps every moment exact and all
 derived mode sums finite.  Symbols may be builtin tags, tabulated
 piecewise-linear interpolants, or user callables (vectorized, pure).
 
+The kill rule lives here, in ``symbols_at``: f = +inf kills a mode, h is
+0 there, and a live mode k diffuses at rate nu k^2 f(eps|k|).  The
+Laplacian multiplier, the discretized stationary law (noise), the
+integrator's per-mode factor tables and the correction constant's
+integrand and mode sums all read the symbols through it.
+
 A Scheme is frozen and stores only (name, f, h, mu, q).  It is validated
 when it is made: a triple that fails a check of ``validate`` raises
 SchemeValidationError, which carries the failed report, so a Scheme that
@@ -368,6 +374,19 @@ def apply_D_eps(scheme, u, eps):
     return u.apply_multiplier(d_eps_multiplier(scheme, eps, u.modes))
 
 
+def symbols_at(scheme, t):
+    """The symbols at the points t, as (f, killed, h): f(t), the mask of
+    the points where f kills (is not finite: +inf for a valid scheme) and
+    h(t); mode k at eps is the point eps |k|.
+
+    The one reading of the kill rule (see the module docstring): f is
+    returned as it is, +inf where it kills, and h unmasked (a valid scheme
+    has h = 0 there).
+    """
+    f = scheme.f_at(t)
+    return f, ~np.isfinite(f), scheme.h_at(t)
+
+
 def apply_Delta_eps(scheme, u, eps):
     """Approximate Laplacian: mode k scaled by -k^2 f(eps|k|).
 
@@ -379,31 +398,10 @@ def apply_Delta_eps(scheme, u, eps):
     if eps <= 0:
         raise ValueError("eps must be positive")
     k = u.modes.astype(float)
-    fv = scheme.f_at(eps * np.abs(k))
-    infinite = ~np.isfinite(fv)
-    if np.any(infinite):
-        active = np.any(np.abs(u.half[:, infinite]) > 0.0)
-        if active:
-            raise InfiniteSymbolError(
-                "field has active modes where f = +inf; project them out first"
-            )
-    mult = np.where(infinite, 0.0, -(k**2) * np.where(infinite, 0.0, fv))
-    return u.apply_multiplier(mult)
-
-
-def apply_Q_eps(scheme, u, eps):
-    """Noise filter: mode k scaled by h(eps|k|)."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    return u.apply_multiplier(scheme.h_at(eps * np.abs(u.modes)))
-
-
-def apply_hatD(u, delta):
-    """One-sided difference quotient (u(. + delta) - u)/delta as a multiplier."""
-    if delta == 0:
-        raise ValueError("delta must be nonzero; use the undivided form for the limit")
-    k = u.modes.astype(float)
-    return u.apply_multiplier((np.exp(1j * k * delta) - 1.0) / delta)
+    fv, killed, _ = symbols_at(scheme, eps * k)
+    if np.any(np.abs(u.half[:, killed]) > 0.0):
+        raise InfiniteSymbolError("field has active modes where f = +inf; project them out first")
+    return u.apply_multiplier(np.where(killed, 0.0, -(k**2) * np.where(killed, 0.0, fv)))
 
 
 def shift_minus(u, delta):

@@ -701,6 +701,46 @@ def command_lines(draw):
     return argv, draw(st.booleans())
 
 
+def _tree(root):
+    """Every path below ``root`` with its bytes (None for a directory)."""
+    return sorted((str(p.relative_to(root)), p.read_bytes() if p.is_file() else None) for p in root.rglob("*"))
+
+
+def _exit_code(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return main(argv)
+        except SystemExit as err:  # argparse rejects what it cannot parse
+            return err.code
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(command_lines())
+def test_generated_command_lines_dry_run_exits_2_exactly_when_the_run_does(case):
+    # the dry run is the run's own checks: the one refuses a command line
+    # exactly when the other does, and a refused one writes nothing
+    argv, out_is_a_file = case
+    argv = [a for a in argv if a != "--dry-run"]
+    with tempfile.TemporaryDirectory() as work:
+        work = Path(work)
+        (work / "forward.scheme").write_text("name = forward\nf = identity\nh = one\nmu = (1,1);(0,-1)\nq = 1\n")
+        (work / "run.cfg").write_text(_RUN_CONFIG)
+        out = work / "out"
+        if out_is_a_file:
+            out.write_text("keep\n")
+        source = {"converge": ["--config", str(work / "run.cfg")], "qv": []}.get(
+            argv[0], ["--scheme", str(work / "forward.scheme")]
+        )
+        argv += source + (["--out", str(out)] if argv[0] != "lambda" else [])
+        inputs = _tree(work)
+        dry = _exit_code(argv + ["--dry-run"])
+        assert _tree(work) == inputs, argv  # a dry run writes nothing
+        code = _exit_code(argv)
+        assert (dry == EXIT_VALIDATION) == (code == EXIT_VALIDATION), (argv, dry, code)
+        if code == EXIT_VALIDATION:
+            assert _tree(work) == inputs, argv
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(command_lines())
 def test_generated_command_lines_exit_0_or_2(case):

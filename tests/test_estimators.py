@@ -22,7 +22,6 @@ from burgerslab.noise import derive_stream, discrete_sigmas, sample_stationary_p
 from burgerslab.nonlin import alias_free_grid_size, apply_bilinear, apply_pointwise, jacobian, parse_polynomial_map
 from burgerslab.schemes import (
     apply_D_eps,
-    apply_hatD,
     finite_difference_scheme,
     identity_scheme,
     shift_minus,
@@ -51,15 +50,19 @@ class TestTheta:
         assert abs(got - want) < 1e-12
 
     def test_undivided_matches_hatD_route(self, rng):
-        # y^2 ||hatD_{eps y} u||^2 via the divided operator equals the
-        # undivided evaluation inside theta_eps
+        # y^2 ||hatD_{eps y} u||^2 via the divided difference quotient
+        # (u(. + d) - u)/d, a Fourier multiplier, equals the undivided
+        # evaluation inside theta_eps
         u = random_field(rng, K=20)
         s = identity_scheme(2, 1)
         eps = 0.07
+        k = u.modes.astype(float)
         total = 0.0
         for y, w in s.mu:
             if y != 0.0:
-                total += abs(w) * y**2 * sobolev_norm(apply_hatD(u, eps * y), 0.0) ** 2
+                d = eps * y
+                hat_d = u.apply_multiplier((np.exp(1j * k * d) - 1.0) / d)
+                total += abs(w) * y**2 * sobolev_norm(hat_d, 0.0) ** 2
         assert abs(total - theta_eps(u, s, eps)) < 1e-12 * max(1.0, total)
 
     def test_highpass_stationary_scaling(self):

@@ -22,8 +22,6 @@ from burgerslab.schemes import (
     InfiniteSymbolError,
     apply_D_eps,
     apply_Delta_eps,
-    apply_hatD,
-    apply_Q_eps,
     d_eps_multiplier,
     finite_difference_scheme,
     galerkin_scheme,
@@ -156,10 +154,7 @@ def test_scheme_operators_match_two_sided(half, which, eps, delta):
     u, C = SpectralField(K, n, half), mirror(half)
     k = two_sided_modes(K).astype(float)
     assert same_bits(apply_D_eps(scheme, u, eps).half, old_multiplier(C, d_eps_multiplier(scheme, eps, k)))
-    assert same_bits(apply_Q_eps(scheme, u, eps).half, old_multiplier(C, scheme.h_at(eps * np.abs(k))))
     assert same_bits(shift_minus(u, delta).half, old_multiplier(C, np.exp(1j * k * delta) - 1.0))
-    if delta != 0.0:
-        assert same_bits(apply_hatD(u, delta).half, old_multiplier(C, (np.exp(1j * k * delta) - 1.0) / delta))
     mult = old_delta_multiplier(scheme, eps, C)
     if mult is None:
         with pytest.raises(InfiniteSymbolError):

@@ -13,12 +13,21 @@ from burgerslab.integrator import (
     EnsembleResult,
     SimConfig,
     Stepper,
+    mode_table,
     resolve_lambda,
     run_coupled,
     sample_steps,
     simulate,
 )
-from burgerslab.noise import ModeGaussianDraw, derive_stream, sample_stationary_pair, wiener_increment_coeffs
+from burgerslab.correction import lambda_closed_form_for_scheme
+from burgerslab.noise import (
+    ModeGaussianDraw,
+    derive_stream,
+    discrete_sigmas,
+    sample_stationary_pair,
+    stationary_sigmas,
+    wiener_increment_coeffs,
+)
 from burgerslab.nonlin import (
     PolynomialMap,
     apply_bilinear,
@@ -27,7 +36,15 @@ from burgerslab.nonlin import (
     jacobian,
     parse_polynomial_map,
 )
-from burgerslab.schemes import finite_difference_scheme, galerkin_scheme, identity_scheme
+from burgerslab.schemes import (
+    Scheme,
+    atoms_one_sided,
+    d_eps_multiplier,
+    finite_difference_scheme,
+    galerkin_scheme,
+    identity_scheme,
+    tabulated_symbol,
+)
 from burgerslab.spectral import (
     SQRT_2PI,
     SpectralField,
@@ -146,7 +163,7 @@ class TestStep:
         # F = G = 0 and no noise: the semigroup factor is exact per mode
         cfg = make_cfg(G=PolynomialMap.zero(1), variant="limit_uncorrected", T=0.05)
         u = random_field(rng, cfg.K)
-        stepper = Stepper(cfg, 0.0)
+        stepper = Stepper(mode_table(cfg), 0.0)
         c = u.half.copy()
         for _ in range(cfg.n_steps):
             c = stepper.step_coeffs(c, 0.0)
@@ -161,7 +178,7 @@ class TestStep:
             G=PolynomialMap.zero(1),
             variant="limit_uncorrected",
         )
-        stepper = Stepper(cfg, 0.0)
+        stepper = Stepper(mode_table(cfg), 0.0)
         c = np.zeros((1, cfg.K + 1), dtype=np.complex128)
         c1 = stepper.step_coeffs(c, 0.0)
         assert abs(c1[0, 0] - c_drift * SQRT_2PI * cfg.dt) < 1e-15
@@ -179,7 +196,7 @@ class TestStep:
         )
         k = 2
         u = SpectralField.from_modes(K=cfg.K, entries={k: 0.4 - 0.1j})
-        stepper = Stepper(cfg, 0.0)
+        stepper = Stepper(mode_table(cfg), 0.0)
         c = u.half.copy()
         for _ in range(100):
             c = stepper.step_coeffs(c, 0.0)
@@ -191,7 +208,7 @@ class TestStep:
         cfg = make_cfg(scheme=finite_difference_scheme(1, 0), eps=0.5, variant="approximate",
                        lambda_mode="zero")
         u = random_field(rng, cfg.K)
-        stepper = Stepper(cfg, 0.0)
+        stepper = Stepper(mode_table(cfg), 0.0)
         c = stepper.step_coeffs(u.half, 0.0)
         killed = np.arange(cfg.K + 1) >= np.pi / cfg.eps
         assert killed.any() and np.all(c[:, killed] == 0.0)
@@ -201,7 +218,7 @@ class TestStep:
                        variant="limit_uncorrected", dt=0.5, T=50.0, sample_every=100)
         huge = SpectralField.constant(1e160, cfg.K)
         with pytest.raises(BlowUpError):
-            simulate(cfg, 0.0, huge, derive_stream(0, 0, "w"))
+            simulate(mode_table(cfg), 0.0, huge, derive_stream(0, 0, "w"))
 
     @pytest.mark.parametrize("variant", ["approximate", "limit_corrected"])
     def test_blowup_through_flux_transforms(self, rng, variant):
@@ -211,7 +228,7 @@ class TestStep:
                        sample_every=100)
         huge = random_field(rng, cfg.K) * 1e160
         with pytest.raises(BlowUpError):
-            simulate(cfg, 0.25, huge, derive_stream(0, 0, "w"))
+            simulate(mode_table(cfg), 0.25, huge, derive_stream(0, 0, "w"))
 
 
 def separate_transforms_nonlinearity(stepper, half, M=None):
@@ -254,7 +271,7 @@ class TestStackedNonlinearity:
             lambda_mode="quadrature",
             variant=variant,
         )
-        stepper = Stepper(cfg, 0.3)
+        stepper = Stepper(mode_table(cfg), 0.3)
         half = random_field(rng, cfg.K, n=n, decay=1.5).half
         got = stepper.nonlinearity(half)
         ref = separate_transforms_nonlinearity(stepper, half)
@@ -278,8 +295,9 @@ class TestStepperBuffers:
         cfg = make_cfg(n=n, K=20, eps=0.25, scheme=finite_difference_scheme(1, 0),
                        F=parse_polynomial_map(F, n), G=parse_polynomial_map(G, n),
                        lambda_mode="quadrature", variant=variant)
-        shared = Stepper(cfg, 0.3)
-        fresh = [Stepper(cfg, 0.3), Stepper(cfg, 0.3)]
+        table = mode_table(cfg)  # read-only, and shared as run_coupled shares it
+        shared = Stepper(table, 0.3)
+        fresh = [Stepper(table, 0.3), Stepper(table, 0.3)]
         states = [random_field(rng, cfg.K, n=n, decay=1.5).half.copy() for _ in range(2)]
         refs = [c.copy() for c in states]
         w = derive_stream(5, 0, "wiener")
@@ -371,7 +389,7 @@ class TestBufferedStepping:
     @pytest.mark.parametrize("n, with_drift", list(TestStackedNonlinearity.MAPS))
     def test_steps_bitwise_equal_to_the_allocating_arithmetic(self, rng, variant, n, with_drift):
         cfg = self.cfg(variant, n, with_drift)
-        st = Stepper(cfg, 0.3)
+        st = Stepper(mode_table(cfg), 0.3)
         if variant == "approximate":
             assert np.all(st.decay[13:] == 0.0) and np.all(st.decay[:13] != 0.0)
         got = want = random_field(rng, cfg.K, n=n, decay=1.5).half
@@ -388,8 +406,8 @@ class TestBufferedStepping:
     def test_simulate_bitwise_equal_at_two_substeps(self, rng, variant, n, with_drift):
         cfg = self.cfg(variant, n, with_drift, noise_substeps=2, T=0.02, sample_every=1)
         u0 = random_field(rng, cfg.K, n=n, decay=1.5)
-        times, got = simulate(cfg, 0.3, u0, derive_stream(9, n, "wiener"))
-        st, w, half = Stepper(cfg, 0.3), derive_stream(9, n, "wiener"), u0.half
+        times, got = simulate(mode_table(cfg), 0.3, u0, derive_stream(9, n, "wiener"))
+        st, w, half = Stepper(mode_table(cfg), 0.3), derive_stream(9, n, "wiener"), u0.half
         want = [half]
         for _ in range(cfg.n_steps):
             dW = reference_increment(cfg.K, n, cfg.dt / 2, w)
@@ -421,7 +439,7 @@ class TestAliasFreeNonlinearity:
             lambda_mode="quadrature",
             variant=variant,
         )
-        stepper = Stepper(cfg, 0.3)
+        stepper = Stepper(mode_table(cfg), 0.3)
         half = random_field(rng, cfg.K, decay=1.0).half
         got = stepper.nonlinearity(half)
         ref = separate_transforms_nonlinearity(stepper, half, M=8 * (2 * cfg.K + 1) + 1)
@@ -433,11 +451,13 @@ def two_sided_simulate(cfg, lam, u0, rng):
     (n, 2K+1) arrays, with mirrored Wiener increments, the per-mode factors
     of the Stepper mirrored onto modes -K..K, and transforms that read modes
     0..K of the state and mirror their result."""
-    st = Stepper(cfg, lam)
+    st = Stepper(mode_table(cfg), lam)
     n, K, M = cfg.n, cfg.K, st.M
     even = lambda a: np.concatenate([a[:0:-1], a])
     decay, phi1_dt, noise_fac = even(st.decay), even(st.phi1_dt), even(st.noise_fac)
-    d_mult, ik = mirror(st.d_mult[None, :])[0], mirror(st.ik[None, :])[0]
+    ik = mirror(st.ik[None, :])[0]
+    # a limit run has no D_eps multiplier
+    d_mult = None if st.d_mult is None else mirror(st.d_mult[None, :])[0]
     to_values = lambda c: coeffs_to_values(c[:, K:], M)
     to_coeffs = lambda v: mirror(values_to_coeffs(v, K))
 
@@ -491,7 +511,7 @@ class TestHalfSpectrumStepping:
     def test_snapshots_bitwise_equal_to_two_sided_loop(self, rng, variant, n, substeps, killed, with_drift):
         cfg = self.cfg(variant, n, substeps, killed, with_drift)
         u0 = random_field(rng, cfg.K, n=n, decay=1.5)
-        times, half = simulate(cfg, 0.3, u0, derive_stream(3, 1, "wiener"))
+        times, half = simulate(mode_table(cfg), 0.3, u0, derive_stream(3, 1, "wiener"))
         ref = two_sided_simulate(cfg, 0.3, u0, derive_stream(3, 1, "wiener"))
         assert len(ref) == len(sample_steps(cfg))
         assert half.shape == (len(ref), n, cfg.K + 1)
@@ -503,7 +523,7 @@ class TestHalfSpectrumStepping:
     @pytest.mark.parametrize("variant", ["approximate", "limit_corrected"])
     def test_mean_mode_stays_exactly_real(self, rng, variant):
         cfg = self.cfg(variant, 2, 1, killed=True)
-        stepper = Stepper(cfg, 0.3)
+        stepper = Stepper(mode_table(cfg), 0.3)
         half = random_field(rng, cfg.K, n=2, decay=1.5).half.copy()
         w = derive_stream(3, 2, "wiener")
         for _ in range(cfg.n_steps):
@@ -511,6 +531,152 @@ class TestHalfSpectrumStepping:
             assert np.all(half[:, 0].imag == 0.0)
         assert np.all(half[:, 0].real != 0.0)
 
+
+# -- per-mode factor tables ----------------------------------------------------
+
+
+def _reference_phi1(z):
+    out = np.ones_like(z)
+    nz = z != 0.0
+    out[nz] = np.expm1(z[nz]) / z[nz]
+    return out
+
+
+def _reference_ou_noise_factor(z):
+    z = np.asarray(z, dtype=float)
+    out = np.ones_like(z)
+    pos = (z > 0.0) & np.isfinite(z)
+    out[pos] = np.sqrt(-np.expm1(-2.0 * z[pos]) / (2.0 * z[pos]))
+    out[np.isinf(z)] = 0.0
+    return out
+
+
+def reference_factors(cfg):
+    """The per-mode factors as each Stepper computed them for itself before
+    ModeTable, expression for expression: the table must match them bit for
+    bit.  ``d_mult`` was computed for every variant, and is compared for the
+    approximate one only."""
+    K = cfg.K
+    k = np.arange(K + 1, dtype=float)
+    if cfg.variant == "approximate":
+        fv = cfg.scheme.f_at(cfg.eps * np.abs(k))
+        lam_k = np.where(np.isfinite(fv), cfg.nu * k**2 * np.where(np.isfinite(fv), fv, 0.0), np.inf)
+        m = cfg.scheme.h_at(cfg.eps * np.abs(k))
+    else:
+        lam_k = cfg.nu * k**2
+        m = np.ones_like(k)
+    killed = ~np.isfinite(lam_k)
+    z = np.where(killed, -np.inf, -lam_k * cfg.dt)
+    return {
+        "rates": lam_k,
+        "killed": killed,
+        "m": m,
+        "decay": np.where(killed, 0.0, np.exp(np.where(killed, 0.0, z))).astype(np.complex128),
+        "phi1_dt": np.where(killed, 0.0, cfg.dt * _reference_phi1(np.where(killed, 0.0, z))).astype(np.complex128),
+        "noise_fac": (
+            np.where(killed, 0.0, m) * _reference_ou_noise_factor(np.where(killed, np.inf, lam_k * cfg.dt))
+        ).astype(np.complex128),
+        "d_mult": d_eps_multiplier(cfg.scheme, cfg.eps, np.arange(K + 1)),
+    }
+
+
+def reference_discrete_sigmas(scheme, eps, nu, K):
+    """discrete_sigmas as it evaluated the symbols itself before schemes.symbols_at."""
+    k = np.arange(K + 1, dtype=float)
+    fv = scheme.f_at(eps * k)
+    hv = scheme.h_at(eps * k)
+    finite = np.isfinite(fv)
+    out = np.zeros(K + 1)
+    out[finite] = hv[finite] / np.sqrt(2.0 * (1.0 + nu * k[finite] ** 2 * fv[finite]))
+    return out
+
+
+def _tabulated_scheme():
+    """f and h tabulated on [0, 1]; f = +inf (and h = 0) beyond t = 1."""
+    knots = [0.0, 0.25, 0.5, 0.75, 1.0]
+    f = tabulated_symbol(knots, [1.0, 1.0, 1.1, 1.3, 1.6], np.inf)
+    h = tabulated_symbol(knots, [1.0, 1.0, 0.9, 0.6, 0.2], 0.0)
+    return Scheme("table", f, h, atoms_one_sided(1, 0), 0.9)
+
+
+class TestModeTable:
+    """Each family at K = 16 and an eps that kills modes (eps k >= pi, or
+    eps k > 1 for the table) and one that kills none; the identity family
+    kills none at any eps."""
+
+    SCHEMES = {
+        "identity": (identity_scheme(1, 0), (0.25, 0.1)),
+        "finite_difference": (finite_difference_scheme(1, 0), (0.25, 0.1)),
+        "galerkin": (galerkin_scheme(2, 1), (0.25, 0.1)),
+        "table": (_tabulated_scheme(), (0.25, 0.05)),
+    }
+
+    @pytest.mark.parametrize("kills", [True, False], ids=["killing-eps", "no-kill-eps"])
+    @pytest.mark.parametrize("variant", ["approximate", "limit_corrected", "limit_uncorrected"])
+    @pytest.mark.parametrize("name", list(SCHEMES))
+    def test_bitwise_equal_to_the_per_stepper_factors(self, name, variant, kills):
+        scheme, (eps_kill, eps_none) = self.SCHEMES[name]
+        cfg = make_cfg(scheme=scheme, eps=eps_kill if kills else eps_none, nu=0.7, variant=variant)
+        table, want = mode_table(cfg), reference_factors(cfg)
+        if variant == "approximate":
+            assert want["killed"].any() == (kills and name != "identity")
+        else:
+            assert table.d_mult is None
+            del want["d_mult"]
+        for field, ref in want.items():
+            got = getattr(table, field)
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), field
+            assert not got.flags.writeable, field
+        sigma = discrete_sigmas(cfg.scheme, cfg.eps, cfg.nu, cfg.K)
+        assert sigma.tobytes() == reference_discrete_sigmas(cfg.scheme, cfg.eps, cfg.nu, cfg.K).tobytes()
+        init = sigma if variant == "approximate" else stationary_sigmas(cfg.K, cfg.nu)
+        assert table.sigma.tobytes() == init.tobytes()
+
+    def test_stepper_steps_on_the_table(self):
+        cfg = make_cfg(scheme=finite_difference_scheme(1, 0), eps=0.25)
+        table = mode_table(cfg)
+        st = Stepper(table, 0.0)
+        assert st.cfg is cfg
+        assert all(getattr(st, name) is getattr(table, name) for name in ("decay", "phi1_dt", "noise_fac", "d_mult"))
+
+
+def _negated(P):
+    return PolynomialMap(P.n, tuple(p.scale(-1.0) for p in P.components))
+
+
+class TestReflection:
+    """x -> -x maps the problem to itself with the scheme (a, b) read as
+    (b, a), G as -G and Lambda as -Lambda, and maps each half spectrum to its
+    conjugate; so one step from the conjugate state and increment of the
+    mirrored problem is the conjugate of the original step.  This is a
+    symmetry of the equations, not a copy of the arithmetic."""
+
+    FAMILIES = {"identity": identity_scheme, "finite_difference": finite_difference_scheme, "galerkin": galerkin_scheme}
+    MAPS = [(1, "-u1 + 0.3*u1^3", "0.5*u1^2"), (2, *TestStackedNonlinearity.MAPS[(2, False)]),
+            (2, *TestStackedNonlinearity.MAPS[(2, True)])]
+
+    @staticmethod
+    def step(scheme, F, G, variant, half, dW):
+        """One step at K = 16, eps = 0.25 (killing modes 13..16 of the
+        finite-difference and galerkin families), with the scheme's Lambda."""
+        lam = lambda_closed_form_for_scheme(scheme, 1.0).value
+        cfg = make_cfg(n=F.n, eps=0.25, scheme=scheme, F=F, G=G, lambda_mode="explicit", lambda_value=lam,
+                       variant=variant)
+        return Stepper(mode_table(cfg), lam).step_coeffs(half, dW)
+
+    @pytest.mark.parametrize("n, F, G", MAPS)
+    @pytest.mark.parametrize("variant", ["approximate", "limit_corrected", "limit_uncorrected"])
+    @pytest.mark.parametrize("family", list(FAMILIES))
+    def test_mirrored_step_is_the_conjugate_step(self, family, variant, n, F, G):
+        rng = np.random.default_rng(sum(map(ord, family + variant)) + n)
+        F, G = parse_polynomial_map(F, n), parse_polynomial_map(G, n)
+        make = self.FAMILIES[family]
+        for a, b in ((1, 0), (2, 1), (1, 3)):
+            half = random_field(rng, 16, n=n, decay=1.5).half
+            dW = wiener_increment_coeffs(16, n, 1e-3, rng)
+            original = self.step(make(a, b), F, G, variant, half, dW)
+            mirrored = self.step(make(b, a), F, _negated(G), variant, np.conj(half), np.conj(dW))
+            assert np.max(np.abs(mirrored - np.conj(original))) <= 1e-15 * np.max(np.abs(original)), (a, b)
 
 class TestConservativeConsistency:
     def test_exact_derivative_chain_rule(self, rng):
@@ -577,11 +743,11 @@ class TestRunCoupled:
         cfg = make_cfg(T=0.02, sample_every=5)
         real = simulate
 
-        def blow_up_at_eighth(run_cfg, *args):
+        def blow_up_at_eighth(table, *args):
             # every eps = 0.125 run blows up after 4 steps
-            if run_cfg.variant == "approximate" and run_cfg.eps == 0.125:
-                raise BlowUpError(4 * run_cfg.dt, 4)
-            return real(run_cfg, *args)
+            if table.cfg.variant == "approximate" and table.cfg.eps == 0.125:
+                raise BlowUpError(4 * table.cfg.dt, 4)
+            return real(table, *args)
 
         monkeypatch.setattr("burgerslab.integrator.simulate", blow_up_at_eighth)
         res = run_coupled(cfg, [0.25, 0.125], replicates=2)
@@ -615,13 +781,13 @@ class TestRunCoupled:
         cfg = make_cfg(T=0.02, sample_every=5)
         real, limit_runs = simulate, []
 
-        def blow_up_second_uncorrected(run_cfg, *args):
+        def blow_up_second_uncorrected(table, *args):
             # replicates run in order, so this is replicate 1's uncorrected limit
-            if run_cfg.variant == "limit_uncorrected":
-                limit_runs.append(run_cfg)
+            if table.cfg.variant == "limit_uncorrected":
+                limit_runs.append(table)
                 if len(limit_runs) == 2:
-                    raise BlowUpError(3 * run_cfg.dt, 3)
-            return real(run_cfg, *args)
+                    raise BlowUpError(3 * table.cfg.dt, 3)
+            return real(table, *args)
 
         monkeypatch.setattr("burgerslab.integrator.simulate", blow_up_second_uncorrected)
         res = run_coupled(cfg, [0.25, 0.125], replicates=2)
@@ -694,7 +860,7 @@ class TestRunCoupled:
             ("limit_uncorrected", cfg.eps, draw_psi.psi),
         ):
             run_cfg = replace(cfg, variant=variant, eps=eps_run)
-            runs[variant] = simulate(run_cfg, lam, cfg.v0_field() + init, derive_stream(cfg.seed, 0, "wiener"))[1]
+            runs[variant] = simulate(mode_table(run_cfg), lam, cfg.v0_field() + init, derive_stream(cfg.seed, 0, "wiener"))[1]
         for name, limit in (("corrected", "limit_corrected"), ("uncorrected", "limit_uncorrected")):
             diffs = [SpectralField(cfg.K, cfg.n, a - b) for a, b in zip(runs["approximate"], runs[limit])]
             sup = np.array([sup_norm(d) for d in diffs])
@@ -791,7 +957,7 @@ class TestSolutionRoughness:
             )
             u_bar0 = cfg.v0_field() + pair.psi
             rng = derive_stream(cfg.seed, rep, "wiener")
-            times, half = simulate(cfg, 0.25, u_bar0, rng)
+            times, half = simulate(mode_table(cfg), 0.25, u_bar0, rng)
             vals = [
                 float(quadratic_variation(SpectralField(cfg.K, 1, c), M_qv)[0])
                 for t, c in zip(times, half)

@@ -10,7 +10,6 @@ from burgerslab.noise import (
     wiener_increment_coeffs,
 )
 from burgerslab.schemes import (
-    apply_Q_eps,
     finite_difference_scheme,
     galerkin_scheme,
     identity_scheme,
@@ -171,13 +170,6 @@ class TestWienerIncrement:
         )
         se = np.std(vals, ddof=1) / np.sqrt(nsamp)
         assert abs(np.mean(vals) - dt) < 5.0 * se
-
-    def test_galerkin_filter_zeroes_high_modes(self):
-        w = wiener_increment(16, 1, 0.05, derive_stream(9, 2, "w"))
-        filtered = apply_Q_eps(galerkin_scheme(1, 0), w, eps=0.5)  # cut at |k| >= 2pi
-        assert np.all(filtered.mode(8) == 0.0)
-        assert np.all(filtered.mode(14) == 0.0)
-        assert np.any(filtered.mode(3) != 0.0)
 
 
 def test_draw_field_shape_checks():

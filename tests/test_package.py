@@ -196,6 +196,9 @@ def test_traced_converge_call_counts_follow_the_closed_forms(tmp_path):
         "integrator.nonlinearity.limit": 2 * R * steps,
         "integrator.Stepper": R * (2 + E),
         "integrator.simulate": R * (2 + E),
+        # the D_eps multiplier is read once per eps, into its run config's
+        # table, however many replicates step it
+        "schemes.d_eps_multiplier": E,
         "noise.wiener_increment_coeffs": R * (2 + E) * steps * s,
         "noise.ModeGaussianDraw.sample": R * (2 + E) * steps * s + R * (1 + E),
         # one stacked transform to the grid and one back per step, under the

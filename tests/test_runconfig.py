@@ -167,16 +167,16 @@ def _render(sections):
     return "\n".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()) for name, keys in sections.items())
 
 
-def _dry_run(workdir, sections):
-    """Write the config and run ``converge --dry-run`` on it: (exit code,
-    stdout, stderr, output directory)."""
+def _dry_run(workdir, sections, dry_run=True):
+    """Write the config and run ``converge --dry-run`` on it, or ``converge``
+    without ``dry_run``: (exit code, stdout, stderr, output directory)."""
     workdir = Path(workdir)
     config = workdir / "run.cfg"
     config.write_text(_render(sections))
     out = workdir / "out"
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        code = main(["converge", "--config", str(config), "--out", str(out), "--dry-run"])
+        code = main(["converge", "--config", str(config), "--out", str(out)] + ["--dry-run"] * dry_run)
     return code, stdout.getvalue(), stderr.getvalue(), out
 
 
@@ -294,3 +294,25 @@ def test_generated_non_finite_v0_exit_2(case, kind, bad, with_component):
     with tempfile.TemporaryDirectory() as work:
         code, _, stderr, out = _dry_run(work, sections)
         _assert_rejected(code, stderr, out, "v0 amplitude must be finite")
+
+
+@_PROPERTY
+@given(run_configs(), st.one_of(st.none(), st.sampled_from(_POSITIVE + _FINITE)))
+def test_generated_configs_dry_run_exits_2_exactly_when_the_run_does(case, broken):
+    # at tiny sizes (K <= 16, 2 replicates, at most 3 steps), a config,
+    # valid or with one number out of range, is refused by the dry run
+    # exactly when the run refuses it, and a refused one writes nothing
+    sections, _, steps = case
+    model, clock = sections["model"], sections["time"]
+    model["K"], model["replicates"] = str(min(int(model["K"]), 16)), "2"
+    clock["T"] = repr(min(steps, 3) * float(clock["dt"]))
+    if broken is not None:
+        section, key = broken
+        sections[section][key] = "0" if broken in _POSITIVE else "nan"
+    with tempfile.TemporaryDirectory() as work:
+        dry = _dry_run(work, sections)[0]
+        inputs = sorted(p.name for p in Path(work).iterdir())
+        code, _, stderr, out = _dry_run(work, sections, dry_run=False)
+        assert (dry == EXIT_VALIDATION) == (code == EXIT_VALIDATION), (sections, dry, code, stderr)
+        if code == EXIT_VALIDATION:
+            assert sorted(p.name for p in Path(work).iterdir()) == inputs and not out.exists()

@@ -12,8 +12,6 @@ from burgerslab.schemes import (
     SchemeValidationError,
     apply_D_eps,
     apply_Delta_eps,
-    apply_hatD,
-    apply_Q_eps,
     atoms_one_sided,
     derivative_symbol,
     finite_difference_scheme,
@@ -270,64 +268,13 @@ class TestApplyDeltaEps:
         assert abs(v.mode(2)[0] - (-4.0 * f)) < 1e-12
 
 
-class TestApplyQeps:
-    def test_identity_scheme_is_identity(self, rng):
-        u = random_field(rng, K=9)
-        v = apply_Q_eps(identity_scheme(1, 0), u, 0.4)
-        assert np.array_equal(v.coeffs, u.coeffs)
-
-    def test_galerkin_cuts_high_modes(self):
-        u = SpectralField.from_modes(K=20, entries={16: 1.0, 2: 1.0})
-        v = apply_Q_eps(galerkin_scheme(1, 0), u, 0.25)  # cut at |k| >= 4pi ~ 12.6
-        assert v.mode(16)[0] == 0.0
-        assert v.mode(2)[0] == 1.0
-
-    def test_indicator_filter_idempotent(self, rng):
-        u = random_field(rng, K=30)
-        s = galerkin_scheme(1, 0)
-        once = apply_Q_eps(s, u, 0.2)
-        twice = apply_Q_eps(s, once, 0.2)
-        assert np.array_equal(once.coeffs, twice.coeffs)
-
-
-class TestHatD:
-    def test_constant_annihilated(self):
-        u = SpectralField.constant(1.5, K=4)
-        assert np.max(np.abs(apply_hatD(u, 0.7).coeffs)) < 1e-14
-
-    def test_full_period_shift_vanishes(self):
-        k = 5
-        u = SpectralField.from_modes(K=6, entries={k: 1.0 + 0.5j})
-        v = apply_hatD(u, 2.0 * np.pi / k)
-        assert abs(v.mode(k)[0]) < 1e-13
-
-    def test_small_delta_first_order_to_derivative(self, rng):
-        u = random_field(rng, K=6, decay=2.0)
-        du = u.apply_multiplier(1j * u.modes.astype(complex))
-        errs = [sobolev_norm(apply_hatD(u, d) - du, 0.0) for d in (0.02, 0.01, 0.005)]
-        for e0, e1 in zip(errs, errs[1:]):
-            assert 1.6 <= e0 / e1 <= 2.4
-
-    def test_zero_delta_rejected(self):
-        with pytest.raises(ValueError):
-            apply_hatD(SpectralField.zeros(3), 0.0)
-
-    def test_undivided_form_consistent(self, rng):
-        u = random_field(rng, K=7)
-        d = 0.31
-        v = apply_hatD(u, d)
-        w = shift_minus(u, d)
-        assert np.max(np.abs(w.coeffs - d * v.coeffs)) < 1e-14
-
-
 def test_multipliers_commute(rng):
     u = random_field(rng, K=16, n=2)
     s = finite_difference_scheme(1, 0)
     eps = 0.1
     ops = [
         lambda w: apply_D_eps(s, w, eps),
-        lambda w: apply_Q_eps(s, w, eps),
-        lambda w: apply_hatD(w, 0.37),
+        lambda w: shift_minus(w, 0.37),
         lambda w: project(w, 6),
     ]
     for i, op1 in enumerate(ops):
