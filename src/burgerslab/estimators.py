@@ -59,20 +59,28 @@ def theta_eps(u, scheme, eps):
 
 @dataclass(frozen=True)
 class XiMatrixField:
-    """The n x n tensor field of weighted difference-quotient products."""
+    """The n x n tensor field of weighted difference-quotient products, held
+    as one read-only (n, n, K+1) array: ``half[i, j]`` is the half spectrum
+    of entry (i, j).  The array is copied when the tensor is made."""
 
-    n: int
-    entries: tuple  # tuple of tuples of SpectralField
+    half: np.ndarray
     scheme_name: str
     eps: float
 
-    def entry(self, i, j):
-        return self.entries[i][j]
+    def __post_init__(self):
+        half = np.array(self.half, dtype=np.complex128)
+        if half.ndim != 3 or half.shape[0] != half.shape[1]:
+            raise ValueError(f"a tensor's half spectra have shape (n, n, K+1), got {half.shape}")
+        half.flags.writeable = False
+        object.__setattr__(self, "half", half)
 
     @property
-    def half(self):
-        """The entries' half spectra as one (n, n, K+1) array."""
-        return np.stack([[e.half[0] for e in row] for row in self.entries])
+    def n(self):
+        return self.half.shape[0]
+
+    def entry(self, i, j):
+        """Entry (i, j) as a one-component SpectralField, built on each call."""
+        return SpectralField(self.half.shape[2] - 1, 1, self.half[i, j][None])
 
     def spatial_mean(self):
         """Mean over x of each entry, as an (n, n) real matrix."""
@@ -135,9 +143,7 @@ def spatial_means(xi):
 def _xi_field(u, atoms, eps, scheme_name):
     """The tensor of ``xi_halves`` for one field u, as an XiMatrixField."""
     half = u.half[None]
-    xi = xi_halves(half.shape, difference_grids(half, atoms, eps), eps)[0]
-    entries = tuple(tuple(SpectralField(u.K, 1, xi[i, j][None]) for j in range(u.n)) for i in range(u.n))
-    return XiMatrixField(u.n, entries, scheme_name, eps)
+    return XiMatrixField(xi_halves(half.shape, difference_grids(half, atoms, eps), eps)[0], scheme_name, eps)
 
 
 def xi_eps(u, scheme, eps):

@@ -58,11 +58,13 @@ every replicate steps those same tables, and neither simulate nor Stepper
 evaluates anything per mode.
 
 The transforms, the pointwise polynomials and the update of a step write
-into arrays the Stepper owns (see its docstring); beyond the new state, a
-step allocates only the powers v_j ** e a polynomial takes and the scratch
-of its later terms.  The operations and their order are those of the
-allocating arithmetic, so every state has the bytes of a step that
-allocates all its temporaries.
+into arrays the Stepper owns (see its docstring), and the Stepper binds its
+pointwise stage once, as a flat program of ufunc calls on those arrays; a
+step allocates only the new state.  simulate draws each Wiener increment
+into a buffer it owns (and a second one that each later substep's draw is
+added from).  The operations and their order are those of the allocating
+arithmetic, so every state has the bytes of a step that allocates all its
+temporaries.
 """
 
 import math
@@ -85,7 +87,7 @@ from .noise import (
     symbol_sigmas,
     wiener_increment_coeffs,
 )
-from .nonlin import PolynomialMap, alias_free_grid_size, evaluate, jacobian
+from .nonlin import PolynomialMap, alias_free_grid_size, bind_rows, jacobian, power_calls
 from .schemes import Scheme, d_eps_multiplier, symbols_at
 from .spectral import (
     SpectralField,
@@ -96,11 +98,12 @@ from .spectral import (
     values_to_coeffs,
 )
 
-# Not used here since the errors are taken as stacks and no diagnostic takes
-# xi_eps, but kept as module attributes: perfbench/spans.py wraps each
-# function under every module name its callers have looked it up by, and
-# checks that the names still exist.
+# Not used here since the errors are taken as stacks, no diagnostic takes
+# xi_eps and the Stepper binds its polynomials once, but kept as module
+# attributes: perfbench/spans.py wraps each function under every module name
+# its callers have looked it up by, and checks that the names still exist.
 from .estimators import xi_eps  # noqa: F401
+from .nonlin import evaluate  # noqa: F401
 from .spectral import sobolev_norm, sup_norm  # noqa: F401
 
 VARIANTS = ("approximate", "limit_corrected", "limit_uncorrected")
@@ -298,11 +301,19 @@ class Stepper:
       D_eps derivative, ``padded`` (zero above mode K) their scaled
       spectrum and ``grid`` their values;
     - on the grid: ``grid_out`` holds group a above group b, and ``entry``
-      (with ``jac_terms``) one Jacobian entry times its derivative row;
+      (with ``jac_terms``) one Jacobian entry times its derivative row; the
+      polynomials share one buffer per power v_j ** e they take, and one
+      row of scratch for their later terms;
     - back: ``spectrum`` receives the real transform of ``grid_out`` and
       ``back`` (with group b) its scaled modes 0..K;
     - ``N`` receives the step's right-hand side and ``update`` each product
       added to the new state; ``finite`` is the blow-up check's mask.
+
+    ``program`` is the pointwise stage bound once on these arrays
+    (``nonlin.Polynomial.bind``): a flat tuple of zero-argument ufunc calls
+    that computes the powers, then writes group a (the drift rows, or zeros,
+    and each Jacobian product added to its row) and group b (the flux rows)
+    from ``grid``, reading it as the step's transform has just left it.
 
     Every array a step writes is one of these, except the new state that
     ``step_coeffs`` returns, and ``nonlinearity`` called without ``out``
@@ -350,6 +361,23 @@ class Stepper:
         self.update = np.empty((n, w), dtype=np.complex128)
         self.finite = np.empty((n, w), dtype=bool)
 
+        # the pointwise stage, bound once on the arrays above (see the class
+        # docstring): group a's drift rows and Jacobian products, then group
+        # b's flux rows, after the powers they read
+        u, powers, term = self.grid[:n], {}, np.empty(self.M)
+        calls = ()
+        if self.rows_a:
+            a = self.grid_out[:n]
+            calls = (partial(a.fill, 0.0),) if self.drift_zero else bind_rows(self.drift, u, a, powers, term)
+            for i, j, entry in self.jac_terms:
+                calls += entry.bind(u, self.entry, powers, term) + (
+                    partial(np.multiply, self.entry, self.grid[n + j], self.entry),
+                    partial(np.add, a[i], self.entry, a[i]),
+                )
+        if self.rows_b:
+            calls += bind_rows(cfg.G, u, self.grid_out[self.rows_a :], powers, term)
+        self.program = power_calls(u, powers) + calls
+
     def nonlinearity(self, half, out=None):
         """Half spectrum of the drift-plus-flux term, a + ik b over the row
         groups (see the class docstring), written to ``out`` (an (n, K+1)
@@ -357,7 +385,8 @@ class Stepper:
         are empty.
 
         One stacked transform takes the state, and its D_eps derivative when
-        there are Jacobian terms, to the grid; one takes both groups back.
+        there are Jacobian terms, to the grid, ``program`` evaluates both
+        groups there, and one transform takes them back.
         """
         n, rows_a, rows_b = self.cfg.n, self.rows_a, self.rows_b
         if not rows_a + rows_b:
@@ -367,21 +396,12 @@ class Stepper:
             stack[:n] = half
             np.multiply(half, self.d_mult, out=stack[n:])
             half = stack
-        grid = coeffs_to_values(half, self.M, buf=self.padded, out=self.grid)
-        u, groups = grid[:n], self.grid_out
-        if rows_a:
-            a = groups[:n]
-            if self.drift_zero:
-                a.fill(0.0)
-            else:
-                evaluate(self.drift, u, a)
-            for i, j, entry in self.jac_terms:
-                entry(u, out=self.entry)
-                self.entry *= grid[n + j]
-                a[i] += self.entry
+        coeffs_to_values(half, self.M, buf=self.padded, out=self.grid)
+        for call in self.program:
+            call()
+        groups = self.grid_out
         if not rows_b:
             return values_to_coeffs(groups, self.cfg.K, buf=self.spectrum, out=out)
-        evaluate(self.cfg.G, u, groups[rows_a:])
         back = values_to_coeffs(groups, self.cfg.K, buf=self.spectrum, out=self.back)
         if not rows_a:
             return np.multiply(self.ik, back, out=out)
@@ -432,13 +452,16 @@ def simulate(table, lam, u0, wiener_rng):
     recorded = 1
     sub = cfg.noise_substeps
     dt_sub = cfg.dt / sub
+    # the step's increment, and each later substep's draw before it is added
+    dW = np.empty((cfg.n, cfg.K + 1), dtype=np.complex128)
+    dW_sub = np.empty_like(dW) if sub > 1 else None
     # non-finite states are legitimate here: they signal blow-up, which
     # becomes BlowUpError, so the transient warnings are silenced
     with np.errstate(over="ignore", invalid="ignore"):
         for m in range(1, cfg.n_steps + 1):
-            dW = wiener_increment_coeffs(cfg.K, cfg.n, dt_sub, wiener_rng)
+            wiener_increment_coeffs(cfg.K, cfg.n, dt_sub, wiener_rng, out=dW)
             for _ in range(sub - 1):
-                dW += wiener_increment_coeffs(cfg.K, cfg.n, dt_sub, wiener_rng)
+                dW += wiener_increment_coeffs(cfg.K, cfg.n, dt_sub, wiener_rng, out=dW_sub)
             half = stepper.step_coeffs(half, dW)
             if half is None:
                 raise BlowUpError((m - 1) * cfg.dt, m - 1)

@@ -72,9 +72,11 @@ class ModeGaussianDraw:
             np.concatenate([d.zz for d in draws]),
         )
 
-    def half_coeffs(self, sigma):
+    def half_coeffs(self, sigma, out=None):
         """Half spectrum (n, K+1) with mode-k entry sigma[k] * zeta_k, k = 0..K;
-        a scalar sigma stands for the same value at every mode.
+        a scalar sigma stands for the same value at every mode.  It is
+        written into ``out``, an (n, K+1) complex array, which is returned,
+        or into a new array when None.
 
         Byte for byte sigma * (re + 1j*im) / sqrt(2), without its
         temporaries: the pairs of zz are read in place as complex numbers,
@@ -84,7 +86,7 @@ class ModeGaussianDraw:
         zeros would differ, are divided.  A nonzero float sigma takes a short
         path with the same arithmetic and no zero scan.
         """
-        c = np.empty((self.n, self.K + 1), dtype=np.complex128)
+        c = np.empty((self.n, self.K + 1), dtype=np.complex128) if out is None else out
         zeta = self.zz.view(np.complex128)[..., 0]
         pos = c[:, 1:]
         if isinstance(sigma, float) and sigma != 0.0:
@@ -174,10 +176,11 @@ def sample_stationary_pair(scheme, eps, nu, K, rng, n=1):
     return CoupledStationaryPair(ModeGaussianDraw.sample(K, n, rng), scheme, eps, nu)
 
 
-def wiener_increment_coeffs(K, n, dt, rng):
+def wiener_increment_coeffs(K, n, dt, rng, out=None):
     """Half spectrum (n, K+1), modes 0..K, of one Wiener increment (single
     source of the draw order, so coupled runs that re-derive the stream stay
-    in lockstep)."""
+    in lockstep), written into ``out`` (an (n, K+1) complex array, which is
+    returned) or into a new array when None, with the same bits."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    return ModeGaussianDraw.sample(K, n, rng).half_coeffs(math.sqrt(dt))
+    return ModeGaussianDraw.sample(K, n, rng).half_coeffs(math.sqrt(dt), out=out)

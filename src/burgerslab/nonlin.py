@@ -6,10 +6,18 @@ error never contaminates the experiments downstream.  Evaluation on fields
 is pseudospectral: transform to a grid sized for the polynomial degree
 (alias_free_grid_size), apply the map pointwise, transform back and
 truncate, so the result is the exact product on the band.
+
+The pointwise arithmetic is defined once, by ``Polynomial.bind``: it binds
+a polynomial's terms on given arrays (the grid, the output row, one buffer
+per power v_j ** e and one scratch row) as a flat tuple of zero-argument
+ufunc calls.  ``Polynomial.__call__`` and ``evaluate`` bind on the arrays
+they are given and run the calls once; the stepper binds its right-hand
+side once, on arrays it owns, and runs the same calls at every step.
 """
 
 import re
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -25,7 +33,7 @@ class Polynomial:
     terms: tuple  # ((exponents, coeff), ...), canonically sorted, no zero coeffs
     # per term, in term order: (coeff, first, rest) over the (variable,
     # power) pairs of its nonzero powers, first None for the constant term;
-    # built once here, walked by every __call__
+    # built once here, walked by every bind
     plan: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -56,18 +64,63 @@ class Polynomial:
     def degree(self):
         return max((sum(e) for e, _ in self.terms), default=0)
 
-    def __call__(self, v, out=None):
-        """Evaluate at v of shape (nvars,) or (nvars, M); returns a scalar or
-        an (M,) array, or ``out`` (an array of v.shape[1:], not overlapping
-        v) written with the value.
+    def bind(self, v, out, powers, scratch):
+        """The arithmetic of this polynomial at v (nvars rows), as a tuple of
+        zero-argument calls that write its value into ``out`` each time they
+        run, reading the rows of v as they are then.
 
         The value is the sum of the terms in plan order, each term
         coeff * f1 * f2 ... taken left to right with f = v[j] ** e, and the
         first term has 0.0 added (a lone -0.0 term gives 0.0).  The first
-        term is built in ``out``, a later one in one scratch array.  A
+        term is built in ``out``, a later one in ``scratch`` (an array of
+        out's shape, overlapping neither, that the calls may overwrite).  A
         product with a coefficient of exactly 1.0 is skipped, which changes
-        no bit, so that term starts from f1 itself; v[j] ** e is the only
-        other array a call makes.
+        no bit, so that term starts from f1 itself.  On a grid, a power with
+        e >= 2 is read from ``powers[(j, e)]``, which is added, as a new array
+        of out's shape, when missing: the calls of ``power_calls(v, powers)``
+        must run before these.  At a point (v of shape (nvars,)) the v[j] are
+        numbers, read when the calls are bound, and each power is numpy's
+        scalar v[j] ** e (C pow, which the array ufunc need not round
+        alike).  This is the one definition of the term arithmetic;
+        ``__call__`` and ``evaluate`` bind and run it once, and a Stepper
+        binds it once on its own arrays.
+        """
+
+        def factor(j, e):
+            if e == 1:
+                return v[j]
+            if v.ndim == 1:  # a point: numbers, read now, and numpy's scalar power
+                return v[j] ** e
+            if (j, e) not in powers:
+                powers[j, e] = np.empty(out.shape)
+            return powers[j, e]
+
+        calls, first = [], True
+        for coeff, head, rest in self.plan:
+            if head is None:  # the constant term, first in canonical order
+                calls.append(partial(out.fill, coeff) if first else partial(np.add, out, coeff, out))
+                first = False
+                continue
+            dst = out if first else scratch
+            term = factor(*head)
+            if coeff != 1.0:
+                calls.append(partial(np.multiply, coeff, term, dst))
+                term = dst
+            for j, e in rest:
+                calls.append(partial(np.multiply, term, factor(j, e), dst))
+                term = dst
+            calls.append(partial(np.add, term, 0.0, out) if first else partial(np.add, out, term, out))
+            first = False
+        if first:
+            calls.append(partial(out.fill, 0.0))
+        return tuple(calls)
+
+    def __call__(self, v, out=None):
+        """Evaluate at v of shape (nvars,) or (nvars, M); returns a scalar or
+        an (M,) array, or ``out`` (an array of v.shape[1:], not overlapping
+        v) written with the value.  The arithmetic is that of ``bind``; the
+        powers v[j] ** e and one scratch array are the only other arrays a
+        call makes.
         """
         if type(v) is not np.ndarray or v.dtype != np.float64:
             v = np.asarray(v, dtype=float)
@@ -75,32 +128,9 @@ class Polynomial:
         given = out is not None
         if not given:
             out = np.empty(shape)
-        first, scratch = True, None
-        for coeff, head, rest in self.plan:
-            if head is None:  # the constant term, first in canonical order
-                if first:
-                    out[...] = coeff
-                else:
-                    out += coeff
-                first = False
-                continue
-            if first:
-                dst = out
-            elif coeff != 1.0 or rest:
-                dst = scratch = np.empty(shape) if scratch is None else scratch
-            j, e = head
-            term = v[j] if e == 1 else v[j] ** e
-            if coeff != 1.0:
-                term = np.multiply(coeff, term, out=dst)
-            for j, e in rest:
-                term = np.multiply(term, v[j] if e == 1 else v[j] ** e, out=dst)
-            if first:
-                np.add(term, 0.0, out=out)
-                first = False
-            else:
-                out += term
-        if first:
-            out[...] = 0.0
+        powers = {}
+        calls = self.bind(v, out, powers, np.empty(shape))
+        run(power_calls(v, powers) + calls)
         return out if given or shape else out[()]
 
     def diff(self, j):
@@ -178,18 +208,42 @@ class PolynomialMap:
         return "; ".join(str(p) for p in self.components)
 
 
+def power_calls(v, powers):
+    """The calls that write v[j] ** e into ``powers[(j, e)]`` for every key
+    of ``powers`` (see ``Polynomial.bind``), with the ufunc numpy takes for
+    v[j] ** e: square for e = 2, power otherwise."""
+    return tuple(
+        partial(np.square, v[j], buf) if e == 2 else partial(np.power, v[j], e, buf) for (j, e), buf in powers.items()
+    )
+
+
+def bind_rows(P, v, out, powers, scratch):
+    """The calls of ``Polynomial.bind`` that write component i of P at v
+    into row i of ``out`` (a view, 0-d for a point), component by
+    component."""
+    return tuple(call for i, p in enumerate(P.components) for call in p.bind(v, out[i, ...], powers, scratch))
+
+
+def run(calls):
+    """Make the bound calls, in order."""
+    for call in calls:
+        call()
+
+
 def evaluate(P, v, out=None):
     """Componentwise evaluation; v of shape (n,) or (n, M).  Component i is
     written in place to row i of ``out`` (a new (n,) + v.shape[1:] array
-    when None, else one that does not overlap v), which is returned."""
+    when None, else one that does not overlap v), which is returned.  The
+    components share their powers v[j] ** e and one scratch array."""
     if type(v) is not np.ndarray or v.dtype != np.float64:
         v = np.asarray(v, dtype=float)
     if v.shape[0] != P.n:
         raise ValueError(f"expected {P.n} components, got {v.shape[0]}")
     if out is None:
         out = np.empty((P.n,) + v.shape[1:])
-    for i, p in enumerate(P.components):
-        p(v, out[i, ...])  # a row view, 0-d for a point
+    powers = {}
+    calls = bind_rows(P, v, out, powers, np.empty(v.shape[1:]))
+    run(power_calls(v, powers) + calls)
     return out
 
 

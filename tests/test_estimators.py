@@ -93,6 +93,17 @@ class TestXi:
             np.all(A.entry(i, j).coeffs == 0.0) for i in range(1) for j in range(1)
         )
 
+    def test_tensor_holds_a_read_only_copy_of_its_half_spectra(self, rng):
+        half = np.stack([[random_field(rng, 6).half[0] for _ in range(2)] for _ in range(2)])
+        half[:, :, 0] = half[:, :, 0].real
+        A = XiMatrixField(half, "x", 0.1)
+        assert A.n == 2 and A.half.tobytes() == half.tobytes() and not A.half.flags.writeable
+        half[0, 0, 1] += 1.0
+        assert A.half[0, 0, 1] != half[0, 0, 1]
+        assert all(A.entry(i, j).half.tobytes() == A.half[i, j][None].tobytes() for i in range(2) for j in range(2))
+        with pytest.raises(ValueError, match="shape"):
+            XiMatrixField(half[:1], "x", 0.1)
+
     def test_symmetric_measure_cancels_on_single_mode(self):
         # a = b: the two atoms contribute equal spatial means with opposite
         # weights, so the mean of the weighted tensor cancels exactly
@@ -215,7 +226,8 @@ class TestStackedForms:
         for r, u in enumerate(fields):
             A = xi_eps(u, self.scheme, self.eps)
             assert self.same(dists[r], negative_sobolev_distance(A, 0.3, 0.75))
-            assert self.same(dists[r], _distance_reference(A.entries, 0.3, 0.75))
+            entries = [[A.entry(i, j) for j in range(A.n)] for i in range(A.n)]
+            assert self.same(dists[r], _distance_reference(entries, 0.3, 0.75))
 
     def test_no_live_atom_gives_the_zero_tensor(self):
         u = self.fields()[0]
@@ -293,25 +305,23 @@ class TestQuadraticVariation:
 class TestNegativeSobolev:
     def test_exact_match_is_zero(self):
         e = SpectralField.constant(0.7, K=5)
-        A = XiMatrixField(1, ((e,),), "x", 0.1)
+        A = XiMatrixField(e.half[None], "x", 0.1)
         assert negative_sobolev_distance(A, 0.7, 0.75) < 1e-15
 
     def test_mean_mode_perturbation(self):
         delta, n = 0.3, 2
-        entries = []
+        half = np.zeros((n, n, 5), dtype=np.complex128)
         for i in range(n):
-            row = []
             for j in range(n):
                 c = (1.0 if i == j else 0.0) + (delta if i == j else 0.0)
-                row.append(SpectralField.constant(c, K=4))
-            entries.append(tuple(row))
-        A = XiMatrixField(n, tuple(entries), "x", 0.1)
+                half[i, j] = SpectralField.constant(c, K=4).half[0]
+        A = XiMatrixField(half, "x", 0.1)
         got = negative_sobolev_distance(A, 1.0, 0.75)
         assert abs(got - delta * SQRT_2PI * np.sqrt(n)) < 1e-12
 
     def test_requires_alpha_above_half(self):
         e = SpectralField.constant(0.0, K=2)
-        A = XiMatrixField(1, ((e,),), "x", 0.1)
+        A = XiMatrixField(e.half[None], "x", 0.1)
         with pytest.raises(ValueError):
             negative_sobolev_distance(A, 0.0, 0.5)
 

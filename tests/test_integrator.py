@@ -378,15 +378,19 @@ class TestBufferedStepping:
     """The stepper's buffered right-hand side, in-place evaluation and
     owned transforms keep the allocating arithmetic op for op, so every
     step gives the same bytes; finite-difference symbols at eps = 0.25 kill
-    modes 13..16 of K = 16."""
+    modes 13..16 of K = 16.  Beside the stacked-nonlinearity maps, a cubic
+    flux steps non-unit coefficients, products, a constant Jacobian entry
+    and powers above 2."""
+
+    MAPS = {**TestStackedNonlinearity.MAPS, (2, "cubic"): ("-u1; 0.2 - u2^2", "0.1*u1^3 + u1*u2; 0.5*u2^2 - u1")}
 
     def cfg(self, variant, n, with_drift, **kw):
-        F, G = TestStackedNonlinearity.MAPS[(n, with_drift)]
+        F, G = self.MAPS[(n, with_drift)]
         return make_cfg(n=n, scheme=finite_difference_scheme(1, 0), eps=0.25, F=parse_polynomial_map(F, n),
                         G=parse_polynomial_map(G, n), lambda_mode="quadrature", variant=variant, **kw)
 
     @pytest.mark.parametrize("variant", ["approximate", "limit_corrected", "limit_uncorrected"])
-    @pytest.mark.parametrize("n, with_drift", list(TestStackedNonlinearity.MAPS))
+    @pytest.mark.parametrize("n, with_drift", list(MAPS))
     def test_steps_bitwise_equal_to_the_allocating_arithmetic(self, rng, variant, n, with_drift):
         cfg = self.cfg(variant, n, with_drift)
         st = Stepper(mode_table(cfg), 0.3)
@@ -402,7 +406,7 @@ class TestBufferedStepping:
         assert np.max(np.abs(got)) > 0.1
 
     @pytest.mark.parametrize("variant", ["approximate", "limit_corrected", "limit_uncorrected"])
-    @pytest.mark.parametrize("n, with_drift", list(TestStackedNonlinearity.MAPS))
+    @pytest.mark.parametrize("n, with_drift", list(MAPS))
     def test_simulate_bitwise_equal_at_two_substeps(self, rng, variant, n, with_drift):
         cfg = self.cfg(variant, n, with_drift, noise_substeps=2, T=0.02, sample_every=1)
         u0 = random_field(rng, cfg.K, n=n, decay=1.5)

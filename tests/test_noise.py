@@ -221,6 +221,23 @@ def test_wiener_increment_bytes_match_the_per_mode_sigma(n, K):
         assert got.tobytes() == draw.half_coeffs(np.full(K + 1, np.sqrt(dt))).tobytes()
 
 
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("K", [1, 7, 128])
+def test_increment_into_a_given_array_is_the_allocating_call(n, K):
+    # one buffer, written again by every draw, as simulate owns it: each call
+    # returns it, holding the bytes of the allocating call on the same stream
+    buf = np.full((n, K + 1), np.nan + 1j * np.nan)
+    got, want = derive_stream(n, K, "out"), derive_stream(n, K, "out")
+    for dt in (1e-6, 2.5e-4, 0.3):
+        assert wiener_increment_coeffs(K, n, dt, got, out=buf) is buf
+        assert buf.tobytes() == wiener_increment_coeffs(K, n, dt, want).tobytes()
+    draw = ModeGaussianDraw.sample(K, n, got)
+    sigma = stationary_sigmas(K, 1.0).copy()
+    sigma[::2] = 0.0
+    assert draw.half_coeffs(sigma, out=buf) is buf
+    assert buf.tobytes() == draw.half_coeffs(sigma).tobytes()
+
+
 def test_scalar_sigma_is_the_constant_array():
     draw = ModeGaussianDraw.sample(9, 2, derive_stream(0, 0, "s"))
     for sigma in (0.0, -0.0, 0.7, -2.5):

@@ -9,12 +9,14 @@ from burgerslab.nonlin import (
     alias_free_grid_size,
     apply_bilinear,
     apply_pointwise,
+    bind_rows,
     evaluate,
     hessian,
     jacobian,
     laplacian,
     parse_polynomial,
     parse_polynomial_map,
+    power_calls,
 )
 from burgerslab.schemes import apply_D_eps, identity_scheme
 from burgerslab.spectral import (
@@ -87,12 +89,9 @@ class TestEvaluate:
 _SPECIAL_VALUES = (0.0, -0.0, np.inf, -np.inf, np.nan)
 
 
-@st.composite
-def _polynomials_and_grids(draw):
-    """A Polynomial in 1..3 variables (coefficients including +-1.0, powers
-    up to 4, possibly constant-only or zero) and an (n, M) grid holding
-    signed zeros, infinities and nans among finite values."""
-    n = draw(st.integers(1, 3))
+def _polynomial(draw, n):
+    """A Polynomial in n variables: coefficients including +-1.0, powers up
+    to 4, possibly constant-only or zero."""
     coeff = st.one_of(
         st.sampled_from((1.0, -1.0, 0.5, -2.0)),
         st.floats(-1e3, 1e3, allow_nan=False).filter(lambda c: c != 0.0),
@@ -101,10 +100,22 @@ def _polynomials_and_grids(draw):
     terms = draw(st.lists(st.tuples(exponent, coeff), max_size=4))
     if draw(st.booleans()):
         terms.append(((0,) * n, draw(coeff)))
-    M = draw(st.integers(1, 6))
+    return Polynomial.from_terms(n, terms)
+
+
+def _grid(draw, n, M):
+    """An (n, M) grid holding signed zeros, infinities and nans among finite
+    values."""
     value = st.one_of(st.sampled_from(_SPECIAL_VALUES), st.floats(-1e3, 1e3, allow_nan=False))
-    grid = np.array(draw(st.lists(value, min_size=n * M, max_size=n * M))).reshape(n, M)
-    return Polynomial.from_terms(n, terms), grid
+    return np.array(draw(st.lists(value, min_size=n * M, max_size=n * M))).reshape(n, M)
+
+
+@st.composite
+def _polynomials_and_grids(draw):
+    """A Polynomial in 1..3 variables and a grid for it (see ``_polynomial``
+    and ``_grid``)."""
+    n = draw(st.integers(1, 3))
+    return _polynomial(draw, n), _grid(draw, n, draw(st.integers(1, 6)))
 
 
 @settings(max_examples=400, deadline=None)
@@ -130,6 +141,38 @@ def test_evaluation_in_place_is_bitwise_the_term_by_term_arithmetic(case):
     old = np.full(p.nvars, scalar)
     assert np.array_equal(values, old, equal_nan=True)
     assert np.array_equal(np.signbit(values[~np.isnan(old)]), np.signbit(old[~np.isnan(old)]))
+
+
+@st.composite
+def _maps_and_grid_sequences(draw):
+    """A PolynomialMap of n polynomials in 1..3 variables and 2..4 grids of
+    one (n, M) shape for it."""
+    n, M = draw(st.integers(1, 3)), draw(st.integers(1, 6))
+    P = PolynomialMap(n, tuple(_polynomial(draw, n) for _ in range(n)))
+    return P, [_grid(draw, n, M) for _ in range(draw(st.integers(2, 4)))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_maps_and_grid_sequences())
+def test_a_bound_program_reads_its_grid_as_it_is_when_run(case):
+    # bound once on one grid, one output and one scratch array, as the
+    # stepper binds its right-hand side, the program is run after each
+    # overwrite of the grid in place: every row must be, byte for byte, the
+    # term-by-term arithmetic on the grid as it is then (a program that kept
+    # a copy or a stale view of a row or a power would not be)
+    P, grids = case
+    grid = np.empty_like(grids[0])
+    out, powers, scratch = np.full(grid.shape, 7.0), {}, np.empty(grid.shape[1:])
+    calls = bind_rows(P, grid, out, powers, scratch)  # adds the powers it reads
+    program = power_calls(grid, powers) + calls
+    for values in grids:
+        grid[...] = values
+        with np.errstate(all="ignore"):
+            for call in program:
+                call()
+            want = [reference_polynomial_value(p, values) for p in P.components]
+        for row, expected in zip(out, want):
+            assert row.tobytes() == expected.tobytes()
 
 
 class TestJacobian:

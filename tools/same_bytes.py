@@ -7,8 +7,12 @@ For each workload of ``perfbench/workloads.py`` and each seed (default
 1 2 3), the workload's input files are prepared and its commands run once
 under each tree, as ``python3 -m burgerslab`` with that tree's ``src`` on
 PYTHONPATH, in the same working directory so that paths in the commands
-match.  Every output file except the manifests (they hold timings) and each
-command's exit code, standard output and standard error must be equal.
+match.  Every output file, each command's exit code, standard output and
+standard error, and each manifest with its timings removed must be equal.
+The timings are a manifest's ``wall_clock_seconds``, each replicate's
+``wall_s`` and each chaos eps's ``sampling_s``; the rest of a manifest (the
+per-run steps and blow-up times, ``qv_limit_final``, Lambda's provenance,
+the digests of the outputs) is compared as it is.
 
 One line is printed per (workload, seed); the exit code is 1 on any
 difference, else 0.  Only the standard library is used, and the workload
@@ -16,6 +20,7 @@ definitions are imported read-only from this checkout's ``perfbench/``.
 """
 
 import argparse
+import json
 import os
 import shutil
 import subprocess
@@ -32,11 +37,24 @@ import workloads  # noqa: E402
 SINGLE_THREAD = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 
+def without_timings(manifest):
+    """The bytes of a manifest's JSON with its timings removed (see the
+    module docstring), keys sorted."""
+    data = json.loads(manifest)
+    data.pop("wall_clock_seconds", None)
+    for row in data.get("replicates", ()):
+        row.pop("wall_s", None)
+    for row in data.get("per_eps", ()):
+        row.pop("sampling_s", None)
+    return json.dumps(data, indent=2, sort_keys=True).encode()
+
+
 def run_tree(tree, workload, seed, workdir):
     """Run the workload's commands once under ``tree``; returns what they
-    left, by name: each non-manifest output file's bytes, and each command's
-    exit code and streams (named ``<label> exit code``, ``<label> stdout``
-    and ``<label> stderr``)."""
+    left, by name: each output file's bytes, a manifest's without its
+    timings (named ``<file> without timings``), and each command's exit code
+    and streams (named ``<label> exit code``, ``<label> stdout`` and
+    ``<label> stderr``)."""
     if workdir.exists():
         shutil.rmtree(workdir)
     plan = workloads.prepare(workload, seed, workdir)
@@ -50,7 +68,9 @@ def run_tree(tree, workload, seed, workdir):
         got[f"{label} stdout"] = proc.stdout
         got[f"{label} stderr"] = proc.stderr
     for path in sorted(plan.out.iterdir()) if plan.out.exists() else ():
-        if not path.name.endswith("_manifest.json"):
+        if path.name.endswith("_manifest.json"):
+            got[f"{path.name} without timings"] = without_timings(path.read_bytes())
+        else:
             got[path.name] = path.read_bytes()
     return got
 
