@@ -48,7 +48,6 @@ from .noise import (
     sample_stationary_pair,
 )
 from .integrator import (
-    BlowUpError,
     SimConfig,
     run_coupled,
 )
@@ -96,7 +95,6 @@ __all__ = [
     "CoupledStationaryPair",
     "derive_stream",
     "sample_stationary_pair",
-    "BlowUpError",
     "SimConfig",
     "run_coupled",
     "chain_rule_defect",

@@ -133,14 +133,6 @@ def _positive(x):
     return x > 0 and math.isfinite(x)
 
 
-def _eps_list(text):
-    try:
-        eps_list = tuple(float(e) for e in text.split(","))
-    except ValueError:
-        raise InputError(f"--eps must be a comma list of numbers, got {text!r}") from None
-    return eps_ladder(eps_list, "--eps")
-
-
 def _load_scheme(path):
     try:
         return load_scheme_file(path)
@@ -249,7 +241,7 @@ def cmd_converge(args):
     # run takes the resolved value, so Lambda is computed once
     replicates = None if args.replicates is None else replicate_count(args.replicates, "--replicates")
     _require(_positive(args.tol), f"--tol must be positive, got {args.tol}")
-    eps_override = _eps_list(args.eps) if args.eps is not None else None
+    eps_override = eps_ladder(args.eps, "--eps") if args.eps is not None else None
     try:
         spec = load_run_config(args.config)
         cfg = spec.sim_config(seed=args.seed, lambda_tol=args.tol)
@@ -387,7 +379,7 @@ def cmd_chaos(args):
     computation, so the chunk size moves no output byte.
     """
     nu, gamma, chi, alpha = args.nu, DEFAULT_GAMMA, DEFAULT_CHI, 0.75
-    eps_list = _eps_list(args.eps)
+    eps_list = eps_ladder(args.eps, "--eps")
     # the band eps^-gamma < |k| <= eps^-chi is empty or inverted unless eps < 1
     _require(max(eps_list) < 1, f"--eps values must be below 1, got {list(eps_list)}")
     bands = {eps: chaos_band(eps, gamma, chi) for eps in eps_list}

@@ -64,8 +64,6 @@ class XiMatrixField:
     of entry (i, j).  The array is copied when the tensor is made."""
 
     half: np.ndarray
-    scheme_name: str
-    eps: float
 
     def __post_init__(self):
         half = np.array(self.half, dtype=np.complex128)
@@ -140,10 +138,10 @@ def spatial_means(xi):
     return xi[..., 0].real / SQRT_2PI
 
 
-def _xi_field(u, atoms, eps, scheme_name):
+def _xi_field(u, atoms, eps):
     """The tensor of ``xi_halves`` for one field u, as an XiMatrixField."""
     half = u.half[None]
-    return XiMatrixField(xi_halves(half.shape, difference_grids(half, atoms, eps), eps)[0], scheme_name, eps)
+    return XiMatrixField(xi_halves(half.shape, difference_grids(half, atoms, eps), eps)[0])
 
 
 def xi_eps(u, scheme, eps):
@@ -155,13 +153,13 @@ def xi_eps(u, scheme, eps):
     entry) indexed by the two tensor slots.  The one-row call of
     ``difference_grids`` and ``xi_halves``.
     """
-    return _xi_field(u, scheme.mu, eps, scheme.name)
+    return _xi_field(u, scheme.mu, eps)
 
 
 def xi_eps_y(u, y, eps):
     """Single-atom tensor (eps y^2/2) (difference quotient)^(x)2, unweighted
     (the one-row call of ``xi_halves`` with the atom (y, 1))."""
-    return _xi_field(u, ((y, 1.0),), eps, "")
+    return _xi_field(u, ((y, 1.0),), eps)
 
 
 def chain_rule_defect(G, u, scheme, eps):

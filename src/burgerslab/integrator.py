@@ -39,6 +39,11 @@ discretized equation applies the literal nonconservative product
 grad G(u) . D_eps u, which is exactly the object whose limit acquires the
 drift correction.
 
+A run that blows up is an outcome the ensemble measures, not an error:
+simulate stops at the first non-finite state and returns no records and the
+number of steps it completed, and the replicate's report keeps that count
+and the blow-up time (steps * dt).
+
 A coupled ensemble is one dense result.  Each replicate norms the
 differences of every eps run to the two limit runs at the recorded steps
 into an (E, 4, S) block whose columns are ERRORS, NaN for an eps whose run
@@ -108,16 +113,6 @@ from .spectral import sobolev_norm, sup_norm  # noqa: F401
 
 VARIANTS = ("approximate", "limit_corrected", "limit_uncorrected")
 LAMBDA_MODES = ("quadrature", "closed_form", "explicit", "zero")
-
-
-class BlowUpError(RuntimeError):
-    """State left the finite range; carries the last valid time and the
-    number of steps taken up to it."""
-
-    def __init__(self, time, steps=None):
-        super().__init__(f"solution blew up after t = {time:.6g}")
-        self.time = time
-        self.steps = steps
 
 
 @dataclass(frozen=True)
@@ -435,13 +430,16 @@ def sample_steps(cfg):
 
 def simulate(table, lam, u0, wiener_rng):
     """Run one trajectory of the config of ``table`` (a ModeTable); returns
-    (times, half) at the recorded steps (``sample_steps``).
+    ``(records, steps)``.
 
-    ``half`` is one (steps, n, K+1) array of the half-spectrum states at the
-    recorded steps, in step order.  The Wiener stream is consumed in a fixed
-    order (noise_substeps draws per step, summed), so any two runs holding
-    generators derived from the same key see the same increments.  Raises
-    BlowUpError at the first non-finite state.
+    ``records`` is one (S, n, K+1) array of the half-spectrum states at the
+    S recorded steps (``sample_steps``), in step order, and ``steps`` is
+    cfg.n_steps.  A run that blows up is an outcome, not an error: at the
+    first non-finite state the run stops and returns ``(None, steps)``, with
+    ``steps`` the number of steps completed before it.  The Wiener stream is
+    consumed in a fixed order (noise_substeps draws per step, summed), so
+    any two runs holding generators derived from the same key see the same
+    increments.
     """
     cfg = table.cfg
     steps = sample_steps(cfg)
@@ -455,8 +453,8 @@ def simulate(table, lam, u0, wiener_rng):
     # the step's increment, and each later substep's draw before it is added
     dW = np.empty((cfg.n, cfg.K + 1), dtype=np.complex128)
     dW_sub = np.empty_like(dW) if sub > 1 else None
-    # non-finite states are legitimate here: they signal blow-up, which
-    # becomes BlowUpError, so the transient warnings are silenced
+    # non-finite states are legitimate here: they signal blow-up, which ends
+    # the run, so the transient warnings are silenced
     with np.errstate(over="ignore", invalid="ignore"):
         for m in range(1, cfg.n_steps + 1):
             wiener_increment_coeffs(cfg.K, cfg.n, dt_sub, wiener_rng, out=dW)
@@ -464,12 +462,11 @@ def simulate(table, lam, u0, wiener_rng):
                 dW += wiener_increment_coeffs(cfg.K, cfg.n, dt_sub, wiener_rng, out=dW_sub)
             half = stepper.step_coeffs(half, dW)
             if half is None:
-                raise BlowUpError((m - 1) * cfg.dt, m - 1)
+                return None, m - 1
             if m == steps[recorded]:
                 records[recorded] = half
                 recorded += 1
-    times = np.array([m * cfg.dt for m in steps])
-    return times, records
+    return records, cfg.n_steps
 
 
 # -- coupled ensembles ---------------------------------------------------------
@@ -508,12 +505,8 @@ def _run_replicate(limit_tables, eps_tables, replicate, lam):
         run_cfg = table.cfg
         row = {"row": run_cfg.variant, "eps": run_cfg.eps if run_cfg.variant == "approximate" else None}
         report["runs"].append(row)
-        try:
-            records = simulate(table, lam, u0, derive_stream(cfg.seed, replicate, "wiener"))[1]
-        except BlowUpError as err:
-            row.update(steps=err.steps, blowup_time=err.time)
-            return None
-        row.update(steps=run_cfg.n_steps, blowup_time=None)
+        records, steps = simulate(table, lam, u0, derive_stream(cfg.seed, replicate, "wiener"))
+        row.update(steps=steps, blowup_time=steps * run_cfg.dt if records is None else None)
         return records
 
     draw = ModeGaussianDraw.sample(cfg.K, cfg.n, derive_stream(cfg.seed, replicate, "ic"))

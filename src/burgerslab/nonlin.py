@@ -75,22 +75,19 @@ class Polynomial:
         term is built in ``out``, a later one in ``scratch`` (an array of
         out's shape, overlapping neither, that the calls may overwrite).  A
         product with a coefficient of exactly 1.0 is skipped, which changes
-        no bit, so that term starts from f1 itself.  On a grid, a power with
-        e >= 2 is read from ``powers[(j, e)]``, which is added, as a new array
-        of out's shape, when missing: the calls of ``power_calls(v, powers)``
-        must run before these.  At a point (v of shape (nvars,)) the v[j] are
-        numbers, read when the calls are bound, and each power is numpy's
-        scalar v[j] ** e (C pow, which the array ufunc need not round
-        alike).  This is the one definition of the term arithmetic;
-        ``__call__`` and ``evaluate`` bind and run it once, and a Stepper
-        binds it once on its own arrays.
+        no bit, so that term starts from f1 itself.  A power with e >= 2 is
+        read from ``powers[(j, e)]``, which is added, as a new array of out's
+        shape, when missing: the calls of ``power_calls(v, powers)`` must run
+        before these.  A point (v of shape (nvars,), out 0-d) takes the same
+        calls as a grid, so its value is bitwise the grid's at that point.
+        This is the one definition of the term arithmetic; ``__call__`` and
+        ``evaluate`` bind and run it once, and a Stepper binds it once on its
+        own arrays.
         """
 
         def factor(j, e):
             if e == 1:
-                return v[j]
-            if v.ndim == 1:  # a point: numbers, read now, and numpy's scalar power
-                return v[j] ** e
+                return v[j, ...]
             if (j, e) not in powers:
                 powers[j, e] = np.empty(out.shape)
             return powers[j, e]
@@ -115,23 +112,19 @@ class Polynomial:
             calls.append(partial(out.fill, 0.0))
         return tuple(calls)
 
-    def __call__(self, v, out=None):
+    def __call__(self, v):
         """Evaluate at v of shape (nvars,) or (nvars, M); returns a scalar or
-        an (M,) array, or ``out`` (an array of v.shape[1:], not overlapping
-        v) written with the value.  The arithmetic is that of ``bind``; the
-        powers v[j] ** e and one scratch array are the only other arrays a
-        call makes.
+        an (M,) array.  The arithmetic is that of ``bind``; the powers
+        v[j] ** e and one scratch array are the only other arrays a call
+        makes.
         """
         if type(v) is not np.ndarray or v.dtype != np.float64:
             v = np.asarray(v, dtype=float)
         shape = v.shape[1:]
-        given = out is not None
-        if not given:
-            out = np.empty(shape)
-        powers = {}
+        out, powers = np.empty(shape), {}
         calls = self.bind(v, out, powers, np.empty(shape))
         run(power_calls(v, powers) + calls)
-        return out if given or shape else out[()]
+        return out if shape else out[()]
 
     def diff(self, j):
         terms = []
@@ -213,7 +206,8 @@ def power_calls(v, powers):
     of ``powers`` (see ``Polynomial.bind``), with the ufunc numpy takes for
     v[j] ** e: square for e = 2, power otherwise."""
     return tuple(
-        partial(np.square, v[j], buf) if e == 2 else partial(np.power, v[j], e, buf) for (j, e), buf in powers.items()
+        partial(np.square, v[j, ...], buf) if e == 2 else partial(np.power, v[j, ...], e, buf)
+        for (j, e), buf in powers.items()
     )
 
 
@@ -230,18 +224,15 @@ def run(calls):
         call()
 
 
-def evaluate(P, v, out=None):
+def evaluate(P, v):
     """Componentwise evaluation; v of shape (n,) or (n, M).  Component i is
-    written in place to row i of ``out`` (a new (n,) + v.shape[1:] array
-    when None, else one that does not overlap v), which is returned.  The
-    components share their powers v[j] ** e and one scratch array."""
+    written to row i of a new (n,) + v.shape[1:] array, which is returned.
+    The components share their powers v[j] ** e and one scratch array."""
     if type(v) is not np.ndarray or v.dtype != np.float64:
         v = np.asarray(v, dtype=float)
     if v.shape[0] != P.n:
         raise ValueError(f"expected {P.n} components, got {v.shape[0]}")
-    if out is None:
-        out = np.empty((P.n,) + v.shape[1:])
-    powers = {}
+    out, powers = np.empty((P.n,) + v.shape[1:]), {}
     calls = bind_rows(P, v, out, powers, np.empty(v.shape[1:]))
     run(power_calls(v, powers) + calls)
     return out

@@ -39,12 +39,17 @@ class InputError(ValueError):
     """A command-line input or input file that cannot be used (exit 2)."""
 
 
-def eps_ladder(values, source):
-    """``values`` as a tuple, if it is non-empty, every value is positive
-    and finite, and no two share a table name (``f"{eps:g}"``: one table
-    would overwrite the other); else InputError naming ``source``."""
-    values = tuple(values)
-    if not values or not all(0 < e < math.inf for e in values):
+def eps_ladder(text, source):
+    """The eps ladder of ``text``, a comma list, as a tuple of floats, if
+    every entry is a positive finite number (an empty entry is not a
+    number) and no two share a table name (``f"{eps:g}"``: one table would
+    overwrite the other); else InputError naming ``source``.  The run
+    config's ``eps`` and the command line's ``--eps`` are both read here."""
+    try:
+        values = tuple(float(entry) for entry in text.split(","))
+    except ValueError:
+        raise InputError(f"{source} must be a comma list of numbers, got {text!r}") from None
+    if not all(0 < e < math.inf for e in values):
         raise InputError(f"{source} must be a list of positive finite numbers, got {values}")
     seen = {}
     for eps in values:
@@ -190,7 +195,7 @@ def load_run_config(path):
             f"(not empty, '.' or '..', and no path separator), got {prefix!r}"
         )
 
-    eps_list = eps_ladder((float(x) for x in m.get("eps", "0.125").split(",") if x.strip()), "eps")
+    eps_list = eps_ladder(m.get("eps", "0.125"), "eps")
     replicates = replicate_count(int(m.get("replicates", 8)), "replicates")
     lam_mode, lam_value = m.get("lambda_mode", "closed_form"), None
     if lam_mode.startswith("explicit:"):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from burgerslab import cli, integrator
 from burgerslab.cli import EXIT_BLOWUP, EXIT_OK, EXIT_QUADRATURE, EXIT_VALIDATION, _qv_limit_summary, _summary_line, main
 from burgerslab.estimators import xi_grid_size
-from burgerslab.runconfig import load_run_config
+from burgerslab.runconfig import eps_ladder, load_run_config
 
 
 @pytest.fixture
@@ -473,6 +473,41 @@ def test_numeric_arguments_validated_up_front(tmp_path, scheme_file, capsys, arg
     captured = capsys.readouterr()
     assert message in captured.err and captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("dry_run", [False, True])
+@pytest.mark.parametrize(
+    "where, text",
+    [("config", "0.25,,0.125,"), ("config", "0.25,,0.125"), ("converge", "0.25,,0.125,"), ("chaos", "0.04,"), ("chaos", ",0.04")],
+)
+def test_an_empty_eps_entry_exits_2_from_the_config_and_the_command_line(
+    tmp_path, scheme_file, run_config, capsys, where, text, dry_run
+):
+    # one rule reads the eps ladder from text wherever it is given: an empty
+    # entry is refused, naming where it came from, before anything is written
+    out = tmp_path / "out"
+    if where == "config":
+        run_config.write_text(run_config.read_text().replace("eps = 0.25,0.125", f"eps = {text}"))
+        argv, source = ["converge", "--config", str(run_config)], ": eps must be a comma list of numbers"
+    elif where == "converge":
+        argv, source = ["converge", "--config", str(run_config), "--eps", text], "--eps must be a comma list of numbers"
+    else:
+        argv = ["chaos", "--scheme", str(scheme_file), "--eps", text, "--samples", "4"]
+        source = "--eps must be a comma list of numbers"
+    assert main(argv + ["--out", str(out)] + (["--dry-run"] if dry_run else [])) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert source in captured.err and repr(text) in captured.err and captured.out == ""
+    assert not out.exists()
+
+
+def test_the_eps_ladder_reads_the_same_floats_from_a_config_and_the_command_line(tmp_path, run_config):
+    # perfbench's chaos ladder, and a ladder with blanks around its entries
+    original = run_config.read_text()
+    for text in ("0.04,0.028284,0.02,0.014142,0.01", "0.25 , 0.125"):
+        want = tuple(float(e) for e in text.split(","))
+        assert eps_ladder(text, "--eps") == want
+        run_config.write_text(original.replace("eps = 0.25,0.125", f"eps = {text}"))
+        assert load_run_config(run_config).eps_list == want
 
 
 @pytest.mark.parametrize("workers", ["0", "-1"])

@@ -96,13 +96,13 @@ class TestXi:
     def test_tensor_holds_a_read_only_copy_of_its_half_spectra(self, rng):
         half = np.stack([[random_field(rng, 6).half[0] for _ in range(2)] for _ in range(2)])
         half[:, :, 0] = half[:, :, 0].real
-        A = XiMatrixField(half, "x", 0.1)
+        A = XiMatrixField(half)
         assert A.n == 2 and A.half.tobytes() == half.tobytes() and not A.half.flags.writeable
         half[0, 0, 1] += 1.0
         assert A.half[0, 0, 1] != half[0, 0, 1]
         assert all(A.entry(i, j).half.tobytes() == A.half[i, j][None].tobytes() for i in range(2) for j in range(2))
         with pytest.raises(ValueError, match="shape"):
-            XiMatrixField(half[:1], "x", 0.1)
+            XiMatrixField(half[:1])
 
     def test_symmetric_measure_cancels_on_single_mode(self):
         # a = b: the two atoms contribute equal spatial means with opposite
@@ -305,7 +305,7 @@ class TestQuadraticVariation:
 class TestNegativeSobolev:
     def test_exact_match_is_zero(self):
         e = SpectralField.constant(0.7, K=5)
-        A = XiMatrixField(e.half[None], "x", 0.1)
+        A = XiMatrixField(e.half[None])
         assert negative_sobolev_distance(A, 0.7, 0.75) < 1e-15
 
     def test_mean_mode_perturbation(self):
@@ -315,13 +315,13 @@ class TestNegativeSobolev:
             for j in range(n):
                 c = (1.0 if i == j else 0.0) + (delta if i == j else 0.0)
                 half[i, j] = SpectralField.constant(c, K=4).half[0]
-        A = XiMatrixField(half, "x", 0.1)
+        A = XiMatrixField(half)
         got = negative_sobolev_distance(A, 1.0, 0.75)
         assert abs(got - delta * SQRT_2PI * np.sqrt(n)) < 1e-12
 
     def test_requires_alpha_above_half(self):
         e = SpectralField.constant(0.0, K=2)
-        A = XiMatrixField(e.half[None], "x", 0.1)
+        A = XiMatrixField(e.half[None])
         with pytest.raises(ValueError):
             negative_sobolev_distance(A, 0.0, 0.5)
 

@@ -73,30 +73,18 @@ class TestEvaluate:
                 assert np.array_equal(np.signbit(got), np.signbit(want)) and np.array_equal(got, want)
 
 
-    @pytest.mark.parametrize(
-        "text", ["0; -0.25", "0.5*u1^2; -u1 + 0.3*u1^3", "u1*u2^2 - 2; -u2", "3*u1^4*u2 + u1 - 1; u2"]
-    )
-    def test_out_rows_bitwise_equal_to_a_new_array(self, rng, text):
-        P = parse_polynomial_map(text, 2)
-        for v in (rng.standard_normal((2, 33)), np.zeros((2, 5)), -np.zeros((2, 5)), rng.standard_normal(2)):
-            want = evaluate(P, v)
-            buf = np.full((2,) + v.shape[1:], np.nan)
-            got = evaluate(P, v, out=buf)
-            assert got is buf
-            assert np.array_equal(np.signbit(got), np.signbit(want)) and np.array_equal(got, want)
-
 
 _SPECIAL_VALUES = (0.0, -0.0, np.inf, -np.inf, np.nan)
 
 
-def _polynomial(draw, n):
+def _polynomial(draw, n, max_power=4):
     """A Polynomial in n variables: coefficients including +-1.0, powers up
-    to 4, possibly constant-only or zero."""
+    to ``max_power``, possibly constant-only or zero."""
     coeff = st.one_of(
         st.sampled_from((1.0, -1.0, 0.5, -2.0)),
         st.floats(-1e3, 1e3, allow_nan=False).filter(lambda c: c != 0.0),
     )
-    exponent = st.tuples(*[st.integers(0, 4)] * n)
+    exponent = st.tuples(*[st.integers(0, max_power)] * n)
     terms = draw(st.lists(st.tuples(exponent, coeff), max_size=4))
     if draw(st.booleans()):
         terms.append(((0,) * n, draw(coeff)))
@@ -111,36 +99,51 @@ def _grid(draw, n, M):
 
 
 @st.composite
-def _polynomials_and_grids(draw):
+def _polynomials_and_grids(draw, max_power=4):
     """A Polynomial in 1..3 variables and a grid for it (see ``_polynomial``
     and ``_grid``)."""
     n = draw(st.integers(1, 3))
-    return _polynomial(draw, n), _grid(draw, n, draw(st.integers(1, 6)))
+    return _polynomial(draw, n, max_power), _grid(draw, n, draw(st.integers(1, 6)))
 
 
 @settings(max_examples=400, deadline=None)
 @given(_polynomials_and_grids())
 def test_evaluation_in_place_is_bitwise_the_term_by_term_arithmetic(case):
-    # a new array, a given out array and the reference agree byte for byte,
-    # nan signs and signed zeros included
+    # the evaluator and the reference agree byte for byte, nan signs and
+    # signed zeros included
     p, grid = case
     with np.errstate(all="ignore"):
         want = reference_polynomial_value(p, grid)
         got = p(grid)
-        buf = np.full(grid.shape[1:], 7.0)
-        assert p(grid, out=buf) is buf
-        assert got.tobytes() == want.tobytes() == buf.tobytes()
-        point = grid[:, 0]
-        values = evaluate(PolynomialMap(p.nvars, (p,) * p.nvars), point)
-        scalar = reference_polynomial_value(p, point)
-        assert isinstance(p(point), np.float64)
-    # at a point the reference takes numpy's scalar operators, the evaluator
-    # its ufuncs on a 0-d array; both round alike (the powers are the same
-    # scalar v[j] ** e), so every value is equal, signed zeros and
-    # infinities included, but a nan may come out with the other sign
-    old = np.full(p.nvars, scalar)
-    assert np.array_equal(values, old, equal_nan=True)
-    assert np.array_equal(np.signbit(values[~np.isnan(old)]), np.signbit(old[~np.isnan(old)]))
+    assert got.tobytes() == want.tobytes()
+
+
+def _same_up_to_nan_sign(a, b):
+    """a and b are nan at the same places and bitwise equal elsewhere."""
+    a, b = np.asarray(a), np.asarray(b)
+    nan = np.isnan(a)
+    return np.array_equal(nan, np.isnan(b)) and a[~nan].tobytes() == b[~nan].tobytes()
+
+
+@settings(max_examples=400, deadline=None)
+@given(_polynomials_and_grids(max_power=5))
+def test_a_point_is_bitwise_its_column_of_the_grid(case):
+    # a point takes the grid's ufuncs on 0-d arrays, so every column of a
+    # grid call is the call at that column, bit for bit, signed zeros,
+    # infinities, cubes and higher powers included (numpy's scalar x ** e,
+    # C pow, need not round alike).  Only a nan's sign may differ: when both
+    # operands of an add or a product are nan, which one numpy's loop passes
+    # on depends on whether it runs on one element or many.
+    p, grid = case
+    P = PolynomialMap(p.nvars, (p,) * p.nvars)
+    with np.errstate(all="ignore"):
+        column_values, rows = p(grid), evaluate(P, grid)
+        for c in range(grid.shape[1]):
+            point = grid[:, c]
+            value = p(point)
+            assert isinstance(value, np.float64)
+            assert _same_up_to_nan_sign(value, column_values[c])
+            assert _same_up_to_nan_sign(evaluate(P, point), rows[:, c])
 
 
 @st.composite

@@ -11,7 +11,30 @@ from hypothesis import strategies as st
 
 from burgerslab.cli import EXIT_OK, EXIT_VALIDATION, main
 from burgerslab.runconfig import load_run_config, parse_v0
+from burgerslab.schemes import load_scheme_file
 from burgerslab.spectral import to_grid
+
+
+def _readme_block(heading):
+    """The first fenced block after ``heading`` in the README."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    after = text[text.index(heading) :]
+    start = after.index("```\n") + 4
+    return after[start : after.index("```", start)]
+
+
+def test_the_readme_scheme_file_and_run_config_load(tmp_path, monkeypatch):
+    # both examples, copied as shown: the run config names the scheme file
+    # relative to the directory it is run from
+    (tmp_path / "forward.scheme").write_text(_readme_block("### Scheme description file"))
+    (tmp_path / "run.cfg").write_text(_readme_block("### Run config file"))
+    monkeypatch.chdir(tmp_path)
+    scheme = load_scheme_file("forward.scheme")
+    assert scheme.name == "forward" and scheme.builtin[0] == "identity"
+    spec = load_run_config("run.cfg")
+    assert spec.scheme == scheme and spec.output_prefix == "burgers"
+    assert spec.eps_list == (0.125, 0.0625, 0.03125, 0.015625) and spec.replicates == 32
+    assert (spec.config.K, spec.config.dt, spec.config.noise_substeps) == (1024, 2.5e-4, 1)
 
 
 class TestParseV0:
