@@ -57,7 +57,6 @@ from .estimators import (
     negative_sobolev_distance,
     quadratic_variation,
     rate_fit,
-    theta_eps,
     xi_eps,
 )
 
@@ -102,6 +101,5 @@ __all__ = [
     "negative_sobolev_distance",
     "quadratic_variation",
     "rate_fit",
-    "theta_eps",
     "xi_eps",
 ]

@@ -30,7 +30,6 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .correction import (
@@ -97,7 +96,6 @@ class Manifest:
             "command": command,
             "tool_version": __version__,
             "numpy_version": np.__version__,
-            "scipy_version": scipy.__version__,
             "seed": seed,
             "config_echo": config_echo,
             "config_sha256": hashlib.sha256(config_echo.encode()).hexdigest(),

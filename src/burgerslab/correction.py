@@ -26,13 +26,9 @@ the two rules' difference and a rounding floor of 50 machine epsilons times
 the integral of |integrand| over it; panels over their width's share of the
 tolerance are bisected, until the summed estimate meets it or the panel
 limit is reached.  The summed estimate (with a fixed allowance for the
-identity family's analytic tail) is the reported error.
-
-Only the sine integral (scipy.special.sici) needs scipy.  It is imported on
-first use, by the galerkin closed form and by the analytic tail of the
-identity family's quadrature; the closed forms of the identity and
-finite-difference families, the quadrature of schemes whose h has bounded
-support, and the mode sums load nothing beyond numpy.
+identity family's analytic tail) is the reported error.  The sine integral,
+which the galerkin closed form and that tail take, is the same rule on
+sin(x)/x over panels cut at the multiples of pi.
 """
 
 import functools
@@ -80,21 +76,11 @@ class LambdaResult:
         }
 
 
-# -- sine integral -------------------------------------------------------------
-
-
-def sine_integral(t):
-    """Si(t) = int_0^t sin(x)/x dx (scipy.special.sici).  Odd in t."""
-    from scipy.special import sici
-
-    return float(sici(t)[0])
-
-
 # -- quadrature for Lambda -------------------------------------------------------
 
 _GAUSS_N = 10  # the adaptive rule pairs the N- and (2N+1)-point Gauss-Legendre rules
 _EPSREL = 1e-12
-_LIMIT_SUPPORT = 200  # most panels per knot interval when h has bounded support
+_LIMIT_SUPPORT = 200  # most panels per knot interval: h of bounded support, and Si
 _LIMIT_TAIL = 400  # most panels before the identity family's analytic tail
 
 
@@ -155,6 +141,19 @@ def _adaptive_quadrature(fn, knots, epsabs, limit):
         panels += np.count_nonzero(bad)
         lo, mid, hi = lo[bad], mid[bad], hi[bad]
         lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+
+
+def sine_integral(t):
+    """Si(t) = int_0^t sin(x)/x dx by the adaptive rule, on panels cut at
+    the multiples of pi below |t|.  Odd in t."""
+    at = abs(float(t))
+    if at == 0.0:
+        return 0.0
+    cuts = np.pi * np.arange(1, int(at / np.pi) + 1)
+    knots = np.concatenate([[0.0], cuts[cuts < at], [at]])
+    # the rule's nodes are interior to the panels, so x > 0
+    value, _ = _adaptive_quadrature(lambda x: np.sin(x) / x, knots, 0.0, _LIMIT_SUPPORT)
+    return value if t > 0 else -value
 
 
 def _tail_identity(y, T):

@@ -1,7 +1,7 @@
-"""Diagnostic functionals of fields: difference-quotient energies, the
-difference-quotient tensor whose expectation produces the correction
-constant at finite resolution, grid quadratic variation, negative-order
-Sobolev distances, and log-log rate fitting.
+"""Diagnostic functionals of fields: the difference-quotient tensor whose
+expectation produces the correction constant at finite resolution, grid
+quadratic variation, negative-order Sobolev distances, and log-log rate
+fitting.
 
 Shift operators act as exact Fourier multipliers, so these quantities carry
 no interpolation bias; the only stochastic error in the experiments is
@@ -33,28 +33,6 @@ from .schemes import shift_minus
 # callers have looked it up by, and checks that the names still exist
 # (ROADMAP item 1).
 from .spectral import sobolev_norm  # noqa: F401
-
-
-def theta_eps(u, scheme, eps):
-    """Quadratic energy sum_i |w_i| * ||(u(. + eps y_i) - u)/eps||_{L^2}^2.
-
-    Equals the |mu|-integral of y^2 ||difference quotient||^2; computed per
-    mode by Parseval, no grids involved, as a weighted sum over the half
-    spectrum: mode 0 counts once, modes 1..K twice (for themselves and their
-    conjugates at -k, whose multiplier has the same modulus).
-    """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    k = u.modes.astype(float)
-    power = np.sum(np.abs(u.half) ** 2, axis=0)
-    power[1:] *= 2.0
-    total = 0.0
-    for y, w in scheme.mu:
-        if w == 0.0:
-            continue
-        mult2 = np.abs(np.exp(1j * k * eps * y) - 1.0) ** 2 / eps**2
-        total += abs(w) * float(np.sum(mult2 * power))
-    return total
 
 
 @dataclass(frozen=True)

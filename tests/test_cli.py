@@ -238,7 +238,7 @@ class TestConvergeCommand:
             assert record["method"] == mode and record["abs_error_estimate"] >= 0.0
         assert manifest["scheme_validation"].startswith("validation of scheme 'forward':")
         assert "FAIL" not in manifest["scheme_validation"]
-        assert manifest["numpy_version"] == np.__version__ and manifest["scipy_version"]
+        assert manifest["numpy_version"] == np.__version__ and "scipy_version" not in manifest
         for name, digest in manifest["outputs"].items():
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import sici
 
 from burgerslab import correction
 from burgerslab.correction import (
@@ -41,12 +42,29 @@ class TestSineIntegral:
         oracle, _ = quad(lambda x: np.sinc(x / np.pi), 0.0, np.pi, epsabs=1e-14)
         assert abs(sine_integral(np.pi) - oracle) < 1e-12
 
-    @pytest.mark.parametrize("t", [0.3, 2.0, 3.9, 4.1, 7.0, 12.5, 40.0])
+    # the identity family's tail takes pi/2 - Si at a multiple of 2 pi (8 pi
+    # for |y| <= 0.8 pi, 20 pi at |y| = 2 pi), farther out as |y| grows:
+    # sici is the oracle there
+    TAIL_POINTS = (8 * np.pi, 20 * np.pi, 500.0, 5000.0)
+
+    @pytest.mark.parametrize("t", [0.3, 2.0, 3.9, 4.1, 7.0, 12.5, 40.0, *TAIL_POINTS])
     def test_against_quadrature_both_regimes(self, t):
-        oracle, _ = quad(
-            lambda x: np.sinc(x / np.pi), 0.0, t, epsabs=1e-14, limit=300
-        )
-        assert abs(sine_integral(t) - oracle) < 1e-12
+        if t in self.TAIL_POINTS:
+            want = sici(t)[0]
+            assert abs(sine_integral(t) - want) < 1e-14
+            assert abs((np.pi / 2 - sine_integral(t)) - (np.pi / 2 - want)) < 1e-10 * abs(np.pi / 2 - want)
+        else:
+            oracle, _ = quad(
+                lambda x: np.sinc(x / np.pi), 0.0, t, epsabs=1e-14, limit=300
+            )
+            assert abs(sine_integral(t) - oracle) < 1e-12
+
+    @pytest.mark.parametrize("a, b", [(1, 0), (2, 1), (3, 2)])
+    def test_galerkin_closed_form_within_the_quadrature_estimate(self, a, b):
+        # the closed form takes Si at pi a and pi b; the quadrature takes none
+        closed = lambda_closed_form("galerkin", a, b, 1.0)
+        quadrature = lambda_quadrature(galerkin_scheme(a, b), 1.0)
+        assert abs(closed.value - quadrature.value) <= closed.abs_error_estimate + quadrature.abs_error_estimate
 
     def test_odd(self):
         assert sine_integral(-2.0) == -sine_integral(2.0)

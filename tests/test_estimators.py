@@ -13,7 +13,6 @@ from burgerslab.estimators import (
     quadratic_variation,
     rate_fit,
     spatial_means,
-    theta_eps,
     xi_eps,
     xi_eps_y,
     xi_halves,
@@ -35,53 +34,6 @@ from burgerslab.spectral import (
     to_grid,
 )
 from conftest import random_field
-
-
-class TestTheta:
-    def test_constant_field(self):
-        u = SpectralField.constant(3.0, K=6)
-        assert theta_eps(u, identity_scheme(1, 0), 0.1) == 0.0
-
-    def test_single_mode_closed_form(self):
-        k, eps = 4, 0.3
-        u = SpectralField.from_modes(K=6, entries={k: np.exp(0.7j)})
-        got = theta_eps(u, identity_scheme(1, 0), eps)
-        want = 2.0 * (2.0 - 2.0 * np.cos(k * eps)) / eps**2
-        assert abs(got - want) < 1e-12
-
-    def test_undivided_matches_hatD_route(self, rng):
-        # y^2 ||hatD_{eps y} u||^2 via the divided difference quotient
-        # (u(. + d) - u)/d, a Fourier multiplier, equals the undivided
-        # evaluation inside theta_eps
-        u = random_field(rng, K=20)
-        s = identity_scheme(2, 1)
-        eps = 0.07
-        k = u.modes.astype(float)
-        total = 0.0
-        for y, w in s.mu:
-            if y != 0.0:
-                d = eps * y
-                hat_d = u.apply_multiplier((np.exp(1j * k * d) - 1.0) / d)
-                total += abs(w) * y**2 * sobolev_norm(hat_d, 0.0) ** 2
-        assert abs(total - theta_eps(u, s, eps)) < 1e-12 * max(1.0, total)
-
-    def test_highpass_stationary_scaling(self):
-        # ensemble mean of the energy of the high-pass stationary sample
-        # scales like 1/eps: fitted log-log slope within [-1.2, -0.8]
-        s = finite_difference_scheme(1, 0)
-        K = 256
-        eps_list = (0.1, 0.05, 0.025)
-        means = []
-        for i, eps in enumerate(eps_list):
-            rng = derive_stream(21, i, "theta")
-            cut = eps ** (-1.0 / 3.0)
-            vals = []
-            for _ in range(80):
-                psit = sample_stationary_pair(s, eps, 1.0, K, rng).psi_tilde
-                vals.append(theta_eps(band_project(psit, cut, K), s, eps))
-            means.append(np.mean(vals))
-        slope, _, _ = rate_fit(eps_list, means)
-        assert -1.2 <= slope <= -0.8, slope
 
 
 class TestXi:

@@ -11,7 +11,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy
 
 import burgerslab
 from burgerslab import cli
@@ -52,29 +51,32 @@ def _release(version):
     return tuple(int(part) for part in re.match(r"\d+(?:\.\d+)*", version).group().split("."))
 
 
-def test_installed_numpy_and_scipy_meet_the_declared_floors():
-    # the transforms write into caller-owned arrays (numpy >= 2.0's fft
-    # out=); an older install must fail here, not mid-run
+def test_installed_numpy_meets_the_declared_floor():
+    # numpy is the one runtime dependency, and the transforms write into
+    # caller-owned arrays (numpy >= 2.0's fft out=); an older install must
+    # fail here, not mid-run
     tomllib = pytest.importorskip("tomllib")  # Python 3.11+
     dependencies = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["dependencies"]
     floors = dict(re.fullmatch(r"([a-z]+)>=([0-9.]+)", dep).groups() for dep in dependencies)
-    assert set(floors) == {"numpy", "scipy"} and _release(floors["numpy"]) >= (2, 0)
-    for module in (np, scipy):
-        assert _release(module.__version__) >= _release(floors[module.__name__]), module.__name__
+    assert set(floors) == {"numpy"} and _release(floors["numpy"]) >= (2, 0)
+    assert _release(np.__version__) >= _release(floors["numpy"])
 
 
-# Runs in a fresh interpreter (this one already holds scipy): imports the
-# command line, then runs each command given as JSON on argv[1] through
-# cli.main, and reports which of the costly modules are loaded after the
-# import and after each command, with each command's exit code and output.
+# Runs in a fresh interpreter with scipy blocked (this one already holds
+# it, for the oracles): imports the command line, then runs each command
+# given as JSON on argv[1] through cli.main, and reports which scipy modules
+# and whether the process pool are loaded after the import and after each
+# command, with each command's exit code and output.
 _IMPORT_PROBE = """
 import contextlib, io, json, sys
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
 from burgerslab import cli
 
-COSTLY = ("scipy.integrate", "scipy.special", "concurrent.futures.process")
-
 def loaded():
-    return [name for name in COSTLY if name in sys.modules]
+    return sorted(
+        name for name, module in sys.modules.items()
+        if module is not None and (name.split(".")[0] == "scipy" or name == "concurrent.futures.process")
+    )
 
 report = {"import": loaded(), "runs": []}
 for argv in json.loads(sys.argv[1]):
@@ -87,11 +89,10 @@ print(json.dumps(report))
 
 
 def test_each_command_loads_only_the_modules_it_runs(tmp_path):
-    # scipy.integrate (with scipy.special, scipy.optimize and
-    # scipy.sparse.linalg) would be most of a cold start's time and half its
-    # memory, and no command needs it: Lambda by quadrature is numpy alone.
-    # Only the sine integral (the galerkin closed form, and the analytic
-    # tail of the identity family's quadrature) loads scipy.special
+    # numpy is the one runtime dependency: every command runs with scipy
+    # blocked, Lambda by quadrature and the sine integral (the galerkin
+    # closed form, and the analytic tail of the identity family's
+    # quadrature) included, and only --workers > 1 loads the process pool
     fd = "name = fd\nf = finite_difference\nh = indicator_pi\nmu = (1,1);(0,-1)\nq = 0.4\n"
     forward = "name = forward\nf = identity\nh = one\nmu = (1,1);(0,-1)\nq = 1\n"
     (tmp_path / "fd.scheme").write_text(fd)
@@ -103,35 +104,30 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     (tmp_path / "galerkin.cfg").write_text(f"[scheme]\n{galerkin}\n{model}\n{timing}")
     quadrature_model = model.replace("closed_form", "quadrature")
     (tmp_path / "quadrature.cfg").write_text(f"[scheme]\n{fd}\n{quadrature_model}\n{timing}")
-    numpy_only = [
+    commands = [
         ["converge", "--config", "fd.cfg", "--out", "out"],
         ["chaos", "--scheme", "fd.scheme", "--eps", "0.1", "--samples", "2", "--out", "out"],
         ["qv", "--K", "32", "--M", "8", "--samples", "2", "--out", "out"],
         ["lambda", "--scheme", "forward.scheme", "--dry-run"],
         ["lambda", "--scheme", "fd.scheme"],
         ["converge", "--config", "quadrature.cfg", "--dry-run"],
-    ]
-    needs_scipy = [
         ["converge", "--config", "galerkin.cfg", "--dry-run"],
         ["lambda", "--scheme", "forward.scheme"],
     ]
     src = str(Path(burgerslab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE, json.dumps(numpy_only + needs_scipy)],
+        [sys.executable, "-c", _IMPORT_PROBE, json.dumps(commands)],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300, check=False,
     )
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
     runs = report["runs"]
-    assert [run["code"] for run in runs] == [0] * len(runs)
+    assert [run["code"] for run in runs] == [0] * len(commands)
     assert report["import"] == []
-    assert [run["loaded"] for run in runs[: len(numpy_only)]] == [[]] * len(numpy_only)
-    galerkin_run, quadrature_run = runs[len(numpy_only):]
-    assert galerkin_run["loaded"] == ["scipy.special"]
-    assert quadrature_run["loaded"] == ["scipy.special"]
-    assert not any("scipy.integrate" in run["loaded"] for run in runs)
-    # the values printed after loading on first use are the ones computed here
+    assert [run["loaded"] for run in runs] == [[]] * len(commands)
+    # the values printed without scipy are the ones computed here
+    galerkin_run, quadrature_run = runs[-2:]
     assert json.loads(galerkin_run["out"])["lambda"] == lambda_closed_form("galerkin", 1, 0, 1.0).value
     quadrature = lambda_quadrature(load_scheme_file(tmp_path / "forward.scheme"), 1.0, 1e-8)
     assert quadrature_run["out"] == json.dumps(quadrature.to_dict(), sort_keys=True) + "\n"
