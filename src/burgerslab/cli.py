@@ -297,9 +297,7 @@ def cmd_converge(args):
         sigma = discrete_sigmas(cfg.scheme, eps, cfg.nu, cfg.K)
         vals = []
         for rep in range(replicates):
-            draw = ModeGaussianDraw.sample(
-                cfg.K, cfg.n, derive_stream(args.seed, rep, "ic")
-            )
+            draw = ModeGaussianDraw.sample(cfg.K, cfg.n, derive_stream(cfg.seed, rep, "ic"))
             psi = draw.field(stationary_sigmas(cfg.K, cfg.nu))
             psit = draw.field(sigma)
             vals.append(sup_norm(psit - psi))

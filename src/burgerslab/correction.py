@@ -178,9 +178,9 @@ def _atom_integral(scheme, y, epsabs):
         S = float(scheme.h_support)
         pts = {0.0, S}
         if scheme.h_kind == "table":
-            pts.update(float(t) for t in getattr(scheme.h, "knots", ()) if 0.0 < t < S)
+            pts.update(float(t) for t in scheme.h.knots if 0.0 < t < S)
         if scheme.f_kind == "table":
-            pts.update(float(t) for t in getattr(scheme.f, "knots", ()) if 0.0 < t < S)
+            pts.update(float(t) for t in scheme.f.knots if 0.0 < t < S)
         period = 2.0 * np.pi / ay
         k = period
         while k < S:

@@ -13,7 +13,7 @@ noise factor,
 
     phi1(z) = (e^z - 1)/z,      g(z) = sqrt((1 - e^(-2z)) / (2z)),
 
-with lam_k the diffusion rate of the variant (nu k^2, or nu k^2 f(eps|k|)
+with lam_k the diffusion rate of the run (nu k^2, or nu k^2 f(eps|k|)
 with modes killed where f = +inf, the rule of schemes.symbols_at) and m_k
 the noise filter (h(eps|k|), or 1 for the limit equation).  The factor g
 (g(0) = 1, g(inf) = 0) injects each step's noise with exactly the
@@ -34,10 +34,14 @@ spectrum and records the half spectrum itself at the recorded steps, the
 errors are normed from those records, and the final limit state that the
 diagnostics take as a field is wrapped as it is.
 
-The limit equation carries the flux in conservative form d/dx G(u); the
-discretized equation applies the literal nonconservative product
-grad G(u) . D_eps u, which is exactly the object whose limit acquires the
-drift correction.
+A run is one of two kinds (VARIANTS).  An approximate run is the
+discretized equation at its eps: it applies the literal nonconservative
+product grad G(u) . D_eps u, which is exactly the object whose limit
+acquires the drift correction.  A limit run is the limit equation, with the
+flux in conservative form d/dx G(u).  The correction is a drift: the
+corrected limit run is the limit run whose F is corrected_drift(F, G, Lambda)
+= F - Lambda Laplacian(G), made once by run_coupled, so nothing below
+run_coupled knows Lambda.
 
 A run that blows up is an outcome the ensemble measures, not an error:
 simulate stops at the first non-finite state and returns no records and the
@@ -58,8 +62,9 @@ modes, m_k, the three update factors above, the D_eps multiplier of an
 approximate run, and the per-mode scale of the run's initial draw) are one
 frozen ModeTable, which ``mode_table`` evaluates from the config once.
 run_coupled makes the configs of all 2 + E runs with dataclasses.replace,
-which checks each again, and their tables before any replicate starts;
-every replicate steps those same tables, and neither simulate nor Stepper
+which checks each again, and their tables before any replicate starts (the
+two limit runs differ only in F, so they share one table's arrays); every
+replicate steps those same tables, and neither simulate nor Stepper
 evaluates anything per mode.
 
 The transforms, the pointwise polynomials and the update of a step write
@@ -111,7 +116,7 @@ from .estimators import xi_eps  # noqa: F401
 from .nonlin import evaluate  # noqa: F401
 from .spectral import sobolev_norm, sup_norm  # noqa: F401
 
-VARIANTS = ("approximate", "limit_corrected", "limit_uncorrected")
+VARIANTS = ("approximate", "limit")
 LAMBDA_MODES = ("quadrature", "closed_form", "explicit", "zero")
 
 
@@ -159,7 +164,7 @@ class SimConfig:
         if abs(steps - round(steps)) > 1e-9:
             raise ValueError(f"T/dt must be integral, got T = {self.T}, dt = {self.dt}")
         if self.variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}")
+            raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if self.lambda_mode not in LAMBDA_MODES:
             raise ValueError(f"lambda_mode must be one of {LAMBDA_MODES}, got {self.lambda_mode!r}")
         if self.lambda_mode == "explicit" and not math.isfinite(math.nan if self.lambda_value is None else self.lambda_value):
@@ -241,8 +246,8 @@ class ModeTable:
 
 
 def mode_table(cfg):
-    """The ModeTable of ``cfg``: the scheme's symbols at cfg.eps for the
-    approximate variant, the continuum for a limit variant."""
+    """The ModeTable of ``cfg``: the scheme's symbols at cfg.eps for an
+    approximate run, the continuum for a limit run."""
     k = np.arange(cfg.K + 1, dtype=float)
     if cfg.variant == "approximate":
         symbols = fv, killed_f, m = symbols_at(cfg.scheme, cfg.eps * k)
@@ -277,17 +282,18 @@ class Stepper:
     it is.  ``decay``, ``phi1_dt``, ``noise_fac`` and ``d_mult`` are the
     table's read-only arrays, shared by every Stepper of its run config.
 
-    Only ``__init__`` reads the variant.  It fixes the right-hand side as
+    Only ``__init__`` reads the run's kind, F and G.  It fixes the right-hand side as
     two row groups of n rows, either of which may be empty:
 
-    - a: the drift (corrected for ``limit_corrected``) plus, for the
-      approximate variant, the products dG_i/du_j(u) (D_eps u)_j of
-      ``jac_terms``, taken back to the band as it is;
-    - b: the flux G(u) of a limit variant, taken back and multiplied by ik
+    - a: the drift cfg.F (which is F - Lambda Laplacian(G) for the
+      corrected limit run, see run_coupled) plus, for an approximate run,
+      the products dG_i/du_j(u) (D_eps u)_j of ``jac_terms``, taken back to
+      the band as it is;
+    - b: the flux G(u) of a limit run, taken back and multiplied by ik
       (the conservative form d/dx G(u)).
 
-    ``jac_terms`` is empty for the limit variants; the state goes to the
-    grid with its D_eps derivative below it only when it is not.
+    ``jac_terms`` is empty for a limit run; the state goes to the grid with
+    its D_eps derivative below it only when it is not.
 
     The stepper owns the scratch of its right-hand side, sized by those
     rows, made once here and overwritten by every step:
@@ -319,26 +325,23 @@ class Stepper:
     arithmetic as a reference and compares bytes).
     """
 
-    def __init__(self, table, lam):
+    def __init__(self, table):
         cfg = self.cfg = table.cfg
-        K = cfg.K
-        # the corrected drift F - lam Laplacian(G) never exceeds this degree
+        K, n = cfg.K, cfg.n
+        # F - Lambda Laplacian(G) is of degree at most max(F, G), so the
+        # corrected limit run steps on the grid of the uncorrected one
         self.M = alias_free_grid_size(K, max(cfg.F.degree, cfg.G.degree))
         approximate = cfg.variant == "approximate"
-        self.drift = corrected_drift(cfg.F, cfg.G, lam) if cfg.variant == "limit_corrected" else cfg.F
         self.decay, self.phi1_dt, self.noise_fac, self.d_mult = table.decay, table.phi1_dt, table.noise_fac, table.d_mult
         self.ik = 1j * np.arange(K + 1, dtype=float)
-        self.jac_G = jacobian(cfg.G)
-        self.G_zero = cfg.G.is_zero()
-        self.drift_zero = self.drift.is_zero()
-        n = cfg.n
         # the nonzero entries (i, j, dG_i/du_j) of the Jacobian, row by row,
-        # for the nonconservative product of the approximate variant
-        jac_terms = [(i, j, self.jac_G[i][j]) for i in range(n) for j in range(n) if self.jac_G[i][j].terms]
-        self.jac_terms = jac_terms if approximate else []
+        # for the nonconservative product of an approximate run
+        jac = jacobian(cfg.G)
+        self.jac_terms = [(i, j, jac[i][j]) for i in range(n) for j in range(n) if approximate and jac[i][j].terms]
         # the row groups (see the class docstring): n rows each, or none
-        self.rows_a = n if not self.drift_zero or self.jac_terms else 0
-        self.rows_b = n if not approximate and not self.G_zero else 0
+        drift_zero = cfg.F.is_zero()
+        self.rows_a = n if not drift_zero or self.jac_terms else 0
+        self.rows_b = n if not approximate and not cfg.G.is_zero() else 0
 
         # scratch, overwritten by every step (see the class docstring)
         w, half_width = K + 1, self.M // 2 + 1
@@ -363,7 +366,7 @@ class Stepper:
         calls = ()
         if self.rows_a:
             a = self.grid_out[:n]
-            calls = (partial(a.fill, 0.0),) if self.drift_zero else bind_rows(self.drift, u, a, powers, term)
+            calls = (partial(a.fill, 0.0),) if drift_zero else bind_rows(cfg.F, u, a, powers, term)
             for i, j, entry in self.jac_terms:
                 calls += entry.bind(u, self.entry, powers, term) + (
                     partial(np.multiply, self.entry, self.grid[n + j], self.entry),
@@ -428,7 +431,7 @@ def sample_steps(cfg):
     return idx
 
 
-def simulate(table, lam, u0, wiener_rng):
+def simulate(table, u0, wiener_rng):
     """Run one trajectory of the config of ``table`` (a ModeTable); returns
     ``(records, steps)``.
 
@@ -443,7 +446,7 @@ def simulate(table, lam, u0, wiener_rng):
     """
     cfg = table.cfg
     steps = sample_steps(cfg)
-    stepper = Stepper(table, lam)
+    stepper = Stepper(table)
     half = u0.half
     records = np.empty((len(steps), cfg.n, cfg.K + 1), dtype=np.complex128)
     records[0] = half
@@ -477,7 +480,7 @@ def simulate(table, lam, u0, wiener_rng):
 ERRORS = ("sup_err_corrected", "sup_err_uncorrected", "halpha_err_corrected", "halpha_err_uncorrected")
 
 
-def _run_replicate(limit_tables, eps_tables, replicate, lam):
+def _run_replicate(limit_tables, eps_tables, replicate):
     """All runs of one replicate: the two limit runs of ``limit_tables``
     (corrected, then uncorrected) plus one discretized run per ModeTable of
     ``eps_tables``, sharing the mode draw, each scaled by its table's
@@ -489,7 +492,8 @@ def _run_replicate(limit_tables, eps_tables, replicate, lam):
     blew up; their rows of ``errors`` are NaN.  The report holds the
     replicate's wall seconds, the grid quadratic variation of the final
     corrected limit state (None if a limit run blew up) and, per run in the
-    order run, its row (the variant, and eps for a discretized run), the
+    order run, its row (``limit_corrected`` or ``limit_uncorrected`` by
+    position in ``limit_tables``, or ``approximate`` with its eps), the
     steps it took and its blow-up time (None unless it blew up).  A
     blown-up limit run ends the replicate, so the runs after it are not in
     the report.
@@ -500,28 +504,27 @@ def _run_replicate(limit_tables, eps_tables, replicate, lam):
     blown_up = np.ones(len(eps_tables), dtype=bool)
     report = {"replicate": replicate, "qv_limit_final": None, "runs": []}
 
-    def run(table, u0):
+    def run(table, u0, row, eps=None):
         """The run's (S, n, K+1) records, or None if it blew up."""
-        run_cfg = table.cfg
-        row = {"row": run_cfg.variant, "eps": run_cfg.eps if run_cfg.variant == "approximate" else None}
-        report["runs"].append(row)
-        records, steps = simulate(table, lam, u0, derive_stream(cfg.seed, replicate, "wiener"))
-        row.update(steps=steps, blowup_time=steps * run_cfg.dt if records is None else None)
+        entry = {"row": row, "eps": eps}
+        report["runs"].append(entry)
+        records, steps = simulate(table, u0, derive_stream(cfg.seed, replicate, "wiener"))
+        entry.update(steps=steps, blowup_time=steps * table.cfg.dt if records is None else None)
         return records
 
     draw = ModeGaussianDraw.sample(cfg.K, cfg.n, derive_stream(cfg.seed, replicate, "ic"))
     v0 = cfg.v0_field()
     u_bar0 = v0 + draw.field(limit_tables[0].sigma)
     limits = []  # corrected, then uncorrected; a blow-up ends the replicate
-    for limit_table in limit_tables:
-        if (limit := run(limit_table, u_bar0)) is None:
+    for limit_table, row in zip(limit_tables, ("limit_corrected", "limit_uncorrected")):
+        if (limit := run(limit_table, u_bar0, row)) is None:
             break
         limits.append(limit)
     if len(limits) == 2:
         final_limit = SpectralField(cfg.K, cfg.n, limits[0][-1])
         report["qv_limit_final"] = float(np.mean(quadratic_variation(final_limit, max(8, cfg.K // 4))))
         for e, eps_table in enumerate(eps_tables):
-            approx = run(eps_table, v0 + draw.field(eps_table.sigma))
+            approx = run(eps_table, v0 + draw.field(eps_table.sigma), "approximate", eps_table.cfg.eps)
             if approx is None:
                 continue
             # one limit run's differences at a time: stacking both raised
@@ -593,7 +596,9 @@ def run_coupled(cfg, eps_list, replicates, workers=1):
     output order is canonical).  At most one worker process per replicate
     is started, and none when that leaves one: the replicates then run in
     this process.  Every run's config is made, and so checked, and its
-    ModeTable built before any replicate starts.
+    ModeTable built before any replicate starts.  Lambda is resolved once,
+    into the corrected limit run's drift F - Lambda Laplacian(G); that run
+    shares the per-mode arrays of the uncorrected one, as only F differs.
     """
     eps_list = tuple(float(e) for e in eps_list)
     if not eps_list:
@@ -602,10 +607,11 @@ def run_coupled(cfg, eps_list, replicates, workers=1):
         raise ValueError(f"eps values must be distinct, got {eps_list}")
     if replicates < 1:
         raise ValueError(f"replicates must be at least 1, got {replicates}")
-    limit_tables = tuple(mode_table(replace(cfg, variant=v)) for v in ("limit_corrected", "limit_uncorrected"))
     eps_tables = tuple(mode_table(replace(cfg, eps=eps, variant="approximate")) for eps in eps_list)
+    uncorrected = mode_table(replace(cfg, variant="limit"))
     lam, _ = resolve_lambda(cfg)
-    run = partial(_run_replicate, limit_tables, eps_tables, lam=lam)
+    corrected = replace(uncorrected, cfg=replace(uncorrected.cfg, F=corrected_drift(cfg.F, cfg.G, lam)))
+    run = partial(_run_replicate, (corrected, uncorrected), eps_tables)
     # a forked pool starts all its workers at the first task, busy or not
     workers = min(workers, replicates)
     if workers > 1:

@@ -12,9 +12,12 @@ A run config has four sections of key = value lines:
     [output]   prefix (a file-name stem inside the output directory)
 
 K, dt and T are required.  A key outside these lists, in any section, is
-rejected by name rather than ignored.  Everything is inspectable text; the
-parsed object echoes its source exactly, and a content hash of that echo
-rides along in every output sidecar.
+rejected by name rather than ignored.  A relative path (the scheme file, a
+table: symbol, a modes: file) is read from the directory of the file that
+names it, not from the working directory; an absolute one as it is.
+Everything is inspectable text; the parsed object echoes its source
+exactly, and a content hash of that echo rides along in every output
+sidecar.
 
 The whole config is parsed and checked when it is loaded: the RunSpec holds
 a frozen SimConfig, which checks its own fields, and the experiment-level
@@ -25,6 +28,7 @@ applies to its overrides too (each names the place its value came from).
 import configparser
 import hashlib
 import math
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -68,13 +72,16 @@ def replicate_count(value, source):
     return value
 
 
-def parse_v0(spec, K, n):
-    """Initial-profile spec -> band-limited SpectralField (or None for zero)."""
+def parse_v0(spec, K, n, directory=""):
+    """Initial-profile spec -> band-limited SpectralField (or None for zero);
+    a relative modes: path is read from ``directory``."""
     spec = spec.strip()
     if spec == "zero":
         return None
     if spec.startswith(("sin:", "cos:")):
         parts = spec.split(":")
+        if len(parts) > 3:
+            raise ValueError(f"v0 takes sin|cos:<amp>[:<comp>], got {spec!r}")
         amp = float(parts[1])
         if not math.isfinite(amp):
             raise ValueError(f"v0 amplitude must be finite, got {spec!r}")
@@ -87,7 +94,7 @@ def parse_v0(spec, K, n):
         c[comp, 1] = value
         return SpectralField(K, n, c)
     if spec.startswith("modes:"):
-        path = spec[len("modes:") :]
+        path = os.path.join(directory, spec[len("modes:") :])
         c = np.zeros((n, K + 1), dtype=np.complex128)
         with open(path) as fh:
             for lineno, raw in enumerate(fh, start=1):
@@ -176,13 +183,14 @@ def load_run_config(path):
         if _REQUIRED[section] - keys:
             raise ValueError(f"{path}: [{section}] lacks {sorted(_REQUIRED[section] - keys)}")
 
+    directory = os.path.dirname(path)
     scheme_section = dict(parser["scheme"])
     if "file" in scheme_section:
         if len(scheme_section) > 1:
             raise ValueError(f"{path}: [scheme] takes a file or the scheme keys, not both: {sorted(scheme_section)}")
-        scheme = load_scheme_file(scheme_section["file"])
+        scheme = load_scheme_file(os.path.join(directory, scheme_section["file"]))
     else:
-        scheme = scheme_from_mapping(scheme_section)
+        scheme = scheme_from_mapping(scheme_section, directory)
 
     m, t = dict(parser["model"]), dict(parser["time"])
     output = dict(parser["output"]) if "output" in parser else {}
@@ -222,7 +230,7 @@ def load_run_config(path):
         config,
         F=_polynomial_map(m, "F", n),
         G=_polynomial_map(m, "G", n),
-        v0=parse_v0(m.get("v0", "zero"), config.K, n),
+        v0=parse_v0(m.get("v0", "zero"), config.K, n, directory),
     )
     return RunSpec(
         config=config,

@@ -28,6 +28,7 @@ which validates it and derives all of these afresh, so no fact can outlive
 the fields it was derived from.
 """
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,15 +123,12 @@ class TabulatedSymbol:
             raise ValueError("table abscissae must be strictly increasing")
         object.__setattr__(self, "knots", ts)
         object.__setattr__(self, "values", vs)
+        object.__setattr__(self, "extrapolate", float(self.extrapolate))
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
         out = np.interp(t, self.knots, self.values)
         return np.where(t > self.knots[-1], self.extrapolate, out)
-
-
-def tabulated_symbol(ts, values, extrapolate):
-    return TabulatedSymbol(ts, values, float(extrapolate))
 
 
 # -- the scheme itself -------------------------------------------------------
@@ -449,8 +447,9 @@ def parse_mu(text):
     return tuple(atoms)
 
 
-def scheme_from_mapping(entries):
-    """Build a Scheme from plain key = value entries (see load_scheme_file)."""
+def scheme_from_mapping(entries, directory=""):
+    """Build a Scheme from plain key = value entries (see load_scheme_file);
+    a relative ``table:`` path is read from ``directory``."""
     required = {"name", "f", "h", "mu", "q"}
     missing = required - set(entries)
     if missing:
@@ -460,19 +459,20 @@ def scheme_from_mapping(entries):
         raise ValueError(f"scheme description has unknown key(s) {sorted(unknown)}")
     return Scheme(
         name=entries["name"].strip(),
-        f=_symbol(entries["f"].strip(), _F_BUILTINS, "f"),
-        h=_symbol(entries["h"].strip(), _H_BUILTINS, "h"),
+        f=_symbol(entries["f"].strip(), _F_BUILTINS, "f", directory),
+        h=_symbol(entries["h"].strip(), _H_BUILTINS, "h", directory),
         mu=parse_mu(entries["mu"]),
         q=float(entries["q"]),
     )
 
 
-def _symbol(spec, builtins, which):
-    """A builtin tag or table:<path> as a symbol."""
+def _symbol(spec, builtins, which, directory):
+    """A builtin tag or table:<path> as a symbol, a relative path read from
+    ``directory``."""
     if spec in builtins:
         return builtins[spec]
     if spec.startswith("table:"):
-        return tabulated_symbol(*_load_table(spec[len("table:") :]))
+        return TabulatedSymbol(*_load_table(os.path.join(directory, spec[len("table:") :])))
     raise ValueError(f"unknown {which} spec {spec!r}")
 
 
@@ -502,7 +502,8 @@ def load_scheme_file(path):
 
     Keys: name; f = identity|finite_difference|galerkin|table:<path>;
     h = one|indicator_pi|table:<path>; mu = (y1,w1);(y2,w2);...; q = <real>.
-    A key given twice is an error, not an override.
+    A key given twice is an error, not an override.  A relative table path
+    is read from the directory of the scheme file, not the working one.
     """
     entries, first_line = {}, {}
     with open(path) as fh:
@@ -517,4 +518,4 @@ def load_scheme_file(path):
             if key in entries:
                 raise ValueError(f"{path}:{lineno}: duplicate key {key!r} (first given on line {first_line[key]})")
             entries[key], first_line[key] = value.strip(), lineno
-    return scheme_from_mapping(entries)
+    return scheme_from_mapping(entries, os.path.dirname(path))

@@ -298,6 +298,7 @@ class TestConvergeCommand:
             ("K = 16\n", "K = 16\nK = 17\n", "'K'"),
             ("v0 = sin:1", "v0 = modes:{modes}", "modes.csv:2: component 0 outside 1..1"),
             ("v0 = sin:1", "v0 = modes:{missing}", "missing.csv"),
+            ("v0 = sin:1", "v0 = sin:1:1:junk", "v0 takes"),
             (
                 "f = identity\nh = one\nmu = (1,1);(0,-1)\nq = 1",
                 "f = finite_difference\nh = indicator_pi\nmu = (0.5,1);(-0.5,-1)\nq = 0.4",
@@ -385,6 +386,27 @@ class TestConvergeCommand:
         assert code == EXIT_BLOWUP
         summary = json.loads((tmp_path / "boom" / "boom_summary.json").read_text())
         assert summary["blowup_fraction"] > 0.2
+
+
+def test_relative_paths_are_read_from_the_file_that_names_them(tmp_path, run_config, monkeypatch, capsys):
+    # run from another directory: the run config names its scheme file and
+    # its modes file, and the scheme its table, relative to its own directory
+    inputs = tmp_path / "cfg"
+    (inputs / "tables").mkdir(parents=True)
+    (inputs / "tables" / "h.csv").write_text("extrapolate = 0\n0,1\n1,1\n2,0\n")
+    (inputs / "tables" / "tab.scheme").write_text("name = tab\nf = identity\nh = table:h.csv\nmu = (1,1);(0,-1)\nq = 1\n")
+    (inputs / "v0.csv").write_text("k,comp,re,im\n2,1,0.0,-0.5\n")
+    text = run_config.read_text().replace("v0 = sin:1", "v0 = modes:v0.csv")
+    text = text.replace("lambda_mode = closed_form", "lambda_mode = explicit:0.25")
+    inline = "name = forward\nf = identity\nh = one\nmu = (1,1);(0,-1)\nq = 1\n"
+    (inputs / "file.cfg").write_text(text.replace(inline, "file = tables/tab.scheme\n"))
+    (inputs / "inline.cfg").write_text(text.replace("h = one", "h = table:tables/h.csv"))
+    (tmp_path / "elsewhere").mkdir()
+    monkeypatch.chdir(tmp_path / "elsewhere")
+    for name, scheme in (("file.cfg", "tab"), ("inline.cfg", "forward")):
+        assert main(["converge", "--config", f"../cfg/{name}", "--out", "out", "--dry-run"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["scheme"] == scheme
+    assert load_run_config(inputs / "file.cfg").config.v0.mode(2)[0] == -0.5j
 
 
 @pytest.mark.parametrize("command", ["lambda", "chaos", "converge"])

@@ -21,11 +21,11 @@ from burgerslab.correction import (
 from burgerslab.nonlin import PolynomialMap, evaluate, parse_polynomial_map
 from burgerslab.schemes import (
     Scheme,
+    TabulatedSymbol,
     atoms_one_sided,
     finite_difference_scheme,
     galerkin_scheme,
     identity_scheme,
-    tabulated_symbol,
 )
 from burgerslab.spectral import SpectralField, band_project
 
@@ -177,8 +177,8 @@ def test_table_of_the_finite_difference_symbol(a, b):
     # by at most sup|f - f_table|/f_table times sum |w y| / (4 nu)
     knots = np.pi * np.linspace(0.0, 1.0, 2049) ** 2
     fd = lambda t: np.where(t == 0.0, 1.0, 4.0 * np.sin(t / 2.0) ** 2 / np.where(t == 0.0, 1.0, t) ** 2)
-    f = tabulated_symbol(knots, fd(knots), np.inf)
-    h = tabulated_symbol([0.0, np.pi], [1.0, 1.0], 0.0)
+    f = TabulatedSymbol(knots, fd(knots), np.inf)
+    h = TabulatedSymbol([0.0, np.pi], [1.0, 1.0], 0.0)
     s = Scheme("fd_table", f, h, atoms_one_sided(a, b), finite_difference_scheme().q)
     t = np.linspace(0.0, np.pi, 2_000_001)
     rel = np.max(np.abs(fd(t) - f(t)) / f(t))

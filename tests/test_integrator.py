@@ -1,15 +1,18 @@
 import concurrent.futures
 import json
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, fields, replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from burgerslab.estimators import quadratic_variation
+import burgerslab.integrator as integrator
 from burgerslab.integrator import (
     ERRORS,
+    VARIANTS,
     EnsembleResult,
+    ModeTable,
     SimConfig,
     Stepper,
     mode_table,
@@ -18,7 +21,7 @@ from burgerslab.integrator import (
     sample_steps,
     simulate,
 )
-from burgerslab.correction import lambda_closed_form_for_scheme
+from burgerslab.correction import corrected_drift, lambda_closed_form_for_scheme
 from burgerslab.noise import (
     ModeGaussianDraw,
     derive_stream,
@@ -37,12 +40,12 @@ from burgerslab.nonlin import (
 )
 from burgerslab.schemes import (
     Scheme,
+    TabulatedSymbol,
     atoms_one_sided,
     d_eps_multiplier,
     finite_difference_scheme,
     galerkin_scheme,
     identity_scheme,
-    tabulated_symbol,
 )
 from burgerslab.spectral import (
     SQRT_2PI,
@@ -73,6 +76,18 @@ def make_cfg(**kw):
     )
     base.update(kw)
     return SimConfig(**base)
+
+
+# the rows of a replicate's report; the corrected limit run is the limit run
+# whose drift carries the correction
+ROWS = ("approximate", "limit_corrected", "limit_uncorrected")
+
+
+def row_cfg(row, lam=0.3, **kw):
+    """make_cfg(**kw) as the run of ``row``, built as run_coupled builds it:
+    the corrected limit run takes corrected_drift(F, G, lam) as its F."""
+    cfg = make_cfg(variant="approximate" if row == "approximate" else "limit", **kw)
+    return replace(cfg, F=corrected_drift(cfg.F, cfg.G, lam)) if row == "limit_corrected" else cfg
 
 
 class TestConfig:
@@ -137,6 +152,8 @@ class TestConfig:
             ({"eps": np.nan}, "^eps must be positive and finite"),
             ({"K": 0}, "^K must be at least 1"),
             ({"lambda_mode": "bogus"}, "^lambda_mode must be one of"),
+            # the corrected limit run is a limit run with a corrected drift
+            ({"variant": "limit_corrected"}, r"^variant must be one of \('approximate', 'limit'\)"),
             ({"lambda_mode": "explicit"}, "^explicit lambda_mode requires a finite lambda_value"),
             ({"lambda_mode": "explicit", "lambda_value": np.nan}, "^explicit lambda_mode requires a finite lambda_value"),
         ],
@@ -160,9 +177,9 @@ class TestStep:
 
     def test_pure_heat_decay(self, rng):
         # F = G = 0 and no noise: the semigroup factor is exact per mode
-        cfg = make_cfg(G=PolynomialMap.zero(1), variant="limit_uncorrected", T=0.05)
+        cfg = make_cfg(G=PolynomialMap.zero(1), variant="limit", T=0.05)
         u = random_field(rng, cfg.K)
-        stepper = Stepper(mode_table(cfg), 0.0)
+        stepper = Stepper(mode_table(cfg))
         c = u.half.copy()
         for _ in range(cfg.n_steps):
             c = stepper.step_coeffs(c, 0.0)
@@ -175,9 +192,9 @@ class TestStep:
         cfg = make_cfg(
             F=parse_polynomial_map(f"{c_drift}", 1),
             G=PolynomialMap.zero(1),
-            variant="limit_uncorrected",
+            variant="limit",
         )
-        stepper = Stepper(mode_table(cfg), 0.0)
+        stepper = Stepper(mode_table(cfg))
         c = np.zeros((1, cfg.K + 1), dtype=np.complex128)
         c1 = stepper.step_coeffs(c, 0.0)
         assert abs(c1[0, 0] - c_drift * SQRT_2PI * cfg.dt) < 1e-15
@@ -189,13 +206,13 @@ class TestStep:
         cfg = make_cfg(
             F=parse_polynomial_map("-u1", 1),
             G=PolynomialMap.zero(1),
-            variant="limit_uncorrected",
+            variant="limit",
             dt=1e-3,
             T=0.1,
         )
         k = 2
         u = SpectralField.from_modes(K=cfg.K, entries={k: 0.4 - 0.1j})
-        stepper = Stepper(mode_table(cfg), 0.0)
+        stepper = Stepper(mode_table(cfg))
         c = u.half.copy()
         for _ in range(100):
             c = stepper.step_coeffs(c, 0.0)
@@ -207,26 +224,25 @@ class TestStep:
         cfg = make_cfg(scheme=finite_difference_scheme(1, 0), eps=0.5, variant="approximate",
                        lambda_mode="zero")
         u = random_field(rng, cfg.K)
-        stepper = Stepper(mode_table(cfg), 0.0)
+        stepper = Stepper(mode_table(cfg))
         c = stepper.step_coeffs(u.half, 0.0)
         killed = np.arange(cfg.K + 1) >= np.pi / cfg.eps
         assert killed.any() and np.all(c[:, killed] == 0.0)
 
     def test_blowup_detection(self):
         cfg = make_cfg(F=parse_polynomial_map("u1^3", 1), G=PolynomialMap.zero(1),
-                       variant="limit_uncorrected", dt=0.5, T=50.0, sample_every=100)
+                       variant="limit", dt=0.5, T=50.0, sample_every=100)
         huge = SpectralField.constant(1e160, cfg.K)
-        records, steps = simulate(mode_table(cfg), 0.0, huge, derive_stream(0, 0, "w"))
+        records, steps = simulate(mode_table(cfg), huge, derive_stream(0, 0, "w"))
         assert records is None and steps < cfg.n_steps
 
-    @pytest.mark.parametrize("variant", ["approximate", "limit_corrected"])
-    def test_blowup_through_flux_transforms(self, rng, variant):
+    @pytest.mark.parametrize("row", ["approximate", "limit_corrected"])
+    def test_blowup_through_flux_transforms(self, rng, row):
         # the state overflows inside the stacked transforms; it must surface
         # as a blow-up, not as a reality-check ValueError
-        cfg = make_cfg(F=parse_polynomial_map("u1^3", 1), variant=variant, dt=0.5, T=50.0,
-                       sample_every=100)
+        cfg = row_cfg(row, 0.25, F=parse_polynomial_map("u1^3", 1), dt=0.5, T=50.0, sample_every=100)
         huge = random_field(rng, cfg.K) * 1e160
-        records, steps = simulate(mode_table(cfg), 0.25, huge, derive_stream(0, 0, "w"))
+        records, steps = simulate(mode_table(cfg), huge, derive_stream(0, 0, "w"))
         assert records is None and steps < cfg.n_steps
 
 
@@ -236,15 +252,16 @@ def separate_transforms_nonlinearity(stepper, half, M=None):
     0..K, M overrides the grid."""
     cfg, M = stepper.cfg, M or stepper.M
     grid = coeffs_to_values(half, M)
-    drift = values_to_coeffs(evaluate(stepper.drift, grid), cfg.K)
+    drift = values_to_coeffs(evaluate(cfg.F, grid), cfg.K)
     if cfg.variant != "approximate":
         flux = values_to_coeffs(evaluate(cfg.G, grid), cfg.K)
         return drift + stepper.ik[None, :] * flux
     dgrid = coeffs_to_values(half * stepper.d_mult[None, :], M)
     total = np.zeros((cfg.n, M))
+    jac = jacobian(cfg.G)
     for i in range(cfg.n):
         for j in range(cfg.n):
-            total[i] += stepper.jac_G[i][j](grid) * dgrid[j]
+            total[i] += jac[i][j](grid) * dgrid[j]
     return drift + values_to_coeffs(total, cfg.K)
 
 
@@ -256,21 +273,20 @@ class TestStackedNonlinearity:
         (2, True): ("-u1; 0.2 - u2^2", "0.5*u1^2 + u2; 0.25*u2^2 + u1"),
     }
 
-    @pytest.mark.parametrize("variant", ["approximate", "limit_corrected", "limit_uncorrected"])
+    @pytest.mark.parametrize("row", ROWS)
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("with_drift", [False, True])
-    def test_matches_separate_transforms(self, rng, variant, n, with_drift):
+    def test_matches_separate_transforms(self, rng, row, n, with_drift):
         F, G = self.MAPS[(n, with_drift)]
-        cfg = make_cfg(
+        cfg = row_cfg(
+            row,
             n=n,
             K=20,
             scheme=finite_difference_scheme(1, 0),
             F=parse_polynomial_map(F, n),
             G=parse_polynomial_map(G, n),
-            lambda_mode="quadrature",
-            variant=variant,
         )
-        stepper = Stepper(mode_table(cfg), 0.3)
+        stepper = Stepper(mode_table(cfg))
         half = random_field(rng, cfg.K, n=n, decay=1.5).half
         got = stepper.nonlinearity(half)
         ref = separate_transforms_nonlinearity(stepper, half)
@@ -288,15 +304,14 @@ class TestStepperBuffers:
         (2, "-u1; 0.2 - u2^2", "0; 0"),
     ]
 
-    @pytest.mark.parametrize("variant", ["approximate", "limit_corrected", "limit_uncorrected"])
+    @pytest.mark.parametrize("row", ROWS)
     @pytest.mark.parametrize("n, F, G", MAPS)
-    def test_shared_stepper_matches_fresh_ones(self, rng, variant, n, F, G):
-        cfg = make_cfg(n=n, K=20, eps=0.25, scheme=finite_difference_scheme(1, 0),
-                       F=parse_polynomial_map(F, n), G=parse_polynomial_map(G, n),
-                       lambda_mode="quadrature", variant=variant)
+    def test_shared_stepper_matches_fresh_ones(self, rng, row, n, F, G):
+        cfg = row_cfg(row, n=n, K=20, eps=0.25, scheme=finite_difference_scheme(1, 0),
+                      F=parse_polynomial_map(F, n), G=parse_polynomial_map(G, n))
         table = mode_table(cfg)  # read-only, and shared as run_coupled shares it
-        shared = Stepper(table, 0.3)
-        fresh = [Stepper(table, 0.3), Stepper(table, 0.3)]
+        shared = Stepper(table)
+        fresh = [Stepper(table), Stepper(table)]
         states = [random_field(rng, cfg.K, n=n, decay=1.5).half.copy() for _ in range(2)]
         refs = [c.copy() for c in states]
         w = derive_stream(5, 0, "wiener")
@@ -332,21 +347,21 @@ def reference_nonlinearity(st, half):
     def apply(P, grid):
         return np.array([reference_polynomial_value(p, grid) for p in P.components])
 
-    if st.drift_zero and st.G_zero:
+    if cfg.F.is_zero() and cfg.G.is_zero():
         return 0.0
-    if st.G_zero:
-        return to_half(apply(st.drift, to_values(half)))
+    if cfg.G.is_zero():
+        return to_half(apply(cfg.F, to_values(half)))
     if cfg.variant == "approximate":
         both = to_values(np.concatenate([half, half * st.d_mult]))
         grid, dgrid = both[:n], both[n:]
-        total = np.zeros((n, M)) if st.drift_zero else apply(st.drift, grid)
+        total = np.zeros((n, M)) if cfg.F.is_zero() else apply(cfg.F, grid)
         for i, j, entry in st.jac_terms:
             total[i] += reference_polynomial_value(entry, grid) * dgrid[j]
         return to_half(total)
     grid = to_values(half)
-    if st.drift_zero:
+    if cfg.F.is_zero():
         return st.ik * to_half(apply(cfg.G, grid))
-    both = to_half(np.concatenate([apply(st.drift, grid), apply(cfg.G, grid)]))
+    both = to_half(np.concatenate([apply(cfg.F, grid), apply(cfg.G, grid)]))
     return both[:n] + st.ik * both[n:]
 
 
@@ -383,17 +398,17 @@ class TestBufferedStepping:
 
     MAPS = {**TestStackedNonlinearity.MAPS, (2, "cubic"): ("-u1; 0.2 - u2^2", "0.1*u1^3 + u1*u2; 0.5*u2^2 - u1")}
 
-    def cfg(self, variant, n, with_drift, **kw):
+    def cfg(self, row, n, with_drift, **kw):
         F, G = self.MAPS[(n, with_drift)]
-        return make_cfg(n=n, scheme=finite_difference_scheme(1, 0), eps=0.25, F=parse_polynomial_map(F, n),
-                        G=parse_polynomial_map(G, n), lambda_mode="quadrature", variant=variant, **kw)
+        return row_cfg(row, n=n, scheme=finite_difference_scheme(1, 0), eps=0.25, F=parse_polynomial_map(F, n),
+                       G=parse_polynomial_map(G, n), **kw)
 
-    @pytest.mark.parametrize("variant", ["approximate", "limit_corrected", "limit_uncorrected"])
+    @pytest.mark.parametrize("row", ROWS)
     @pytest.mark.parametrize("n, with_drift", list(MAPS))
-    def test_steps_bitwise_equal_to_the_allocating_arithmetic(self, rng, variant, n, with_drift):
-        cfg = self.cfg(variant, n, with_drift)
-        st = Stepper(mode_table(cfg), 0.3)
-        if variant == "approximate":
+    def test_steps_bitwise_equal_to_the_allocating_arithmetic(self, rng, row, n, with_drift):
+        cfg = self.cfg(row, n, with_drift)
+        st = Stepper(mode_table(cfg))
+        if row == "approximate":
             assert np.all(st.decay[13:] == 0.0) and np.all(st.decay[:13] != 0.0)
         got = want = random_field(rng, cfg.K, n=n, decay=1.5).half
         w = derive_stream(8, n, "wiener")
@@ -404,13 +419,13 @@ class TestBufferedStepping:
             assert got.tobytes() == want.tobytes()
         assert np.max(np.abs(got)) > 0.1
 
-    @pytest.mark.parametrize("variant", ["approximate", "limit_corrected", "limit_uncorrected"])
+    @pytest.mark.parametrize("row", ROWS)
     @pytest.mark.parametrize("n, with_drift", list(MAPS))
-    def test_simulate_bitwise_equal_at_two_substeps(self, rng, variant, n, with_drift):
-        cfg = self.cfg(variant, n, with_drift, noise_substeps=2, T=0.02, sample_every=1)
+    def test_simulate_bitwise_equal_at_two_substeps(self, rng, row, n, with_drift):
+        cfg = self.cfg(row, n, with_drift, noise_substeps=2, T=0.02, sample_every=1)
         u0 = random_field(rng, cfg.K, n=n, decay=1.5)
-        got, steps = simulate(mode_table(cfg), 0.3, u0, derive_stream(9, n, "wiener"))
-        st, w, half = Stepper(mode_table(cfg), 0.3), derive_stream(9, n, "wiener"), u0.half
+        got, steps = simulate(mode_table(cfg), u0, derive_stream(9, n, "wiener"))
+        st, w, half = Stepper(mode_table(cfg)), derive_stream(9, n, "wiener"), u0.half
         want = [half]
         for _ in range(cfg.n_steps):
             dW = reference_increment(cfg.K, n, cfg.dt / 2, w)
@@ -423,7 +438,7 @@ class TestBufferedStepping:
 
 class TestAliasFreeNonlinearity:
     @pytest.mark.parametrize(
-        "variant, F, G",
+        "row, F, G",
         [
             ("limit_uncorrected", "u1^4 - u1", "0"),
             ("limit_uncorrected", "0.5*u1^5", "0"),
@@ -431,31 +446,31 @@ class TestAliasFreeNonlinearity:
             ("limit_corrected", "0", "0.25*u1^4"),
         ],
     )
-    def test_matches_oversampled_reference(self, rng, variant, F, G):
+    def test_matches_oversampled_reference(self, rng, row, F, G):
         # the grid follows the degree of F and G; a fixed ratio of 2 (M = 99
         # at K = 20) aliases degree 4 and 5 at the 1e-3 level
-        cfg = make_cfg(
+        cfg = row_cfg(
+            row,
             K=20,
             scheme=finite_difference_scheme(1, 0),
             F=parse_polynomial_map(F, 1),
             G=parse_polynomial_map(G, 1),
-            lambda_mode="quadrature",
-            variant=variant,
         )
-        stepper = Stepper(mode_table(cfg), 0.3)
+        stepper = Stepper(mode_table(cfg))
         half = random_field(rng, cfg.K, decay=1.0).half
         got = stepper.nonlinearity(half)
         ref = separate_transforms_nonlinearity(stepper, half, M=8 * (2 * cfg.K + 1) + 1)
         assert np.max(np.abs(got - ref)) < 1e-12 * np.max(np.abs(ref))
 
 
-def two_sided_simulate(cfg, lam, u0, rng):
+def two_sided_simulate(cfg, u0, rng):
     """Reference for simulate: the exponential-Euler loop on two-sided
     (n, 2K+1) arrays, with mirrored Wiener increments, the per-mode factors
     of the Stepper mirrored onto modes -K..K, and transforms that read modes
     0..K of the state and mirror their result."""
-    st = Stepper(mode_table(cfg), lam)
+    st = Stepper(mode_table(cfg))
     n, K, M = cfg.n, cfg.K, st.M
+    jac = jacobian(cfg.G)
     even = lambda a: np.concatenate([a[:0:-1], a])
     decay, phi1_dt, noise_fac = even(st.decay), even(st.phi1_dt), even(st.noise_fac)
     ik = mirror(st.ik[None, :])[0]
@@ -465,24 +480,24 @@ def two_sided_simulate(cfg, lam, u0, rng):
     to_coeffs = lambda v: mirror(values_to_coeffs(v, K))
 
     def nonlinearity(c):
-        if st.drift_zero and st.G_zero:
+        if cfg.F.is_zero() and cfg.G.is_zero():
             return 0.0
-        if st.G_zero:
-            return to_coeffs(evaluate(st.drift, to_values(c)))
+        if cfg.G.is_zero():
+            return to_coeffs(evaluate(cfg.F, to_values(c)))
         if cfg.variant == "approximate":
             both = to_values(np.concatenate([c, c * d_mult[None, :]]))
             grid, dgrid = both[:n], both[n:]
-            total = np.zeros((n, M)) if st.drift_zero else evaluate(st.drift, grid)
+            total = np.zeros((n, M)) if cfg.F.is_zero() else evaluate(cfg.F, grid)
             for i in range(n):
                 for j in range(n):
-                    if st.jac_G[i][j].terms:
-                        total[i] += st.jac_G[i][j](grid) * dgrid[j]
+                    if jac[i][j].terms:
+                        total[i] += jac[i][j](grid) * dgrid[j]
             return to_coeffs(total)
         grid = to_values(c)
         flux = evaluate(cfg.G, grid)
-        if st.drift_zero:
+        if cfg.F.is_zero():
             return ik[None, :] * to_coeffs(flux)
-        both = to_coeffs(np.concatenate([evaluate(st.drift, grid), flux]))
+        both = to_coeffs(np.concatenate([evaluate(cfg.F, grid), flux]))
         return both[:n] + ik[None, :] * both[n:]
 
     sub = cfg.noise_substeps
@@ -498,35 +513,34 @@ def two_sided_simulate(cfg, lam, u0, rng):
 
 
 class TestHalfSpectrumStepping:
-    def cfg(self, variant, n, substeps, killed, with_drift=True):
+    def cfg(self, row, n, substeps, killed, with_drift=True):
         F, G = TestStackedNonlinearity.MAPS[(n, with_drift)]
         # eps = 0.25 kills the finite-difference modes 13..16 of K = 16
         scheme = finite_difference_scheme(1, 0) if killed else identity_scheme(1, 0)
-        return make_cfg(n=n, scheme=scheme, eps=0.25, F=parse_polynomial_map(F, n),
-                        G=parse_polynomial_map(G, n), lambda_mode="quadrature", variant=variant,
-                        noise_substeps=substeps, T=0.03, sample_every=7)
+        return row_cfg(row, n=n, scheme=scheme, eps=0.25, F=parse_polynomial_map(F, n),
+                       G=parse_polynomial_map(G, n), noise_substeps=substeps, T=0.03, sample_every=7)
 
-    @pytest.mark.parametrize("variant", ["approximate", "limit_corrected", "limit_uncorrected"])
+    @pytest.mark.parametrize("row", ROWS)
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("substeps", [1, 2])
     @pytest.mark.parametrize("killed", [False, True], ids=["identity", "killed-modes"])
     @pytest.mark.parametrize("with_drift", [False, True])
-    def test_snapshots_bitwise_equal_to_two_sided_loop(self, rng, variant, n, substeps, killed, with_drift):
-        cfg = self.cfg(variant, n, substeps, killed, with_drift)
+    def test_snapshots_bitwise_equal_to_two_sided_loop(self, rng, row, n, substeps, killed, with_drift):
+        cfg = self.cfg(row, n, substeps, killed, with_drift)
         u0 = random_field(rng, cfg.K, n=n, decay=1.5)
-        half, _ = simulate(mode_table(cfg), 0.3, u0, derive_stream(3, 1, "wiener"))
-        ref = two_sided_simulate(cfg, 0.3, u0, derive_stream(3, 1, "wiener"))
+        half, _ = simulate(mode_table(cfg), u0, derive_stream(3, 1, "wiener"))
+        ref = two_sided_simulate(cfg, u0, derive_stream(3, 1, "wiener"))
         assert len(ref) == len(sample_steps(cfg))
         assert half.shape == (len(ref), n, cfg.K + 1)
         for got, want in zip(half, ref):
             assert np.array_equal(mirror(got), want)
-        if variant == "approximate" and killed:
+        if row == "approximate" and killed:
             assert np.all(half[-1][:, 13:] == 0.0)
 
-    @pytest.mark.parametrize("variant", ["approximate", "limit_corrected"])
-    def test_mean_mode_stays_exactly_real(self, rng, variant):
-        cfg = self.cfg(variant, 2, 1, killed=True)
-        stepper = Stepper(mode_table(cfg), 0.3)
+    @pytest.mark.parametrize("row", ["approximate", "limit_corrected"])
+    def test_mean_mode_stays_exactly_real(self, rng, row):
+        cfg = self.cfg(row, 2, 1, killed=True)
+        stepper = Stepper(mode_table(cfg))
         half = random_field(rng, cfg.K, n=2, decay=1.5).half.copy()
         w = derive_stream(3, 2, "wiener")
         for _ in range(cfg.n_steps):
@@ -597,8 +611,8 @@ def reference_discrete_sigmas(scheme, eps, nu, K):
 def _tabulated_scheme():
     """f and h tabulated on [0, 1]; f = +inf (and h = 0) beyond t = 1."""
     knots = [0.0, 0.25, 0.5, 0.75, 1.0]
-    f = tabulated_symbol(knots, [1.0, 1.0, 1.1, 1.3, 1.6], np.inf)
-    h = tabulated_symbol(knots, [1.0, 1.0, 0.9, 0.6, 0.2], 0.0)
+    f = TabulatedSymbol(knots, [1.0, 1.0, 1.1, 1.3, 1.6], np.inf)
+    h = TabulatedSymbol(knots, [1.0, 1.0, 0.9, 0.6, 0.2], 0.0)
     return Scheme("table", f, h, atoms_one_sided(1, 0), 0.9)
 
 
@@ -615,7 +629,7 @@ class TestModeTable:
     }
 
     @pytest.mark.parametrize("kills", [True, False], ids=["killing-eps", "no-kill-eps"])
-    @pytest.mark.parametrize("variant", ["approximate", "limit_corrected", "limit_uncorrected"])
+    @pytest.mark.parametrize("variant", VARIANTS)
     @pytest.mark.parametrize("name", list(SCHEMES))
     def test_bitwise_equal_to_the_per_stepper_factors(self, name, variant, kills):
         scheme, (eps_kill, eps_none) = self.SCHEMES[name]
@@ -638,7 +652,7 @@ class TestModeTable:
     def test_stepper_steps_on_the_table(self):
         cfg = make_cfg(scheme=finite_difference_scheme(1, 0), eps=0.25)
         table = mode_table(cfg)
-        st = Stepper(table, 0.0)
+        st = Stepper(table)
         assert st.cfg is cfg
         assert all(getattr(st, name) is getattr(table, name) for name in ("decay", "phi1_dt", "noise_fac", "d_mult"))
 
@@ -659,26 +673,26 @@ class TestReflection:
             (2, *TestStackedNonlinearity.MAPS[(2, True)])]
 
     @staticmethod
-    def step(scheme, F, G, variant, half, dW):
+    def step(scheme, F, G, row, half, dW):
         """One step at K = 16, eps = 0.25 (killing modes 13..16 of the
-        finite-difference and galerkin families), with the scheme's Lambda."""
+        finite-difference and galerkin families) of the run of ``row``, the
+        corrected limit run's drift built with the scheme's Lambda."""
         lam = lambda_closed_form_for_scheme(scheme, 1.0).value
-        cfg = make_cfg(n=F.n, eps=0.25, scheme=scheme, F=F, G=G, lambda_mode="explicit", lambda_value=lam,
-                       variant=variant)
-        return Stepper(mode_table(cfg), lam).step_coeffs(half, dW)
+        cfg = row_cfg(row, lam, n=F.n, eps=0.25, scheme=scheme, F=F, G=G)
+        return Stepper(mode_table(cfg)).step_coeffs(half, dW)
 
     @pytest.mark.parametrize("n, F, G", MAPS)
-    @pytest.mark.parametrize("variant", ["approximate", "limit_corrected", "limit_uncorrected"])
+    @pytest.mark.parametrize("row", ROWS)
     @pytest.mark.parametrize("family", list(FAMILIES))
-    def test_mirrored_step_is_the_conjugate_step(self, family, variant, n, F, G):
-        rng = np.random.default_rng(sum(map(ord, family + variant)) + n)
+    def test_mirrored_step_is_the_conjugate_step(self, family, row, n, F, G):
+        rng = np.random.default_rng(sum(map(ord, family + row)) + n)
         F, G = parse_polynomial_map(F, n), parse_polynomial_map(G, n)
         make = self.FAMILIES[family]
         for a, b in ((1, 0), (2, 1), (1, 3)):
             half = random_field(rng, 16, n=n, decay=1.5).half
             dW = wiener_increment_coeffs(16, n, 1e-3, rng)
-            original = self.step(make(a, b), F, G, variant, half, dW)
-            mirrored = self.step(make(b, a), F, _negated(G), variant, np.conj(half), np.conj(dW))
+            original = self.step(make(a, b), F, G, row, half, dW)
+            mirrored = self.step(make(b, a), F, _negated(G), row, np.conj(half), np.conj(dW))
             assert np.max(np.abs(mirrored - np.conj(original))) <= 1e-15 * np.max(np.abs(original)), (a, b)
 
 class TestConservativeConsistency:
@@ -785,10 +799,11 @@ class TestRunCoupled:
         real, limit_runs = simulate, []
 
         def blow_up_second_uncorrected(table, *args):
-            # replicates run in order, so this is replicate 1's uncorrected limit
-            if table.cfg.variant == "limit_uncorrected":
+            # replicates run in order, corrected limit before uncorrected, so
+            # the fourth limit run is replicate 1's uncorrected one
+            if table.cfg.variant == "limit":
                 limit_runs.append(table)
-                if len(limit_runs) == 2:
+                if len(limit_runs) == 4:
                     return None, 3
             return real(table, *args)
 
@@ -800,6 +815,23 @@ class TestRunCoupled:
         assert res.replicates[0]["qv_limit_final"] > 0.0 and res.replicates[1]["qv_limit_final"] is None
         assert [row["row"] for row in res.replicates[1]["runs"]] == ["limit_corrected", "limit_uncorrected"]
         assert res.replicates[1]["runs"][1]["steps"] == 3
+
+    def test_lambda_reaches_the_runs_as_the_corrected_drift_made_once(self, monkeypatch):
+        cfg = make_cfg(n=2, K=12, T=0.02, sample_every=5, scheme=finite_difference_scheme(1, 0),
+                       F=parse_polynomial_map("-u1; -u2", 2),
+                       G=parse_polynomial_map("0.5*u1^2 + 0.5*u2^2; u1*u2", 2), lambda_mode="quadrature")
+        drifts, tables = [], []
+        monkeypatch.setattr(integrator, "corrected_drift", lambda *a: drifts.append(a) or corrected_drift(*a))
+        monkeypatch.setattr(integrator, "simulate", lambda table, *a: tables.append(table) or simulate(table, *a))
+        res = run_coupled(cfg, [0.25, 0.125], replicates=2)
+        assert drifts == [(cfg.F, cfg.G, res.lam)] and res.lam != 0.0
+        # every replicate steps the same 2 + E tables, limit runs first
+        assert len(tables) == 8 and all(table is tables[i % 4] for i, table in enumerate(tables))
+        corrected, uncorrected = tables[:2]
+        assert uncorrected.cfg == replace(cfg, variant="limit")
+        assert corrected.cfg == replace(cfg, variant="limit", F=corrected_drift(cfg.F, cfg.G, res.lam))
+        # the two limit runs differ only in F, so they share every per-mode array
+        assert all(getattr(corrected, f.name) is getattr(uncorrected, f.name) for f in fields(ModeTable)[1:])
 
     def test_seed_changes_results(self):
         cfg = make_cfg(T=0.02, sample_every=5)
@@ -857,13 +889,15 @@ class TestRunCoupled:
         block = run_coupled(cfg, [eps], replicates=1).errors[0, 0]
         draw_psi = sample_stationary_pair(cfg.scheme, eps, cfg.nu, cfg.K, derive_stream(cfg.seed, 0, "ic"), n=2)
         runs = {}
-        for variant, eps_run, init in (
+        for row, eps_run, init in (
             ("approximate", eps, draw_psi.psi_tilde),
             ("limit_corrected", cfg.eps, draw_psi.psi),
             ("limit_uncorrected", cfg.eps, draw_psi.psi),
         ):
-            run_cfg = replace(cfg, variant=variant, eps=eps_run)
-            runs[variant] = simulate(mode_table(run_cfg), lam, cfg.v0_field() + init, derive_stream(cfg.seed, 0, "wiener"))[0]
+            run_cfg = replace(cfg, variant="approximate" if row == "approximate" else "limit", eps=eps_run)
+            if row == "limit_corrected":
+                run_cfg = replace(run_cfg, F=corrected_drift(cfg.F, cfg.G, lam))
+            runs[row] = simulate(mode_table(run_cfg), cfg.v0_field() + init, derive_stream(cfg.seed, 0, "wiener"))[0]
         for name, limit in (("corrected", "limit_corrected"), ("uncorrected", "limit_uncorrected")):
             diffs = [SpectralField(cfg.K, cfg.n, a - b) for a, b in zip(runs["approximate"], runs[limit])]
             sup = np.array([sup_norm(d) for d in diffs])
@@ -944,14 +978,7 @@ class TestSolutionRoughness:
         # variance-exact noise factor makes the per-mode stationary law
         # step-size independent, so moderate dt suffices; measurements are
         # averaged over the stationary stretch of each trajectory.
-        cfg = make_cfg(
-            K=768,
-            dt=2e-4,
-            T=0.42,
-            sample_every=100,
-            variant="limit_corrected",
-            lambda_mode="closed_form",
-        )
+        cfg = row_cfg("limit_corrected", 0.25, K=768, dt=2e-4, T=0.42, sample_every=100)
         M_qv = 64
         qvs = []
         for rep in range(16):
@@ -960,7 +987,7 @@ class TestSolutionRoughness:
             )
             u_bar0 = cfg.v0_field() + pair.psi
             rng = derive_stream(cfg.seed, rep, "wiener")
-            half, _ = simulate(mode_table(cfg), 0.25, u_bar0, rng)
+            half, _ = simulate(mode_table(cfg), u_bar0, rng)
             times = [m * cfg.dt for m in sample_steps(cfg)]
             vals = [
                 float(quadratic_variation(SpectralField(cfg.K, 1, c), M_qv)[0])

@@ -1,5 +1,5 @@
 import dataclasses
-import importlib
+import importlib.util
 import json
 import math
 import os
@@ -23,6 +23,20 @@ from burgerslab.spectral import odd_fft_size
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
+
+
+def test_code_lines_skip_docstrings_comments_and_blank_lines():
+    spec = importlib.util.spec_from_file_location("code_lines", ROOT / "tools" / "code_lines.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    source = (
+        '"""Module docstring\nover two lines."""\n\n'
+        "import os  # a comment after code keeps the line\n\n"
+        "# a comment alone\n"
+        'def f(x):\n    """One line."""\n    s = """not a\n    docstring"""\n    return (x +\n            1)\n\n\n'
+        "class C:\n    '''Doc.'''\n    y = 1\n"
+    )
+    assert tool.code_lines(source) == 8
 
 
 def test_every_exported_name_resolves():

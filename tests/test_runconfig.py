@@ -25,13 +25,15 @@ def _readme_block(heading):
 
 def test_the_readme_scheme_file_and_run_config_load(tmp_path, monkeypatch):
     # both examples, copied as shown: the run config names the scheme file
-    # relative to the directory it is run from
-    (tmp_path / "forward.scheme").write_text(_readme_block("### Scheme description file"))
-    (tmp_path / "run.cfg").write_text(_readme_block("### Run config file"))
-    monkeypatch.chdir(tmp_path)
-    scheme = load_scheme_file("forward.scheme")
+    # relative to its own directory, wherever it is loaded from
+    (tmp_path / "cfg").mkdir()
+    (tmp_path / "cfg" / "forward.scheme").write_text(_readme_block("### Scheme description file"))
+    (tmp_path / "cfg" / "run.cfg").write_text(_readme_block("### Run config file"))
+    (tmp_path / "elsewhere").mkdir()
+    monkeypatch.chdir(tmp_path / "elsewhere")
+    scheme = load_scheme_file("../cfg/forward.scheme")
     assert scheme.name == "forward" and scheme.builtin[0] == "identity"
-    spec = load_run_config("run.cfg")
+    spec = load_run_config("../cfg/run.cfg")
     assert spec.scheme == scheme and spec.output_prefix == "burgers"
     assert spec.eps_list == (0.125, 0.0625, 0.03125, 0.015625) and spec.replicates == 32
     assert (spec.config.K, spec.config.dt, spec.config.noise_substeps) == (1024, 2.5e-4, 1)

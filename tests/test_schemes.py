@@ -10,6 +10,7 @@ from burgerslab.schemes import (
     InfiniteSymbolError,
     Scheme,
     SchemeValidationError,
+    TabulatedSymbol,
     apply_D_eps,
     apply_Delta_eps,
     atoms_one_sided,
@@ -21,7 +22,6 @@ from burgerslab.schemes import (
     parse_mu,
     scheme_from_mapping,
     shift_minus,
-    tabulated_symbol,
     _h_indicator_pi,
     _h_one,
 )
@@ -101,7 +101,7 @@ def _tables(draw, values, beyond):
     start = draw(st.sampled_from([1.0, 1.0, 0.5]))
     rest = draw(st.lists(st.sampled_from(values), min_size=1, max_size=3))
     knots = np.cumsum([0.0] + [draw(st.sampled_from([0.5, 1.0, 2.0])) for _ in range(len(rest) + 1)])
-    return tabulated_symbol(knots, [start, start] + rest, draw(st.sampled_from(beyond)))
+    return TabulatedSymbol(knots, [start, start] + rest, draw(st.sampled_from(beyond)))
 
 
 _FAMILIES = (identity_scheme(), finite_difference_scheme(), galerkin_scheme())
@@ -318,6 +318,10 @@ class TestSchemeFiles:
         assert s.h_kind == "table"
         assert s.h_support == 2.0
         assert np.allclose(s.h_at([0.5, 1.5, 3.0]), [1.0, 0.5, 0.0])
+
+    def test_tabulated_symbol_takes_its_extrapolation_as_a_float(self):
+        sym = TabulatedSymbol([0, 1], [1, 1], 0)
+        assert type(sym.extrapolate) is float and sym(2.0) == 0.0
 
     @pytest.mark.filterwarnings("error")
     def test_symbol_reaching_zero_fails_without_warnings(self, tmp_path):
