@@ -10,7 +10,6 @@ from burgerslab.estimators import quadratic_variation
 import burgerslab.integrator as integrator
 from burgerslab.integrator import (
     ERRORS,
-    VARIANTS,
     EnsembleResult,
     ModeTable,
     SimConfig,
@@ -152,10 +151,10 @@ class TestConfig:
             ({"eps": np.nan}, "^eps must be positive and finite"),
             ({"K": 0}, "^K must be at least 1"),
             ({"lambda_mode": "bogus"}, "^lambda_mode must be one of"),
-            # the corrected limit run is a limit run with a corrected drift
-            ({"variant": "limit_corrected"}, r"^variant must be one of \('approximate', 'limit'\)"),
             ({"lambda_mode": "explicit"}, "^explicit lambda_mode requires a finite lambda_value"),
             ({"lambda_mode": "explicit", "lambda_value": np.nan}, "^explicit lambda_mode requires a finite lambda_value"),
+            # the corrected limit run is a limit run with a corrected drift
+            ({"variant": "limit_corrected"}, r"^variant must be one of \('approximate', 'limit'\)"),
         ],
     )
     def test_construction_and_replace_check_alike(self, change, message):
@@ -629,13 +628,14 @@ class TestModeTable:
     }
 
     @pytest.mark.parametrize("kills", [True, False], ids=["killing-eps", "no-kill-eps"])
-    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("row", ROWS)
     @pytest.mark.parametrize("name", list(SCHEMES))
-    def test_bitwise_equal_to_the_per_stepper_factors(self, name, variant, kills):
+    def test_bitwise_equal_to_the_per_stepper_factors(self, name, row, kills):
+        # the corrected drift leaves the factors of the limit table as they are
         scheme, (eps_kill, eps_none) = self.SCHEMES[name]
-        cfg = make_cfg(scheme=scheme, eps=eps_kill if kills else eps_none, nu=0.7, variant=variant)
+        cfg = row_cfg(row, scheme=scheme, eps=eps_kill if kills else eps_none, nu=0.7)
         table, want = mode_table(cfg), reference_factors(cfg)
-        if variant == "approximate":
+        if row == "approximate":
             assert want["killed"].any() == (kills and name != "identity")
         else:
             assert table.d_mult is None
@@ -646,7 +646,7 @@ class TestModeTable:
             assert not got.flags.writeable, field
         sigma = discrete_sigmas(cfg.scheme, cfg.eps, cfg.nu, cfg.K)
         assert sigma.tobytes() == reference_discrete_sigmas(cfg.scheme, cfg.eps, cfg.nu, cfg.K).tobytes()
-        init = sigma if variant == "approximate" else stationary_sigmas(cfg.K, cfg.nu)
+        init = sigma if row == "approximate" else stationary_sigmas(cfg.K, cfg.nu)
         assert table.sigma.tobytes() == init.tobytes()
 
     def test_stepper_steps_on_the_table(self):
