@@ -11,7 +11,10 @@ simulations and the diagnostic estimators, with plain-text outputs:
 Every run writes a manifest listing each output file with its SHA-256
 digest; identical configs and seeds reproduce identical digests whatever
 the worker count, since replicate tasks are self-contained and outputs are
-ordered canonically.
+ordered canonically.  A converge run is its run config and --seed, both
+recorded in the manifest (config_echo, seed), so the manifest alone reruns
+it; only lambda takes --tol, and converge computes Lambda by quadrature at
+correction.LAMBDA_TOL (another tolerance enters a config as explicit:<v>).
 
 Exit codes: 0 ok, 2 validation failure, 3 blow-up quota exceeded,
 4 quadrature non-convergence.  A command returns 0 or 3, or raises; ``main``
@@ -35,6 +38,7 @@ from . import __version__
 from .correction import (
     DEFAULT_CHI,
     DEFAULT_GAMMA,
+    LAMBDA_TOL,
     QuadratureError,
     chaos_band,
     lambda_closed_form_for_scheme,
@@ -55,7 +59,7 @@ from .estimators import (
 )
 from .integrator import ERRORS, resolve_lambda, run_coupled
 from .noise import derive_stream, discrete_sigmas, sample_stationary_pair, stationary_sigmas, ModeGaussianDraw
-from .runconfig import InputError, eps_ladder, load_run_config, replicate_count
+from .runconfig import InputError, eps_ladder, load_run_config
 from .schemes import SchemeValidationError, identity_scheme, load_scheme_file
 from .spectral import band_project, sup_norm
 
@@ -235,29 +239,25 @@ def _qv_limit_summary(result, nu):
 
 
 def cmd_converge(args):
-    # read every input and resolve Lambda before anything is written; the
-    # run takes the resolved value, so Lambda is computed once
-    replicates = None if args.replicates is None else replicate_count(args.replicates, "--replicates")
-    _require(_positive(args.tol), f"--tol must be positive, got {args.tol}")
-    eps_override = eps_ladder(args.eps, "--eps") if args.eps is not None else None
+    # a run is its config and seed alone, both in the manifest; every input
+    # is read and Lambda resolved before anything is written, and the run
+    # takes the resolved value, so Lambda is computed once
     try:
         spec = load_run_config(args.config)
-        cfg = spec.sim_config(seed=args.seed, lambda_tol=args.tol)
+        cfg = spec.sim_config(seed=args.seed)
         lam, lam_result = resolve_lambda(cfg)
     except SchemeValidationError:
         raise  # a ValueError too, but main reports it as it is
     except (OSError, ValueError) as err:
         raise InputError(f"invalid run config {args.config}: {err}") from err
-    eps_list = eps_override or spec.eps_list
-    replicates = replicates or spec.replicates
     prefix = _out_dir(args.out, make=not args.dry_run) / spec.output_prefix
 
     if args.dry_run:
         plan = {
             "dry_run": True,
             "scheme": spec.scheme.name,
-            "eps": list(eps_list),
-            "replicates": replicates,
+            "eps": list(spec.eps_list),
+            "replicates": spec.replicates,
             "steps": cfg.n_steps,
             "lambda": lam,
             "config_sha256": spec.content_hash(),
@@ -274,7 +274,7 @@ def cmd_converge(args):
         "converge", args.seed, spec.echo, extra={"lambda": lambda_record, "scheme_validation": spec.scheme.validation.summary()}
     )
     resolved = replace(cfg, lambda_mode="explicit", lambda_value=lam)
-    result = run_coupled(resolved, eps_list, replicates, workers=args.workers)
+    result = run_coupled(resolved, spec.eps_list, spec.replicates, workers=args.workers)
     manifest.data["diagnostics"] = {"qv_limit_final": _qv_limit_summary(result, cfg.nu)}
     # per replicate: wall seconds, and the steps and any blow-up of each run
     manifest.data["replicates"] = result.replicates
@@ -282,7 +282,7 @@ def cmd_converge(args):
 
     outputs = []
     columns = ("t",) + ERRORS
-    for e, eps in enumerate(eps_list):
+    for e, eps in enumerate(spec.eps_list):
         if result.blown_up[:, e].all():
             print(f"eps={eps:g}: every replicate blew up; no table written", file=sys.stderr)
             continue
@@ -293,10 +293,10 @@ def cmd_converge(args):
 
     # initial-coupling scaling table: E||psi_tilde(0) - psi(0)||_sup per eps
     scaling_rows = []
-    for eps in eps_list:
+    for eps in spec.eps_list:
         sigma = discrete_sigmas(cfg.scheme, eps, cfg.nu, cfg.K)
         vals = []
-        for rep in range(replicates):
+        for rep in range(spec.replicates):
             draw = ModeGaussianDraw.sample(cfg.K, cfg.n, derive_stream(cfg.seed, rep, "ic"))
             psi = draw.field(stationary_sigmas(cfg.K, cfg.nu))
             psit = draw.field(sigma)
@@ -309,19 +309,19 @@ def cmd_converge(args):
 
     summary_rows = result.summary()
     slopes = {}
-    if len(eps_list) >= 3 and all(r["n_ok"] > 0 for r in summary_rows):
+    if len(spec.eps_list) >= 3 and all(r["n_ok"] > 0 for r in summary_rows):
         corr_means = [r["mean_sup_corrected"] for r in summary_rows]
         if all(v > 0 for v in corr_means):
-            slopes["sup_corrected"] = rate_fit(eps_list, corr_means)[0]
+            slopes["sup_corrected"] = rate_fit(spec.eps_list, corr_means)[0]
         coupling_means = [row[1] for row in scaling_rows]
         if all(v > 0 for v in coupling_means):
-            slopes["initial_coupling"] = rate_fit(eps_list, coupling_means)[0]
+            slopes["initial_coupling"] = rate_fit(spec.eps_list, coupling_means)[0]
     summary = {
         "config_sha256": spec.content_hash(),
         "seed": args.seed,
         "lambda": result.lam,
-        "eps": list(eps_list),
-        "replicates": replicates,
+        "eps": list(spec.eps_list),
+        "replicates": spec.replicates,
         "blowup_fraction": result.blowup_fraction,
         "per_eps": summary_rows,
         "fitted_slopes": slopes,
@@ -331,7 +331,7 @@ def cmd_converge(args):
     outputs.append(summary_path)
 
     plot_path = f"{prefix}_plot.gp"
-    Path(plot_path).write_text(_gnuplot_script(prefix.name, eps_list))
+    Path(plot_path).write_text(_gnuplot_script(prefix.name, spec.eps_list))
     outputs.append(plot_path)
     manifest.stage("reports")
 
@@ -501,16 +501,13 @@ def build_parser():
     sp.add_argument("--scheme", required=True, help="scheme description file")
     sp.add_argument("--nu", type=float, default=1.0)
     sp.add_argument("--closed-form", action="store_true", help="also print the closed-form oracle")
-    sp.add_argument("--tol", type=float, default=1e-8, help="quadrature tolerance for Lambda")
+    sp.add_argument("--tol", type=float, default=LAMBDA_TOL, help="quadrature tolerance for Lambda")
     # lambda draws no sample and writes no file: none of the other common flags
     sp.add_argument("--dry-run", action="store_true", help="validate the scheme without computing")
     sp.set_defaults(func=cmd_lambda)
 
     sp = sub.add_parser("converge", help="coupled ensemble error study")
-    sp.add_argument("--config", required=True, help="run config file")
-    sp.add_argument("--eps", default=None, help="comma list overriding the config")
-    sp.add_argument("--replicates", type=int, default=None)
-    sp.add_argument("--tol", type=float, default=1e-8, help="quadrature tolerance for Lambda")
+    sp.add_argument("--config", required=True, help="run config file; with --seed it fixes the whole run")
     common(sp)
     sp.set_defaults(func=cmd_converge)
 

@@ -42,6 +42,9 @@ from .schemes import symbols_at
 
 DEFAULT_GAMMA = 1.0 / 3.0  # low band exponent: modes below eps^-gamma are dropped
 DEFAULT_CHI = 1.5  # high band exponent: modes above eps^-chi are dropped
+# the tolerance of every Lambda by quadrature that a run resolves, and the
+# default of ``lambda --tol``; a Lambda at another one is given explicitly
+LAMBDA_TOL = 1e-8
 
 
 class QuadratureError(RuntimeError):

@@ -85,6 +85,7 @@ from functools import partial
 import numpy as np
 
 from .correction import (
+    LAMBDA_TOL,
     corrected_drift,
     lambda_closed_form_for_scheme,
     lambda_quadrature,
@@ -137,7 +138,6 @@ class SimConfig:
     G: PolynomialMap
     lambda_mode: str = "closed_form"  # quadrature | closed_form | explicit | zero
     lambda_value: float | None = None
-    lambda_tol: float = 1e-8
     v0: SpectralField | None = None  # band-limited smooth profile; None = zero
     seed: int = 0
     variant: str = "approximate"
@@ -191,7 +191,8 @@ class SimConfig:
 
 
 def resolve_lambda(cfg):
-    """Correction constant per the configured mode; returns (value, detail)."""
+    """Correction constant per the configured mode; returns (value, detail).
+    Quadrature runs at the tolerance LAMBDA_TOL."""
     if cfg.lambda_mode == "zero":
         return 0.0, None
     if cfg.lambda_mode == "explicit":
@@ -199,7 +200,7 @@ def resolve_lambda(cfg):
     if cfg.lambda_mode == "closed_form":
         res = lambda_closed_form_for_scheme(cfg.scheme, cfg.nu)
     else:
-        res = lambda_quadrature(cfg.scheme, cfg.nu, cfg.lambda_tol)
+        res = lambda_quadrature(cfg.scheme, cfg.nu, LAMBDA_TOL)
     return res.value, res
 
 

@@ -20,9 +20,12 @@ exactly, and a content hash of that echo rides along in every output
 sidecar.
 
 The whole config is parsed and checked when it is loaded: the RunSpec holds
-a frozen SimConfig, which checks its own fields, and the experiment-level
-eps ladder and replicate count pass the rules below, which the command line
-applies to its overrides too (each names the place its value came from).
+a frozen SimConfig, which checks its own fields, the eps ladder passes
+``eps_ladder`` (the rule of ``chaos --eps`` too), and the replicate count
+is at least 2.  A converge run is its config and a seed: the command line
+overrides none of it, so the config echo in a manifest is the run.  Lambda
+by quadrature is taken at correction.LAMBDA_TOL; a Lambda at another
+tolerance is given as explicit:<v>.
 """
 
 import configparser
@@ -48,7 +51,7 @@ def eps_ladder(text, source):
     every entry is a positive finite number (an empty entry is not a
     number) and no two share a table name (``f"{eps:g}"``: one table would
     overwrite the other); else InputError naming ``source``.  The run
-    config's ``eps`` and the command line's ``--eps`` are both read here."""
+    config's ``eps`` and ``chaos --eps`` are both read here."""
     try:
         values = tuple(float(entry) for entry in text.split(","))
     except ValueError:
@@ -64,14 +67,6 @@ def eps_ladder(text, source):
     return values
 
 
-def replicate_count(value, source):
-    """``value``, if it is at least 2 (a standard error needs two); else
-    InputError naming ``source``."""
-    if value < 2:
-        raise InputError(f"{source} must be at least 2 (for a standard error), got {value}")
-    return value
-
-
 def parse_v0(spec, K, n, directory=""):
     """Initial-profile spec -> band-limited SpectralField (or None for zero);
     a relative modes: path is read from ``directory``."""
@@ -80,12 +75,14 @@ def parse_v0(spec, K, n, directory=""):
         return None
     if spec.startswith(("sin:", "cos:")):
         parts = spec.split(":")
-        if len(parts) > 3:
-            raise ValueError(f"v0 takes sin|cos:<amp>[:<comp>], got {spec!r}")
-        amp = float(parts[1])
+        try:
+            # the component is 1 if not given; a fourth field cannot unpack
+            _, amp, comp = parts if len(parts) > 2 else (*parts, "1")
+            amp, comp = float(amp), int(comp) - 1
+        except ValueError:
+            raise ValueError(f"v0 takes sin|cos:<amp>[:<comp>], got {spec!r}") from None
         if not math.isfinite(amp):
             raise ValueError(f"v0 amplitude must be finite, got {spec!r}")
-        comp = int(parts[2]) - 1 if len(parts) > 2 else 0
         if not 0 <= comp < n:
             raise ValueError(f"v0 component out of range in {spec!r}")
         coeff = amp * np.sqrt(np.pi / 2.0)
@@ -149,8 +146,8 @@ class RunSpec:
     def content_hash(self):
         return hashlib.sha256(self.echo.encode("utf-8")).hexdigest()
 
-    def sim_config(self, seed=0, lambda_tol=1e-8):
-        return replace(self.config, seed=int(seed), lambda_tol=lambda_tol)
+    def sim_config(self, seed=0):
+        return replace(self.config, seed=int(seed))
 
 
 _KEYS = {
@@ -204,7 +201,9 @@ def load_run_config(path):
         )
 
     eps_list = eps_ladder(m.get("eps", "0.125"), "eps")
-    replicates = replicate_count(int(m.get("replicates", 8)), "replicates")
+    replicates = int(m.get("replicates", 8))
+    if replicates < 2:
+        raise ValueError(f"replicates must be at least 2 (for a standard error), got {replicates}")
     lam_mode, lam_value = m.get("lambda_mode", "closed_form"), None
     if lam_mode.startswith("explicit:"):
         lam_mode, lam_value = "explicit", float(lam_mode.split(":", 1)[1])

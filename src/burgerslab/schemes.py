@@ -102,12 +102,14 @@ def _kind(symbol, builtins):
     return "table" if isinstance(symbol, TabulatedSymbol) else "callable"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TabulatedSymbol:
     """Piecewise-linear symbol through (knots, values), fixed value beyond.
 
     A plain picklable callable, so schemes built on tables survive the trip
-    to worker processes.
+    to worker processes.  Two tables are equal (and hash alike) when their
+    knots, values and extrapolation are, so two schemes read from one table
+    file compare equal.
     """
 
     knots: np.ndarray
@@ -124,6 +126,15 @@ class TabulatedSymbol:
         object.__setattr__(self, "knots", ts)
         object.__setattr__(self, "values", vs)
         object.__setattr__(self, "extrapolate", float(self.extrapolate))
+
+    def _key(self):
+        return tuple(self.knots.tolist()), tuple(self.values.tolist()), self.extrapolate
+
+    def __eq__(self, other):
+        return isinstance(other, TabulatedSymbol) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)

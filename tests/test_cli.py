@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from burgerslab import cli, integrator
+from burgerslab import cli, correction, integrator
 from burgerslab.cli import EXIT_BLOWUP, EXIT_OK, EXIT_QUADRATURE, EXIT_VALIDATION, _qv_limit_summary, _summary_line, main
 from burgerslab.estimators import xi_grid_size
 from burgerslab.runconfig import eps_ladder, load_run_config
@@ -218,8 +218,9 @@ class TestConvergeCommand:
         calls = []
         qv = integrator.quadratic_variation
         monkeypatch.setattr(integrator, "quadratic_variation", lambda *a: calls.append(a) or qv(*a))
-        argv = ["converge", "--config", str(run_config), "--out", str(tmp_path / "q"), "--seed", "1"]
-        assert main(argv + ["--eps", "0.25,0.125,0.0625", "--replicates", "3"]) == EXIT_OK
+        text = run_config.read_text().replace("eps = 0.25,0.125", "eps = 0.25,0.125,0.0625")
+        run_config.write_text(text.replace("replicates = 2", "replicates = 3"))
+        assert main(["converge", "--config", str(run_config), "--out", str(tmp_path / "q"), "--seed", "1"]) == EXIT_OK
         assert len(calls) == 3
 
     @pytest.mark.parametrize("mode", ["closed_form", "quadrature", "zero"])
@@ -252,6 +253,56 @@ class TestConvergeCommand:
         assert main(["converge", "--config", str(cfg), "--out", str(tmp_path / "q"), "--seed", "1"]) == EXIT_OK
         assert len(calls) == 1
 
+    def test_quadrature_runs_at_the_one_tolerance(self, tmp_path, scheme_file, run_config, monkeypatch, capsys):
+        # converge's Lambda by quadrature and lambda's default take LAMBDA_TOL
+        tols = []
+        quadrature = integrator.lambda_quadrature
+
+        def recording(scheme, nu, tol):
+            tols.append(tol)
+            return quadrature(scheme, nu, tol)
+
+        monkeypatch.setattr(integrator, "lambda_quadrature", recording)
+        monkeypatch.setattr(cli, "lambda_quadrature", recording)
+        run_config.write_text(run_config.read_text().replace("closed_form", "quadrature"))
+        assert main(["converge", "--config", str(run_config), "--dry-run"]) == EXIT_OK
+        assert main(["lambda", "--scheme", str(scheme_file)]) == EXIT_OK
+        assert tols == [correction.LAMBDA_TOL] * 2 and correction.LAMBDA_TOL == 1e-8
+
+    def test_a_lambda_at_another_tolerance_is_given_explicitly(self, tmp_path, scheme_file, run_config, capsys):
+        # a Lambda taken at another tolerance enters the config, whose echo
+        # the manifest keeps
+        assert main(["lambda", "--scheme", str(scheme_file), "--tol", "1e-12"]) == EXIT_OK
+        lam = json.loads(capsys.readouterr().out)["value"]
+        line = f"lambda_mode = explicit:{lam!r}"
+        run_config.write_text(run_config.read_text().replace("lambda_mode = closed_form", line))
+        out = tmp_path / "x"
+        assert main(["converge", "--config", str(run_config), "--out", str(out), "--dry-run"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["lambda"] == lam
+        assert main(["converge", "--config", str(run_config), "--out", str(out)]) == EXIT_OK
+        manifest = json.loads((out / "demo_manifest.json").read_text())
+        assert line in manifest["config_echo"]
+        assert manifest["lambda"] == {"lambda_mode": "explicit", "value": lam}
+        assert json.loads((out / "demo_summary.json").read_text())["lambda"] == lam
+
+    @pytest.mark.parametrize("mode", ["closed_form", "quadrature"])
+    def test_a_manifest_reruns_its_run(self, tmp_path, run_config, mode):
+        # the config echo, saved next to the config (its relative paths are
+        # read from there), and the seed give the same outputs byte for byte
+        (tmp_path / "v0.csv").write_text("k,comp,re,im\n2,1,0.0,-0.5\n")
+        text = run_config.read_text().replace("v0 = sin:1", "v0 = modes:v0.csv")
+        run_config.write_text(text.replace("lambda_mode = closed_form", f"lambda_mode = {mode}"))
+        first = tmp_path / "first"
+        assert main(["converge", "--config", str(run_config), "--out", str(first), "--seed", "6"]) == EXIT_OK
+        manifest = json.loads((first / "demo_manifest.json").read_text())
+        (tmp_path / "echo.cfg").write_text(manifest["config_echo"])
+        again = tmp_path / "again"
+        argv = ["converge", "--config", str(tmp_path / "echo.cfg"), "--out", str(again), "--seed", str(manifest["seed"])]
+        assert main(argv) == EXIT_OK
+        rerun = json.loads((again / "demo_manifest.json").read_text())
+        assert rerun["outputs"] == manifest["outputs"] and len(rerun["outputs"]) == 5
+        assert rerun["config_sha256"] == manifest["config_sha256"]
+
     def test_dry_run_validates_without_outputs(self, tmp_path, run_config, capsys):
         out = tmp_path / "dry"
         code = main(["converge", "--config", str(run_config), "--out", str(out), "--dry-run"])
@@ -276,15 +327,19 @@ class TestConvergeCommand:
         assert "[FAIL] mu_total_mass_zero" in capsys.readouterr().err
 
     def test_dry_run_unreachable_tolerance_exits_4(self, tmp_path, run_config, capsys):
+        # h is a table that does not vanish beyond its last knot, and the
+        # quadrature has a tail rule only for f = identity with h = one
+        (tmp_path / "h.csv").write_text("extrapolate = 0.5\n0,1\n1,1\n2,0.5\n")
         cfg = tmp_path / "quad.cfg"
-        cfg.write_text(run_config.read_text().replace("closed_form", "quadrature"))
-        args = ["converge", "--config", str(cfg), "--out", str(tmp_path / "q"), "--dry-run"]
-        assert main(args) == EXIT_OK
-        assert abs(json.loads(capsys.readouterr().out)["lambda"] - 0.25) < 1e-8
-        assert main(args + ["--tol", "1e-18"]) == EXIT_QUADRATURE
-        err = capsys.readouterr().err
-        # the partial result goes with the message, as under ``lambda``
-        assert "quadrature did not converge" in err and '"method": "quadrature"' in err
+        text = run_config.read_text().replace("h = one", "h = table:h.csv")
+        cfg.write_text(text.replace("lambda_mode = closed_form", "lambda_mode = quadrature"))
+        inputs = _tree(tmp_path)
+        for extra in ([], ["--dry-run"]):
+            assert main(["converge", "--config", str(cfg), "--out", str(tmp_path / "q")] + extra) == EXIT_QUADRATURE
+            captured = capsys.readouterr()
+            assert "quadrature did not converge: no tail handling for scheme 'forward'" in captured.err
+            assert captured.out == ""
+            assert _tree(tmp_path) == inputs
 
     @pytest.mark.parametrize(
         "old, new, message",
@@ -322,6 +377,14 @@ class TestConvergeCommand:
             # a non-finite coefficient would blow up every replicate
             ("F = 0\n", "F = nan*u1\n", "[model] F: polynomial coefficients must be finite"),
             ("G = 0.5*u1^2", "G = 1e400*u1^2", "[model] G: polynomial coefficients must be finite"),
+            # the eps and replicate rules, whose one source is the config
+            ("eps = 0.25,0.125", "eps = 0.25,-0.1", "eps must be a list of positive finite numbers"),
+            ("eps = 0.25,0.125", "eps = 0.25,x", "eps must be a comma list of numbers, got '0.25,x'"),
+            ("eps = 0.25,0.125", "eps =", "eps must be a comma list of numbers, got ''"),
+            ("replicates = 2", "replicates = 0", "replicates must be at least 2"),
+            ("replicates = 2", "replicates = -1", "replicates must be at least 2"),
+            ("v0 = sin:1", "v0 = sin:abc", "v0 takes sin|cos:<amp>[:<comp>], got 'sin:abc'"),
+            ("v0 = sin:1", "v0 = sin:1:x", "v0 takes sin|cos:<amp>[:<comp>], got 'sin:1:x'"),
         ],
     )
     def test_config_errors_exit_2(self, tmp_path, run_config, capsys, old, new, message):
@@ -337,39 +400,34 @@ class TestConvergeCommand:
             assert message in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.cfg", "modes.csv", "run.cfg"]
 
-    @pytest.mark.parametrize(
-        "args, message",
-        [
-            (["--replicates", "0"], "--replicates"),
-            (["--replicates", "-1"], "--replicates"),
-            (["--replicates", "1"], "--replicates"),
-            (["--eps", "0"], "--eps"),
-            (["--eps", "0.25,-0.1"], "--eps"),
-            (["--eps", "0.25,x"], "--eps"),
-            (["--eps", ""], "--eps"),
-            (["--eps", "0.25,0.25,0.125"], "--eps values 0.25 and 0.25 share the table name eps0.25"),
-            (["--eps", "0.1234567,0.1234568"], "--eps values 0.1234567 and 0.1234568 share the table name"),
-            (["--tol", "nan"], "--tol"),
-            (["--tol", "inf"], "--tol"),
-            (["--tol", "0"], "--tol"),
-            (["--tol", "-1"], "--tol must be positive"),
-        ],
-    )
-    @pytest.mark.parametrize("dry_run", [False, True])
-    def test_bad_arguments_exit_2_before_writing(self, tmp_path, run_config, capsys, args, message, dry_run):
-        out = tmp_path / "out"
-        argv = ["converge", "--config", str(run_config), "--out", str(out)] + args
-        assert main(argv + (["--dry-run"] if dry_run else [])) == EXIT_VALIDATION
-        captured = capsys.readouterr()
-        assert message in captured.err and captured.out == ""
-        assert not out.exists()
-
-    @pytest.mark.parametrize("command", [["chaos", "--scheme", "s"], ["qv"]])
+    @pytest.mark.parametrize("command", [["chaos", "--scheme", "s"], ["qv"], ["converge", "--config", "c"]])
     def test_tol_only_where_quadrature_runs(self, command, capsys):
+        # converge takes Lambda by quadrature at LAMBDA_TOL, or from its config
         with pytest.raises(SystemExit) as err:
             main(command + ["--tol", "1e-8"])
         assert err.value.code == 2
         assert "--tol" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", [["--eps", "0.25"], ["--replicates", "3"], ["--tol", "1e-8"]])
+    @pytest.mark.parametrize("dry_run", [False, True])
+    def test_the_config_is_the_one_source_of_each_setting(self, tmp_path, run_config, capsys, flag, dry_run):
+        # a run is its config and seed, which its manifest records, so the
+        # command line overrides nothing in the config
+        out = tmp_path / "out"
+        argv = ["converge", "--config", str(run_config), "--out", str(out), *flag]
+        with pytest.raises(SystemExit) as err:
+            main(argv + (["--dry-run"] if dry_run else []))
+        assert err.value.code == EXIT_VALIDATION
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_help_lists_no_override(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["converge", "--help"])
+        assert err.value.code == EXIT_OK
+        usage = capsys.readouterr().out
+        assert "--config" in usage and "--seed" in usage
+        assert not any(flag in usage for flag in ("--eps", "--replicates", "--tol"))
 
     def test_blowup_quota_exits_3(self, tmp_path, capsys):
         # cubic self-amplification from a large profile: every replicate
@@ -500,7 +558,7 @@ def test_numeric_arguments_validated_up_front(tmp_path, scheme_file, capsys, arg
 @pytest.mark.parametrize("dry_run", [False, True])
 @pytest.mark.parametrize(
     "where, text",
-    [("config", "0.25,,0.125,"), ("config", "0.25,,0.125"), ("converge", "0.25,,0.125,"), ("chaos", "0.04,"), ("chaos", ",0.04")],
+    [("config", "0.25,,0.125,"), ("config", "0.25,,0.125"), ("chaos", "0.04,"), ("chaos", ",0.04")],
 )
 def test_an_empty_eps_entry_exits_2_from_the_config_and_the_command_line(
     tmp_path, scheme_file, run_config, capsys, where, text, dry_run
@@ -511,8 +569,6 @@ def test_an_empty_eps_entry_exits_2_from_the_config_and_the_command_line(
     if where == "config":
         run_config.write_text(run_config.read_text().replace("eps = 0.25,0.125", f"eps = {text}"))
         argv, source = ["converge", "--config", str(run_config)], ": eps must be a comma list of numbers"
-    elif where == "converge":
-        argv, source = ["converge", "--config", str(run_config), "--eps", text], "--eps must be a comma list of numbers"
     else:
         argv = ["chaos", "--scheme", str(scheme_file), "--eps", text, "--samples", "4"]
         source = "--eps must be a comma list of numbers"
@@ -727,11 +783,7 @@ _BAD_EPS = ["0", "0.3,0.3", "0.3,-0.1", "x", ""]
 # integer k at one of its eps, as above eps = 2^(-2/3) ~ 0.63
 _ARGS = {
     "lambda": {"--nu": _NU, "--tol": _TOL},
-    "converge": {
-        "--eps": (["0.25,0.125", "0.9,0.5,0.3"], _BAD_EPS),
-        "--replicates": (["2", "3"], ["1", "0", "x"]),
-        "--tol": _TOL,
-    },
+    "converge": {},  # a converge run is its config (below) and seed
     "chaos": {
         "--eps": (["0.3,0.25,0.2", "0.25,0.125"], _BAD_EPS + ["0.9,0.85,0.8", "0.3,0.8", "2,0.5"]),
         "--nu": _NU,

@@ -1,7 +1,9 @@
 import contextlib
+import inspect
 import io
 import json
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from burgerslab.cli import EXIT_OK, EXIT_VALIDATION, main
-from burgerslab.runconfig import load_run_config, parse_v0
+from burgerslab.integrator import SimConfig
+from burgerslab.runconfig import RunSpec, load_run_config, parse_v0
 from burgerslab.schemes import load_scheme_file
 from burgerslab.spectral import to_grid
 
@@ -94,6 +97,35 @@ class TestParseV0:
     def test_unknown_spec(self):
         with pytest.raises(ValueError):
             parse_v0("bump:1", 8, 1)
+
+    @pytest.mark.parametrize("spec", ["sin:abc", "sin:1:x", "cos:", "cos:1:1.5"])
+    def test_unparsable_amplitude_or_component_names_v0(self, spec):
+        with pytest.raises(ValueError, match=rf"^v0 takes sin\|cos:<amp>\[:<comp>\], got '{spec}'$"):
+            parse_v0(spec, 8, 2)
+
+
+def test_a_run_is_its_config_at_a_seed():
+    # the quadrature tolerance is no setting of a run (correction.LAMBDA_TOL)
+    assert "lambda_tol" not in [f.name for f in fields(SimConfig)]
+    assert list(inspect.signature(RunSpec.sim_config).parameters) == ["self", "seed"]
+
+
+def test_run_specs_holding_a_table_compare_by_value(tmp_path):
+    # the scheme's table is read anew by each load, into arrays of its own
+    (tmp_path / "h.csv").write_text("extrapolate = 0\n0,1\n1,1\n2,0\n")
+    text = (
+        "[scheme]\nname = tab\nf = identity\nh = table:h.csv\nmu = (1,1);(0,-1)\nq = 1\n\n"
+        "[model]\nK = 8\nlambda_mode = quadrature\n\n[time]\ndt = 1e-3\nT = 0.01\n"
+    )
+    (tmp_path / "run.cfg").write_text(text)
+    (tmp_path / "other.cfg").write_text(text.replace("h = table:h.csv", "h = table:g.csv"))
+    (tmp_path / "g.csv").write_text("extrapolate = 0\n0,1\n1,1\n3,0\n")
+    first, second = load_run_config(tmp_path / "run.cfg"), load_run_config(tmp_path / "run.cfg")
+    assert first.scheme.h is not second.scheme.h
+    assert first == second and first.sim_config(seed=4) == second.sim_config(seed=4)
+    assert first.sim_config(seed=4) != second.sim_config(seed=5)
+    other = load_run_config(tmp_path / "other.cfg")
+    assert other != first and other.config != first.config
 
 
 def test_load_run_config_round_trip(tmp_path):

@@ -323,6 +323,29 @@ class TestSchemeFiles:
         sym = TabulatedSymbol([0, 1], [1, 1], 0)
         assert type(sym.extrapolate) is float and sym(2.0) == 0.0
 
+    def test_schemes_from_one_table_file_are_equal(self, tmp_path):
+        (tmp_path / "h.csv").write_text("extrapolate = 0\n0,1\n1,1\n2,0\n")
+        path = tmp_path / "tab.scheme"
+        path.write_text("name = tab\nf = identity\nh = table:h.csv\nmu = (1,1);(0,-1)\nq = 1\n")
+        first, second = load_scheme_file(path), load_scheme_file(path)
+        assert first.h is not second.h
+        assert first == second and hash(first) == hash(second) and len({first, second}) == 1
+
+    @pytest.mark.parametrize(
+        "other",
+        [
+            TabulatedSymbol([0, 1, 3], [1, 1, 0], 0),  # knots
+            TabulatedSymbol([0, 1, 2], [1, 1, 0.5], 0),  # values
+            TabulatedSymbol([0, 1, 2], [1, 1, 0], 0.25),  # extrapolation
+            TabulatedSymbol([0, 1], [1, 1], 0),  # size
+        ],
+    )
+    def test_tables_differing_in_one_part_are_not_equal(self, other):
+        table = TabulatedSymbol([0, 1, 2], [1, 1, 0], 0)
+        assert table != other and not table == other
+        assert table == TabulatedSymbol(np.array([0.0, 1.0, 2.0]), (1, 1, 0), 0.0)
+        assert table != _h_one and len({table, other}) == 2
+
     @pytest.mark.filterwarnings("error")
     def test_symbol_reaching_zero_fails_without_warnings(self, tmp_path):
         # f = 0 from t = 2 on: the report fails on q and records the
