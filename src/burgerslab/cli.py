@@ -11,10 +11,8 @@ simulations and the diagnostic estimators, with plain-text outputs:
 Every run writes a manifest listing each output file with its SHA-256
 digest; identical configs and seeds reproduce identical digests whatever
 the worker count, since replicate tasks are self-contained and outputs are
-ordered canonically.  A converge run is its run config and --seed, both
-recorded in the manifest (config_echo, seed), so the manifest alone reruns
-it; only lambda takes --tol, and converge computes Lambda by quadrature at
-correction.LAMBDA_TOL (another tolerance enters a config as explicit:<v>).
+ordered canonically.  A converge run is fixed by its run config (see
+runconfig), the files that config names, and --seed.
 
 Exit codes: 0 ok, 2 validation failure, 3 blow-up quota exceeded,
 4 quadrature non-convergence.  A command returns 0 or 3, or raises; ``main``
@@ -239,9 +237,8 @@ def _qv_limit_summary(result, nu):
 
 
 def cmd_converge(args):
-    # a run is its config and seed alone, both in the manifest; every input
-    # is read and Lambda resolved before anything is written, and the run
-    # takes the resolved value, so Lambda is computed once
+    # read every input and resolve Lambda before anything is written; the
+    # run takes the resolved value, so Lambda is computed once
     try:
         spec = load_run_config(args.config)
         cfg = spec.sim_config(seed=args.seed)
@@ -507,7 +504,7 @@ def build_parser():
     sp.set_defaults(func=cmd_lambda)
 
     sp = sub.add_parser("converge", help="coupled ensemble error study")
-    sp.add_argument("--config", required=True, help="run config file; with --seed it fixes the whole run")
+    sp.add_argument("--config", required=True, help="run config file")
     common(sp)
     sp.set_defaults(func=cmd_converge)
 

@@ -22,10 +22,13 @@ sidecar.
 The whole config is parsed and checked when it is loaded: the RunSpec holds
 a frozen SimConfig, which checks its own fields, the eps ladder passes
 ``eps_ladder`` (the rule of ``chaos --eps`` too), and the replicate count
-is at least 2.  A converge run is its config and a seed: the command line
-overrides none of it, so the config echo in a manifest is the run.  Lambda
-by quadrature is taken at correction.LAMBDA_TOL; a Lambda at another
-tolerance is given as explicit:<v>.
+is at least 2.  A converge run is its config, the files the config names
+(a scheme file, a table: symbol, a modes: file) and a seed: the command
+line overrides none of it.  A manifest records the config echo and seed,
+but a named file only by its path, so the echo reruns the run only next to
+the files it names.  Lambda by quadrature is taken at
+correction.LAMBDA_TOL; a Lambda at another tolerance is given as
+explicit:<v>.
 """
 
 import configparser

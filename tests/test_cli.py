@@ -124,6 +124,9 @@ class TestLambdaCommand:
     def test_unreachable_tolerance_exits_4(self, scheme_file, capsys):
         code = main(["lambda", "--scheme", str(scheme_file), "--tol", "1e-18"])
         assert code == EXIT_QUADRATURE
+        err = capsys.readouterr().err
+        # the partial result goes with the message
+        assert "quadrature did not converge" in err and '"method": "quadrature"' in err
 
     def test_unreadable_scheme_line_exits_2(self, tmp_path, capsys):
         path = tmp_path / "garbled.scheme"
@@ -266,6 +269,7 @@ class TestConvergeCommand:
         monkeypatch.setattr(cli, "lambda_quadrature", recording)
         run_config.write_text(run_config.read_text().replace("closed_form", "quadrature"))
         assert main(["converge", "--config", str(run_config), "--dry-run"]) == EXIT_OK
+        assert abs(json.loads(capsys.readouterr().out)["lambda"] - 0.25) < 1e-8
         assert main(["lambda", "--scheme", str(scheme_file)]) == EXIT_OK
         assert tols == [correction.LAMBDA_TOL] * 2 and correction.LAMBDA_TOL == 1e-8
 
@@ -408,11 +412,10 @@ class TestConvergeCommand:
         assert err.value.code == 2
         assert "--tol" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", [["--eps", "0.25"], ["--replicates", "3"], ["--tol", "1e-8"]])
+    @pytest.mark.parametrize("flag", [["--eps", "0.25"], ["--replicates", "3"]])
     @pytest.mark.parametrize("dry_run", [False, True])
     def test_the_config_is_the_one_source_of_each_setting(self, tmp_path, run_config, capsys, flag, dry_run):
-        # a run is its config and seed, which its manifest records, so the
-        # command line overrides nothing in the config
+        # the command line overrides nothing in the config
         out = tmp_path / "out"
         argv = ["converge", "--config", str(run_config), "--out", str(out), *flag]
         with pytest.raises(SystemExit) as err:
