@@ -54,10 +54,6 @@ class XiMatrixField:
     def n(self):
         return self.half.shape[0]
 
-    def entry(self, i, j):
-        """Entry (i, j) as a one-component SpectralField, built on each call."""
-        return SpectralField(self.half.shape[2] - 1, 1, self.half[i, j][None])
-
     def spatial_mean(self):
         """Mean over x of each entry, as an (n, n) real matrix."""
         return spatial_means(self.half[None])[0]

@@ -50,11 +50,11 @@ and the blow-up time (steps * dt).
 
 A coupled ensemble is one dense result.  Each replicate norms the
 differences of every eps run to the two limit runs at the recorded steps
-into an (E, 4, S) block whose columns are ERRORS, NaN for an eps whose run
-or a limit run blew up, and takes the quadratic variation of the final
-corrected limit state once, into its report.  run_coupled stacks the
-blocks into EnsembleResult.errors, (R, E, 4, S), next to the (R, E)
-blow-up mask the replicates return.
+into an (E, 4, S) block whose columns are ERRORS (sup and H^ALPHA norms),
+NaN for an eps whose run or a limit run blew up, and takes the quadratic
+variation of the final corrected limit state once, into its report.
+run_coupled stacks the blocks into EnsembleResult.errors, (R, E, 4, S),
+next to the (R, E) blow-up mask the replicates return.
 
 A SimConfig is frozen and checks every field when it is made, so a config
 that exists is a valid one.  Its per-mode factors (the rates, the killed
@@ -118,7 +118,7 @@ from .nonlin import evaluate  # noqa: F401
 from .spectral import sobolev_norm, sup_norm  # noqa: F401
 
 VARIANTS = ("approximate", "limit")
-LAMBDA_MODES = ("quadrature", "closed_form", "explicit", "zero")
+LAMBDA_MODES = ("quadrature", "closed_form", "explicit")
 
 
 @dataclass(frozen=True)
@@ -136,12 +136,11 @@ class SimConfig:
     scheme: Scheme
     F: PolynomialMap
     G: PolynomialMap
-    lambda_mode: str = "closed_form"  # quadrature | closed_form | explicit | zero
+    lambda_mode: str = "closed_form"  # quadrature | closed_form | explicit
     lambda_value: float | None = None
     v0: SpectralField | None = None  # band-limited smooth profile; None = zero
     seed: int = 0
     variant: str = "approximate"
-    alpha: float = 0.75  # Sobolev order used for error recording
     sample_every: int = 25
     noise_substeps: int = 1
 
@@ -155,9 +154,8 @@ class SimConfig:
         for name in ("nu", "dt", "eps"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
-        for name in ("T", "alpha"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if not math.isfinite(self.T):
+            raise ValueError(f"T must be finite, got {self.T}")
         if not self.T >= self.dt:
             raise ValueError(f"horizon T = {self.T} shorter than one step dt = {self.dt}")
         steps = self.T / self.dt
@@ -191,10 +189,9 @@ class SimConfig:
 
 
 def resolve_lambda(cfg):
-    """Correction constant per the configured mode; returns (value, detail).
+    """Correction constant per the configured mode; returns (value, detail),
+    detail None for an explicit value (Lambda = 0 is explicit 0.0).
     Quadrature runs at the tolerance LAMBDA_TOL."""
-    if cfg.lambda_mode == "zero":
-        return 0.0, None
     if cfg.lambda_mode == "explicit":
         return float(cfg.lambda_value), None
     if cfg.lambda_mode == "closed_form":
@@ -477,8 +474,9 @@ def simulate(table, u0, wiener_rng):
 
 
 # the error columns of a replicate's block and of the converge tables: sup
-# and H^alpha distances to the corrected and to the uncorrected limit run
+# and H^ALPHA distances to the corrected and to the uncorrected limit run
 ERRORS = ("sup_err_corrected", "sup_err_uncorrected", "halpha_err_corrected", "halpha_err_uncorrected")
+ALPHA = 0.75
 
 
 def _run_replicate(limit_tables, eps_tables, replicate):
@@ -533,7 +531,7 @@ def _run_replicate(limit_tables, eps_tables, replicate):
             for c, limit in enumerate(limits):
                 diff = approx - limit  # at every recorded step
                 errors[e, c] = sup_norms(diff)
-                errors[e, 2 + c] = sobolev_norms(diff, cfg.alpha)
+                errors[e, 2 + c] = sobolev_norms(diff, ALPHA)
             blown_up[e] = False
     report["wall_s"] = round(time.perf_counter() - start, 6)
     return errors, blown_up, report

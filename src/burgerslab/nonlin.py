@@ -182,14 +182,6 @@ class PolynomialMap:
     def zero(n):
         return PolynomialMap(n, tuple(Polynomial.zero(n) for _ in range(n)))
 
-    @staticmethod
-    def identity(n):
-        comps = []
-        for i in range(n):
-            expo = tuple(1 if j == i else 0 for j in range(n))
-            comps.append(Polynomial.from_terms(n, [(expo, 1.0)]))
-        return PolynomialMap(n, tuple(comps))
-
     @property
     def degree(self):
         return max(p.degree for p in self.components)

@@ -5,16 +5,19 @@ A run config has four sections of key = value lines:
     [scheme]   either  file = <scheme description path>  or the scheme keys
                inline (name, f, h, mu, q; see schemes.load_scheme_file)
     [model]    nu, n, K, F, G (polynomial text per component),
-               lambda_mode (quadrature|closed_form|explicit:<v>|zero),
+               lambda_mode (quadrature|closed_form|explicit:<v>),
                v0 (zero | sin:<amp>[:<comp>] | cos:<amp>[:<comp>] |
-               modes:<path>), alpha, eps (comma list), replicates
+               modes:<path>), eps (comma list), replicates
     [time]     dt, T, sample_every, noise_substeps
     [output]   prefix (a file-name stem inside the output directory)
 
 K, dt and T are required.  A key outside these lists, in any section, is
-rejected by name rather than ignored.  A relative path (the scheme file, a
-table: symbol, a modes: file) is read from the directory of the file that
-names it, not from the working directory; an absolute one as it is.
+rejected by name rather than ignored, and so is a number that does not
+parse.  Each setting has one spelling: Lambda = 0 is explicit:0, and the
+Sobolev order of the H^alpha errors is integrator.ALPHA, no key.  A
+relative path (the scheme file, a table: symbol, a modes: file) is read
+from the directory of the file that names it, not from the working
+directory; an absolute one as it is.
 Everything is inspectable text; the parsed object echoes its source
 exactly, and a content hash of that echo rides along in every output
 sidecar.
@@ -123,6 +126,16 @@ def parse_v0(spec, K, n, directory=""):
     raise ValueError(f"unknown v0 spec {spec!r}")
 
 
+def _number(kind, section, key, text):
+    """``text``, the value of [section] ``key``, as ``kind`` (int or
+    float); a ValueError names the key and the text."""
+    try:
+        return kind(text)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise ValueError(f"[{section}] {key}: {text!r} is not {what}") from None
+
+
 def _polynomial_map(model, key, n):
     """The map of [model] ``key`` (zero if absent); an error names the key."""
     try:
@@ -154,7 +167,7 @@ class RunSpec:
 
 
 _KEYS = {
-    "model": {"nu", "n", "K", "F", "G", "lambda_mode", "v0", "alpha", "eps", "replicates"},
+    "model": {"nu", "n", "K", "F", "G", "lambda_mode", "v0", "eps", "replicates"},
     "time": {"dt", "T", "sample_every", "noise_substeps"},
     "output": {"prefix"},
 }
@@ -204,28 +217,27 @@ def load_run_config(path):
         )
 
     eps_list = eps_ladder(m.get("eps", "0.125"), "eps")
-    replicates = int(m.get("replicates", 8))
+    replicates = _number(int, "model", "replicates", m.get("replicates", 8))
     if replicates < 2:
         raise ValueError(f"replicates must be at least 2 (for a standard error), got {replicates}")
     lam_mode, lam_value = m.get("lambda_mode", "closed_form"), None
     if lam_mode.startswith("explicit:"):
-        lam_mode, lam_value = "explicit", float(lam_mode.split(":", 1)[1])
-    n = int(m.get("n", 1))
+        lam_mode, lam_value = "explicit", _number(float, "model", "lambda_mode", lam_mode[len("explicit:") :])
+    n = _number(int, "model", "n", m.get("n", 1))
     config = SimConfig(
-        nu=float(m.get("nu", 1.0)),
+        nu=_number(float, "model", "nu", m.get("nu", 1.0)),
         n=n,
-        K=int(m["K"]),
-        dt=float(t["dt"]),
-        T=float(t["T"]),
+        K=_number(int, "model", "K", m["K"]),
+        dt=_number(float, "time", "dt", t["dt"]),
+        T=_number(float, "time", "T", t["T"]),
         eps=eps_list[0],
         scheme=scheme,
         F=PolynomialMap.zero(n),
         G=PolynomialMap.zero(n),
         lambda_mode=lam_mode,
         lambda_value=lam_value,
-        alpha=float(m.get("alpha", 0.75)),
-        sample_every=int(t.get("sample_every", 25)),
-        noise_substeps=int(t.get("noise_substeps", 1)),
+        sample_every=_number(int, "time", "sample_every", t.get("sample_every", 25)),
+        noise_substeps=_number(int, "time", "noise_substeps", t.get("noise_substeps", 1)),
     )
     # n and K have passed their checks, so the texts sized by them can be parsed
     config = replace(

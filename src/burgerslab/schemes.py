@@ -248,12 +248,6 @@ class ValidationReport:
     def ok(self):
         return all(c.passed for c in self.checks)
 
-    def __getitem__(self, name):
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
     def summary(self):
         lines = [f"validation of scheme '{self.scheme_name}':"]
         for c in self.checks:
@@ -423,20 +417,25 @@ def shift_minus(u, delta):
 
 
 def _load_table(path):
-    """Table file: a line 'extrapolate = <real>' then 't,value' rows."""
+    """Table file: a line 'extrapolate = <real>' then 't,value' rows; a row
+    that does not parse is reported by its path and line."""
     extrapolate = None
     ts, vs = [], []
     with open(path) as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            if "=" in line and line.split("=")[0].strip() == "extrapolate":
-                extrapolate = float(line.split("=", 1)[1])
-                continue
-            t, v = line.split(",")
-            ts.append(float(t))
-            vs.append(float(v))
+            key, _, value = line.partition("=")
+            try:
+                if key.strip() == "extrapolate":
+                    extrapolate = float(value)
+                    continue
+                t, v = line.split(",")
+                ts.append(float(t))
+                vs.append(float(v))
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: expected 't,value' or 'extrapolate = <real>', got {line!r}") from None
     if extrapolate is None:
         raise ValueError(f"table {path} must declare an explicit 'extrapolate = <real>' value")
     return np.array(ts), np.array(vs), extrapolate

@@ -79,7 +79,9 @@ def odd_fft_size(m):
 @dataclass(frozen=True)
 class SpectralField:
     """Immutable real band-limited field; ``half`` has shape (n, K+1), the
-    coefficients of modes 0..K (mode -k is the conjugate of mode k)."""
+    coefficients of modes 0..K (mode -k is the conjugate of mode k).  Two
+    fields are equal (and hash alike) when their K, n and coefficients are,
+    so two configs with one initial profile compare equal."""
 
     K: int
     n: int
@@ -97,6 +99,15 @@ class SpectralField:
         c[:, 0] = c[:, 0].real
         c.flags.writeable = False
         object.__setattr__(self, "half", c)
+
+    def _key(self):
+        return self.K, self.n, tuple(self.half.ravel().tolist())
+
+    def __eq__(self, other):
+        return isinstance(other, SpectralField) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     # -- constructors ------------------------------------------------------
 

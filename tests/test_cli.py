@@ -135,6 +135,24 @@ class TestLambdaCommand:
         err = capsys.readouterr().err
         assert "garbled.scheme" in err and "garbage" in err
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("extrapolate = 0\n0,1\n1;1\n2,0\n", "1;1"),
+            ("extrapolate = 0\n0,1\n1,abc\n2,0\n", "1,abc"),
+            ("# h\nextrapolate = none\n1,abc\n", "extrapolate = none"),
+        ],
+        ids=["separator", "number", "extrapolate"],
+    )
+    def test_unreadable_table_row_names_the_table_and_line(self, tmp_path, capsys, text, line):
+        table = tmp_path / "bad.tbl"
+        table.write_text(text)
+        path = tmp_path / "s1.scheme"
+        path.write_text("name = s1\nf = identity\nh = table:bad.tbl\nmu = (1,1);(0,-1)\nq = 1\n")
+        assert main(["lambda", "--scheme", str(path)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"{table}:{text.splitlines().index(line) + 1}: expected 't,value' or 'extrapolate = <real>', got {line!r}" in err
+
     def test_dry_run(self, scheme_file, capsys):
         assert main(["lambda", "--scheme", str(scheme_file), "--dry-run"]) == EXIT_OK
         assert json.loads(capsys.readouterr().out)["dry_run"] is True
@@ -143,7 +161,7 @@ class TestLambdaCommand:
 class TestConvergeCommand:
     def test_outputs_and_zero_lambda_columns(self, tmp_path, run_config, capsys):
         cfg_zero = tmp_path / "zero.cfg"
-        cfg_zero.write_text(run_config.read_text().replace("closed_form", "zero"))
+        cfg_zero.write_text(run_config.read_text().replace("closed_form", "explicit:0"))
         out = tmp_path / "out"
         code = main(["converge", "--config", str(cfg_zero), "--out", str(out), "--seed", "3"])
         assert code == EXIT_OK
@@ -226,7 +244,7 @@ class TestConvergeCommand:
         assert main(["converge", "--config", str(run_config), "--out", str(tmp_path / "q"), "--seed", "1"]) == EXIT_OK
         assert len(calls) == 3
 
-    @pytest.mark.parametrize("mode", ["closed_form", "quadrature", "zero"])
+    @pytest.mark.parametrize("mode", ["closed_form", "quadrature", "explicit:0"])
     def test_manifest_records_lambda_and_validation(self, tmp_path, run_config, mode):
         cfg = tmp_path / "mode.cfg"
         cfg.write_text(run_config.read_text().replace("closed_form", mode))
@@ -235,8 +253,8 @@ class TestConvergeCommand:
         manifest = json.loads((out / "demo_manifest.json").read_text())
         summary = json.loads((out / "demo_summary.json").read_text())
         record = manifest["lambda"]
-        assert record["lambda_mode"] == mode and record["value"] == summary["lambda"]
-        if mode == "zero":
+        assert record["lambda_mode"] == mode.split(":")[0] and record["value"] == summary["lambda"]
+        if mode == "explicit:0":
             assert set(record) == {"lambda_mode", "value"}
         else:
             assert record["method"] == mode and record["abs_error_estimate"] >= 0.0
@@ -363,7 +381,15 @@ class TestConvergeCommand:
                 "f = finite_difference\nh = indicator_pi\nmu = (0.5,1);(-0.5,-1)\nq = 0.4",
                 "closed form holds only for integer offsets",
             ),
-            ("K = 16", "K = sixteen", "sixteen"),
+            # a number that does not parse is named by its key
+            ("K = 16", "K = sixteen", "[model] K: 'sixteen' is not an integer"),
+            ("nu = 1\n", "nu = fast\n", "[model] nu: 'fast' is not a number"),
+            ("lambda_mode = closed_form", "lambda_mode = explicit:abc", "[model] lambda_mode: 'abc' is not a number"),
+            ("sample_every = 5", "sample_every = 5.5", "[time] sample_every: '5.5' is not an integer"),
+            # one spelling per setting: the Sobolev order is no key, and
+            # Lambda = 0 is explicit:0
+            ("K = 16\n", "K = 16\nalpha = 0.75\n", "unknown key(s) ['alpha'] in [model]"),
+            ("lambda_mode = closed_form", "lambda_mode = zero", "lambda_mode must be one of ('quadrature', 'closed_form', 'explicit'), got 'zero'"),
             ("eps = 0.25,0.125", "eps = 0.25,0", "eps"),
             ("eps = 0.25,0.125", "eps = ,", "eps"),
             ("replicates = 2", "replicates = 1", "replicates"),
@@ -439,7 +465,7 @@ class TestConvergeCommand:
         cfg.write_text(
             "[scheme]\nname = forward\nf = identity\nh = one\nmu = (1,1);(0,-1)\nq = 1\n\n"
             "[model]\nnu = 1\nn = 1\nK = 8\nF = u1^3\nG = 0\n"
-            "lambda_mode = zero\nv0 = sin:10\neps = 0.25\nreplicates = 2\n\n"
+            "lambda_mode = explicit:0\nv0 = sin:10\neps = 0.25\nreplicates = 2\n\n"
             "[time]\ndt = 0.01\nT = 0.2\nsample_every = 2\n\n"
             "[output]\nprefix = boom\n"
         )

@@ -280,7 +280,7 @@ class TestCorrectedDrift:
 
     def test_linear_flux_unchanged(self):
         F = parse_polynomial_map("u1; -u2", 2)
-        G = PolynomialMap.identity(2)
+        G = parse_polynomial_map("u1; u2", 2)
         Ft = corrected_drift(F, G, 5.0)
         assert all(a.terms == b.terms for a, b in zip(Ft.components, F.components))
 

@@ -9,6 +9,7 @@ import pytest
 from burgerslab.estimators import quadratic_variation
 import burgerslab.integrator as integrator
 from burgerslab.integrator import (
+    ALPHA,
     ERRORS,
     EnsembleResult,
     ModeTable,
@@ -155,6 +156,8 @@ class TestConfig:
             ({"lambda_mode": "explicit", "lambda_value": np.nan}, "^explicit lambda_mode requires a finite lambda_value"),
             # the corrected limit run is a limit run with a corrected drift
             ({"variant": "limit_corrected"}, r"^variant must be one of \('approximate', 'limit'\)"),
+            # Lambda = 0 has one spelling, explicit with the value 0
+            ({"lambda_mode": "zero"}, r"^lambda_mode must be one of \('quadrature', 'closed_form', 'explicit'\), got 'zero'$"),
         ],
     )
     def test_construction_and_replace_check_alike(self, change, message):
@@ -164,7 +167,7 @@ class TestConfig:
             replace(make_cfg(), **change)
 
     def test_resolve_lambda_modes(self):
-        assert resolve_lambda(make_cfg(lambda_mode="zero"))[0] == 0.0
+        assert resolve_lambda(make_cfg(lambda_mode="explicit", lambda_value=0.0)) == (0.0, None)
         assert resolve_lambda(make_cfg(lambda_mode="explicit", lambda_value=0.3))[0] == 0.3
         assert abs(resolve_lambda(make_cfg(lambda_mode="closed_form"))[0] - 0.25) < 1e-12
         quad = resolve_lambda(make_cfg(lambda_mode="quadrature"))[0]
@@ -221,7 +224,7 @@ class TestStep:
     def test_killed_modes_forced_to_zero(self, rng):
         # finite-difference symbols kill modes with eps*|k| >= pi outright
         cfg = make_cfg(scheme=finite_difference_scheme(1, 0), eps=0.5, variant="approximate",
-                       lambda_mode="zero")
+                       lambda_mode="explicit", lambda_value=0.0)
         u = random_field(rng, cfg.K)
         stepper = Stepper(mode_table(cfg))
         c = stepper.step_coeffs(u.half, 0.0)
@@ -708,7 +711,7 @@ class TestConservativeConsistency:
 
 class TestRunCoupled:
     def test_zero_lambda_makes_limits_identical(self):
-        cfg = make_cfg(lambda_mode="zero", T=0.02, sample_every=5)
+        cfg = make_cfg(lambda_mode="explicit", lambda_value=0.0, T=0.02, sample_every=5)
         res = run_coupled(cfg, [0.25, 0.125], replicates=2)
         assert res.errors.shape == (2, 2, len(ERRORS), len(res.times)) and not res.blown_up.any()
         assert np.array_equal(res.errors[:, :, 0], res.errors[:, :, 1])  # sup
@@ -784,7 +787,7 @@ class TestRunCoupled:
 
     def test_a_blown_up_limit_run_ends_the_replicate_report(self):
         cfg = make_cfg(F=parse_polynomial_map("u1^3", 1), G=PolynomialMap.zero(1), dt=0.5, T=50.0,
-                       sample_every=100, lambda_mode="zero", v0=SpectralField.constant(1e60, 16))
+                       sample_every=100, lambda_mode="explicit", lambda_value=0.0, v0=SpectralField.constant(1e60, 16))
         res = run_coupled(cfg, [0.25], replicates=2)
         assert res.blowup_fraction == 1.0 and res.blown_up.all()
         assert np.all(np.isnan(res.errors))
@@ -901,7 +904,7 @@ class TestRunCoupled:
         for name, limit in (("corrected", "limit_corrected"), ("uncorrected", "limit_uncorrected")):
             diffs = [SpectralField(cfg.K, cfg.n, a - b) for a, b in zip(runs["approximate"], runs[limit])]
             sup = np.array([sup_norm(d) for d in diffs])
-            ha = np.array([sobolev_norm(d, cfg.alpha) for d in diffs])
+            ha = np.array([sobolev_norm(d, ALPHA) for d in diffs])
             assert block[ERRORS.index(f"sup_err_{name}")].tobytes() == sup.tobytes()
             assert block[ERRORS.index(f"halpha_err_{name}")].tobytes() == ha.tobytes()
         assert block[0, 0] > 0.0  # the initial coupling is not exact here

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from burgerslab.cli import EXIT_OK, EXIT_VALIDATION, main
-from burgerslab.integrator import SimConfig
+from burgerslab.integrator import LAMBDA_MODES, SimConfig
 from burgerslab.runconfig import RunSpec, load_run_config, parse_v0
 from burgerslab.schemes import load_scheme_file
 from burgerslab.spectral import to_grid
@@ -105,24 +105,30 @@ class TestParseV0:
 
 
 def test_a_run_is_its_config_at_a_seed():
-    # the quadrature tolerance is no setting of a run (correction.LAMBDA_TOL)
-    assert "lambda_tol" not in [f.name for f in fields(SimConfig)]
+    # the quadrature tolerance (correction.LAMBDA_TOL) and the Sobolev order
+    # of the errors (integrator.ALPHA) are no settings of a run, and
+    # Lambda = 0 is spelled explicit:0 only
+    assert not {"lambda_tol", "alpha"} & {f.name for f in fields(SimConfig)}
     assert list(inspect.signature(RunSpec.sim_config).parameters) == ["self", "seed"]
+    assert LAMBDA_MODES == ("quadrature", "closed_form", "explicit")
 
 
-def test_run_specs_holding_a_table_compare_by_value(tmp_path):
-    # the scheme's table is read anew by each load, into arrays of its own
+@pytest.mark.parametrize("line, other", [("h = table:h.csv", "h = table:g.csv"), ("v0 = sin:1", "v0 = cos:1")])
+def test_run_specs_compare_by_value(tmp_path, line, other):
+    # each load reads the scheme's table and builds the initial profile
+    # anew, into arrays of its own
     (tmp_path / "h.csv").write_text("extrapolate = 0\n0,1\n1,1\n2,0\n")
+    (tmp_path / "g.csv").write_text("extrapolate = 0\n0,1\n1,1\n3,0\n")
     text = (
         "[scheme]\nname = tab\nf = identity\nh = table:h.csv\nmu = (1,1);(0,-1)\nq = 1\n\n"
-        "[model]\nK = 8\nlambda_mode = quadrature\n\n[time]\ndt = 1e-3\nT = 0.01\n"
+        "[model]\nK = 8\nlambda_mode = quadrature\nv0 = sin:1\n\n[time]\ndt = 1e-3\nT = 0.01\n"
     )
     (tmp_path / "run.cfg").write_text(text)
-    (tmp_path / "other.cfg").write_text(text.replace("h = table:h.csv", "h = table:g.csv"))
-    (tmp_path / "g.csv").write_text("extrapolate = 0\n0,1\n1,1\n3,0\n")
+    (tmp_path / "other.cfg").write_text(text.replace(line, other))
     first, second = load_run_config(tmp_path / "run.cfg"), load_run_config(tmp_path / "run.cfg")
-    assert first.scheme.h is not second.scheme.h
-    assert first == second and first.sim_config(seed=4) == second.sim_config(seed=4)
+    assert first.scheme.h is not second.scheme.h and first.config.v0 is not second.config.v0
+    assert first == second and hash(first) == hash(second)
+    assert first.sim_config(seed=4) == second.sim_config(seed=4)
     assert first.sim_config(seed=4) != second.sim_config(seed=5)
     other = load_run_config(tmp_path / "other.cfg")
     assert other != first and other.config != first.config
@@ -188,7 +194,7 @@ _PROPERTY = settings(max_examples=30, deadline=None, derandomize=True, database=
 _SCHEME = {"name": "forward", "f": "identity", "h": "one", "mu": "(1,1);(0,-1)", "q": "1"}
 _ALLOWED = {
     "scheme": set(_SCHEME) | {"file"},
-    "model": {"nu", "n", "K", "F", "G", "lambda_mode", "v0", "alpha", "eps", "replicates"},
+    "model": {"nu", "n", "K", "F", "G", "lambda_mode", "v0", "eps", "replicates"},
     "time": {"dt", "T", "sample_every", "noise_substeps"},
     "output": {"prefix"},
 }
@@ -211,7 +217,7 @@ def run_configs(draw):
     sections = {
         "scheme": dict(_SCHEME),
         "model": {"nu": repr(draw(st.floats(0.05, 20.0))), "n": str(n), "K": str(K), "F": F, "G": G,
-                  "lambda_mode": draw(st.sampled_from(["closed_form", "zero"])), "v0": v0,
+                  "lambda_mode": draw(st.sampled_from(["closed_form", "explicit:0"])), "v0": v0,
                   "eps": ",".join(repr(e) for e in eps), "replicates": str(draw(st.integers(2, 64)))},
         "time": {"dt": repr(dt), "T": repr(steps * dt), "sample_every": str(draw(st.integers(1, 50))),
                  "noise_substeps": str(draw(st.integers(1, 4)))},
@@ -295,7 +301,7 @@ def test_generated_non_positive_numbers_exit_2(case, where, data):
         _assert_rejected(code, stderr, out, key)
 
 
-_FINITE = [("model", "nu"), ("model", "alpha"), ("time", "T")]
+_FINITE = [("model", "nu"), ("time", "T")]
 
 
 @_PROPERTY
