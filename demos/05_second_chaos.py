@@ -19,7 +19,7 @@ from burgerslab import (
     sample_stationary_pair,
     xi_eps,
 )
-from burgerslab.estimators import rate_fit, xi_eps_y
+from burgerslab.estimators import rate_fit, spatial_means, xi_eps_y
 from burgerslab.nonlin import apply_bilinear, apply_pointwise, jacobian, parse_polynomial_map
 from burgerslab.schemes import apply_D_eps, finite_difference_scheme
 from burgerslab.spectral import band_project
@@ -35,7 +35,7 @@ vals = []
 for _ in range(300):
     psit = sample_stationary_pair(scheme, eps, nu, K, rng).psi_tilde
     band = band_project(psit, eps**-gamma, eps**-chi)
-    vals.append(xi_eps_y(band, 1.0, eps).spatial_mean()[0, 0])
+    vals.append(spatial_means(xi_eps_y(band, 1.0, eps))[0, 0])
 target = lambda_eps_y(scheme, eps, gamma, chi, nu, 1.0)
 print(f"  eps={eps}: MC mean {np.mean(vals):.5f} +- {np.std(vals, ddof=1) / np.sqrt(len(vals)):.5f}, "
       f"mode sum {target:.5f}")

@@ -142,12 +142,14 @@ def _load_scheme(path):
         raise InputError(f"invalid scheme file {path}: {err}") from err
 
 
-def _out_dir(path, make):
+def _out_dir(path, make, names=(), named_by=None):
     """The output directory ``path``, made if ``make``.  It must be a
     writable directory, or else the nearest path above it that exists must
     be one, and each name still to be made must fit that file system's name
-    length, so that it can be made; otherwise InputError, with nothing made.
-    A dry run checks it the same way, without ``make``."""
+    length, so that it can be made, as must each file name in ``names``
+    that the command will write there (too long a one is reported as set by
+    ``named_by``); otherwise InputError, with nothing made.  A dry run
+    checks it the same way, without ``make``."""
     out = Path(path)
     above = next(p for p in (out, *out.absolute().parents) if os.path.lexists(p))
     try:
@@ -157,6 +159,9 @@ def _out_dir(path, make):
         for name in out.absolute().relative_to(above.absolute()).parts:
             if len(os.fsencode(name)) > name_max:
                 raise OSError(errno.ENAMETOOLONG, os.strerror(errno.ENAMETOOLONG), name)
+        for name in names:
+            if len(os.fsencode(name)) > name_max:
+                raise InputError(f"{named_by} gives the file name {name!r}, over the {name_max} bytes {above} takes")
         if make:
             out.mkdir(parents=True, exist_ok=True)
     except OSError as err:
@@ -247,7 +252,9 @@ def cmd_converge(args):
         raise  # a ValueError too, but main reports it as it is
     except (OSError, ValueError) as err:
         raise InputError(f"invalid run config {args.config}: {err}") from err
-    prefix = _out_dir(args.out, make=not args.dry_run) / spec.output_prefix
+    tails = [f"_eps{eps:g}.csv" for eps in spec.eps_list] + ["_scaling.csv", "_summary.json", "_plot.gp", "_manifest.json"]
+    names = [spec.output_prefix + tail for tail in tails]
+    prefix = _out_dir(args.out, not args.dry_run, names, "[output] prefix") / spec.output_prefix
 
     if args.dry_run:
         plan = {

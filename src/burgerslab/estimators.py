@@ -15,11 +15,10 @@ stack of half spectra, with one shift and one transform per live atom and
 one transform back per tensor for the whole stack, so a study can share
 each atom's difference grid between its tensors and process a chunk of
 samples at once.  ``xi_eps``, ``xi_eps_y`` and ``negative_sobolev_distance``
-are their one-row calls, and every row of a stack is bitwise its one-row
+are their one-row calls: a one-row tensor is the (n, n, K+1) array that is
+row 0 of its stack form, and every row of a stack is bitwise its one-row
 call.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,30 +32,6 @@ from .schemes import shift_minus
 # callers have looked it up by, and checks that the names still exist
 # (ROADMAP item 1).
 from .spectral import sobolev_norm  # noqa: F401
-
-
-@dataclass(frozen=True)
-class XiMatrixField:
-    """The n x n tensor field of weighted difference-quotient products, held
-    as one read-only (n, n, K+1) array: ``half[i, j]`` is the half spectrum
-    of entry (i, j).  The array is copied when the tensor is made."""
-
-    half: np.ndarray
-
-    def __post_init__(self):
-        half = np.array(self.half, dtype=np.complex128)
-        if half.ndim != 3 or half.shape[0] != half.shape[1]:
-            raise ValueError(f"a tensor's half spectra have shape (n, n, K+1), got {half.shape}")
-        half.flags.writeable = False
-        object.__setattr__(self, "half", half)
-
-    @property
-    def n(self):
-        return self.half.shape[0]
-
-    def spatial_mean(self):
-        """Mean over x of each entry, as an (n, n) real matrix."""
-        return spatial_means(self.half[None])[0]
 
 
 def xi_grid_size(K):
@@ -107,15 +82,10 @@ def xi_halves(shape, grids, eps):
 
 
 def spatial_means(xi):
-    """Mean over x of each entry of a (rows, n, n, K+1) tensor stack, as a
-    (rows, n, n) real array."""
+    """Mean over x of each entry of an (n, n, K+1) tensor or a
+    (rows, n, n, K+1) tensor stack, as an (n, n) or (rows, n, n) real
+    array."""
     return xi[..., 0].real / SQRT_2PI
-
-
-def _xi_field(u, atoms, eps):
-    """The tensor of ``xi_halves`` for one field u, as an XiMatrixField."""
-    half = u.half[None]
-    return XiMatrixField(xi_halves(half.shape, difference_grids(half, atoms, eps), eps)[0])
 
 
 def xi_eps(u, scheme, eps):
@@ -124,16 +94,19 @@ def xi_eps(u, scheme, eps):
 
     The undivided differences absorb the eps y^2 / 2 weights exactly; the
     y = 0 atom contributes zero.  Entries are scalar fields (n = 1 per
-    entry) indexed by the two tensor slots.  The one-row call of
+    entry) indexed by the two tensor slots: an (n, n, K+1) array of half
+    spectra whose [i, j] is entry (i, j).  The one-row call of
     ``difference_grids`` and ``xi_halves``.
     """
-    return _xi_field(u, scheme.mu, eps)
+    h = u.half[None]
+    return xi_halves(h.shape, difference_grids(h, scheme.mu, eps), eps)[0]
 
 
 def xi_eps_y(u, y, eps):
     """Single-atom tensor (eps y^2/2) (difference quotient)^(x)2, unweighted
     (the one-row call of ``xi_halves`` with the atom (y, 1))."""
-    return _xi_field(u, ((y, 1.0),), eps)
+    h = u.half[None]
+    return xi_halves(h.shape, difference_grids(h, ((y, 1.0),), eps), eps)[0]
 
 
 def chain_rule_defect(G, u, scheme, eps):
@@ -200,13 +173,13 @@ def expected_qv(nu, K, M):
 # -- norms and rate fits ---------------------------------------------------------
 
 
-def negative_sobolev_distance(A, c, alpha):
+def negative_sobolev_distance(xi, c, alpha):
     """Frobenius-aggregated H^{-alpha} norm of (c * Identity - A).
 
-    A is an XiMatrixField, c a scalar; the one-row call of
-    ``negative_sobolev_distances``.
+    xi holds the (n, n, K+1) half spectra of the tensor A, c is a scalar;
+    the one-row call of ``negative_sobolev_distances``.
     """
-    return float(negative_sobolev_distances(A.half[None], c, alpha)[0])
+    return float(negative_sobolev_distances(xi[None], c, alpha)[0])
 
 
 def negative_sobolev_distances(xi, c, alpha):

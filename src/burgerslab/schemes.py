@@ -442,24 +442,29 @@ def _load_table(path):
 
 
 def parse_mu(text):
-    """Parse '(y1,w1);(y2,w2);...' into atom tuples."""
+    """Parse '(y1,w1);(y2,w2);...' into atom tuples; a ValueError names the
+    key mu and the atom that does not parse."""
     atoms = []
     for chunk in text.split(";"):
         chunk = chunk.strip()
         if not chunk:
             continue
-        if not (chunk.startswith("(") and chunk.endswith(")")):
-            raise ValueError(f"bad mu atom {chunk!r}; expected (y,w)")
-        y, w = chunk[1:-1].split(",")
-        atoms.append((float(y), float(w)))
+        try:
+            if not (chunk.startswith("(") and chunk.endswith(")")):
+                raise ValueError
+            y, w = map(float, chunk[1:-1].split(","))
+        except ValueError:
+            raise ValueError(f"mu: {chunk!r} is not an atom (y,w) of two numbers") from None
+        atoms.append((y, w))
     if not atoms:
-        raise ValueError("mu has no atoms")
+        raise ValueError(f"mu: {text!r} has no atoms")
     return tuple(atoms)
 
 
 def scheme_from_mapping(entries, directory=""):
     """Build a Scheme from plain key = value entries (see load_scheme_file);
-    a relative ``table:`` path is read from ``directory``."""
+    a relative ``table:`` path is read from ``directory``.  A value that
+    does not parse is reported by its key and text."""
     required = {"name", "f", "h", "mu", "q"}
     missing = required - set(entries)
     if missing:
@@ -467,12 +472,16 @@ def scheme_from_mapping(entries, directory=""):
     unknown = set(entries) - required
     if unknown:
         raise ValueError(f"scheme description has unknown key(s) {sorted(unknown)}")
+    try:
+        q = float(entries["q"])
+    except ValueError:
+        raise ValueError(f"q: {entries['q']!r} is not a number") from None
     return Scheme(
         name=entries["name"].strip(),
         f=_symbol(entries["f"].strip(), _F_BUILTINS, "f", directory),
         h=_symbol(entries["h"].strip(), _H_BUILTINS, "h", directory),
         mu=parse_mu(entries["mu"]),
-        q=float(entries["q"]),
+        q=q,
     )
 
 

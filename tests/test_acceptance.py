@@ -27,6 +27,7 @@ from burgerslab.estimators import (
     negative_sobolev_distance,
     quadratic_variation,
     rate_fit,
+    spatial_means,
     xi_eps,
     xi_eps_y,
 )
@@ -140,7 +141,7 @@ def test_criterion_4a_per_atom_tensor_expectation():
         psit = sample_stationary_pair(scheme, eps, nu, K, rng).psi_tilde
         band = band_project(psit, eps**-GAMMA, eps**-CHI)
         for y in live_atoms:
-            samples[y][i] = xi_eps_y(band, y, eps).spatial_mean()[0, 0]
+            samples[y][i] = spatial_means(xi_eps_y(band, y, eps))[0, 0]
     details = []
     for y in live_atoms:
         target = lambda_eps_y(scheme, eps, GAMMA, CHI, nu, y)

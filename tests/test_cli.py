@@ -153,6 +153,22 @@ class TestLambdaCommand:
         err = capsys.readouterr().err
         assert f"{table}:{text.splitlines().index(line) + 1}: expected 't,value' or 'extrapolate = <real>', got {line!r}" in err
 
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("q = 1", "q = abc", "q: 'abc' is not a number"),
+            ("mu = (1,1);(0,-1)", "mu = (1,x);(0,-1)", "mu: '(1,x)' is not an atom (y,w) of two numbers"),
+            ("mu = (1,1);(0,-1)", "mu = (1,1,2);(0,-1)", "mu: '(1,1,2)' is not an atom (y,w) of two numbers"),
+        ],
+        ids=["q", "mu-number", "mu-arity"],
+    )
+    def test_unreadable_scheme_value_names_its_key(self, tmp_path, scheme_file, capsys, old, new, message):
+        path = tmp_path / "bad.scheme"
+        path.write_text(scheme_file.read_text().replace(old, new))
+        assert main(["lambda", "--scheme", str(path), "--dry-run"]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert f"invalid scheme file {path}: {message}" in captured.err and captured.out == ""
+
     def test_dry_run(self, scheme_file, capsys):
         assert main(["lambda", "--scheme", str(scheme_file), "--dry-run"]) == EXIT_OK
         assert json.loads(capsys.readouterr().out)["dry_run"] is True
@@ -415,6 +431,8 @@ class TestConvergeCommand:
             ("replicates = 2", "replicates = -1", "replicates must be at least 2"),
             ("v0 = sin:1", "v0 = sin:abc", "v0 takes sin|cos:<amp>[:<comp>], got 'sin:abc'"),
             ("v0 = sin:1", "v0 = sin:1:x", "v0 takes sin|cos:<amp>[:<comp>], got 'sin:1:x'"),
+            # an inline scheme's value that does not parse is named by its key
+            ("mu = (1,1);(0,-1)", "mu = (1,x);(0,-1)", "bad.cfg: mu: '(1,x)' is not an atom (y,w) of two numbers"),
         ],
     )
     def test_config_errors_exit_2(self, tmp_path, run_config, capsys, old, new, message):
@@ -673,13 +691,19 @@ def test_dry_run_makes_no_out_directory(tmp_path, scheme_file, run_config, capsy
 @pytest.mark.parametrize("command", ["converge", "chaos"])
 def test_out_name_too_long_exits_2_before_writing(tmp_path, scheme_file, run_config, capsys, command, dry_run):
     # a name longer than the file system takes is refused by the dry run
-    # as by the run, and nothing is made
+    # as by the run, and nothing is made: a directory of --out, or for
+    # converge an output file named from [output] prefix, which fits alone
+    # but not with _eps0.25.csv after it
+    cases = [(_inputs(command, scheme_file, run_config), tmp_path / ("a" * 300) / "out", "File name too long")]
+    if command == "converge":
+        long_prefix = tmp_path / "long.cfg"
+        long_prefix.write_text(run_config.read_text().replace("prefix = demo", "prefix = " + "p" * 245))
+        cases.append((["--config", str(long_prefix)], tmp_path / "out", "[output] prefix gives the file name"))
     inputs = sorted(p.name for p in tmp_path.iterdir())
-    out = tmp_path / ("a" * 300) / "out"
-    extra = _inputs(command, scheme_file, run_config) + ["--dry-run"] * dry_run
-    assert main([command, *extra, "--out", str(out)]) == EXIT_VALIDATION
-    captured = capsys.readouterr()
-    assert "File name too long" in captured.err and captured.out == ""
+    for extra, out, message in cases:
+        assert main([command, *extra, *["--dry-run"] * dry_run, "--out", str(out)]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
     assert sorted(p.name for p in tmp_path.iterdir()) == inputs
 
 
