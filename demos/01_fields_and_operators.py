@@ -31,7 +31,7 @@ print(f"L2 norm {sobolev_norm(u, 0.0):.6f}, H^0.75 norm {sobolev_norm(u, 0.75):.
 
 print("\n== round trip through the grid is exact at M = 2K+1 ==")
 v = from_grid(to_grid(u, 17), 8)
-print(f"max coefficient error: {np.max(np.abs(v.coeffs - u.coeffs)):.3e}")
+print(f"max coefficient error: {np.max(np.abs(v.half - u.half)):.3e}")
 
 print("\n== the forward-difference derivative measure ==")
 s = identity_scheme(1, 0)  # mu = delta_1 - delta_0, f = h = 1

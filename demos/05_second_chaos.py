@@ -71,4 +71,4 @@ lhs = apply_D_eps(scheme, apply_pointwise(G, u), eps) - apply_bilinear(
 )
 rhs = chain_rule_defect(G, u, scheme, eps)
 print(f"  |D_eps G(u) - grad G(u).D_eps u - defect| = "
-      f"{np.max(np.abs(lhs.coeffs - rhs.coeffs)):.2e}")
+      f"{np.max(np.abs(lhs.half - rhs.half)):.2e}")

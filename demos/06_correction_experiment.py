@@ -24,7 +24,7 @@ cfg = SimConfig(
     K=512,
     dt=2.5e-4,
     T=0.5,
-    eps=0.125,
+    eps=None,  # the limit run's config; run_coupled makes the run at each eps from it
     scheme=identity_scheme(1, 0),  # forward difference: correction constant 1/4
     F=PolynomialMap.zero(1),
     G=parse_polynomial_map("0.5*u1^2", 1),  # Burgers flux

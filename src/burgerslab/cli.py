@@ -14,9 +14,10 @@ the worker count, since replicate tasks are self-contained and outputs are
 ordered canonically.  A converge run is fixed by its run config (see
 runconfig), the files that config names, and --seed.
 
-Exit codes: 0 ok, 2 validation failure, 3 blow-up quota exceeded,
-4 quadrature non-convergence.  A command returns 0 or 3, or raises; ``main``
-is the one place that turns an error into its message and exit code.
+Exit codes: 0 ok, 2 validation failure or a run too large for memory,
+3 blow-up quota exceeded, 4 quadrature non-convergence.  A command returns
+0 or 3, or raises; ``main`` is the one place that turns an error into its
+message and exit code.
 """
 
 import argparse
@@ -142,14 +143,15 @@ def _load_scheme(path):
         raise InputError(f"invalid scheme file {path}: {err}") from err
 
 
-def _out_dir(path, make, names=(), named_by=None):
-    """The output directory ``path``, made if ``make``.  It must be a
+def _out_dir(path, names=(), named_by=None):
+    """The output directory ``path``, checked and not made.  It must be a
     writable directory, or else the nearest path above it that exists must
     be one, and each name still to be made must fit that file system's name
     length, so that it can be made, as must each file name in ``names``
     that the command will write there (too long a one is reported as set by
-    ``named_by``); otherwise InputError, with nothing made.  A dry run
-    checks it the same way, without ``make``."""
+    ``named_by``); otherwise InputError.  A command checks it before it
+    computes, under --dry-run too, and makes it only when it writes its
+    first output, so a run that fails leaves nothing behind."""
     out = Path(path)
     above = next(p for p in (out, *out.absolute().parents) if os.path.lexists(p))
     try:
@@ -162,8 +164,6 @@ def _out_dir(path, make, names=(), named_by=None):
         for name in names:
             if len(os.fsencode(name)) > name_max:
                 raise InputError(f"{named_by} gives the file name {name!r}, over the {name_max} bytes {above} takes")
-        if make:
-            out.mkdir(parents=True, exist_ok=True)
     except OSError as err:
         raise InputError(f"--out {path} cannot be used as the output directory: {err}") from None
     return out
@@ -254,7 +254,7 @@ def cmd_converge(args):
         raise InputError(f"invalid run config {args.config}: {err}") from err
     tails = [f"_eps{eps:g}.csv" for eps in spec.eps_list] + ["_scaling.csv", "_summary.json", "_plot.gp", "_manifest.json"]
     names = [spec.output_prefix + tail for tail in tails]
-    prefix = _out_dir(args.out, not args.dry_run, names, "[output] prefix") / spec.output_prefix
+    prefix = _out_dir(args.out, names, "[output] prefix") / spec.output_prefix
 
     if args.dry_run:
         plan = {
@@ -271,14 +271,14 @@ def cmd_converge(args):
 
     # how Lambda was obtained, and the scheme's validation report; manifests
     # are not digested, so this moves no output byte
-    lambda_record = {"lambda_mode": cfg.lambda_mode, "value": lam}
+    lambda_record = {"lambda_mode": "explicit" if lam_result is None else cfg.lambda_mode, "value": lam}
     if lam_result is not None:
         lambda_record.update(method=lam_result.method, abs_error_estimate=lam_result.abs_error_estimate)
     manifest = Manifest(
         "converge", args.seed, spec.echo, extra={"lambda": lambda_record, "scheme_validation": spec.scheme.validation.summary()}
     )
-    resolved = replace(cfg, lambda_mode="explicit", lambda_value=lam)
-    result = run_coupled(resolved, spec.eps_list, spec.replicates, workers=args.workers)
+    result = run_coupled(replace(cfg, lambda_mode=lam), spec.eps_list, spec.replicates, workers=args.workers)
+    prefix.parent.mkdir(parents=True, exist_ok=True)
     manifest.data["diagnostics"] = {"qv_limit_final": _qv_limit_summary(result, cfg.nu)}
     # per replicate: wall seconds, and the steps and any blow-up of each run
     manifest.data["replicates"] = result.replicates
@@ -388,7 +388,7 @@ def cmd_chaos(args):
     _require(_positive(nu), f"--nu must be positive, got {nu}")
     _require(args.samples >= 2, f"--samples must be at least 2, got {args.samples}")
     scheme = _load_scheme(args.scheme)
-    out = _out_dir(args.out, make=not args.dry_run)
+    out = _out_dir(args.out)
     if args.dry_run:
         print(json.dumps({"scheme": scheme.name, "eps": list(eps_list), "dry_run": True}))
         return EXIT_OK
@@ -426,6 +426,7 @@ def cmd_chaos(args):
         )
     manifest.data["per_eps"] = per_eps
     manifest.stage("sampling")
+    out.mkdir(parents=True, exist_ok=True)
 
     atom_path = out / "chaos_atoms.csv"
     _write_csv(
@@ -513,7 +514,9 @@ def build_parser():
     sp = sub.add_parser("converge", help="coupled ensemble error study")
     sp.add_argument("--config", required=True, help="run config file")
     common(sp)
-    sp.set_defaults(func=cmd_converge)
+    # size_key: the input that sizes the command's arrays, named by main
+    # when they do not fit in memory
+    sp.set_defaults(func=cmd_converge, size_key="[model] K")
 
     sp = sub.add_parser("chaos", help="tensor expectation and distance slopes")
     sp.add_argument("--scheme", required=True, help="scheme description file")
@@ -521,7 +524,7 @@ def build_parser():
     sp.add_argument("--nu", type=float, default=1.0)
     sp.add_argument("--samples", type=int, default=200)
     common(sp)
-    sp.set_defaults(func=cmd_chaos)
+    sp.set_defaults(func=cmd_chaos, size_key="--eps (the band K = ceil(eps^-1.5))")
 
     sp = sub.add_parser("qv", help="quadratic variation report")
     sp.add_argument("--nu", type=float, default=1.0)
@@ -529,7 +532,7 @@ def build_parser():
     sp.add_argument("--M", type=int, default=2048)
     sp.add_argument("--samples", type=int, default=200)
     common(sp)
-    sp.set_defaults(func=cmd_qv)
+    sp.set_defaults(func=cmd_qv, size_key="--K")
 
     return p
 
@@ -548,6 +551,10 @@ def main(argv=None):
         if err.partial is not None:
             print(json.dumps(err.partial.to_dict(), sort_keys=True), file=sys.stderr)
         return EXIT_QUADRATURE
+    except MemoryError:
+        sized = f": the arrays sized by {args.size_key} do not fit" if "size_key" in args else ""
+        print(f"{args.command}: out of memory{sized}", file=sys.stderr)
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

@@ -34,14 +34,15 @@ spectrum and records the half spectrum itself at the recorded steps, the
 errors are normed from those records, and the final limit state that the
 diagnostics take as a field is wrapped as it is.
 
-A run is one of two kinds (VARIANTS).  An approximate run is the
-discretized equation at its eps: it applies the literal nonconservative
+A run is one of two kinds, and its config's eps says which (the read-only
+SimConfig.variant names it).  An approximate run, eps > 0, is the
+discretized equation at that eps: it applies the literal nonconservative
 product grad G(u) . D_eps u, which is exactly the object whose limit
-acquires the drift correction.  A limit run is the limit equation, with the
-flux in conservative form d/dx G(u).  The correction is a drift: the
-corrected limit run is the limit run whose F is corrected_drift(F, G, Lambda)
-= F - Lambda Laplacian(G), made once by run_coupled, so nothing below
-run_coupled knows Lambda.
+acquires the drift correction.  A limit run, eps None, is the limit
+equation, with the flux in conservative form d/dx G(u).  The correction is
+a drift: the corrected limit run is the limit run whose F is
+corrected_drift(F, G, Lambda) = F - Lambda Laplacian(G), made once by
+run_coupled, so nothing below run_coupled knows Lambda.
 
 A run that blows up is an outcome the ensemble measures, not an error:
 simulate stops at the first non-finite state and returns no records and the
@@ -61,9 +62,10 @@ that exists is a valid one.  Its per-mode factors (the rates, the killed
 modes, m_k, the three update factors above, the D_eps multiplier of an
 approximate run, and the per-mode scale of the run's initial draw) are one
 frozen ModeTable, which ``mode_table`` evaluates from the config once.
-run_coupled makes the configs of all 2 + E runs with dataclasses.replace,
-which checks each again, and their tables before any replicate starts (the
-two limit runs differ only in F, so they share one table's arrays); every
+run_coupled takes the limit run's config and makes the configs of the E
+approximate runs from it with dataclasses.replace(cfg, eps=e), which checks
+each again, and all 2 + E tables before any replicate starts (the two limit
+runs differ only in F, so they share one table's arrays); every
 replicate steps those same tables, and neither simulate nor Stepper
 evaluates anything per mode.
 
@@ -78,6 +80,7 @@ temporaries.
 """
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, replace
 from functools import partial
@@ -117,30 +120,33 @@ from .estimators import xi_eps  # noqa: F401
 from .nonlin import evaluate  # noqa: F401
 from .spectral import sobolev_norm, sup_norm  # noqa: F401
 
-VARIANTS = ("approximate", "limit")
-LAMBDA_MODES = ("quadrature", "closed_form", "explicit")
+LAMBDA_MODES = ("quadrature", "closed_form")
 
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Complete description of one experiment, checked on construction and
-    frozen; a variant is made with dataclasses.replace, which checks it
-    again."""
+    """Complete description of one run, one field per setting, checked on
+    construction and frozen; another run is made with dataclasses.replace,
+    which checks it again.
+
+    ``eps`` is the run's kind: a positive finite scale for the discretized
+    equation at that eps, None for the limit equation.  ``lambda_mode`` is
+    how Lambda is had: one of LAMBDA_MODES, or Lambda itself as a finite
+    real number (not a bool).
+    """
 
     nu: float
     n: int
     K: int
     dt: float
     T: float
-    eps: float
+    eps: float | None
     scheme: Scheme
     F: PolynomialMap
     G: PolynomialMap
-    lambda_mode: str = "closed_form"  # quadrature | closed_form | explicit
-    lambda_value: float | None = None
+    lambda_mode: str | float = "closed_form"
     v0: SpectralField | None = None  # band-limited smooth profile; None = zero
     seed: int = 0
-    variant: str = "approximate"
     sample_every: int = 25
     noise_substeps: int = 1
 
@@ -151,9 +157,11 @@ class SimConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if value < 1:
                 raise ValueError(f"{name} must be at least 1, got {value}")
-        for name in ("nu", "dt", "eps"):
+        for name in ("nu", "dt"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
+        if self.eps is not None and not 0 < self.eps < math.inf:
+            raise ValueError(f"eps must be positive and finite, or None for the limit equation, got {self.eps}")
         if not math.isfinite(self.T):
             raise ValueError(f"T must be finite, got {self.T}")
         if not self.T >= self.dt:
@@ -161,12 +169,9 @@ class SimConfig:
         steps = self.T / self.dt
         if abs(steps - round(steps)) > 1e-9:
             raise ValueError(f"T/dt must be integral, got T = {self.T}, dt = {self.dt}")
-        if self.variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if self.lambda_mode not in LAMBDA_MODES:
-            raise ValueError(f"lambda_mode must be one of {LAMBDA_MODES}, got {self.lambda_mode!r}")
-        if self.lambda_mode == "explicit" and not math.isfinite(math.nan if self.lambda_value is None else self.lambda_value):
-            raise ValueError(f"explicit lambda_mode requires a finite lambda_value, got {self.lambda_value}")
+        real = isinstance(self.lambda_mode, numbers.Real) and not isinstance(self.lambda_mode, bool)
+        if self.lambda_mode not in LAMBDA_MODES and not (real and math.isfinite(self.lambda_mode)):
+            raise ValueError(f"lambda_mode must be one of {LAMBDA_MODES} or a finite number, got {self.lambda_mode!r}")
         if not isinstance(self.scheme, Scheme):
             # a Scheme is validated when it is made; nothing else is
             raise ValueError(f"scheme must be a Scheme, got {type(self.scheme).__name__}")
@@ -181,6 +186,11 @@ class SimConfig:
                 object.__setattr__(self, "v0", embed(self.v0, self.K))
 
     @property
+    def variant(self):
+        """The run's kind: "approximate" if it has an eps, else "limit"."""
+        return "approximate" if self.eps is not None else "limit"
+
+    @property
     def n_steps(self):
         return round(self.T / self.dt)
 
@@ -190,10 +200,10 @@ class SimConfig:
 
 def resolve_lambda(cfg):
     """Correction constant per the configured mode; returns (value, detail),
-    detail None for an explicit value (Lambda = 0 is explicit 0.0).
-    Quadrature runs at the tolerance LAMBDA_TOL."""
-    if cfg.lambda_mode == "explicit":
-        return float(cfg.lambda_value), None
+    detail None for a lambda_mode that is Lambda itself (Lambda = 0 is
+    lambda_mode 0.0).  Quadrature runs at the tolerance LAMBDA_TOL."""
+    if cfg.lambda_mode not in LAMBDA_MODES:
+        return float(cfg.lambda_mode), None
     if cfg.lambda_mode == "closed_form":
         res = lambda_closed_form_for_scheme(cfg.scheme, cfg.nu)
     else:
@@ -270,8 +280,8 @@ def mode_table(cfg):
 
 
 class Stepper:
-    """Exponential-Euler update for one (variant, eps) run, on the factors
-    of its ModeTable.
+    """Exponential-Euler update for one run, on the factors of its
+    ModeTable.
 
     States, increments and every per-mode factor live on k = 0..K (half
     spectra, see the module docstring).  The factors are even in k, or
@@ -503,9 +513,9 @@ def _run_replicate(limit_tables, eps_tables, replicate):
     blown_up = np.ones(len(eps_tables), dtype=bool)
     report = {"replicate": replicate, "qv_limit_final": None, "runs": []}
 
-    def run(table, u0, row, eps=None):
+    def run(table, u0, row):
         """The run's (S, n, K+1) records, or None if it blew up."""
-        entry = {"row": row, "eps": eps}
+        entry = {"row": row, "eps": table.cfg.eps}
         report["runs"].append(entry)
         records, steps = simulate(table, u0, derive_stream(cfg.seed, replicate, "wiener"))
         entry.update(steps=steps, blowup_time=steps * table.cfg.dt if records is None else None)
@@ -523,7 +533,7 @@ def _run_replicate(limit_tables, eps_tables, replicate):
         final_limit = SpectralField(cfg.K, cfg.n, limits[0][-1])
         report["qv_limit_final"] = float(np.mean(quadratic_variation(final_limit, max(8, cfg.K // 4))))
         for e, eps_table in enumerate(eps_tables):
-            approx = run(eps_table, v0 + draw.field(eps_table.sigma), "approximate", eps_table.cfg.eps)
+            approx = run(eps_table, v0 + draw.field(eps_table.sigma), "approximate")
             if approx is None:
                 continue
             # one limit run's differences at a time: stacking both raised
@@ -591,6 +601,9 @@ def run_coupled(cfg, eps_list, replicates, workers=1):
     limit run plus one discretized run per eps, all on the same Wiener
     stream; per-eps error statistics aggregated over replicates.
 
+    ``cfg`` is the config of the uncorrected limit run, so its eps is None
+    (ValueError otherwise); the run at eps e is replace(cfg, eps=e).
+
     Results are independent of `workers` (replicates are self-contained and
     output order is canonical).  At most one worker process per replicate
     is started, and none when that leaves one: the replicates then run in
@@ -599,6 +612,8 @@ def run_coupled(cfg, eps_list, replicates, workers=1):
     into the corrected limit run's drift F - Lambda Laplacian(G); that run
     shares the per-mode arrays of the uncorrected one, as only F differs.
     """
+    if cfg.eps is not None:
+        raise ValueError(f"run_coupled takes the limit run's config, with eps None, got eps = {cfg.eps}")
     eps_list = tuple(float(e) for e in eps_list)
     if not eps_list:
         raise ValueError("need at least one eps")
@@ -606,10 +621,10 @@ def run_coupled(cfg, eps_list, replicates, workers=1):
         raise ValueError(f"eps values must be distinct, got {eps_list}")
     if replicates < 1:
         raise ValueError(f"replicates must be at least 1, got {replicates}")
-    eps_tables = tuple(mode_table(replace(cfg, eps=eps, variant="approximate")) for eps in eps_list)
-    uncorrected = mode_table(replace(cfg, variant="limit"))
+    eps_tables = tuple(mode_table(replace(cfg, eps=eps)) for eps in eps_list)
+    uncorrected = mode_table(cfg)
     lam, _ = resolve_lambda(cfg)
-    corrected = replace(uncorrected, cfg=replace(uncorrected.cfg, F=corrected_drift(cfg.F, cfg.G, lam)))
+    corrected = replace(uncorrected, cfg=replace(cfg, F=corrected_drift(cfg.F, cfg.G, lam)))
     run = partial(_run_replicate, (corrected, uncorrected), eps_tables)
     # a forked pool starts all its workers at the first task, busy or not
     workers = min(workers, replicates)

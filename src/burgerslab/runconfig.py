@@ -23,7 +23,9 @@ exactly, and a content hash of that echo rides along in every output
 sidecar.
 
 The whole config is parsed and checked when it is loaded: the RunSpec holds
-a frozen SimConfig, which checks its own fields, the eps ladder passes
+the frozen SimConfig of the limit run (eps None; each approximate run is
+that config at one eps of the ladder), which checks its own fields, and
+explicit:<v> becomes lambda_mode = v, the number; the eps ladder passes
 ``eps_ladder`` (the rule of ``chaos --eps`` too), and the replicate count
 is at least 2.  A converge run is its config, the files the config names
 (a scheme file, a table: symbol, a modes: file) and a seed: the command
@@ -42,7 +44,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .integrator import SimConfig
+from .integrator import LAMBDA_MODES, SimConfig
 from .nonlin import PolynomialMap, parse_polynomial_map
 from .schemes import scheme_from_mapping, load_scheme_file
 from .spectral import SpectralField
@@ -146,8 +148,10 @@ def _polynomial_map(model, key, n):
 
 @dataclass(frozen=True)
 class RunSpec:
-    """Parsed run config: the SimConfig it describes (at seed 0) plus
-    experiment-level settings."""
+    """Parsed run config: the SimConfig of its limit run (eps None, at seed
+    0), which run_coupled takes, plus experiment-level settings: the eps
+    ladder of its approximate runs, the replicate count, the output prefix
+    and the echo."""
 
     config: SimConfig
     output_prefix: str
@@ -220,9 +224,12 @@ def load_run_config(path):
     replicates = _number(int, "model", "replicates", m.get("replicates", 8))
     if replicates < 2:
         raise ValueError(f"replicates must be at least 2 (for a standard error), got {replicates}")
-    lam_mode, lam_value = m.get("lambda_mode", "closed_form"), None
+    # the text explicit:<v> is Lambda = v, which SimConfig holds as the number
+    lam_mode = m.get("lambda_mode", "closed_form")
     if lam_mode.startswith("explicit:"):
-        lam_mode, lam_value = "explicit", _number(float, "model", "lambda_mode", lam_mode[len("explicit:") :])
+        lam_mode = _number(float, "model", "lambda_mode", lam_mode[len("explicit:") :])
+    elif lam_mode not in LAMBDA_MODES:
+        raise ValueError(f"[model] lambda_mode must be one of quadrature, closed_form, explicit:<v>, got {lam_mode!r}")
     n = _number(int, "model", "n", m.get("n", 1))
     config = SimConfig(
         nu=_number(float, "model", "nu", m.get("nu", 1.0)),
@@ -230,12 +237,11 @@ def load_run_config(path):
         K=_number(int, "model", "K", m["K"]),
         dt=_number(float, "time", "dt", t["dt"]),
         T=_number(float, "time", "T", t["T"]),
-        eps=eps_list[0],
+        eps=None,
         scheme=scheme,
         F=PolynomialMap.zero(n),
         G=PolynomialMap.zero(n),
         lambda_mode=lam_mode,
-        lambda_value=lam_value,
         sample_every=_number(int, "time", "sample_every", t.get("sample_every", 25)),
         noise_substeps=_number(int, "time", "noise_substeps", t.get("noise_substeps", 1)),
     )

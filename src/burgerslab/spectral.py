@@ -10,9 +10,9 @@ conjugate of c_k and c_0 is real.  A field is therefore stored as its half
 spectrum, the (n, K+1) coefficients of modes 0..K (the layout of rfft and
 irfft), and reality holds by construction: the only condition the layout
 leaves open, a real c_0, is checked when a field is made.  The stepper, the
-Wiener draws and the stacked norms work on the same layout; ``mirror``
-builds the two-sided (n, 2K+1) array of modes -K..K, which a field exposes
-read-only as ``coeffs``.
+Wiener draws and the stacked norms work on the same layout, and no code
+builds the two-sided array of modes -K..K: ``mode(k)`` reads a negative
+mode as the conjugate of its positive one.
 
 Grid values are plain (n, M) arrays at x_j = 2*pi*j/M.  One transform pair
 serves every caller.  ``coeffs_to_values`` has one fast path for padded
@@ -147,13 +147,6 @@ class SpectralField:
         """The stored modes 0..K."""
         return np.arange(self.K + 1)
 
-    @property
-    def coeffs(self):
-        """Read-only two-sided (n, 2K+1) coefficients of modes -K..K."""
-        c = mirror(self.half)
-        c.flags.writeable = False
-        return c
-
     def mode(self, k):
         """Coefficient vector (length n) of mode k, for any |k| <= K."""
         return self.half[:, k] if k >= 0 else np.conj(self.half[:, -k])
@@ -257,12 +250,6 @@ def values_to_coeffs(values, K, buf=None, out=None):
         raise ResolutionError(f"need M >= 2K+1 = {2 * K + 1}, got M = {M}")
     spectrum = np.fft.rfft(values, axis=1, out=buf)
     return np.multiply(spectrum[:, : K + 1], SQRT_2PI / M, out=out)
-
-
-def mirror(half):
-    """Two-sided (n, 2K+1) coefficients, modes -K..K, of a half spectrum
-    (n, K+1): mode -k is the conjugate of mode k."""
-    return np.concatenate([np.conj(half[:, :0:-1]), half], axis=1)
 
 
 def to_grid(u, M):

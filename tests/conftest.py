@@ -15,6 +15,14 @@ def random_field(rng, K, n=1, decay=1.0):
     return SpectralField(K, n, c)
 
 
+def mirror(half):
+    """Two-sided (n, 2K+1) coefficients, modes -K..K, of a half spectrum
+    (n, K+1): mode -k is the conjugate of mode k.  The package keeps no
+    two-sided array; the tests build one as the reference the half layout
+    is compared against."""
+    return np.concatenate([np.conj(half[:, :0:-1]), half], axis=1)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260808)

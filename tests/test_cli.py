@@ -2,6 +2,10 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import resource
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 from types import SimpleNamespace
@@ -15,6 +19,9 @@ from burgerslab import cli, correction, integrator
 from burgerslab.cli import EXIT_BLOWUP, EXIT_OK, EXIT_QUADRATURE, EXIT_VALIDATION, _qv_limit_summary, _summary_line, main
 from burgerslab.estimators import xi_grid_size
 from burgerslab.runconfig import eps_ladder, load_run_config
+
+# the variables that hold numpy's linear-algebra libraries to one thread
+_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @pytest.fixture
@@ -405,11 +412,13 @@ class TestConvergeCommand:
             # one spelling per setting: the Sobolev order is no key, and
             # Lambda = 0 is explicit:0
             ("K = 16\n", "K = 16\nalpha = 0.75\n", "unknown key(s) ['alpha'] in [model]"),
-            ("lambda_mode = closed_form", "lambda_mode = zero", "lambda_mode must be one of ('quadrature', 'closed_form', 'explicit'), got 'zero'"),
+            ("lambda_mode = closed_form", "lambda_mode = zero", "[model] lambda_mode must be one of quadrature, closed_form, explicit:<v>, got 'zero'"),
+            ("lambda_mode = closed_form", "lambda_mode = 0.25", "[model] lambda_mode must be one of quadrature, closed_form, explicit:<v>, got '0.25'"),
+            ("lambda_mode = closed_form", "lambda_mode = explicit", "[model] lambda_mode must be one of quadrature, closed_form, explicit:<v>, got 'explicit'"),
             ("eps = 0.25,0.125", "eps = 0.25,0", "eps"),
             ("eps = 0.25,0.125", "eps = ,", "eps"),
             ("replicates = 2", "replicates = 1", "replicates"),
-            ("lambda_mode = closed_form", "lambda_mode = explicit:nan", "finite lambda_value"),
+            ("lambda_mode = closed_form", "lambda_mode = explicit:nan", "lambda_mode must be one of ('quadrature', 'closed_form') or a finite number, got nan"),
             ("lambda_mode = closed_form", "lambda_mode = bogus", "lambda_mode must be one of"),
             ("eps = 0.25,0.125", "eps = 0.25,0.25,0.125", "eps values 0.25 and 0.25 share the table name eps0.25"),
             ("eps = 0.25,0.125", "eps = 0.1234567,0.1234568", "share the table name eps0.123457"),
@@ -705,6 +714,37 @@ def test_out_name_too_long_exits_2_before_writing(tmp_path, scheme_file, run_con
         captured = capsys.readouterr()
         assert message in captured.err and captured.out == ""
     assert sorted(p.name for p in tmp_path.iterdir()) == inputs
+
+
+# a run whose arrays do not fit: converge's mode tables at K = 2e7, qv's
+# draw at K = 2e7, chaos's band at eps = 1e-5 (K = ceil(eps^-1.5) = 3.2e7)
+_TOO_LARGE = {
+    "converge": ([], "[model] K"),
+    "qv": (["--K", "20000000", "--M", "16", "--samples", "2"], "--K"),
+    "chaos": (["--eps", "1e-5", "--samples", "2"], "--eps (the band K = ceil(eps^-1.5))"),
+}
+
+
+@pytest.mark.parametrize("command", list(_TOO_LARGE))
+def test_a_run_too_large_for_memory_exits_2_and_writes_nothing(tmp_path, scheme_file, run_config, command):
+    # the child alone runs under a 256 MiB address-space limit, on one
+    # thread; importing the package takes about 110 MiB of it
+    run_config.write_text(run_config.read_text().replace("K = 16", "K = 20000000").replace("v0 = sin:1", "v0 = zero"))
+    extra, key = _TOO_LARGE[command]
+    source = {"converge": ["--config", str(run_config)], "chaos": ["--scheme", str(scheme_file)]}.get(command, [])
+    limit = 256 << 20
+    inputs = _tree(tmp_path)
+    child = subprocess.run(
+        [sys.executable, "-m", "burgerslab", command, *source, *extra, "--out", str(tmp_path / "out")],
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]), **dict.fromkeys(_THREAD_VARS, "1")},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert child.returncode == EXIT_VALIDATION and child.stdout == ""
+    assert child.stderr == f"{command}: out of memory: the arrays sized by {key} do not fit\n"
+    assert _tree(tmp_path) == inputs
 
 
 def test_chaos_outputs_do_not_depend_on_the_chunk_size(tmp_path, monkeypatch, capsys):

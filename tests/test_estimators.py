@@ -194,7 +194,7 @@ class TestChainRuleDefect:
             jacobian(G), u, apply_D_eps(scheme, u, eps)
         )
         rhs = chain_rule_defect(G, u, scheme, eps)
-        assert np.max(np.abs(lhs.coeffs - rhs.coeffs)) < 1e-10
+        assert np.max(np.abs(lhs.half - rhs.half)) < 1e-10
 
     def test_quadratic_identity_two_components(self, rng):
         G = parse_polynomial_map("u1*u2 + 0.3*u1^2; u2^2 - u1", 2)
@@ -205,13 +205,13 @@ class TestChainRuleDefect:
             jacobian(G), u, apply_D_eps(s, u, eps)
         )
         rhs = chain_rule_defect(G, u, s, eps)
-        assert np.max(np.abs(lhs.coeffs - rhs.coeffs)) < 1e-10
+        assert np.max(np.abs(lhs.half - rhs.half)) < 1e-10
 
     def test_linear_flux_has_no_defect(self, rng):
         G = parse_polynomial_map("2*u1", 1)
         u = random_field(rng, K=10)
         d = chain_rule_defect(G, u, identity_scheme(1, 0), 0.1)
-        assert np.max(np.abs(d.coeffs)) < 1e-14
+        assert np.max(np.abs(d.half)) < 1e-14
 
 
 class TestQuadraticVariation:

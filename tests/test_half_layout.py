@@ -35,12 +35,12 @@ from burgerslab.spectral import (
     coeffs_to_values,
     embed,
     from_grid,
-    mirror,
     odd_fft_size,
     project,
     to_grid,
     values_to_coeffs,
 )
+from conftest import mirror
 
 # -- the two-sided oracle ------------------------------------------------------------
 

@@ -51,12 +51,11 @@ from burgerslab.spectral import (
     SQRT_2PI,
     SpectralField,
     coeffs_to_values,
-    mirror,
     sobolev_norm,
     sup_norm,
     values_to_coeffs,
 )
-from conftest import random_field, reference_polynomial_value
+from conftest import mirror, random_field, reference_polynomial_value
 
 
 def make_cfg(**kw):
@@ -78,15 +77,22 @@ def make_cfg(**kw):
     return SimConfig(**base)
 
 
+def limit_cfg(**kw):
+    """make_cfg(**kw) as a limit run's config, eps None: the config
+    run_coupled takes."""
+    return make_cfg(eps=None, **kw)
+
+
 # the rows of a replicate's report; the corrected limit run is the limit run
 # whose drift carries the correction
 ROWS = ("approximate", "limit_corrected", "limit_uncorrected")
 
 
-def row_cfg(row, lam=0.3, **kw):
+def row_cfg(row, lam=0.3, eps=0.125, **kw):
     """make_cfg(**kw) as the run of ``row``, built as run_coupled builds it:
-    the corrected limit run takes corrected_drift(F, G, lam) as its F."""
-    cfg = make_cfg(variant="approximate" if row == "approximate" else "limit", **kw)
+    the approximate run at ``eps``, the limit runs with eps None, and the
+    corrected one taking corrected_drift(F, G, lam) as its F."""
+    cfg = make_cfg(eps=eps if row == "approximate" else None, **kw)
     return replace(cfg, F=corrected_drift(cfg.F, cfg.G, lam)) if row == "limit_corrected" else cfg
 
 
@@ -130,7 +136,29 @@ class TestConfig:
         monkeypatch.setattr("burgerslab.integrator.simulate", lambda *a, **k: pytest.fail("ran a simulation"))
         for eps in (np.inf, np.nan, 0.0):
             with pytest.raises(ValueError, match="^eps must be positive and finite"):
-                run_coupled(make_cfg(), [0.25, eps], 2)
+                run_coupled(limit_cfg(), [0.25, eps], 2)
+
+    def test_run_coupled_takes_the_limit_runs_config(self, monkeypatch):
+        # the ladder gives the approximate runs their eps; an eps in the
+        # base config would be read by nothing
+        monkeypatch.setattr("burgerslab.integrator.simulate", lambda *a, **k: pytest.fail("ran a simulation"))
+        for eps in (0.25, 0.9):
+            with pytest.raises(ValueError, match=rf"^run_coupled takes the limit run's config, with eps None, got eps = {eps}$"):
+                run_coupled(make_cfg(eps=eps), [0.25, 0.125], 2)
+
+    def test_eps_is_the_kind_of_run(self):
+        assert make_cfg(eps=0.25).variant == "approximate" and limit_cfg().variant == "limit"
+        assert replace(make_cfg(), eps=None) == limit_cfg() and replace(limit_cfg(), eps=0.125) == make_cfg()
+        names = {f.name for f in fields(SimConfig)}
+        assert len(names) == 14 and not {"variant", "lambda_value"} & names
+        # the kind is read from eps, never given beside it
+        for change in ({"variant": "limit"}, {"variant": "limit", "eps": 123.0}, {"lambda_value": 5.0}):
+            with pytest.raises(TypeError):
+                replace(make_cfg(), **change)
+            with pytest.raises(TypeError):
+                make_cfg(**change)
+        with pytest.raises(AttributeError):
+            make_cfg().variant = "limit"
 
     def test_rejects_a_scheme_that_is_not_a_scheme(self):
         # an object with what a run reads of a scheme was never validated
@@ -149,15 +177,21 @@ class TestConfig:
         "change, message",
         [
             ({"sample_every": 0}, "^sample_every must be at least 1"),
-            ({"eps": np.nan}, "^eps must be positive and finite"),
+            ({"eps": np.nan}, "^eps must be positive and finite, or None for the limit equation, got nan$"),
+            ({"eps": 0.0}, "^eps must be positive and finite, or None for the limit equation, got 0.0$"),
+            ({"eps": -0.25}, "^eps must be positive and finite"),
             ({"K": 0}, "^K must be at least 1"),
             ({"lambda_mode": "bogus"}, "^lambda_mode must be one of"),
-            ({"lambda_mode": "explicit"}, "^explicit lambda_mode requires a finite lambda_value"),
-            ({"lambda_mode": "explicit", "lambda_value": np.nan}, "^explicit lambda_mode requires a finite lambda_value"),
-            # the corrected limit run is a limit run with a corrected drift
-            ({"variant": "limit_corrected"}, r"^variant must be one of \('approximate', 'limit'\)"),
-            # Lambda = 0 has one spelling, explicit with the value 0
-            ({"lambda_mode": "zero"}, r"^lambda_mode must be one of \('quadrature', 'closed_form', 'explicit'\), got 'zero'$"),
+            # an explicit Lambda is the number itself, finite and not a bool
+            ({"lambda_mode": "explicit"}, r"^lambda_mode must be one of \('quadrature', 'closed_form'\) or a finite number, got 'explicit'$"),
+            ({"lambda_mode": np.nan}, r"^lambda_mode must be one of \('quadrature', 'closed_form'\) or a finite number, got nan$"),
+            ({"lambda_mode": np.inf}, "^lambda_mode must be one of"),
+            ({"lambda_mode": True}, r"^lambda_mode must be one of \('quadrature', 'closed_form'\) or a finite number, got True$"),
+            ({"lambda_mode": np.bool_(False)}, "^lambda_mode must be one of"),
+            ({"lambda_mode": None}, "^lambda_mode must be one of"),
+            ({"lambda_mode": "0.25"}, "^lambda_mode must be one of"),
+            # Lambda = 0 has one spelling, the number 0
+            ({"lambda_mode": "zero"}, r"^lambda_mode must be one of \('quadrature', 'closed_form'\) or a finite number, got 'zero'$"),
         ],
     )
     def test_construction_and_replace_check_alike(self, change, message):
@@ -167,8 +201,10 @@ class TestConfig:
             replace(make_cfg(), **change)
 
     def test_resolve_lambda_modes(self):
-        assert resolve_lambda(make_cfg(lambda_mode="explicit", lambda_value=0.0)) == (0.0, None)
-        assert resolve_lambda(make_cfg(lambda_mode="explicit", lambda_value=0.3))[0] == 0.3
+        assert resolve_lambda(make_cfg(lambda_mode=0.0)) == (0.0, None)
+        assert resolve_lambda(make_cfg(lambda_mode=0.3))[0] == 0.3
+        assert resolve_lambda(make_cfg(lambda_mode=np.float64(-0.5))) == (-0.5, None)
+        assert resolve_lambda(make_cfg(lambda_mode=1)) == (1.0, None)
         assert abs(resolve_lambda(make_cfg(lambda_mode="closed_form"))[0] - 0.25) < 1e-12
         quad = resolve_lambda(make_cfg(lambda_mode="quadrature"))[0]
         assert abs(quad - 0.25) < 1e-8
@@ -179,7 +215,7 @@ class TestStep:
 
     def test_pure_heat_decay(self, rng):
         # F = G = 0 and no noise: the semigroup factor is exact per mode
-        cfg = make_cfg(G=PolynomialMap.zero(1), variant="limit", T=0.05)
+        cfg = limit_cfg(G=PolynomialMap.zero(1), T=0.05)
         u = random_field(rng, cfg.K)
         stepper = Stepper(mode_table(cfg))
         c = u.half.copy()
@@ -191,10 +227,9 @@ class TestStep:
 
     def test_constant_drift_grows_mean_mode(self):
         c_drift = 0.8
-        cfg = make_cfg(
+        cfg = limit_cfg(
             F=parse_polynomial_map(f"{c_drift}", 1),
             G=PolynomialMap.zero(1),
-            variant="limit",
         )
         stepper = Stepper(mode_table(cfg))
         c = np.zeros((1, cfg.K + 1), dtype=np.complex128)
@@ -205,10 +240,9 @@ class TestStep:
 
     def test_linear_drift_matches_exact_exponential(self):
         # F(u) = -u, single mode: the iterate tracks exp(-(nu k^2 + 1) t)
-        cfg = make_cfg(
+        cfg = limit_cfg(
             F=parse_polynomial_map("-u1", 1),
             G=PolynomialMap.zero(1),
-            variant="limit",
             dt=1e-3,
             T=0.1,
         )
@@ -223,8 +257,7 @@ class TestStep:
 
     def test_killed_modes_forced_to_zero(self, rng):
         # finite-difference symbols kill modes with eps*|k| >= pi outright
-        cfg = make_cfg(scheme=finite_difference_scheme(1, 0), eps=0.5, variant="approximate",
-                       lambda_mode="explicit", lambda_value=0.0)
+        cfg = make_cfg(scheme=finite_difference_scheme(1, 0), eps=0.5, lambda_mode=0.0)
         u = random_field(rng, cfg.K)
         stepper = Stepper(mode_table(cfg))
         c = stepper.step_coeffs(u.half, 0.0)
@@ -232,8 +265,8 @@ class TestStep:
         assert killed.any() and np.all(c[:, killed] == 0.0)
 
     def test_blowup_detection(self):
-        cfg = make_cfg(F=parse_polynomial_map("u1^3", 1), G=PolynomialMap.zero(1),
-                       variant="limit", dt=0.5, T=50.0, sample_every=100)
+        cfg = limit_cfg(F=parse_polynomial_map("u1^3", 1), G=PolynomialMap.zero(1),
+                       dt=0.5, T=50.0, sample_every=100)
         huge = SpectralField.constant(1e160, cfg.K)
         records, steps = simulate(mode_table(cfg), huge, derive_stream(0, 0, "w"))
         assert records is None and steps < cfg.n_steps
@@ -503,7 +536,7 @@ def two_sided_simulate(cfg, u0, rng):
         return both[:n] + ik[None, :] * both[n:]
 
     sub = cfg.noise_substeps
-    c = u0.coeffs.copy()
+    c = mirror(u0.half)
     snaps = {0: c.copy()}
     for m in range(1, cfg.n_steps + 1):
         dW = mirror(wiener_increment_coeffs(K, n, cfg.dt / sub, rng))
@@ -573,11 +606,11 @@ def _reference_ou_noise_factor(z):
 def reference_factors(cfg):
     """The per-mode factors as each Stepper computed them for itself before
     ModeTable, expression for expression: the table must match them bit for
-    bit.  ``d_mult`` was computed for every variant, and is compared for the
-    approximate one only."""
+    bit.  ``d_mult`` was computed for every run, and is given here for the
+    approximate one only (a limit run has no eps)."""
     K = cfg.K
     k = np.arange(K + 1, dtype=float)
-    if cfg.variant == "approximate":
+    if cfg.eps is not None:
         fv = cfg.scheme.f_at(cfg.eps * np.abs(k))
         lam_k = np.where(np.isfinite(fv), cfg.nu * k**2 * np.where(np.isfinite(fv), fv, 0.0), np.inf)
         m = cfg.scheme.h_at(cfg.eps * np.abs(k))
@@ -586,7 +619,7 @@ def reference_factors(cfg):
         m = np.ones_like(k)
     killed = ~np.isfinite(lam_k)
     z = np.where(killed, -np.inf, -lam_k * cfg.dt)
-    return {
+    factors = {
         "rates": lam_k,
         "killed": killed,
         "m": m,
@@ -595,8 +628,10 @@ def reference_factors(cfg):
         "noise_fac": (
             np.where(killed, 0.0, m) * _reference_ou_noise_factor(np.where(killed, np.inf, lam_k * cfg.dt))
         ).astype(np.complex128),
-        "d_mult": d_eps_multiplier(cfg.scheme, cfg.eps, np.arange(K + 1)),
     }
+    if cfg.eps is not None:
+        factors["d_mult"] = d_eps_multiplier(cfg.scheme, cfg.eps, np.arange(K + 1))
+    return factors
 
 
 def reference_discrete_sigmas(scheme, eps, nu, K):
@@ -636,19 +671,19 @@ class TestModeTable:
     def test_bitwise_equal_to_the_per_stepper_factors(self, name, row, kills):
         # the corrected drift leaves the factors of the limit table as they are
         scheme, (eps_kill, eps_none) = self.SCHEMES[name]
-        cfg = row_cfg(row, scheme=scheme, eps=eps_kill if kills else eps_none, nu=0.7)
+        eps = eps_kill if kills else eps_none
+        cfg = row_cfg(row, scheme=scheme, eps=eps, nu=0.7)
         table, want = mode_table(cfg), reference_factors(cfg)
         if row == "approximate":
-            assert want["killed"].any() == (kills and name != "identity")
+            assert cfg.eps == eps and want["killed"].any() == (kills and name != "identity")
         else:
-            assert table.d_mult is None
-            del want["d_mult"]
+            assert cfg.eps is None and table.d_mult is None
         for field, ref in want.items():
             got = getattr(table, field)
             assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), field
             assert not got.flags.writeable, field
-        sigma = discrete_sigmas(cfg.scheme, cfg.eps, cfg.nu, cfg.K)
-        assert sigma.tobytes() == reference_discrete_sigmas(cfg.scheme, cfg.eps, cfg.nu, cfg.K).tobytes()
+        sigma = discrete_sigmas(cfg.scheme, eps, cfg.nu, cfg.K)
+        assert sigma.tobytes() == reference_discrete_sigmas(cfg.scheme, eps, cfg.nu, cfg.K).tobytes()
         init = sigma if row == "approximate" else stationary_sigmas(cfg.K, cfg.nu)
         assert table.sigma.tobytes() == init.tobytes()
 
@@ -706,12 +741,12 @@ class TestConservativeConsistency:
         ik = 1j * u.modes.astype(complex)
         conservative = apply_pointwise(G, u).apply_multiplier(ik)
         nonconservative = apply_bilinear(jacobian(G), u, u.apply_multiplier(ik))
-        assert np.max(np.abs(conservative.coeffs - nonconservative.coeffs)) < 1e-10
+        assert np.max(np.abs(conservative.half - nonconservative.half)) < 1e-10
 
 
 class TestRunCoupled:
     def test_zero_lambda_makes_limits_identical(self):
-        cfg = make_cfg(lambda_mode="explicit", lambda_value=0.0, T=0.02, sample_every=5)
+        cfg = limit_cfg(lambda_mode=0.0, T=0.02, sample_every=5)
         res = run_coupled(cfg, [0.25, 0.125], replicates=2)
         assert res.errors.shape == (2, 2, len(ERRORS), len(res.times)) and not res.blown_up.any()
         assert np.array_equal(res.errors[:, :, 0], res.errors[:, :, 1])  # sup
@@ -719,13 +754,13 @@ class TestRunCoupled:
 
     def test_no_flux_collapses_all_variants(self):
         # identity scheme and G = 0: discretized and limit dynamics coincide
-        cfg = make_cfg(G=PolynomialMap.zero(1), F=parse_polynomial_map("-u1", 1),
+        cfg = limit_cfg(G=PolynomialMap.zero(1), F=parse_polynomial_map("-u1", 1),
                        T=0.02, sample_every=5)
         res = run_coupled(cfg, [0.25], replicates=2)
         assert np.all(res.errors[:, :, :2] == 0.0)
 
     def test_worker_count_does_not_change_results(self):
-        cfg = make_cfg(T=0.02, sample_every=5, scheme=finite_difference_scheme(1, 0),
+        cfg = limit_cfg(T=0.02, sample_every=5, scheme=finite_difference_scheme(1, 0),
                        lambda_mode="quadrature")
         res1 = run_coupled(cfg, [0.25, 0.125], replicates=3, workers=1)
         res2 = run_coupled(cfg, [0.25, 0.125], replicates=3, workers=2)
@@ -754,18 +789,18 @@ class TestRunCoupled:
                 return map(fn, items)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        cfg = make_cfg(T=0.02, sample_every=5)
+        cfg = limit_cfg(T=0.02, sample_every=5)
         res = run_coupled(cfg, [0.25], replicates, workers=workers)
         assert made == pools
         assert res.errors.tobytes() == run_coupled(cfg, [0.25], replicates).errors.tobytes()
 
     def test_replicate_reports_record_steps_and_blowups(self, monkeypatch):
-        cfg = make_cfg(T=0.02, sample_every=5)
+        cfg = limit_cfg(T=0.02, sample_every=5)
         real = simulate
 
         def blow_up_at_eighth(table, *args):
             # every eps = 0.125 run blows up after 4 steps
-            if table.cfg.variant == "approximate" and table.cfg.eps == 0.125:
+            if table.cfg.eps == 0.125:
                 return None, 4
             return real(table, *args)
 
@@ -786,8 +821,8 @@ class TestRunCoupled:
         assert res.blowup_fraction == 0.5
 
     def test_a_blown_up_limit_run_ends_the_replicate_report(self):
-        cfg = make_cfg(F=parse_polynomial_map("u1^3", 1), G=PolynomialMap.zero(1), dt=0.5, T=50.0,
-                       sample_every=100, lambda_mode="explicit", lambda_value=0.0, v0=SpectralField.constant(1e60, 16))
+        cfg = limit_cfg(F=parse_polynomial_map("u1^3", 1), G=PolynomialMap.zero(1), dt=0.5, T=50.0,
+                       sample_every=100, lambda_mode=0.0, v0=SpectralField.constant(1e60, 16))
         res = run_coupled(cfg, [0.25], replicates=2)
         assert res.blowup_fraction == 1.0 and res.blown_up.all()
         assert np.all(np.isnan(res.errors))
@@ -798,7 +833,7 @@ class TestRunCoupled:
             assert report["qv_limit_final"] is None
 
     def test_a_blown_up_limit_run_flags_every_eps_of_its_replicate(self, monkeypatch):
-        cfg = make_cfg(T=0.02, sample_every=5)
+        cfg = limit_cfg(T=0.02, sample_every=5)
         real, limit_runs = simulate, []
 
         def blow_up_second_uncorrected(table, *args):
@@ -820,7 +855,7 @@ class TestRunCoupled:
         assert res.replicates[1]["runs"][1]["steps"] == 3
 
     def test_lambda_reaches_the_runs_as_the_corrected_drift_made_once(self, monkeypatch):
-        cfg = make_cfg(n=2, K=12, T=0.02, sample_every=5, scheme=finite_difference_scheme(1, 0),
+        cfg = limit_cfg(n=2, K=12, T=0.02, sample_every=5, scheme=finite_difference_scheme(1, 0),
                        F=parse_polynomial_map("-u1; -u2", 2),
                        G=parse_polynomial_map("0.5*u1^2 + 0.5*u2^2; u1*u2", 2), lambda_mode="quadrature")
         drifts, tables = [], []
@@ -831,20 +866,23 @@ class TestRunCoupled:
         # every replicate steps the same 2 + E tables, limit runs first
         assert len(tables) == 8 and all(table is tables[i % 4] for i, table in enumerate(tables))
         corrected, uncorrected = tables[:2]
-        assert uncorrected.cfg == replace(cfg, variant="limit")
-        assert corrected.cfg == replace(cfg, variant="limit", F=corrected_drift(cfg.F, cfg.G, res.lam))
+        assert uncorrected.cfg == cfg
+        assert corrected.cfg == replace(cfg, F=corrected_drift(cfg.F, cfg.G, res.lam))
+        # the limit runs have no eps, and each approximate run its ladder eps
+        assert [table.cfg.eps for table in tables[:4]] == [None, None, 0.25, 0.125]
+        assert [table.cfg for table in tables[2:4]] == [replace(cfg, eps=0.25), replace(cfg, eps=0.125)]
         # the two limit runs differ only in F, so they share every per-mode array
         assert all(getattr(corrected, f.name) is getattr(uncorrected, f.name) for f in fields(ModeTable)[1:])
 
     def test_seed_changes_results(self):
-        cfg = make_cfg(T=0.02, sample_every=5)
+        cfg = limit_cfg(T=0.02, sample_every=5)
         res1 = run_coupled(cfg, [0.25], replicates=1)
-        cfg2 = make_cfg(T=0.02, sample_every=5, seed=8)
+        cfg2 = limit_cfg(T=0.02, sample_every=5, seed=8)
         res2 = run_coupled(cfg2, [0.25], replicates=1)
         assert not np.array_equal(res1.errors[0, 0, 1], res2.errors[0, 0, 1])
 
     def test_two_component_smoke(self):
-        cfg = make_cfg(
+        cfg = limit_cfg(
             n=2,
             F=parse_polynomial_map("0; 0", 2),
             G=parse_polynomial_map("0.5*u1^2 + u2; 0.25*u2^2", 2),
@@ -859,7 +897,7 @@ class TestRunCoupled:
         assert res.replicates[0]["qv_limit_final"] > 0.0
 
     def test_mean_curves_and_summary_shapes(self):
-        cfg = make_cfg(T=0.02, sample_every=5)
+        cfg = limit_cfg(T=0.02, sample_every=5)
         res = run_coupled(cfg, [0.25, 0.125], replicates=3)
         curves = res.mean_curves(0.125)
         assert list(curves) == ["t", *ERRORS]
@@ -869,7 +907,7 @@ class TestRunCoupled:
         assert all(r["n_ok"] == 3 and r["n_blowup"] == 0 for r in rows)
 
     def test_rejects_repeated_eps(self):
-        cfg = make_cfg(T=0.02, sample_every=5)
+        cfg = limit_cfg(T=0.02, sample_every=5)
         with pytest.raises(ValueError, match="distinct"):
             run_coupled(cfg, [0.25, 0.125, 0.25], replicates=2)
 
@@ -878,12 +916,12 @@ class TestRunCoupled:
         monkeypatch.setattr("burgerslab.integrator.resolve_lambda", lambda *a, **k: pytest.fail("resolved Lambda"))
         monkeypatch.setattr("burgerslab.integrator.simulate", lambda *a, **k: pytest.fail("ran a simulation"))
         with pytest.raises(ValueError, match="^replicates must be at least 1"):
-            run_coupled(make_cfg(T=0.02, sample_every=5), [0.25, 0.125], replicates)
+            run_coupled(limit_cfg(T=0.02, sample_every=5), [0.25, 0.125], replicates)
 
     def test_recorded_errors_are_the_norms_of_the_differences(self):
         # the stacked evaluation gives, bit for bit, the one-field norms of
         # the difference to each limit run at every recorded step
-        cfg = make_cfg(n=2, K=12, T=0.02, sample_every=5, scheme=finite_difference_scheme(1, 0),
+        cfg = limit_cfg(n=2, K=12, T=0.02, sample_every=5, scheme=finite_difference_scheme(1, 0),
                        F=parse_polynomial_map("-u1; -u2", 2),
                        G=parse_polynomial_map("0.5*u1^2 + 0.5*u2^2; u1*u2", 2),
                        lambda_mode="quadrature", v0=SpectralField.from_modes(12, {1: [0.5, 0.25j]}, n=2))
@@ -894,10 +932,10 @@ class TestRunCoupled:
         runs = {}
         for row, eps_run, init in (
             ("approximate", eps, draw_psi.psi_tilde),
-            ("limit_corrected", cfg.eps, draw_psi.psi),
-            ("limit_uncorrected", cfg.eps, draw_psi.psi),
+            ("limit_corrected", None, draw_psi.psi),
+            ("limit_uncorrected", None, draw_psi.psi),
         ):
-            run_cfg = replace(cfg, variant="approximate" if row == "approximate" else "limit", eps=eps_run)
+            run_cfg = replace(cfg, eps=eps_run)
             if row == "limit_corrected":
                 run_cfg = replace(run_cfg, F=corrected_drift(cfg.F, cfg.G, lam))
             runs[row] = simulate(mode_table(run_cfg), cfg.v0_field() + init, derive_stream(cfg.seed, 0, "wiener"))[0]
@@ -985,8 +1023,9 @@ class TestSolutionRoughness:
         M_qv = 64
         qvs = []
         for rep in range(16):
+            # the limit sample psi of a pair does not depend on its eps
             pair = sample_stationary_pair(
-                cfg.scheme, cfg.eps, cfg.nu, cfg.K, derive_stream(cfg.seed, rep, "ic")
+                cfg.scheme, 0.125, cfg.nu, cfg.K, derive_stream(cfg.seed, rep, "ic")
             )
             u_bar0 = cfg.v0_field() + pair.psi
             rng = derive_stream(cfg.seed, rep, "wiener")

@@ -52,7 +52,7 @@ class TestStationaryPair:
         pair = sample_stationary_pair(
             identity_scheme(1, 0), eps=0.1, nu=1.0, K=32, rng=derive_stream(1, 0, "ic")
         )
-        assert np.array_equal(pair.psi.coeffs, pair.psi_tilde.coeffs)
+        assert np.array_equal(pair.psi.half, pair.psi_tilde.half)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_fields_are_built_from_the_draw_on_first_read(self, n):

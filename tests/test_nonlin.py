@@ -27,7 +27,7 @@ from burgerslab.spectral import (
     odd_fft_size,
     to_grid,
 )
-from conftest import random_field, reference_polynomial_value
+from conftest import mirror, random_field, reference_polynomial_value
 
 
 def burgers_flux():
@@ -291,13 +291,13 @@ class TestApplyPointwise:
     def test_identity_map(self, rng):
         u = random_field(rng, K=10)
         v = apply_pointwise(parse_polynomial_map("u1", 1), u)
-        assert np.max(np.abs(v.coeffs - u.coeffs)) < 1e-12
+        assert np.max(np.abs(v.half - u.half)) < 1e-12
 
     def test_cosine_square_mode_content(self):
         # G(u) = u^2/2 of a pure cosine produces only modes {0, +-2}
         u = SpectralField.from_modes(K=4, entries={1: 1.0})
         v = apply_pointwise(burgers_flux(), u)
-        alive = np.where(np.abs(v.coeffs[0]) > 1e-14)[0] - 4
+        alive = np.where(np.abs(mirror(v.half)[0]) > 1e-14)[0] - 4
         assert set(alive.tolist()) == {-2, 0, 2}
         # cos^2 identity: u = 2 c cos(x) with c = (2pi)^(-1/2) => u^2/2 = c^2(1 + cos 2x)
         assert abs(v.mode(0)[0] - SQRT_2PI / (2.0 * np.pi)) < 1e-14
@@ -307,20 +307,20 @@ class TestApplyPointwise:
         # brute-force oracle: (u^2)_m = (2pi)^(-1/2) sum_k c_k c_{m-k}
         u = random_field(rng, K=16)
         v = apply_pointwise(parse_polynomial_map("u1^2", 1), u)
-        conv = np.convolve(u.coeffs[0], u.coeffs[0])[16 : 16 + 33] / SQRT_2PI
-        assert np.max(np.abs(v.coeffs[0] - conv)) < 1e-12
+        conv = np.convolve(mirror(u.half)[0], mirror(u.half)[0])[16 : 16 + 33] / SQRT_2PI
+        assert np.max(np.abs(mirror(v.half)[0] - conv)) < 1e-12
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
     def test_alias_free_padding_matches_exact_convolution(self, rng, d):
         u = random_field(rng, K=8)
         v = apply_pointwise(parse_polynomial_map(f"u1^{d}", 1), u)
-        c = u.coeffs[0]
+        c = mirror(u.half)[0]
         conv = c.copy()
         for _ in range(d - 1):
             conv = np.convolve(conv, c)
         lo = conv.size // 2 - 8
         expected = conv[lo : lo + 17] / SQRT_2PI ** (d - 1)
-        assert np.max(np.abs(v.coeffs[0] - expected)) < 1e-12
+        assert np.max(np.abs(mirror(v.half)[0] - expected)) < 1e-12
 
 
 class TestBilinearAndHessian:
@@ -333,7 +333,7 @@ class TestBilinearAndHessian:
         M = 51  # alias-free for a quadratic form at K = 12
         prod = to_grid(u, M) * to_grid(w, M)
         expected = from_grid(prod, 12)
-        assert np.max(np.abs(out.coeffs - expected.coeffs)) < 1e-12
+        assert np.max(np.abs(out.half - expected.half)) < 1e-12
 
     def test_hessian_of_quadratic_is_constant(self):
         H = hessian(parse_polynomial_map("u1^2 + u1*u2; u2^2", 2))

@@ -106,11 +106,12 @@ class TestParseV0:
 
 def test_a_run_is_its_config_at_a_seed():
     # the quadrature tolerance (correction.LAMBDA_TOL) and the Sobolev order
-    # of the errors (integrator.ALPHA) are no settings of a run, and
-    # Lambda = 0 is spelled explicit:0 only
-    assert not {"lambda_tol", "alpha"} & {f.name for f in fields(SimConfig)}
+    # of the errors (integrator.ALPHA) are no settings of a run, Lambda = 0
+    # is spelled explicit:0 only, which is the number 0 in the SimConfig,
+    # and a run's eps is its kind
+    assert not {"lambda_tol", "alpha", "lambda_value", "variant"} & {f.name for f in fields(SimConfig)}
     assert list(inspect.signature(RunSpec.sim_config).parameters) == ["self", "seed"]
-    assert LAMBDA_MODES == ("quadrature", "closed_form", "explicit")
+    assert LAMBDA_MODES == ("quadrature", "closed_form")
 
 
 @pytest.mark.parametrize("line, other", [("h = table:h.csv", "h = table:g.csv"), ("v0 = sin:1", "v0 = cos:1")])
@@ -153,8 +154,10 @@ def test_load_run_config_round_trip(tmp_path):
     assert len(spec.content_hash()) == 64
     cfg = spec.sim_config(seed=9)
     assert cfg.nu == 2.0
-    assert cfg.lambda_mode == "explicit"
-    assert cfg.lambda_value == 0.125
+    assert cfg.lambda_mode == 0.125
+    # the config is the limit run's; the ladder gives the approximate runs
+    # their eps
+    assert cfg.eps is None and cfg.variant == "limit"
     assert cfg.seed == 9
     assert cfg.scheme.builtin == ("finite_difference", 1.0, 0.0)
 
