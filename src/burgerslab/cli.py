@@ -532,7 +532,7 @@ def build_parser():
     sp.add_argument("--M", type=int, default=2048)
     sp.add_argument("--samples", type=int, default=200)
     common(sp)
-    sp.set_defaults(func=cmd_qv, size_key="--K")
+    sp.set_defaults(func=cmd_qv, size_key="--K and --M")
 
     return p
 

@@ -85,6 +85,9 @@ _GAUSS_N = 10  # the adaptive rule pairs the N- and (2N+1)-point Gauss-Legendre 
 _EPSREL = 1e-12
 _LIMIT_SUPPORT = 200  # most panels per knot interval: h of bounded support, and Si
 _LIMIT_TAIL = 400  # most panels before the identity family's analytic tail
+# most oscillation periods that cut one atom's first panels when h has
+# bounded support: 2^14 panels of 31 Gauss nodes, 4 MiB of first-level nodes
+_MAX_PERIODS = 1 << 14
 
 
 @functools.cache
@@ -179,17 +182,20 @@ def _atom_integral(scheme, y, epsabs):
         # to the support edge, splitting panels at table breakpoints and at
         # oscillation periods so the indicator jump is never straddled.
         S = float(scheme.h_support)
-        pts = {0.0, S}
-        if scheme.h_kind == "table":
-            pts.update(float(t) for t in scheme.h.knots if 0.0 < t < S)
-        if scheme.f_kind == "table":
-            pts.update(float(t) for t in scheme.f.knots if 0.0 < t < S)
         period = 2.0 * np.pi / ay
-        k = period
-        while k < S:
-            pts.add(k)
-            k += period
-        return _adaptive_quadrature(integrand, sorted(pts), epsabs, _LIMIT_SUPPORT)
+        if S / period > _MAX_PERIODS:
+            raise QuadratureError(
+                f"atom y = {y:g} cuts the support [0, {S:g}] at {S / period:.4g} oscillation periods, "
+                f"over the {_MAX_PERIODS} the quadrature takes"
+            )
+        # the cuts at period, 2 period, ... below S; add.accumulate adds in
+        # order, so each cut is the one before plus period, a running sum
+        cuts = np.add.accumulate(np.full(int(S / period) + 2, period))
+        pts = [[0.0, S], cuts[cuts < S]]
+        for kind, symbol in ((scheme.h_kind, scheme.h), (scheme.f_kind, scheme.f)):
+            if kind == "table":
+                pts.append([float(t) for t in symbol.knots if 0.0 < t < S])
+        return _adaptive_quadrature(integrand, np.unique(np.concatenate(pts)), epsabs, _LIMIT_SUPPORT)
 
     if scheme.f_kind == "identity" and scheme.h_kind == "one":
         # unbounded support: integrate a few periods, then the analytic tail

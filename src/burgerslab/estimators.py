@@ -1,7 +1,7 @@
 """Diagnostic functionals of fields: the difference-quotient tensor whose
 expectation produces the correction constant at finite resolution, grid
-quadratic variation, negative-order Sobolev distances, and log-log rate
-fitting.
+quadratic variation (by Parseval on the folded spectrum), negative-order
+Sobolev distances, and log-log rate fitting.
 
 Shift operators act as exact Fourier multipliers, so these quantities carry
 no interpolation bias; the only stochastic error in the experiments is
@@ -19,6 +19,8 @@ are their one-row calls: a one-row tensor is the (n, n, K+1) array that is
 row 0 of its stack form, and every row of a stack is bitwise its one-row
 call.
 """
+
+import functools
 
 import numpy as np
 
@@ -74,8 +76,8 @@ def xi_halves(shape, grids, eps):
     acc = np.zeros((rows, n, n, M))
     for _, w, d in grids:
         acc += (w / (2.0 * eps)) * d[:, :, None, :] * d[:, None, :, :]
-    # looked up on the module at call time, like the fold in
-    # quadratic_variation, so that perfbench/spans.py's wrapper sees it
+    # looked up on the module at call time, so that perfbench/spans.py's
+    # wrapper sees it
     xi = spectral.values_to_coeffs(acc.reshape(rows * n * n, M), width - 1).reshape(rows, n, n, width)
     xi[..., 0] = xi[..., 0].real
     return xi
@@ -139,21 +141,42 @@ def chain_rule_defect(G, u, scheme, eps):
 # -- quadratic variation -------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
+def _qv_weights(M):
+    """Weights of the bins b = 1..M//2 in the grid quadratic variation on M
+    points, as a read-only array (memoized per M):
+    (M/2 pi) |e^(2 pi i b/M) - 1|^2 = (2M/pi) sin^2(pi b/M), doubled for
+    b < M/2, whose mirror bin M-b holds the conjugate sum."""
+    b = np.arange(1, M // 2 + 1)
+    w = (2.0 * M / np.pi) * np.sin(np.pi * b / M) ** 2
+    w[: (M - 1) // 2] *= 2.0
+    w.flags.writeable = False
+    return w
+
+
 def quadratic_variation(u, M):
     """Grid quadratic variation sum_j |u(x_{j+1}) - u(x_j)|^2 per component.
 
-    Periodic wrap; x_j = 2 pi j / M.  Any M >= 2 is allowed: the field is
-    evaluated exactly at the gridpoints (grids coarser than the band are the
-    interesting regime, since the increments then see the full roughness).
+    Periodic wrap; x_j = 2 pi j / M.  Any M >= 2 is allowed (grids coarser
+    than the band are the interesting regime, since the increments then see
+    the full roughness), and no grid is formed: by Parseval on the M grid
+    frequencies the sum is (M/2 pi) sum_b (2 - 2 cos(2 pi b/M)) |B_b|^2,
+    where B_b sums the modes k = -K..K with k = b mod M.  Modes 0..K are
+    folded by k mod M, and B_b for b = 1..M//2 is bin b plus the conjugate
+    of bin M-b; bin 0, which holds c_0, has weight 0 and is left out.  Each
+    row's terms are added by one ``np.sum``, so its bits do not depend on
+    the other rows.
     """
     M = int(M)
     if M < 2:
         raise ValueError("need at least two gridpoints")
-    # the fold path, looked up on the module at call time so that a wrapper
-    # installed on spectral.coeffs_to_values (perfbench/spans.py) sees it
-    vals = spectral.coeffs_to_values(u.half, M)
-    inc = np.roll(vals, -1, axis=1) - vals
-    return np.sum(inc**2, axis=1)
+    n, width = u.half.shape
+    full = width - width % M  # modes 0..full-1 fill whole rows of M bins
+    bins = u.half[:, :full].reshape(n, full // M, M).sum(axis=1)
+    bins[:, : width - full] += u.half[:, full:]
+    half = M // 2
+    B = bins[:, 1 : half + 1] + np.conj(bins[:, M - 1 : M - half - 1 : -1])
+    return np.sum((B.real**2 + B.imag**2) * _qv_weights(M), axis=1)
 
 
 def expected_qv(nu, K, M):

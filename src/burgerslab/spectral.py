@@ -15,12 +15,12 @@ builds the two-sided array of modes -K..K: ``mode(k)`` reads a negative
 mode as the conjugate of its positive one.
 
 Grid values are plain (n, M) arrays at x_j = 2*pi*j/M.  One transform pair
-serves every caller.  ``coeffs_to_values`` has one fast path for padded
-grids M >= 2K+1, a single real inverse transform, and one explicit fold path
-for coarser ones; ``values_to_coeffs`` is the real forward transform back to
-modes 0..K, on padded grids only.  The fast path and ``values_to_coeffs``
-take optional caller-owned ``buf`` and ``out`` arrays, passed by keyword,
-and give the bits of the allocating call; the stepper passes its scratch.
+on padded grids M >= 2K+1 serves every caller: ``coeffs_to_values`` is a
+single real inverse transform, and ``values_to_coeffs`` the real forward
+transform back to modes 0..K; a coarser grid raises ``ResolutionError``.
+Both take optional caller-owned ``buf`` and ``out`` arrays, passed by
+keyword, and give the bits of the allocating call; the stepper passes its
+scratch.
 ``to_grid`` and ``from_grid`` are the checked pair on odd padded grids,
 whose oddness keeps the mode <-> gridpoint correspondence symmetric.
 """
@@ -190,50 +190,24 @@ class SpectralField:
 
 
 def coeffs_to_values(coeffs, M, buf=None, out=None):
-    """Point values at x_j = 2*pi*j/M, for any M >= 1, of the real field
-    with half spectrum ``coeffs`` (n, K+1).  This is exact point evaluation
-    of the trigonometric polynomial (not an interpolation statement).  Like
-    irfft, both paths take the real part of mode 0 and ignore Im c_0.
-
-    - padded, M >= 2K+1: no mode folds, so this is one real inverse
-      transform of the spectrum scaled by M/sqrt(2 pi).  ``buf`` is an
-      optional caller-owned (n, M//2+1) complex array, zero above mode K,
-      that holds the scaled spectrum, and ``out`` an optional (n, M) float
-      array that receives the values; new ones are made when None, with the
-      same bits.
-    - fold, M < 2K+1: the two-sided modes -K..K are written in order into
-      a zero-padded (n, rows*M) array from column (-K) mod M, so that every
-      column is its mode modulo M; the rows of its (n, rows, M) view are
-      added into a zero (n, M) spectrum one at a time and in order, and the
-      real part of the spectrum's inverse ``ifft`` is returned.  Each bin
-      thus sums +0.0 and then its modes in increasing k, the order of a
-      scatter-add of the two-sided array (a pairwise or first-row-seeded
-      ``sum`` would round, or sign a zero, differently).  It allocates its
-      own arrays; ``buf`` and ``out`` are for the padded path only.
+    """Point values at x_j = 2*pi*j/M of the real field with half spectrum
+    ``coeffs`` (n, K+1), on a padded grid M >= 2K+1 (else ResolutionError).
+    No mode folds there, so this is exact point evaluation (not an
+    interpolation statement) by one real inverse transform of the spectrum
+    scaled by M/sqrt(2 pi); like irfft, it takes the real part of mode 0 and
+    ignores Im c_0.  ``buf`` is an optional caller-owned (n, M//2+1) complex
+    array, zero above mode K, that holds the scaled spectrum, and ``out`` an
+    optional (n, M) float array that receives the values; new ones are made
+    when None, with the same bits.
     """
     M = int(M)
-    if M < 1:
-        raise ValueError("M must be positive")
     n, width = coeffs.shape
-    if M >= 2 * width - 1:
-        if buf is None:
-            buf = np.zeros((n, M // 2 + 1), dtype=np.complex128)
-        np.multiply(coeffs, M / SQRT_2PI, out=buf[:, :width])
-        return np.fft.irfft(buf, n=M, axis=1, out=out)
-    K = width - 1
-    start = -K % M
-    rows = -(-(start + 2 * K + 1) // M)
-    padded = np.zeros((n, rows * M), dtype=np.complex128)
-    zero = start + K
-    np.conjugate(coeffs[:, :0:-1], out=padded[:, start:zero])
-    padded[:, zero] = coeffs[:, 0].real
-    padded[:, zero + 1 : zero + width] = coeffs[:, 1:]
-    folded = padded.reshape(n, rows, M)
-    B = np.zeros((n, M), dtype=np.complex128)
-    for row in range(rows):
-        B += folded[:, row]
-    vals = np.fft.ifft(B * (M / SQRT_2PI), axis=1)
-    return np.ascontiguousarray(vals.real)
+    if M < 2 * width - 1:
+        raise ResolutionError(f"need M >= 2K+1 = {2 * width - 1}, got M = {M}")
+    if buf is None:
+        buf = np.zeros((n, M // 2 + 1), dtype=np.complex128)
+    np.multiply(coeffs, M / SQRT_2PI, out=buf[:, :width])
+    return np.fft.irfft(buf, n=M, axis=1, out=out)
 
 
 def values_to_coeffs(values, K, buf=None, out=None):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from burgerslab.spectral import SpectralField
+from burgerslab.spectral import SQRT_2PI, SpectralField
 
 
 def random_field(rng, K, n=1, decay=1.0):
@@ -21,6 +21,30 @@ def mirror(half):
     two-sided array; the tests build one as the reference the half layout
     is compared against."""
     return np.concatenate([np.conj(half[:, :0:-1]), half], axis=1)
+
+
+def scatter_fold(coeffs, M):
+    """Exact point values at x_j = 2*pi*j/M, for any M >= 1, of the real
+    field with half spectrum ``coeffs``: the two-sided modes -K..K (Im c_0
+    dropped) are scatter-added, in order, into the bins k mod M, and one
+    complex inverse transform of the bins gives the values.  The oracle for
+    point evaluation on grids coarser than the band."""
+    n, width = coeffs.shape
+    K = width - 1
+    c = mirror(coeffs)
+    c[:, K] = c[:, K].real
+    B = np.zeros((n, M), dtype=np.complex128)
+    cols = np.mod(np.arange(-K, K + 1), M)
+    np.add.at(B, (np.arange(n)[:, None], cols[None, :]), c)
+    return np.ascontiguousarray(np.fft.ifft(B * (M / SQRT_2PI), axis=1).real)
+
+
+def grid_quadratic_variation(coeffs, M):
+    """sum_j |u(x_{j+1}) - u(x_j)|^2 per row, from the ``scatter_fold``
+    values on M points with periodic wrap: the oracle for
+    ``estimators.quadratic_variation``."""
+    vals = scatter_fold(coeffs, M)
+    return np.sum((np.roll(vals, -1, axis=1) - vals) ** 2, axis=1)
 
 
 @pytest.fixture

@@ -105,7 +105,8 @@ def test_criterion_2_galerkin_and_finite_difference():
 def test_criterion_3_quadratic_variation():
     # grid quadratic variation of the stationary field approaches the circle
     # total pi/nu when the band is much finer than the grid: 8192 modes
-    # sampled on 2048 points (point evaluation is exact at any grid size)
+    # sampled on 2048 points (the grid sum is exact at any grid size: it is
+    # taken by Parseval on the modes folded onto the grid)
     nu, K, M, nsamp = 1.0, 8192, 2048, 200
     exact = expected_qv(nu, K, M)
     rel = abs(exact - np.pi / nu) / (np.pi / nu)

@@ -716,35 +716,75 @@ def test_out_name_too_long_exits_2_before_writing(tmp_path, scheme_file, run_con
     assert sorted(p.name for p in tmp_path.iterdir()) == inputs
 
 
-# a run whose arrays do not fit: converge's mode tables at K = 2e7, qv's
-# draw at K = 2e7, chaos's band at eps = 1e-5 (K = ceil(eps^-1.5) = 3.2e7)
-_TOO_LARGE = {
-    "converge": ([], "[model] K"),
-    "qv": (["--K", "20000000", "--M", "16", "--samples", "2"], "--K"),
-    "chaos": (["--eps", "1e-5", "--samples", "2"], "--eps (the band K = ceil(eps^-1.5))"),
-}
-
-
-@pytest.mark.parametrize("command", list(_TOO_LARGE))
-def test_a_run_too_large_for_memory_exits_2_and_writes_nothing(tmp_path, scheme_file, run_config, command):
-    # the child alone runs under a 256 MiB address-space limit, on one
-    # thread; importing the package takes about 110 MiB of it
-    run_config.write_text(run_config.read_text().replace("K = 16", "K = 20000000").replace("v0 = sin:1", "v0 = zero"))
-    extra, key = _TOO_LARGE[command]
-    source = {"converge": ["--config", str(run_config)], "chaos": ["--scheme", str(scheme_file)]}.get(command, [])
-    limit = 256 << 20
-    inputs = _tree(tmp_path)
-    child = subprocess.run(
-        [sys.executable, "-m", "burgerslab", command, *source, *extra, "--out", str(tmp_path / "out")],
+def _run_limited(argv, limit_mib):
+    """Run the package's command line in a child under an address-space
+    limit of ``limit_mib`` MiB, set in the child alone, on one thread."""
+    limit = limit_mib << 20
+    return subprocess.run(
+        [sys.executable, "-m", "burgerslab", *argv],
         env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]), **dict.fromkeys(_THREAD_VARS, "1")},
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
         capture_output=True,
         text=True,
         timeout=120,
     )
+
+
+# a run whose arrays do not fit: converge's mode tables at K = 2e7, qv's
+# draw at K = 2e7 and its fold bins at M = 4e8, chaos's band at eps = 1e-5
+# (K = ceil(eps^-1.5) = 3.2e7)
+_TOO_LARGE = {
+    "converge": ("converge", [], "[model] K"),
+    "qv": ("qv", ["--K", "20000000", "--M", "16", "--samples", "2"], "--K and --M"),
+    "qv-M": ("qv", ["--K", "8", "--M", "400000000", "--samples", "2"], "--K and --M"),
+    "chaos": ("chaos", ["--eps", "1e-5", "--samples", "2"], "--eps (the band K = ceil(eps^-1.5))"),
+}
+
+
+@pytest.mark.parametrize("case", list(_TOO_LARGE))
+def test_a_run_too_large_for_memory_exits_2_and_writes_nothing(tmp_path, scheme_file, run_config, case):
+    # the child alone runs under a 256 MiB address-space limit, on one
+    # thread; importing the package takes about 110 MiB of it
+    run_config.write_text(run_config.read_text().replace("K = 16", "K = 20000000").replace("v0 = sin:1", "v0 = zero"))
+    command, extra, key = _TOO_LARGE[case]
+    source = {"converge": ["--config", str(run_config)], "chaos": ["--scheme", str(scheme_file)]}.get(command, [])
+    inputs = _tree(tmp_path)
+    child = _run_limited([command, *source, *extra, "--out", str(tmp_path / "out")], 256)
     assert child.returncode == EXIT_VALIDATION and child.stdout == ""
     assert child.stderr == f"{command}: out of memory: the arrays sized by {key} do not fit\n"
     assert _tree(tmp_path) == inputs
+
+
+# an atom at y = 1e8 with h supported on [0, pi]: 5e7 oscillation periods
+_FAR_ATOM = "f = finite_difference\nh = indicator_pi\nmu = (1e8,1e-8);(0,-1e-8)\nq = 0.4\n"
+
+
+@pytest.mark.parametrize(
+    "command, dry_run", [("lambda", False), ("converge", False), ("converge", True)], ids=["lambda", "converge", "converge-dry-run"]
+)
+def test_a_far_atom_exits_4_before_its_panels_fill_memory(tmp_path, run_config, command, dry_run):
+    # the quadrature counts the atom's period cuts before it makes them;
+    # under a 512 MiB limit the child exits 4, and writes nothing
+    scheme = tmp_path / "far.scheme"
+    scheme.write_text("name = far\n" + _FAR_ATOM)
+    model = run_config.read_text().replace("lambda_mode = closed_form", "lambda_mode = quadrature").split("[model]")[1]
+    run_config.write_text("[scheme]\nname = far\n" + _FAR_ATOM + "\n[model]" + model)
+    argv = ["lambda", "--scheme", str(scheme)] if command == "lambda" else ["converge", "--config", str(run_config)]
+    if command == "converge":
+        argv += ["--out", str(tmp_path / "out")]
+    inputs = _tree(tmp_path)
+    child = _run_limited(argv + ["--dry-run"] * dry_run, 512)
+    assert child.returncode == EXIT_QUADRATURE and child.stdout == ""
+    assert child.stderr.startswith("quadrature did not converge: atom y = 1e+08 cuts the support")
+    assert "Traceback" not in child.stderr and len(child.stderr.splitlines()) == 1
+    assert _tree(tmp_path) == inputs
+
+
+def test_lambda_dry_run_validates_a_far_atom_scheme_only(tmp_path, capsys):
+    scheme = tmp_path / "far.scheme"
+    scheme.write_text("name = far\n" + _FAR_ATOM)
+    assert main(["lambda", "--scheme", str(scheme), "--dry-run"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out) == {"scheme": "far", "valid": True, "dry_run": True}
 
 
 def test_chaos_outputs_do_not_depend_on_the_chunk_size(tmp_path, monkeypatch, capsys):

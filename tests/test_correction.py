@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -104,6 +106,31 @@ class TestLambdaQuadrature:
         partial = exc.value.partial
         assert partial.abs_error_estimate > 1e-10
         assert abs(partial.value - 0.25) <= partial.abs_error_estimate
+
+    def test_period_cuts_are_counted_before_they_are_made(self, monkeypatch):
+        # an atom at y = a cuts h's support [0, pi] at a/2 oscillation
+        # periods: 4 are within a limit of 4, and 5 raise, naming the atom
+        monkeypatch.setattr(correction, "_MAX_PERIODS", 4)
+        res = lambda_quadrature(finite_difference_scheme(8, 0), nu=1.0, tol=1e-8)
+        assert abs(res.value - 0.25) < 1e-8
+        with pytest.raises(QuadratureError, match=r"atom y = 10 cuts the support \[0, 3.14159\] at 5 oscillation") as exc:
+            lambda_quadrature(finite_difference_scheme(10, 0), nu=1.0, tol=1e-8)
+        assert exc.value.partial is None
+
+    @pytest.mark.parametrize("a", [3, 13, 101])
+    def test_period_cuts_are_those_of_a_running_sum(self, a):
+        # the panels are cut where the loop k += period cut them, so each
+        # atom's integral keeps its bits
+        s = finite_difference_scheme(a, 1)
+        for y, _ in s.mu:
+            S, period = float(s.h_support), 2.0 * np.pi / abs(y)
+            pts, k = {0.0, S}, period
+            while k < S:
+                pts.add(k)
+                k += period
+            integrand = functools.partial(correction._integrand, s, abs(y))
+            want = correction._adaptive_quadrature(integrand, sorted(pts), 1e-9, correction._LIMIT_SUPPORT)
+            assert correction._atom_integral(s, y, 1e-9) == want
 
     def test_scaling_in_nu(self):
         s = galerkin_scheme(2, 1)

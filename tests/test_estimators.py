@@ -1,5 +1,9 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from burgerslab.correction import lambda_eps, lambda_eps_y
 from burgerslab.estimators import (
@@ -32,7 +36,7 @@ from burgerslab.spectral import (
     sobolev_norm,
     to_grid,
 )
-from conftest import random_field
+from conftest import grid_quadratic_variation, random_field, scatter_fold
 
 
 class TestXi:
@@ -218,6 +222,33 @@ class TestQuadraticVariation:
     def test_constant_field(self):
         u = SpectralField.constant(4.0, K=8)
         assert np.all(quadratic_variation(u, 64) == 0.0)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        st.integers(0, 300),
+        st.integers(2, 700),
+        st.integers(1, 2),
+        st.integers(0, 2**32 - 1),
+        st.floats(0.5, 2.0) | st.floats(-2.0, -0.5),
+    )
+    def test_matches_the_grid_sum_of_exact_point_values(self, K, M, n, seed, im0):
+        # odd and even M, below and above 2K+1, against the roll-difference
+        # sum of the scatter-fold values; a SpectralField would zero Im c_0,
+        # so the raw half spectrum stands in for one (only .half is read)
+        rng = np.random.default_rng(seed)
+        half = random_field(rng, K=K, n=n).half.copy()
+        half[:, 0] += 1j * im0
+        got = quadratic_variation(SimpleNamespace(half=half), M)
+        want = grid_quadratic_variation(half, M)
+        # the oracle's differences cancel to rounding of the values' size
+        energy = np.sum(scatter_fold(half, M) ** 2, axis=1)
+        assert np.all(np.abs(got - want) <= 1e-12 * (np.abs(want) + energy))
+        # a row's bits do not depend on the rows beside it
+        for row in range(n):
+            assert got[row].tobytes() == quadratic_variation(SimpleNamespace(half=half[row : row + 1]), M)[0].tobytes()
+        # a constant field gives exactly 0, whatever its Im c_0
+        half[:, 1:] = 0.0
+        assert np.all(quadratic_variation(SimpleNamespace(half=half), M) == 0.0)
 
     def test_monte_carlo_matches_exact_sum(self):
         # 200 stationary samples vs the exact expectation, 5 standard errors

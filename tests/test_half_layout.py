@@ -66,16 +66,14 @@ def old_multiplier(c, m):
 
 
 def old_coeffs_to_values(coeffs, M):
-    """The two-sided point evaluation (its Hermitian checks left out)."""
+    """The two-sided point evaluation on a padded grid M >= 2K+1 (its
+    Hermitian checks left out): one real inverse transform of modes 0..K
+    scaled by M/sqrt(2 pi)."""
     n, width = coeffs.shape
     K = (width - 1) // 2
-    if M >= width:
-        return coeffs_to_values(coeffs[:, K:], M)
-    B = np.zeros((n, M), dtype=np.complex128)
-    cols = np.mod(np.arange(-K, K + 1), M)
-    np.add.at(B, (np.arange(n)[:, None], cols[None, :]), coeffs)
-    vals = np.fft.ifft(B * (M / SQRT_2PI), axis=1)
-    return np.ascontiguousarray(vals.real)
+    spectrum = np.zeros((n, M // 2 + 1), dtype=np.complex128)
+    spectrum[:, : K + 1] = coeffs[:, K:] * (M / SQRT_2PI)
+    return np.fft.irfft(spectrum, n=M, axis=1)
 
 
 def old_embed(c, K):
@@ -188,9 +186,10 @@ def test_grid_round_trip_matches_two_sided(half, pad, alias_free):
 
 
 @PROPERTY
-@given(half_spectra(), st.integers(1, 60))
-def test_both_transform_paths_match_two_sided(half, M):
-    # M < 2K+1 folds, M >= 2K+1 is padded
+@given(half_spectra(), st.integers(0, 36))
+def test_padded_transform_matches_two_sided(half, pad):
+    # every padded grid, odd or even, from M = 2K+1 up
+    M = half.shape[1] * 2 - 1 + pad
     assert same_bits(coeffs_to_values(half, M), old_coeffs_to_values(mirror(half), M))
 
 

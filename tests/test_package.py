@@ -223,8 +223,9 @@ def test_traced_converge_call_counts_follow_the_closed_forms(tmp_path):
 
 def test_traced_stationary_call_counts_follow_the_closed_forms(tmp_path):
     # every chaos or qv sample is one stationary pair drawn by one mode draw,
-    # each qv sample folds once, each chaos chunk shifts once per live atom,
-    # and neither study steps or draws Wiener noise
+    # no qv sample forms a coarse grid (its sum is taken on the spectrum),
+    # each chaos chunk shifts once per live atom, and neither study steps or
+    # draws Wiener noise
     eps, chaos_samples, qv_samples = (0.1, 0.07), 3, 4
     scheme = tmp_path / "fd.scheme"
     scheme.write_text("name = fd\nf = finite_difference\nh = indicator_pi\nmu = (1,1);(0,-1)\nq = 0.4\n")
@@ -255,7 +256,8 @@ def test_traced_stationary_call_counts_follow_the_closed_forms(tmp_path):
         "schemes.shift_minus": live_atoms * chunks,
         "noise.sample_stationary_pair": samples,
         "noise.ModeGaussianDraw.sample": samples,
-        "spectral.coeffs_to_values.fold": qv_samples,
+        "estimators.quadratic_variation": qv_samples,
+        "spectral.coeffs_to_values.fold": 0,
         "noise.wiener_increment_coeffs": 0,
         "integrator.Stepper": 0,
         "integrator.step_coeffs": 0,

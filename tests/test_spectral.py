@@ -22,7 +22,7 @@ from burgerslab.spectral import (
     values_to_coeffs,
 )
 from burgerslab import spectral
-from conftest import mirror, random_field
+from conftest import mirror, random_field, scatter_fold
 
 
 def to_grid_direct(u, M):
@@ -320,16 +320,18 @@ class TestInvariants:
             assert np.array_equal(u.mode(-k), np.conj(u.mode(k)))
             assert np.array_equal(mirror(u.half)[:, 6 - k], u.mode(-k))
 
-    def test_coeffs_to_values_allows_coarse_grids(self, rng):
-        # aliased point evaluation agrees with the direct sum for M < 2K+1
-        u = random_field(rng, K=10)
-        assert np.max(np.abs(coeffs_to_values(u.half, 7) - direct_values(u, 7))) < 1e-12
+    @pytest.mark.parametrize("K, M", [(10, 20), (10, 7), (10, 1), (0, 0)])
+    def test_coeffs_to_values_refuses_coarse_grids(self, rng, K, M):
+        # one transform pair on padded grids: M < 2K+1 raises, as in
+        # values_to_coeffs
+        half = random_field(rng, K=K).half
+        with pytest.raises(ResolutionError, match=f"need M >= 2K\\+1 = {2 * K + 1}, got M = {M}"):
+            coeffs_to_values(half, M)
 
 
 class TestTransformPaths:
     """Padded grids (M >= 2K+1) take one real inverse transform of the half
-    spectrum; coarser grids fold the two-sided modes into a complex one.
-    Both must be exact point evaluation, and both take the real part of
+    spectrum; it must be exact point evaluation, and take the real part of
     mode 0."""
 
     @pytest.mark.parametrize(
@@ -342,41 +344,19 @@ class TestTransformPaths:
         ref = to_grid_direct(u, M) if M % 2 else direct_values(u, M)
         assert np.max(np.abs(coeffs_to_values(u.half, M) - ref)) < 1e-12
 
-    @pytest.mark.parametrize("K, M", [(8, 17), (8, 18), (8, 40), (8, 7), (8, 4), (0, 3), (0, 1)])  # padded, fold
-    def test_both_paths_ignore_imaginary_mode_zero(self, rng, K, M):
+    @pytest.mark.parametrize("K, M", [(8, 17), (8, 18), (8, 40), (0, 3), (0, 1)])
+    def test_ignores_imaginary_mode_zero(self, rng, K, M):
         u = random_field(rng, K=K, n=2)
         c = u.half.copy()
         c[:, 0] += np.array([1e-3j, -2.5j])
         assert coeffs_to_values(c, M).tobytes() == coeffs_to_values(u.half, M).tobytes()
 
-    @staticmethod
-    def scatter_fold(coeffs, M):
-        # the fold as a scatter-add of the two-sided modes -K..K, in order
-        n, width = coeffs.shape
-        K = width - 1
-        c = mirror(coeffs)
-        c[:, K] = c[:, K].real
-        B = np.zeros((n, M), dtype=np.complex128)
-        cols = np.mod(np.arange(-K, K + 1), M)
-        np.add.at(B, (np.arange(n)[:, None], cols[None, :]), c)
-        return np.ascontiguousarray(np.fft.ifft(B * (M / SQRT_2PI), axis=1).real)
-
-    @pytest.mark.parametrize("n", [1, 2])
-    @pytest.mark.parametrize(
-        "K, M",
-        [(1, 1), (1, 2), (5, 1), (5, 2), (5, 3), (12, 5), (12, 12), (12, 13), (12, 20), (12, 24), (40, 7), (40, 80)],
-    )
-    def test_fold_bytes_match_the_scatter_add(self, rng, K, M, n):
-        # M < K+1, K+1 <= M < 2K+1 and M = 2K; random, partly zeroed and
-        # all -0.0 spectra, whose zero signs a reordered sum would change
-        assert M < 2 * K + 1
-        half = random_field(rng, K=K, n=n).half.copy()
-        zeroed = half.copy()
-        zeroed[:, rng.random(K + 1) < 0.5] = 0.0
-        zeroed[:, 1::3] = -0.0
-        negative_zero = np.full((n, K + 1), complex(-0.0, -0.0))
-        for c in (half, zeroed, negative_zero):
-            assert coeffs_to_values(c, M).tobytes() == self.scatter_fold(c, M).tobytes()
+    @pytest.mark.parametrize("K, M", [(0, 1), (0, 4), (10, 7), (10, 21), (10, 64)])
+    def test_scatter_fold_is_exact_point_evaluation(self, rng, K, M):
+        # the oracle of the coarse-grid tests agrees with the direct sum on
+        # coarse and padded grids alike
+        u = random_field(rng, K=K, n=2)
+        assert np.max(np.abs(scatter_fold(u.half, M) - direct_values(u, M))) < 1e-12
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_state_passes_through(self, rng, bad):
