@@ -184,18 +184,16 @@ def _atom_integral(scheme, y, epsabs):
         S = float(scheme.h_support)
         period = 2.0 * np.pi / ay
         if S / period > _MAX_PERIODS:
-            raise QuadratureError(
-                f"atom y = {y:g} cuts the support [0, {S:g}] at {S / period:.4g} oscillation periods, "
-                f"over the {_MAX_PERIODS} the quadrature takes"
-            )
+            raise QuadratureError(f"atom y = {y:g} cuts h's support at {S / period:.4g} oscillation periods, over {_MAX_PERIODS}")
         # the cuts at period, 2 period, ... below S; add.accumulate adds in
         # order, so each cut is the one before plus period, a running sum
         cuts = np.add.accumulate(np.full(int(S / period) + 2, period))
-        pts = [[0.0, S], cuts[cuts < S]]
-        for kind, symbol in ((scheme.h_kind, scheme.h), (scheme.f_kind, scheme.f)):
-            if kind == "table":
-                pts.append([float(t) for t in symbol.knots if 0.0 < t < S])
-        return _adaptive_quadrature(integrand, np.unique(np.concatenate(pts)), epsabs, _LIMIT_SUPPORT)
+        pts = {0.0, S, *cuts[cuts < S].tolist()}
+        if scheme.h_kind == "table":
+            pts.update(float(t) for t in scheme.h.knots if 0.0 < t < S)
+        if scheme.f_kind == "table":
+            pts.update(float(t) for t in scheme.f.knots if 0.0 < t < S)
+        return _adaptive_quadrature(integrand, sorted(pts), epsabs, _LIMIT_SUPPORT)
 
     if scheme.f_kind == "identity" and scheme.h_kind == "one":
         # unbounded support: integrate a few periods, then the analytic tail
