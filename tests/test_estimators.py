@@ -250,6 +250,41 @@ class TestQuadraticVariation:
         half[:, 1:] = 0.0
         assert np.all(quadratic_variation(SimpleNamespace(half=half), M) == 0.0)
 
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize(
+        "K, M",
+        [(1, 2), (5, 2), (5, 3), (12, 5), (12, 12), (12, 13), (12, 20), (12, 24), (12, 25), (40, 7), (40, 80), (40, 81)],
+    )
+    def test_fold_cases_match_the_grid_sum(self, rng, K, M, n):
+        # M < K+1, K+1 <= M < 2K+1, M = 2K and padded M, odd and even; random,
+        # partly zeroed and all -0.0 spectra against the scatter-fold oracle
+        half = random_field(rng, K=K, n=n).half.copy()
+        zeroed = half.copy()
+        zeroed[:, rng.random(K + 1) < 0.5] = 0.0
+        zeroed[:, 1::3] = -0.0
+        for c in (half, zeroed):
+            got = quadratic_variation(SimpleNamespace(half=c), M)
+            want = grid_quadratic_variation(c, M)
+            energy = np.sum(scatter_fold(c, M) ** 2, axis=1)
+            assert np.all(got >= 0.0)
+            assert np.all(np.abs(got - want) <= 1e-12 * (np.abs(want) + energy))
+        negative_zero = np.full((n, K + 1), complex(-0.0, -0.0))
+        assert np.all(quadratic_variation(SimpleNamespace(half=negative_zero), M) == 0.0)
+
+    @pytest.mark.parametrize("K, M", [(8, 17), (8, 18), (8, 40), (8, 7), (8, 4), (0, 3), (0, 2)])
+    def test_ignores_imaginary_mode_zero(self, rng, K, M):
+        # bin 0 has weight 0, so Im c_0 changes no bit, coarse or padded
+        half = random_field(rng, K=K, n=2).half
+        c = half.copy()
+        c[:, 0] += np.array([1e-3j, -2.5j])
+        got = quadratic_variation(SimpleNamespace(half=c), M)
+        assert got.tobytes() == quadratic_variation(SimpleNamespace(half=half), M).tobytes()
+
+    @pytest.mark.parametrize("M", [0, 1])
+    def test_refuses_fewer_than_two_points(self, rng, M):
+        with pytest.raises(ValueError, match="need at least two gridpoints"):
+            quadratic_variation(random_field(rng, K=4), M)
+
     def test_monte_carlo_matches_exact_sum(self):
         # 200 stationary samples vs the exact expectation, 5 standard errors
         K, M, nu, nsamp = 512, 2048, 1.0, 200
